@@ -252,8 +252,12 @@ def cmd_frac(args) -> int:
     return 0 if feasible else 1
 
 
-def _run_solvers(cfg: ExperimentConfig, inst: ZeroExtInstance, seed: int):
-    """All configured heuristics; returns {name: (labeling, cost)}."""
+def _run_solvers(cfg: ExperimentConfig, inst: ZeroExtInstance, seed: int, delta):
+    """All configured heuristics; returns {name: (labeling, cost)}.
+
+    `delta` is the canonical fractional solution CKR rounds, or None for a
+    generic instance, which has none.
+    """
     results: dict[str, tuple[np.ndarray, float]] = {}
     if "all_to_one" in cfg.solvers:
         f = all_to_one(inst)
@@ -261,8 +265,7 @@ def _run_solvers(cfg: ExperimentConfig, inst: ZeroExtInstance, seed: int):
     if "nearest_terminal" in cfg.solvers:
         f = nearest_terminal(inst)
         results["nearest_terminal"] = (f, integral_cost(f, inst))
-    if "ckr" in cfg.solvers and inst.is_gap:  # rounding needs the canonical solution
-        delta, _ = canonical_fractional(inst)
+    if "ckr" in cfg.solvers and delta is not None:
         for i in range(cfg.ckr_draws):
             sub = int(np.random.SeedSequence((seed, 777, i)).generate_state(1)[0])
             f = ckr_round(inst, delta, sub)
@@ -281,7 +284,8 @@ def cmd_solve(args) -> int:
     cfg = _config_from_args(args)
     inst, _ = _load_or_build(cfg, args)
     seed = cfg.seeds[0]
-    results = _run_solvers(cfg, inst, seed)
+    delta = canonical_fractional(inst)[0] if inst.is_gap and "ckr" in cfg.solvers else None
+    results = _run_solvers(cfg, inst, seed, delta)
     if not results:
         raise SystemExit("error: no solvers selected")
     best_name, (best_f, best_cost) = min(results.items(), key=lambda kv: (kv[1][1], kv[0]))
@@ -382,8 +386,8 @@ def cmd_export_lp(args) -> int:
 def _gap_row(cfg: ExperimentConfig, n: int, seed: int) -> dict:
     build = _build(cfg, n, seed)
     inst = build.instance
-    _, frac = canonical_fractional(inst)
-    results = _run_solvers(cfg, inst, seed)
+    delta, frac = canonical_fractional(inst)
+    results = _run_solvers(cfg, inst, seed, delta)
     best_name, (_, best_cost) = min(results.items(), key=lambda kv: (kv[1][1], kv[0]))
     return {
         "n": n,
@@ -400,7 +404,7 @@ def _gap_row(cfg: ExperimentConfig, n: int, seed: int) -> dict:
 
 def cmd_gap(args) -> int:
     cfg = _config_from_args(args)
-    started = time.time()
+    started = time.perf_counter()
     tasks = [(n, seed) for n in cfg.n_values for seed in cfg.seeds]
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -419,7 +423,7 @@ def cmd_gap(args) -> int:
                 row["lp_opt"] = lp_opts[key]
                 row["verified_ratio"] = row["best_integral"] / lp_opts[key]
 
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     print(f"# caveat: {GAP_CAVEAT}")
     for row in rows:
         if cfg.format == "json":

@@ -34,6 +34,11 @@ class SemiMetric:
         raise NotImplementedError
 
     def pair_values(self, uu: np.ndarray, vv: np.ndarray) -> np.ndarray:
+        """Distances delta(uu, vv), elementwise over the two index arrays.
+
+        The index arrays broadcast against each other like numpy operands,
+        so `pair_values(rows[:, None], cols[None, :])` is a rows x cols slab.
+        """
         raise NotImplementedError
 
     def matrix(self) -> np.ndarray:
@@ -89,7 +94,8 @@ class GapSemiMetric(SemiMetric):
     def _dx_pairs(self, xu, xv):
         if self.dx is not None:
             return self.dx[xu, xv]
-        out = np.zeros(np.asarray(xu).shape, dtype=float)
+        xu, xv = np.broadcast_arrays(xu, xv)
+        out = np.zeros(xu.shape, dtype=float)
         for i in np.unique(xu):
             sel = xu == i
             out[sel] = self._lazy._dx_row(int(i))[xv[sel]]

@@ -11,7 +11,10 @@ import numpy as np
 
 from .graphs import _fisher_yates
 from .instance import ZeroExtInstance
-from .relaxation import GapSemiMetric, SemiMetric
+from .relaxation import SemiMetric
+
+# Largest (vertex, terminal) slab ckr_round evaluates at once: 2 MiB of floats.
+CKR_SLAB_PAIRS = 1 << 18
 
 
 class SolverError(ValueError):
@@ -26,6 +29,12 @@ def validate_labeling(f: np.ndarray, inst: ZeroExtInstance) -> np.ndarray:
     f = np.asarray(f, dtype=np.int64)
     if f.shape != (inst.vertex_count,):
         raise SolverError(f"labeling has shape {f.shape}, expected ({inst.vertex_count},)")
+    outside = (f < 0) | (f >= inst.vertex_count)
+    if np.any(outside):
+        bad = int(np.flatnonzero(outside)[0])
+        raise SolverError(
+            f"vertex {bad} is labeled {f[bad]}, outside [0, {inst.vertex_count})"
+        )
     if np.any(inst.term_index[f] < 0):
         bad = int(np.flatnonzero(inst.term_index[f] < 0)[0])
         raise SolverError(f"vertex {bad} is labeled with non-terminal {f[bad]}")
@@ -111,53 +120,43 @@ def ckr_round(inst: ZeroExtInstance, delta: SemiMetric, seed: int) -> np.ndarray
     """Ball-growing rounding of a feasible fractional solution.
 
     Draw r uniform in [1, 2) and a uniform random terminal permutation;
-    terminals are processed in permutation order and every still-unassigned
-    non-terminal u joins the first terminal t with delta(u, t) <= r * A_u,
-    where A_u is u's distance to its closest terminal.  Any leftover vertex
-    (impossible in exact arithmetic, kept as a float guard) goes to its
-    nearest terminal.  Deterministic given the seed; terminals stay fixed.
+    every non-terminal u joins the first terminal t in permutation order with
+    delta(u, t) <= r * A_u, where A_u is u's distance to its closest
+    terminal.  Any leftover vertex (impossible in exact arithmetic, kept as a
+    float guard) goes to its nearest terminal.  Deterministic given the seed;
+    terminals stay fixed.
+
+    Non-terminals are tested in row blocks: one `pair_values` call gives a
+    block's distances to all terminals in permutation order, and each row
+    takes its first column within the bound.  That is the same comparison on
+    the same values as processing the terminals one at a time, so the
+    labeling is identical to it; memory stays at CKR_SLAB_PAIRS pairs.
     """
     rng = np.random.default_rng(int(seed))
     r = 1.0 + float(rng.random())
     k = inst.k
-    perm = _fisher_yates(rng, k)
+    order = inst.terminals[_fisher_yates(rng, k)]
 
-    n = inst.vertex_count
-    all_v = np.arange(n, dtype=np.int64)
-    a_min = _nearest_terminal_distance(inst, delta)
-
-    f = np.full(n, -1, dtype=np.int64)
+    f = np.full(inst.vertex_count, -1, dtype=np.int64)
     f[inst.terminals] = inst.terminals
-    unassigned = inst.term_index < 0
-    bound = r * a_min
-    for tpos in perm:
-        if not unassigned.any():
-            break
-        t_vertex = int(inst.terminals[tpos])
-        col = delta.pair_values(all_v, np.full(n, t_vertex, dtype=np.int64))
-        take = unassigned & (col <= bound)
-        f[take] = t_vertex
-        unassigned &= ~take
-    if unassigned.any():
-        for v in np.flatnonzero(unassigned):
-            col = delta.pair_values(
-                np.full(k, v, dtype=np.int64), inst.terminals.astype(np.int64)
-            )
-            f[v] = int(inst.terminals[int(np.argmin(col))])
+    nonterms = inst.nonterminals()
+    rows = max(1, CKR_SLAB_PAIRS // max(1, k))
+    leftover = []
+    for start in range(0, nonterms.size, rows):
+        blk = nonterms[start : start + rows]
+        slab = delta.pair_values(blk[:, None], order[None, :])
+        bound = r * slab.min(axis=1)
+        within = slab <= bound[:, None]
+        first = within.argmax(axis=1)
+        hit = within[np.arange(blk.size), first]
+        f[blk[hit]] = order[first[hit]]
+        leftover.extend(blk[~hit].tolist())
+    for v in leftover:
+        col = delta.pair_values(
+            np.full(k, v, dtype=np.int64), inst.terminals.astype(np.int64)
+        )
+        f[v] = int(inst.terminals[int(np.argmin(col))])
     return f
-
-
-def _nearest_terminal_distance(inst: ZeroExtInstance, delta: SemiMetric) -> np.ndarray:
-    if isinstance(delta, GapSemiMetric) and delta.dx is not None:
-        a = np.concatenate([delta.dx.min(axis=1) + delta.big_l, np.zeros(delta.k)])
-        return a
-    n = inst.vertex_count
-    all_v = np.arange(n, dtype=np.int64)
-    a = np.full(n, np.inf)
-    for t in inst.terminals:
-        col = delta.pair_values(all_v, np.full(n, int(t), dtype=np.int64))
-        np.minimum(a, col, out=a)
-    return a
 
 
 # -- deterministic baselines ----------------------------------------------------
@@ -311,11 +310,27 @@ def save_labeling(f: np.ndarray, path) -> None:
 
 
 def load_labeling(path, inst: ZeroExtInstance) -> np.ndarray:
-    f = np.full(inst.vertex_count, -1, dtype=np.int64)
+    """Read `vertex label` lines; every vertex must appear exactly once."""
+    n = inst.vertex_count
+    f: list[int | None] = [None] * n
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             parts = line.split()
             if not parts:
                 continue
-            f[int(parts[0])] = int(parts[1])
-    return validate_labeling(f, inst)
+            try:
+                v, t = map(int, parts)  # ValueError on a non-integer or a wrong count
+            except ValueError:
+                raise SolverError(
+                    f"{path}:{lineno}: expected 'vertex label', got {line.strip()!r}"
+                ) from None
+            if not 0 <= v < n:
+                raise SolverError(f"{path}:{lineno}: vertex {v} outside [0, {n})")
+            if not 0 <= t < n:
+                raise SolverError(f"{path}:{lineno}: label {t} outside [0, {n})")
+            if f[v] is not None:
+                raise SolverError(f"{path}:{lineno}: vertex {v} is labeled twice")
+            f[v] = t
+    if None in f:
+        raise SolverError(f"{path}: vertex {f.index(None)} has no label")
+    return validate_labeling(np.array(f, dtype=np.int64), inst)

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's own code paths: shortest
 paths come from a plain Floyd-Warshall loop, optima from itertools
-enumeration, cycle verdicts from explicit simple-cycle enumeration, and
-shuffles from one scalar draw per Fisher-Yates step.
+enumeration, cycle verdicts from explicit simple-cycle enumeration,
+shuffles from one scalar draw per Fisher-Yates step, and CKR labelings from
+one terminal column at a time.
 """
 from __future__ import annotations
 
@@ -78,6 +79,53 @@ def reference_random_regular(m: int, d: int, seed: int, tries: int = 3000):
         f"configuration model failed after {tries} tries for m={m}, d={d}; "
         "try a larger m or smaller d"
     )
+
+
+# -- one-terminal-at-a-time CKR oracle ------------------------------------------
+
+
+def reference_ckr_round(inst, delta, seed: int) -> np.ndarray:
+    """CKR rounding that tests one terminal column at a time.
+
+    Same draws as the library (r first, then the permutation, here from the
+    scalar Fisher-Yates); every still-unassigned vertex joins the first
+    terminal in permutation order within r times its nearest-terminal
+    distance, and leftovers go to the nearest terminal.
+    """
+    rng = np.random.default_rng(int(seed))
+    r = 1.0 + float(rng.random())
+    k = inst.k
+    perm = scalar_fisher_yates(rng, k)
+
+    n = inst.vertex_count
+    all_v = np.arange(n, dtype=np.int64)
+    if getattr(delta, "dx", None) is not None:
+        a_min = np.concatenate([delta.dx.min(axis=1) + delta.big_l, np.zeros(delta.k)])
+    else:
+        a_min = np.full(n, np.inf)
+        for t in inst.terminals:
+            col = delta.pair_values(all_v, np.full(n, int(t), dtype=np.int64))
+            np.minimum(a_min, col, out=a_min)
+
+    f = np.full(n, -1, dtype=np.int64)
+    f[inst.terminals] = inst.terminals
+    unassigned = inst.term_index < 0
+    bound = r * a_min
+    for tpos in perm:
+        if not unassigned.any():
+            break
+        t_vertex = int(inst.terminals[tpos])
+        col = delta.pair_values(all_v, np.full(n, t_vertex, dtype=np.int64))
+        take = unassigned & (col <= bound)
+        f[take] = t_vertex
+        unassigned &= ~take
+    if unassigned.any():
+        for v in np.flatnonzero(unassigned):
+            col = delta.pair_values(
+                np.full(k, v, dtype=np.int64), inst.terminals.astype(np.int64)
+            )
+            f[v] = int(inst.terminals[int(np.argmin(col))])
+    return f
 
 
 # -- independent exhaustive labeling oracle ------------------------------------

@@ -88,6 +88,16 @@ def test_split_reports_conditions(tmp_path, capsys):
     assert doc["config"]["epsilon"] == 0.1
 
 
+def test_split_rejects_labeling_vertex_out_of_range(tmp_path, capsys):
+    # n=8 gives 64 terminals and 128 vertices; vertex 133 does not exist.
+    path = tmp_path / "bad.labeling"
+    path.write_text("".join(f"{v} {64 + v % 64}\n" for v in range(128)) + "133 64\n")
+    rc = run(["split", "--n", "8", "--seed", "0", "--labeling", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "vertex 133 outside [0, 128)" in err
+
+
 def test_cert_round_trip_via_cli(tmp_path):
     out = tmp_path / "cert"
     rc = run(

@@ -3,10 +3,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import enumerate_optimum, random_generic_instance, random_labeling
-from zeroext import relaxation
+from conftest import (
+    enumerate_optimum,
+    random_generic_instance,
+    random_labeling,
+    reference_ckr_round,
+)
+from zeroext import relaxation, solvers
 from zeroext.graphs import Graph
-from zeroext.instance import build_generic_instance
+from zeroext.instance import build_generic_instance, default_gap_instance
 from zeroext.relaxation import DenseSemiMetric, canonical_fractional
 from zeroext.solvers import (
     SolverError,
@@ -75,6 +80,21 @@ def test_labeling_validation():
         validate_labeling(np.array([2, 0, 2]), inst)
     with pytest.raises(SolverError, match="non-terminal"):
         validate_labeling(np.array([0, 1, 2]), inst)
+
+
+def test_labeling_validation_rejects_out_of_range_labels(small_gap):
+    inst = small_gap.instance
+    f = nearest_terminal(inst)
+    low = f.copy()
+    low[0] = -1  # would wrap around to the last terminal
+    with pytest.raises(SolverError, match="outside"):
+        validate_labeling(low, inst)
+    high = f.copy()
+    high[0] = inst.vertex_count + 5
+    with pytest.raises(SolverError, match="outside"):
+        validate_labeling(high, inst)
+    with pytest.raises(SolverError, match="outside"):
+        integral_cost(low, inst)
 
 
 # -- brute force -------------------------------------------------------------------
@@ -157,7 +177,67 @@ def test_ckr_valid_and_reproducible(small_gap):
     assert np.array_equal(f1, f2)
     validate_labeling(f1, inst)
     assert np.isfinite(integral_cost(f1, inst))
-    assert not np.array_equal(f1, ckr_round(inst, delta, 10)) or True  # different seed may differ
+    labelings = {tuple(ckr_round(inst, delta, seed).tolist()) for seed in range(20)}
+    assert len(labelings) >= 2  # the draws reach more than one labeling
+
+
+def _assert_ckr_matches_reference(inst, delta, seeds):
+    for seed in seeds:
+        got = ckr_round(inst, delta, seed)
+        assert np.array_equal(got, reference_ckr_round(inst, delta, seed)), seed
+
+
+@pytest.mark.parametrize("n,d", [(4, 3), (6, 4), (8, 4), (16, 4)])
+def test_ckr_matches_one_terminal_at_a_time_on_gap(n, d):
+    for build_seed in range(3):
+        inst = default_gap_instance(n, d, build_seed).instance
+        delta, _ = canonical_fractional(inst)
+        draws = [int(np.random.SeedSequence((build_seed, 777, i)).generate_state(1)[0]) for i in range(3)]
+        _assert_ckr_matches_reference(inst, delta, draws)
+
+
+def test_ckr_matches_one_terminal_at_a_time_on_lazy_metric():
+    inst = default_gap_instance(6, 4, 2, dense_cap=8).instance
+    assert inst.metric.kind == "lazy"
+    delta, _ = canonical_fractional(inst)
+    assert delta.dx is None
+    _assert_ckr_matches_reference(inst, delta, range(6))
+
+
+def test_ckr_matches_one_terminal_at_a_time_on_generic():
+    rng = np.random.default_rng(31)
+    for _ in range(15):
+        inst = random_generic_instance(rng, max_nonterms=6, max_terms=4)
+        induced = relaxation.induced_semimetric(random_labeling(rng, inst), inst)
+        _assert_ckr_matches_reference(inst, induced, range(8))
+
+
+def test_ckr_bound_is_inclusive_and_exact():
+    # Terminal 2 sits exactly at r * A_v and terminal 3 one ulp beyond it.
+    g = Graph(vertex_count=4, edges=[(0, 1), (0, 2), (0, 3)])
+    inst = build_generic_instance(g, np.ones(3), np.array([1, 2, 3]), 2.0 * (1 - np.eye(3)))
+    a = 0.7
+    chosen = set()
+    for seed in range(30):
+        r = 1.0 + float(np.random.default_rng(seed).random())
+        mat = np.full((4, 4), 2.0)
+        mat[0, 1:] = mat[1:, 0] = [a, r * a, np.nextafter(r * a, np.inf)]
+        np.fill_diagonal(mat, 0.0)
+        delta = DenseSemiMetric(mat)
+        f = ckr_round(inst, delta, seed)
+        assert np.array_equal(f, reference_ckr_round(inst, delta, seed))
+        chosen.add(int(f[0]))
+    assert chosen == {1, 2}
+
+
+@pytest.mark.parametrize("slab", [1, 36, 100, 36 * 36 - 1, 36 * 36])
+def test_ckr_block_edges_match_reference(monkeypatch, slab):
+    # k = 36 terminals and 36 non-terminals: single-row blocks (slab <= k),
+    # a slab k does not divide, a final one-row block, and one block.
+    inst = default_gap_instance(6, 4, 1).instance
+    delta, _ = canonical_fractional(inst)
+    monkeypatch.setattr(solvers, "CKR_SLAB_PAIRS", slab)
+    _assert_ckr_matches_reference(inst, delta, range(5))
 
 
 # -- baselines ----------------------------------------------------------------------
@@ -239,3 +319,23 @@ def test_labeling_file_round_trip(tmp_path):
     path = tmp_path / "f.labeling"
     save_labeling(f, path)
     assert np.array_equal(load_labeling(path, inst), f)
+
+
+@pytest.mark.parametrize(
+    "text,match",
+    [
+        ("0 0\n1 0\n2 2\n3 0\n", "vertex 3 outside"),
+        ("0 0\n1 0 7\n2 2\n", "expected 'vertex label'"),
+        ("0 0\n1 zero\n2 2\n", "expected 'vertex label'"),
+        ("0 0\n1 0\n1 2\n2 2\n", "labeled twice"),
+        ("0 0\n2 2\n", "vertex 1 has no label"),
+        ("0 0\n1 -1\n2 2\n", "label -1 outside"),
+        ("0 0\n1 99999999999999999999\n2 2\n", "label 99999999999999999999 outside"),
+    ],
+    ids=["vertex-range", "three-fields", "non-integer", "duplicate", "missing", "negative", "huge"],
+)
+def test_labeling_file_rejects_bad_lines(tmp_path, text, match):
+    path = tmp_path / "bad.labeling"
+    path.write_text(text)
+    with pytest.raises(SolverError, match=match):
+        load_labeling(path, star_instance())
