@@ -16,7 +16,6 @@ identity so relative positions can be evaluated in the public fiber graph).
 """
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -1033,14 +1032,3 @@ def certificate_from_json(doc: dict, base: Graph, fiber: Graph) -> Certificate:
         fiber=fiber,
         fiber_size=int(doc["fiber_size"]),
     )
-
-
-def save_certificate(cert: Certificate, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(certificate_to_json(cert), fh)
-        fh.write("\n")
-
-
-def load_certificate(path, base: Graph, fiber: Graph) -> Certificate:
-    with open(path) as fh:
-        return certificate_from_json(json.load(fh), base, fiber)

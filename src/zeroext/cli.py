@@ -29,6 +29,7 @@ from .certificate import (
     transform_pipeline,
 )
 from .instance import (
+    GapParams,
     ZeroExtInstance,
     default_gap_instance,
     load_instance,
@@ -91,10 +92,10 @@ class ExperimentConfig:
         return 1.0 - 4.0 * self.epsilon
 
     def validate(self):
-        if any(n < 3 for n in self.n_values):
-            raise SystemExit("error: every n must be >= 3")
-        if self.d < 3:
-            raise SystemExit("error: d must be >= 3")
+        if not self.n_values or not self.seeds:
+            raise SystemExit("error: need at least one n and one seed")
+        for n in self.n_values:
+            GapParams(n=n, d=self.d)  # raises InstanceError on a bad n or d
         if not 0 < self.epsilon < 0.125:
             raise SystemExit("error: epsilon must lie in (0, 0.125)")
         if not 0.5 < self.threshold_value() <= 1.0:
@@ -104,6 +105,12 @@ class ExperimentConfig:
                 raise SystemExit(f"error: unknown solver {s!r}")
         if self.format not in ("csv", "json"):
             raise SystemExit("error: format must be csv or json")
+        if self.jobs < 1:
+            raise SystemExit("error: jobs must be >= 1")
+        if self.ckr_draws < 0:
+            raise SystemExit("error: ckr_draws must be >= 0")
+        if self.local_rounds < 0:
+            raise SystemExit("error: local_rounds must be >= 0")
 
     def as_dict(self) -> dict:
         doc = asdict(self)

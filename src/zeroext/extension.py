@@ -249,52 +249,3 @@ def project_path(x: ExtendedGraph, path: Sequence[int]) -> tuple[list[int], list
             base_edges.append(int(flat.edge_origin[eid]))
             base_vertices.append(project(x, b))
     return base_vertices, base_edges
-
-
-# -- serialization ---------------------------------------------------------
-
-
-def save_extension(x: ExtendedGraph, path) -> None:
-    """Matchings file: `base_edge_id: h_0 h_1 ...` (images of the smaller cloud side).
-
-    Base/fiber graphs and lengths are saved separately with the graph format.
-    """
-    with open(path, "w") as fh:
-        fh.write(f"# seed {x.seed} rng {RNG_SCHEME}\n")
-        for eid, perm in enumerate(x.matchings):
-            images = " ".join(str(int(i)) for i in perm)
-            fh.write(f"{eid}: {images}\n")
-
-
-def load_extension(base: Graph, base_lengths, fiber: Graph, fiber_lengths, path) -> ExtendedGraph:
-    matchings: list[np.ndarray] = []
-    seed = -1
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line.split()
-                if "seed" in parts:
-                    seed = int(parts[parts.index("seed") + 1])
-                continue
-            head, _, tail = line.partition(":")
-            if int(head) != len(matchings):
-                raise ExtensionError(f"non-dense base edge id in {path}")
-            perm = np.array([int(t) for t in tail.split()], dtype=np.int64)
-            if sorted(perm.tolist()) != list(range(fiber.vertex_count)):
-                raise ExtensionError(f"line {head} of {path} is not a permutation")
-            matchings.append(perm)
-    if len(matchings) != base.edge_count:
-        raise ExtensionError(
-            f"{path} holds {len(matchings)} matchings, base has {base.edge_count} edges"
-        )
-    return ExtendedGraph(
-        base=base,
-        base_lengths=validate_lengths(base, base_lengths),
-        fiber=fiber,
-        fiber_lengths=validate_lengths(fiber, fiber_lengths),
-        matchings=matchings,
-        seed=seed,
-    )

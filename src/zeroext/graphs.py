@@ -538,70 +538,3 @@ def expansion_estimate(g: Graph, iterations: int, seed: int) -> EigenEstimate:
     np.add.at(ax, vs, x[us])
     mu = float(x @ (0.5 * (x + ax / d)))
     return EigenEstimate(value=2.0 * mu - 1.0, iterations=int(iterations))
-
-
-# -- serialization --------------------------------------------------------
-
-
-def save_graph(g: Graph, path) -> None:
-    """Line-oriented text format: header `m [d]`, then `edge_id u v [lab_u lab_v]`."""
-    deg = g.degrees()
-    regular = g.vertex_count > 0 and np.all(deg == deg[0])
-    with open(path, "w") as fh:
-        if regular and g.vertex_count > 0:
-            fh.write(f"{g.vertex_count} {int(deg[0])}\n")
-        else:
-            fh.write(f"{g.vertex_count}\n")
-        for eid, (u, v) in enumerate(g.edges):
-            if g.labels is not None:
-                fh.write(f"{eid} {u} {v} {g.labels[(u, eid)]} {g.labels[(v, eid)]}\n")
-            else:
-                fh.write(f"{eid} {u} {v}\n")
-
-
-def load_graph(path) -> Graph:
-    with open(path) as fh:
-        header = fh.readline().split()
-        vertex_count = int(header[0])
-        edges: list[tuple[int, int]] = []
-        labels: dict[tuple[int, int], int] = {}
-        labeled = False
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            eid, u, v = int(parts[0]), int(parts[1]), int(parts[2])
-            if eid != len(edges):
-                raise GraphError(f"non-dense edge id {eid} in {path}")
-            u, v = min(u, v), max(u, v)
-            edges.append((u, v))
-            if len(parts) == 5:
-                labeled = True
-                labels[(u, eid)] = int(parts[3])
-                labels[(v, eid)] = int(parts[4])
-    multigraph = len(set(edges)) < len(edges) or any(u == v for u, v in edges)
-    return Graph(
-        vertex_count=vertex_count,
-        edges=edges,
-        labels=labels if labeled else None,
-        multigraph=multigraph,
-    )
-
-
-def save_lengths(lengths: np.ndarray, path) -> None:
-    with open(path, "w") as fh:
-        for eid, val in enumerate(np.asarray(lengths, dtype=float)):
-            fh.write(f"{eid} {float(val)!r}\n")
-
-
-def load_lengths(path) -> np.ndarray:
-    vals = []
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if int(parts[0]) != len(vals):
-                raise GraphError(f"non-dense edge id in length file {path}")
-            vals.append(float(parts[1]))
-    return np.array(vals)

@@ -4,7 +4,9 @@ small generic instances for oracle testing.
 A gap instance doubles the extension's vertex set: every point v gets a
 pendant terminal v_T attached by an edge of weight 1/L, every extension edge
 keeps weight 1/length, and the terminal metric is the extension's shortest
-path metric plus 2L off the diagonal.  Natural logarithm throughout.
+path metric plus 2L off the diagonal.  D_X is held as one dense k x k
+matrix, so k is capped at DENSE_METRIC_CAP = 4096 (n <= 64) before any
+sampling or shortest-path work.  Natural logarithm throughout.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from .graphs import (
     uniform_lengths,
 )
 
-DENSE_METRIC_CAP = 4096  # largest k stored as a dense k x k matrix
+DENSE_METRIC_CAP = 4096  # largest k of a gap instance: D_X is a dense k x k matrix
 METRIC_RTOL = 1e-9
 
 
@@ -45,6 +47,11 @@ class GapParams:
             raise InstanceError(f"need n >= 3, got {self.n}")
         if self.d < 3:
             raise InstanceError(f"need degree d >= 3, got {self.d}")
+        if self.terminal_count > DENSE_METRIC_CAP:
+            raise InstanceError(
+                f"n={self.n} gives k=n^2={self.terminal_count} terminals, above the "
+                f"dense metric ceiling k <= {DENSE_METRIC_CAP}"
+            )
 
     @property
     def ell_g(self) -> float:
@@ -66,79 +73,78 @@ class GapParams:
         return math.ceil(math.log(self.n) / math.log(self.d - 1))
 
 
-# -- terminal metrics ------------------------------------------------------
+# -- metrics ----------------------------------------------------------------
 
 
-class TerminalMetric:
-    """Semi-metric over terminal indices 0..k-1."""
+class SemiMetric:
+    """Symmetric non-negative distance over indices 0..size-1.
 
-    kind = "abstract"
-    k: int
+    A terminal metric is indexed by terminal position; a fractional solution
+    (see `relaxation`) by instance vertex.
+    """
+
+    size: int
 
     def value(self, i: int, j: int) -> float:
         raise NotImplementedError
 
-    def row(self, i: int) -> np.ndarray:
-        raise NotImplementedError
-
     def pair_values(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+        """Distances d(ii, jj), elementwise over the two index arrays.
+
+        The index arrays broadcast against each other like numpy operands,
+        so `pair_values(rows[:, None], cols[None, :])` is a rows x cols slab.
+        """
         raise NotImplementedError
 
     def matrix(self) -> np.ndarray:
         raise NotImplementedError
 
-    def rowsums(self) -> np.ndarray:
-        raise NotImplementedError
 
-
-class DenseTerminalMetric(TerminalMetric):
-    kind = "dense"
+class DenseSemiMetric(SemiMetric):
+    """A semi-metric stored as a square matrix."""
 
     def __init__(self, matrix: np.ndarray):
         mat = np.asarray(matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise InstanceError("terminal metric must be a square matrix")
+            raise InstanceError("semi-metric must be a square matrix")
         self.mat = mat
-        self.k = mat.shape[0]
+        self.size = mat.shape[0]
 
     def value(self, i, j):
         return float(self.mat[i, j])
 
-    def row(self, i):
-        return self.mat[i]
-
     def pair_values(self, ii, jj):
         return self.mat[np.asarray(ii), np.asarray(jj)]
+
+    def rows(self, positions: np.ndarray) -> np.ndarray:
+        """The rows at `positions`, one per entry, as a (len, size) array."""
+        return self.mat[positions]
 
     def matrix(self):
         return self.mat
 
-    def rowsums(self):
-        return self.mat.sum(axis=1)
 
-
-class GapTerminalMetric(TerminalMetric):
+class GapTerminalMetric(SemiMetric):
     """D = D_X + 2L off the diagonal, backed by the dense D_X of the extension."""
-
-    kind = "gap"
 
     def __init__(self, dx: np.ndarray, two_l: float):
         self.dx = np.asarray(dx, dtype=float)
         self.two_l = float(two_l)
-        self.k = self.dx.shape[0]
+        self.size = self.dx.shape[0]
 
     def value(self, i, j):
         return 0.0 if i == j else float(self.dx[i, j] + self.two_l)
-
-    def row(self, i):
-        out = self.dx[i] + self.two_l
-        out[i] = 0.0
-        return out
 
     def pair_values(self, ii, jj):
         ii = np.asarray(ii)
         jj = np.asarray(jj)
         return (self.dx[ii, jj] + self.two_l) * (ii != jj)
+
+    def rows(self, positions: np.ndarray) -> np.ndarray:
+        """The rows at `positions`, one per entry, as a (len, size) array."""
+        rows = self.dx[positions] + self.two_l
+        rows[np.arange(positions.size), positions] = 0.0
+        return rows
 
     def matrix(self):
         out = self.dx + self.two_l
@@ -146,65 +152,7 @@ class GapTerminalMetric(TerminalMetric):
         return out
 
     def rowsums(self):
-        return self.dx.sum(axis=1) + self.two_l * (self.k - 1)
-
-
-class LazyGapTerminalMetric(TerminalMetric):
-    """Row-on-demand variant for k beyond the dense cap.
-
-    Rows are memoized; concurrent use must respect a per-row single-writer
-    contract (each row computed by at most one thread at a time).
-    """
-
-    kind = "lazy"
-
-    def __init__(self, flat_graph: Graph, flat_lengths: np.ndarray, two_l: float):
-        from scipy.sparse import coo_matrix
-
-        self.two_l = float(two_l)
-        self.k = flat_graph.vertex_count
-        us = np.array([u for u, _ in flat_graph.edges])
-        vs = np.array([v for _, v in flat_graph.edges])
-        self._w = coo_matrix(
-            (np.asarray(flat_lengths, dtype=float), (us, vs)), shape=(self.k, self.k)
-        ).tocsr()
-        self._rows: dict[int, np.ndarray] = {}
-
-    def _dx_row(self, i: int) -> np.ndarray:
-        row = self._rows.get(i)
-        if row is None:
-            from scipy.sparse.csgraph import dijkstra
-
-            row = dijkstra(self._w, directed=False, indices=i)
-            self._rows[i] = row
-        return row
-
-    def value(self, i, j):
-        return 0.0 if i == j else float(self._dx_row(i)[j] + self.two_l)
-
-    def row(self, i):
-        out = self._dx_row(i) + self.two_l
-        out = out.copy()
-        out[i] = 0.0
-        return out
-
-    def pair_values(self, ii, jj):
-        ii = np.asarray(ii)
-        jj = np.asarray(jj)
-        out = np.zeros(ii.shape, dtype=float)
-        for i in np.unique(ii):
-            sel = ii == i
-            out[sel] = self._dx_row(int(i))[jj[sel]] + self.two_l
-        out[ii == jj] = 0.0
-        return out
-
-    def matrix(self):
-        raise InstanceError(
-            f"lazy metric with k={self.k} exceeds the dense cap; use row access"
-        )
-
-    def rowsums(self):
-        raise InstanceError("rowsums over a lazy metric would densify it; use rows")
+        return self.dx.sum(axis=1) + self.two_l * (self.size - 1)
 
 
 def validate_semimetric(mat: np.ndarray, rtol: float = METRIC_RTOL) -> None:
@@ -241,7 +189,7 @@ class GapOrigin:
     extension: ExtendedGraph
     big_l: float
     edge_lengths: np.ndarray  # per instance-graph edge: extension lengths then L
-    dx: np.ndarray | None     # dense D_X when k is under the cap
+    dx: np.ndarray            # dense D_X, k x k with k <= DENSE_METRIC_CAP
 
 
 @dataclass
@@ -249,7 +197,7 @@ class ZeroExtInstance:
     graph: Graph
     weights: np.ndarray
     terminals: np.ndarray          # terminal vertex ids
-    metric: TerminalMetric         # indexed by terminal position
+    metric: SemiMetric             # indexed by terminal position
     origin: GapOrigin | None = None
     provenance: dict | None = None
     term_index: np.ndarray = field(init=False)
@@ -263,7 +211,7 @@ class ZeroExtInstance:
         self.terminals = np.asarray(self.terminals, dtype=np.int64)
         if len(set(self.terminals.tolist())) != self.terminals.size:
             raise InstanceError("duplicate terminal")
-        if self.metric.k != self.terminals.size:
+        if self.metric.size != self.terminals.size:
             raise InstanceError("metric size does not match the terminal count")
         idx = np.full(self.graph.vertex_count, -1, dtype=np.int64)
         for pos, t in enumerate(self.terminals):
@@ -288,10 +236,15 @@ class ZeroExtInstance:
         return np.flatnonzero(self.term_index < 0)
 
 
-def build_gap_instance(x: ExtendedGraph, big_l: float, *, dense_cap: int = DENSE_METRIC_CAP) -> ZeroExtInstance:
+def build_gap_instance(x: ExtendedGraph, big_l: float) -> ZeroExtInstance:
     """Instance over a sampled extension: pendant terminals, D = D_X + 2L."""
     if big_l <= 0:
         raise InstanceError("L must be positive")
+    if x.vertex_count > DENSE_METRIC_CAP:
+        raise InstanceError(
+            f"extension has k={x.vertex_count} points, above the dense metric "
+            f"ceiling k <= {DENSE_METRIC_CAP}"
+        )
     flat = flatten(x)
     comps = flat.graph.connected_components()
     if len(comps) > 1:
@@ -305,12 +258,8 @@ def build_gap_instance(x: ExtendedGraph, big_l: float, *, dense_cap: int = DENSE
     graph = Graph(vertex_count=2 * k, edges=edges)
     lengths = np.concatenate([flat.lengths, np.full(k, float(big_l))])
     weights = 1.0 / lengths
-    if k <= dense_cap:
-        dx = shortest_path_metric(flat.graph, flat.lengths)
-        metric: TerminalMetric = GapTerminalMetric(dx, 2.0 * big_l)
-    else:
-        dx = None
-        metric = LazyGapTerminalMetric(flat.graph, flat.lengths, 2.0 * big_l)
+    dx = shortest_path_metric(flat.graph, flat.lengths)
+    metric = GapTerminalMetric(dx, 2.0 * big_l)
     origin = GapOrigin(extension=x, big_l=float(big_l), edge_lengths=lengths, dx=dx)
     return ZeroExtInstance(
         graph=graph,
@@ -339,7 +288,6 @@ def default_gap_instance(
     *,
     girth_floor: int | None = None,
     retry_cap: int = 2000,
-    dense_cap: int = DENSE_METRIC_CAP,
     expansion_iterations: int = 300,
 ) -> GapInstanceBuild:
     """Sample base and fiber graphs, extend, and build the gap instance.
@@ -387,7 +335,7 @@ def default_gap_instance(
         uniform_lengths(fiber, params.ell_h),
         _subseed(seed, 3),
     )
-    inst = build_gap_instance(x, params.big_l, dense_cap=dense_cap)
+    inst = build_gap_instance(x, params.big_l)
     provenance = {
         "tool": "zeroext",
         "version": __version__,
@@ -428,7 +376,7 @@ def build_generic_instance(graph: Graph, weights, terminals, metric) -> ZeroExtI
         graph=graph,
         weights=weights,
         terminals=terminals,
-        metric=DenseTerminalMetric(mat),
+        metric=DenseSemiMetric(mat),
     )
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import ZeroExtInstance
+from .instance import DenseSemiMetric, SemiMetric, ZeroExtInstance
 
 FEAS_RTOL = 1e-9
 EXHAUSTIVE_VERTEX_CAP = 300      # full O(V^3) triangle check up to here
@@ -25,43 +25,6 @@ class RelaxationError(ValueError):
 # -- semi-metrics over the instance vertex set -------------------------------
 
 
-class SemiMetric:
-    """Symmetric non-negative distance over all instance vertices."""
-
-    n: int
-
-    def value(self, u: int, v: int) -> float:
-        raise NotImplementedError
-
-    def pair_values(self, uu: np.ndarray, vv: np.ndarray) -> np.ndarray:
-        """Distances delta(uu, vv), elementwise over the two index arrays.
-
-        The index arrays broadcast against each other like numpy operands,
-        so `pair_values(rows[:, None], cols[None, :])` is a rows x cols slab.
-        """
-        raise NotImplementedError
-
-    def matrix(self) -> np.ndarray:
-        raise NotImplementedError
-
-
-class DenseSemiMetric(SemiMetric):
-    def __init__(self, matrix: np.ndarray):
-        self.mat = np.asarray(matrix, dtype=float)
-        if self.mat.ndim != 2 or self.mat.shape[0] != self.mat.shape[1]:
-            raise RelaxationError("semi-metric must be a square matrix")
-        self.n = self.mat.shape[0]
-
-    def value(self, u, v):
-        return float(self.mat[u, v])
-
-    def pair_values(self, uu, vv):
-        return self.mat[np.asarray(uu), np.asarray(vv)]
-
-    def matrix(self):
-        return self.mat
-
-
 class GapSemiMetric(SemiMetric):
     """Shortest-path metric of a gap instance graph, in compact form.
 
@@ -74,32 +37,15 @@ class GapSemiMetric(SemiMetric):
     the largest desk scales; behaves exactly like the materialized matrix.
     """
 
-    def __init__(self, dx, big_l: float):
-        # dx: dense k x k array, or a lazy terminal metric exposing _dx_row(i).
-        if isinstance(dx, np.ndarray):
-            self.dx = np.asarray(dx, dtype=float)
-            self._lazy = None
-            self.k = self.dx.shape[0]
-        else:
-            self.dx = None
-            self._lazy = dx
-            self.k = dx.k
+    def __init__(self, dx: np.ndarray, big_l: float):
+        self.dx = np.asarray(dx, dtype=float)
+        self.k = self.dx.shape[0]
         self.big_l = float(big_l)
-        self.n = 2 * self.k
+        self.size = 2 * self.k
 
     def _split(self, w):
         w = np.asarray(w)
         return np.where(w >= self.k, w - self.k, w), (w >= self.k).astype(float)
-
-    def _dx_pairs(self, xu, xv):
-        if self.dx is not None:
-            return self.dx[xu, xv]
-        xu, xv = np.broadcast_arrays(xu, xv)
-        out = np.zeros(xu.shape, dtype=float)
-        for i in np.unique(xu):
-            sel = xu == i
-            out[sel] = self._lazy._dx_row(int(i))[xv[sel]]
-        return out
 
     def value(self, u, v):
         return float(self.pair_values(np.array([u]), np.array([v]))[0])
@@ -107,7 +53,7 @@ class GapSemiMetric(SemiMetric):
     def pair_values(self, uu, vv):
         xu, tu = self._split(uu)
         xv, tv = self._split(vv)
-        out = self._dx_pairs(xu, xv) + self.big_l * (tu + tv)
+        out = self.dx[xu, xv] + self.big_l * (tu + tv)
         same = np.asarray(uu) == np.asarray(vv)
         if np.ndim(out) == 0:
             return np.where(same, 0.0, out)
@@ -116,15 +62,13 @@ class GapSemiMetric(SemiMetric):
         return out
 
     def matrix(self):
-        if self.n > 2 * 2048:
+        if self.size > 2 * 2048:
             raise RelaxationError(
-                f"refusing to materialize a {self.n}x{self.n} semi-metric; "
+                f"refusing to materialize a {self.size}x{self.size} semi-metric; "
                 "use pair_values/value access"
             )
         dx = self.dx
-        if dx is None:
-            dx = np.stack([self._lazy._dx_row(i) for i in range(self.k)])
-        out = np.empty((self.n, self.n))
+        out = np.empty((self.size, self.size))
         out[: self.k, : self.k] = dx
         out[: self.k, self.k :] = dx + self.big_l
         out[self.k :, : self.k] = dx + self.big_l
@@ -161,18 +105,13 @@ def canonical_fractional(inst: ZeroExtInstance) -> tuple[SemiMetric, float]:
             "canonical fractional solution needs a gap instance with length "
             "origin; for generic instances export the LP and solve externally"
         )
-    if inst.origin.dx is not None:
-        delta = GapSemiMetric(inst.origin.dx, inst.origin.big_l)
-    else:
-        delta = GapSemiMetric(inst.metric, inst.origin.big_l)  # lazy row access
+    delta = GapSemiMetric(inst.origin.dx, inst.origin.big_l)
     return delta, fractional_cost(delta, inst)
 
 
 def fractional_cost(delta: SemiMetric, inst: ZeroExtInstance) -> float:
     """Weighted sum of delta over instance edges, in deterministic edge order."""
-    uu = np.fromiter((u for u, _ in inst.graph.edges), dtype=np.int64, count=inst.graph.edge_count)
-    vv = np.fromiter((v for _, v in inst.graph.edges), dtype=np.int64, count=inst.graph.edge_count)
-    return float(np.sum(inst.weights * delta.pair_values(uu, vv)))
+    return float(np.sum(per_edge_contribution(delta, inst)))
 
 
 def per_edge_contribution(delta: SemiMetric, inst: ZeroExtInstance) -> np.ndarray:
@@ -196,9 +135,9 @@ def is_feasible(
     `sample_count` seeded random triples above that (the count is part of
     this contract and is recorded here rather than tuned silently).
     """
-    if delta.n != inst.vertex_count:
+    if delta.size != inst.vertex_count:
         raise RelaxationError(
-            f"semi-metric is over {delta.n} vertices, instance has {inst.vertex_count}"
+            f"semi-metric is over {delta.size} vertices, instance has {inst.vertex_count}"
         )
     out: list[Violation] = []
 
@@ -259,10 +198,7 @@ def induced_semimetric(f: np.ndarray, inst: ZeroExtInstance) -> DenseSemiMetric:
     fi = inst.term_index[f]
     if np.any(fi < 0):
         raise RelaxationError("labeling maps some vertex to a non-terminal")
-    dmat = inst.metric.matrix() if inst.metric.kind != "lazy" else None
-    if dmat is None:
-        raise RelaxationError("induced semi-metric needs a dense terminal metric")
-    return DenseSemiMetric(dmat[np.ix_(fi, fi)])
+    return DenseSemiMetric(inst.metric.matrix()[np.ix_(fi, fi)])
 
 
 def export_lp(inst: ZeroExtInstance, sink, *, max_vertices: int = LP_VERTEX_CAP) -> None:

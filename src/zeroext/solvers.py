@@ -10,8 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import _fisher_yates
-from .instance import ZeroExtInstance
-from .relaxation import SemiMetric
+from .instance import DENSE_METRIC_CAP, SemiMetric, ZeroExtInstance
 
 # Largest (vertex, terminal) slab ckr_round evaluates at once: 2 MiB of floats.
 CKR_SLAB_PAIRS = 1 << 18
@@ -178,8 +177,8 @@ def baseline_labelings(inst: ZeroExtInstance) -> dict[str, np.ndarray]:
 
 def all_to_one(inst: ZeroExtInstance) -> np.ndarray:
     k = inst.k
-    if k > 4096:
-        raise TooLargeError(f"all_to_one scan is capped at k=4096 terminals, got {k}")
+    if k > DENSE_METRIC_CAP:
+        raise TooLargeError(f"all_to_one scan is capped at k={DENSE_METRIC_CAP}, got {k}")
     if inst.is_gap:
         # Only pendant edges can cross; they share weight 1/L.
         cost_vec = inst.weights[-1] * inst.metric.rowsums()
@@ -208,13 +207,8 @@ def nearest_terminal(inst: ZeroExtInstance) -> np.ndarray:
     f = np.full(inst.vertex_count, -1, dtype=np.int64)
     f[inst.terminals] = inst.terminals
     if inst.is_gap:
-        dx = inst.origin.dx
-        if dx is None:
-            # Pendant structure makes v -> v_T the unique nearest choice.
-            f[: inst.k] = inst.terminals
-            return f
-        nearest = np.argmin(dx, axis=1)  # self-distance 0 wins; unique minimum
-        f[: inst.k] = inst.terminals[nearest]
+        # Lengths are positive, so the pendant v -> v_T is the unique nearest choice.
+        f[: inst.k] = inst.terminals
         return f
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import dijkstra
@@ -274,7 +268,7 @@ def local_search(inst: ZeroExtInstance, f: np.ndarray, max_rounds: int = 100) ->
                 continue
             others = np.fromiter((fi[o] for o, _ in pairs), dtype=np.int64, count=len(pairs))
             ws = np.fromiter((w for _, w in pairs), dtype=float, count=len(pairs))
-            rows = _metric_rows(inst, others)  # (deg, k)
+            rows = inst.metric.rows(others)  # (deg, k)
             cand = ws @ rows
             cand = cand[order]
             cur = float(cand[np.flatnonzero(terminals_by_id == f[v])[0]])
@@ -287,17 +281,6 @@ def local_search(inst: ZeroExtInstance, f: np.ndarray, max_rounds: int = 100) ->
             break
         f[best_move[0]] = best_move[1]
     return f
-
-
-def _metric_rows(inst: ZeroExtInstance, positions: np.ndarray) -> np.ndarray:
-    met = inst.metric
-    if met.kind == "dense":
-        return met.mat[positions]
-    if met.kind == "gap":
-        rows = met.dx[positions] + met.two_l
-        rows[np.arange(positions.size), positions] = 0.0
-        return rows
-    return np.stack([met.row(int(p)) for p in positions])
 
 
 # -- labeling files ---------------------------------------------------------------

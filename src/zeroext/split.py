@@ -115,6 +115,8 @@ def per_cloud_labeling(inst: ZeroExtInstance, x: ExtendedGraph, targets) -> np.n
     to the terminal twin of (g, targets)), or a dict cloud -> extension vertex.
     """
     _check_pair(inst, x)
+    if not isinstance(targets, dict) and not 0 <= int(targets) < x.fiber_size:
+        raise SplitError(f"fiber vertex {int(targets)} outside [0, {x.fiber_size})")
     k = x.vertex_count
     f = np.empty(inst.vertex_count, dtype=np.int64)
     f[inst.terminals] = inst.terminals
@@ -185,11 +187,7 @@ def build_split_candidate(
         if g1 not in kept_set or g2 not in kept_set:
             continue
         r1, r2 = reps[g1], reps[g2]
-        if dx is not None:
-            d = float(dx[r1, r2])
-        else:
-            d = float(tree_for(r1).dist[r2])
-        if d < alpha:
+        if float(dx[r1, r2]) < alpha:
             kept_edges.append(eid)
             paths[eid] = [r1] if r1 == r2 else tree_for(r1).path_vertices(r2)
     return SplitCandidate(

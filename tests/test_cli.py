@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import time
 
 import pytest
 
@@ -98,6 +99,27 @@ def test_split_rejects_labeling_vertex_out_of_range(tmp_path, capsys):
     assert err.startswith("error:") and "vertex 133 outside [0, 128)" in err
 
 
+@pytest.mark.parametrize("fiber", ["-1", "9"])
+def test_split_rejects_labeling_fiber_outside_fiber(fiber, capsys):
+    # n=8 gives fibers of 8 vertices: -1 and 9 name no fiber vertex.
+    rc = run(["split", "--n", "8", "--seed", "0", "--labeling-fiber", fiber])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"fiber vertex {fiber} outside [0, 8)" in err
+
+
+@pytest.mark.parametrize("argv", [["frac", "--n", "65"], ["gap", "--n", "8,65", "--jobs", "1"]])
+def test_n_over_dense_ceiling_rejected_before_sampling(argv, tmp_path, capsys):
+    started = time.perf_counter()
+    rc = run(argv + ["--out", str(tmp_path)])
+    elapsed = time.perf_counter() - started
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "k=n^2=4225" in err and "ceiling k <= 4096" in err
+    assert elapsed < 1.0, f"rejecting n=65 took {elapsed:.2f}s"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cert_round_trip_via_cli(tmp_path):
     out = tmp_path / "cert"
     rc = run(
@@ -143,6 +165,16 @@ def test_invalid_parameters_rejected():
         run(["gap", "--n", "6", "--threshold", "0.4"])
     with pytest.raises(SystemExit, match="epsilon"):
         run(["gap", "--n", "6", "--epsilon", "0.5"])
+    with pytest.raises(SystemExit, match="at least one n"):
+        run(["gap", "--n", ",", "--d", "2"])
+    with pytest.raises(SystemExit, match="one seed"):
+        run(["frac", "--n", "6", "--seeds", ","])
+    with pytest.raises(SystemExit, match="jobs must be >= 1"):
+        run(["gap", "--n", "6", "--jobs", "0"])
+    with pytest.raises(SystemExit, match="ckr_draws must be >= 0"):
+        run(["solve", "--n", "6", "--ckr-draws", "-2"])
+    with pytest.raises(SystemExit, match="local_rounds must be >= 0"):
+        run(["solve", "--n", "6", "--local-rounds", "-1"])
 
 
 def test_out_dir_env_variable(tmp_path, monkeypatch, capsys):

@@ -10,11 +10,9 @@ from zeroext.extension import (
     as_graph,
     edge_label,
     flatten,
-    load_extension,
     project,
     project_path,
     sample_extension,
-    save_extension,
     traverse_inter,
     vertex_id,
 )
@@ -52,15 +50,14 @@ def test_single_vertex_base_copies_fiber():
     assert np.all(lengths == 2.0)
 
 
-def test_c3_by_c3_degrees_and_determinism(tmp_path):
+def test_c3_by_c3_degrees_and_determinism():
     x1 = sample_extension(c3(), uniform_lengths(c3(), 1.0), c3(), uniform_lengths(c3(), 1.0), seed=42)
     x2 = sample_extension(c3(), uniform_lengths(c3(), 1.0), c3(), uniform_lengths(c3(), 1.0), seed=42)
     g1, _ = as_graph(x1)
     assert np.all(g1.degrees() == 4)  # deg_H + deg_G = 2 + 2
-    p1, p2 = tmp_path / "x1", tmp_path / "x2"
-    save_extension(x1, p1)
-    save_extension(x2, p2)
-    assert p1.read_bytes() == p2.read_bytes()
+    assert x1.seed == x2.seed
+    assert len(x1.matchings) == len(x2.matchings)
+    assert all(np.array_equal(a, b) for a, b in zip(x1.matchings, x2.matchings))
     x3 = sample_extension(c3(), uniform_lengths(c3(), 1.0), c3(), uniform_lengths(c3(), 1.0), seed=43)
     assert any(not np.array_equal(a, b) for a, b in zip(x1.matchings, x3.matchings))
 
@@ -166,16 +163,6 @@ def test_edge_label_round_trip_directions():
         if lab_u.scheme == "gen":
             src = x.fiber if lab_u.kind == "intra" else x.base
             assert src.generator_inverse[lab_u.value] == lab_v.value
-
-
-def test_extension_file_round_trip(tmp_path):
-    base, fiber = c3(), c3()
-    x = sample_extension(base, uniform_lengths(base, 1.0), fiber, uniform_lengths(fiber, 1.0), seed=31)
-    path = tmp_path / "x.matchings"
-    save_extension(x, path)
-    back = load_extension(base, uniform_lengths(base, 1.0), fiber, uniform_lengths(fiber, 1.0), path)
-    assert back.seed == 31
-    assert all(np.array_equal(a, b) for a, b in zip(back.matchings, x.matchings))
 
 
 def test_traverse_inter_errors():

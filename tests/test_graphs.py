@@ -99,13 +99,10 @@ def test_random_regular_odd_product_rejected():
         random_regular(5, 3, seed=0)
 
 
-def test_random_regular_reproducible(tmp_path):
+def test_random_regular_reproducible():
     a = random_regular(16, 4, seed=99)
     b = random_regular(16, 4, seed=99)
-    pa, pb = tmp_path / "a.graph", tmp_path / "b.graph"
-    graphs.save_graph(a, pa)
-    graphs.save_graph(b, pb)
-    assert pa.read_bytes() == pb.read_bytes()
+    assert (a.vertex_count, a.edges, a.labels) == (b.vertex_count, b.edges, b.labels)
     assert a.edges != random_regular(16, 4, seed=100).edges
 
 
@@ -284,26 +281,6 @@ def test_expansion_errors():
 
 
 # -- serialization -----------------------------------------------------------------
-
-
-def test_graph_file_round_trip(tmp_path):
-    g = build_cayley([5], [(1,), (2,)])
-    path = tmp_path / "g.graph"
-    graphs.save_graph(g, path)
-    back = graphs.load_graph(path)
-    assert back.vertex_count == g.vertex_count
-    assert back.edges == g.edges
-    assert back.labels == g.labels
-    graphs.save_graph(back, tmp_path / "g2.graph")
-    assert (tmp_path / "g2.graph").read_bytes() == path.read_bytes()
-
-
-def test_lengths_file_round_trip(tmp_path):
-    vals = np.array([0.5, 1.25, math.log(16) ** (2 / 3)])
-    path = tmp_path / "lengths.txt"
-    g = Graph(vertex_count=3, edges=[(0, 1), (1, 2), (0, 2)])
-    graphs.save_lengths(vals, path)
-    assert np.array_equal(graphs.load_lengths(path), vals)
 
 
 def test_validation_errors():

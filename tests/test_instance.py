@@ -130,19 +130,6 @@ def test_disconnected_extension_rejected():
         build_gap_instance(x, big_l=1.0)
 
 
-def test_lazy_metric_matches_dense():
-    x = sample_extension(c3(), uniform_lengths(c3(), 1.0), c3(), uniform_lengths(c3(), 1.0), seed=8)
-    dense = build_gap_instance(x, big_l=1.5)
-    lazy = build_gap_instance(x, big_l=1.5, dense_cap=4)
-    assert lazy.metric.kind == "lazy"
-    rng = np.random.default_rng(0)
-    ii = rng.integers(0, 9, size=50)
-    jj = rng.integers(0, 9, size=50)
-    assert np.allclose(lazy.metric.pair_values(ii, jj), dense.metric.pair_values(ii, jj), rtol=1e-12)
-    for i in range(9):
-        assert np.allclose(lazy.metric.row(i), dense.metric.row(i), rtol=1e-12)
-
-
 def test_instance_json_round_trip(tmp_path):
     build = default_gap_instance(4, 3, 5)
     path = tmp_path / "inst.json"
@@ -169,6 +156,34 @@ def test_gap_params_validation():
         GapParams(n=2, d=4)
     with pytest.raises(InstanceError):
         GapParams(n=8, d=2)
+    assert GapParams(n=64, d=4).terminal_count == instance.DENSE_METRIC_CAP
+    with pytest.raises(InstanceError, match=r"k=n\^2=4225 .*ceiling k <= 4096"):
+        GapParams(n=65, d=4)
+
+
+def test_default_gap_instance_checks_ceiling_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled a graph for an instance over the ceiling")
+
+    monkeypatch.setattr(instance, "random_regular", no_sampling)
+    with pytest.raises(InstanceError, match="ceiling"):
+        default_gap_instance(65, 4, 0)
+
+
+def test_build_and_load_enforce_the_dense_ceiling(tmp_path, monkeypatch):
+    x = sample_extension(c3(), uniform_lengths(c3(), 1.0), c3(), uniform_lengths(c3(), 1.0), seed=8)
+    path = tmp_path / "inst.json"
+    save_instance(build_gap_instance(x, big_l=1.5), path)
+
+    def no_apsp(*args, **kwargs):
+        raise AssertionError("computed D_X for an instance over the ceiling")
+
+    monkeypatch.setattr(instance, "DENSE_METRIC_CAP", 8)  # k = 9
+    monkeypatch.setattr(instance, "shortest_path_metric", no_apsp)
+    with pytest.raises(InstanceError, match="k=9 points, above the dense metric ceiling k <= 8"):
+        build_gap_instance(x, big_l=1.5)
+    with pytest.raises(InstanceError, match="ceiling k <= 8"):
+        load_instance(path)
 
 
 def test_girth_floor_failure_reports_best():

@@ -233,29 +233,3 @@ def test_lp_sandwich_on_gap_instance():
     assert opt <= solvers.integral_cost(f, inst) + 1e-7
 
 
-def test_canonical_on_lazy_instance_matches_dense():
-    from zeroext.extension import sample_extension
-    from zeroext.graphs import build_cayley, uniform_lengths
-
-    c3 = build_cayley([3], [(1,)])
-    x = sample_extension(c3, uniform_lengths(c3, 1.0), c3, uniform_lengths(c3, 1.0), seed=6)
-    dense = instance.build_gap_instance(x, big_l=1.0)
-    lazy = instance.build_gap_instance(x, big_l=1.0, dense_cap=4)
-    d_dense, c_dense = canonical_fractional(dense)
-    d_lazy, c_lazy = canonical_fractional(lazy)
-    assert abs(c_dense - c_lazy) <= 1e-12 * max(1.0, c_dense)
-    rng = np.random.default_rng(2)
-    uu = rng.integers(0, 18, size=40)
-    vv = rng.integers(0, 18, size=40)
-    assert np.allclose(d_lazy.pair_values(uu, vv), d_dense.pair_values(uu, vv), rtol=1e-12)
-
-
-def test_lazy_canonical_passes_feasibility():
-    from zeroext.extension import sample_extension
-    from zeroext.graphs import build_cayley, uniform_lengths
-
-    c3 = build_cayley([3], [(1,)])
-    x = sample_extension(c3, uniform_lengths(c3, 1.0), c3, uniform_lengths(c3, 1.0), seed=6)
-    lazy = instance.build_gap_instance(x, big_l=1.0, dense_cap=4)
-    delta, _ = canonical_fractional(lazy)
-    assert is_feasible(delta, lazy) == []

@@ -196,14 +196,6 @@ def test_ckr_matches_one_terminal_at_a_time_on_gap(n, d):
         _assert_ckr_matches_reference(inst, delta, draws)
 
 
-def test_ckr_matches_one_terminal_at_a_time_on_lazy_metric():
-    inst = default_gap_instance(6, 4, 2, dense_cap=8).instance
-    assert inst.metric.kind == "lazy"
-    delta, _ = canonical_fractional(inst)
-    assert delta.dx is None
-    _assert_ckr_matches_reference(inst, delta, range(6))
-
-
 def test_ckr_matches_one_terminal_at_a_time_on_generic():
     rng = np.random.default_rng(31)
     for _ in range(15):
