@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from . import gf2
-from .extension import EdgeLabel, ExtendedGraph, edge_label, flatten, project
+from .extension import EdgeLabel, ExtendedGraph, edge_label, extension_metric, flatten, project
 from .graphs import Graph, single_source_shortest_paths
 from .split import SplitCandidate, verify_split
 
@@ -315,7 +315,7 @@ def inner_components(ft: FormalTransformation) -> ICCGraph:
     Transits are deduplicated by undirected content, so a subpath shared by
     several walks yields one R edge and s_tot = 2 |E_R| holds exactly.
     """
-    intra_adj: dict[Ind, dict[Ind, EdgeLabel]] = {}
+    intra_adj = _intra_adjacency(ft)
     inter_edges: dict[tuple[Ind, Ind], None] = {}
     all_inds: set[Ind] = set()
     endpoints: set[Ind] = set()
@@ -324,11 +324,8 @@ def inner_components(ft: FormalTransformation) -> ICCGraph:
         endpoints.add(qpath.verts[0])
         endpoints.add(qpath.verts[-1])
         for j, lab in enumerate(qpath.labels):
-            u, v = qpath.verts[j], qpath.verts[j + 1]
-            if lab.kind == "intra":
-                intra_adj.setdefault(u, {}).setdefault(v, lab)
-                intra_adj.setdefault(v, {}).setdefault(u, _invert_label(lab, ft.base, ft.fiber))
-            else:
+            if lab.kind != "intra":
+                u, v = qpath.verts[j], qpath.verts[j + 1]
                 inter_edges.setdefault((min(u, v), max(u, v)))
 
     comp_of: dict[Ind, int] = {}
@@ -515,19 +512,15 @@ def _intra_adjacency(ft: FormalTransformation) -> dict[Ind, dict[Ind, EdgeLabel]
     return adj
 
 
-def _fiber_mode(fiber: Graph) -> str:
-    return "gen" if fiber.labels is not None else "edge"
-
-
-def _base_mode(base: Graph) -> str:
-    return "gen" if base.labels is not None else "edge"
+def _label_mode(g: Graph) -> str:
+    return "gen" if g.labels is not None else "edge"
 
 
 def representations(ft: FormalTransformation, icc: ICCGraph) -> list[ComponentRepresentation]:
     """Distinguished vertices of every inner component, plus their pairwise
     relative positions (all ordered pairs; redundant but faithful)."""
     adj = _intra_adjacency(ft)
-    mode = _fiber_mode(ft.fiber)
+    mode = _label_mode(ft.fiber)
     inv = ft.ind_inverse() if mode == "edge" else None
     out = []
     for comp in icc.components:
@@ -606,6 +599,7 @@ def shortest_rep_paths(x: ExtendedGraph, c: SplitCandidate) -> list[list[int]]:
     """One canonical shortest path per kept base edge, ascending edge id,
     directed from the representative of the smaller-cloud endpoint."""
     flat = flatten(x)
+    dx = extension_metric(x)
     trees: dict[int, object] = {}
     paths = []
     for eid in sorted(c.edge_ids):
@@ -620,12 +614,11 @@ def shortest_rep_paths(x: ExtendedGraph, c: SplitCandidate) -> list[list[int]]:
         if r1 == r2:
             paths.append([r1])
             continue
-        if r1 not in trees:
-            trees[r1] = single_source_shortest_paths(flat.graph, flat.lengths, r1)
-        tree = trees[r1]
-        if not math.isfinite(tree.dist[r2]):
+        if not math.isfinite(dx[r1, r2]):
             raise CertificateError(f"representatives of edge {eid} are disconnected")
-        paths.append(tree.path_vertices(r2))
+        if r1 not in trees:
+            trees[r1] = single_source_shortest_paths(flat.graph, flat.lengths, r1, dx[r1])
+        paths.append(trees[r1].path_vertices(r2))
     return paths
 
 
@@ -658,8 +651,8 @@ def build_certificate(x: ExtendedGraph, c: SplitCandidate, *, force: bool = Fals
         (eid, x.base.edges[eid][0], x.base.edges[eid][1]) for eid in sorted(c.edge_ids)
     ]
     return Certificate(
-        base_mode=_base_mode(x.base),
-        fiber_mode=_fiber_mode(x.fiber),
+        base_mode=_label_mode(x.base),
+        fiber_mode=_label_mode(x.fiber),
         subgraph_vertices=sorted(c.vertices),
         subgraph_edges=sub_edges,
         representations=reps,

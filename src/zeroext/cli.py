@@ -62,6 +62,10 @@ KNOWN_SOLVERS = ("all_to_one", "nearest_terminal", "ckr", "local_search")
 LOCAL_SEARCH_BUDGET = 2 * 10**9
 
 
+class ConfigError(ValueError):
+    """A bad flag or config-file value; `main` reports it with exit status 2."""
+
+
 @dataclass
 class ExperimentConfig:
     n_values: list[int] = field(default_factory=lambda: [8])
@@ -93,24 +97,30 @@ class ExperimentConfig:
 
     def validate(self):
         if not self.n_values or not self.seeds:
-            raise SystemExit("error: need at least one n and one seed")
+            raise ConfigError("need at least one n and one seed")
         for n in self.n_values:
             GapParams(n=n, d=self.d)  # raises InstanceError on a bad n or d
         if not 0 < self.epsilon < 0.125:
-            raise SystemExit("error: epsilon must lie in (0, 0.125)")
+            raise ConfigError("epsilon must lie in (0, 0.125)")
         if not 0.5 < self.threshold_value() <= 1.0:
-            raise SystemExit("error: threshold must lie in (0.5, 1]")
+            raise ConfigError("threshold must lie in (0.5, 1]")
         for s in self.solvers:
             if s not in KNOWN_SOLVERS:
-                raise SystemExit(f"error: unknown solver {s!r}")
+                raise ConfigError(f"unknown solver {s!r}")
         if self.format not in ("csv", "json"):
-            raise SystemExit("error: format must be csv or json")
+            raise ConfigError("format must be csv or json")
         if self.jobs < 1:
-            raise SystemExit("error: jobs must be >= 1")
+            raise ConfigError("jobs must be >= 1")
         if self.ckr_draws < 0:
-            raise SystemExit("error: ckr_draws must be >= 0")
+            raise ConfigError("ckr_draws must be >= 0")
         if self.local_rounds < 0:
-            raise SystemExit("error: local_rounds must be >= 0")
+            raise ConfigError("local_rounds must be >= 0")
+        idle = {"ckr": self.ckr_draws == 0, "local_search": self.local_rounds == 0}
+        if all(idle.get(s, False) for s in self.solvers):
+            raise ConfigError(
+                f"solver list {self.solvers} runs nothing (ckr needs ckr_draws >= 1, "
+                "local_search needs local_rounds >= 1)"
+            )
 
     def as_dict(self) -> dict:
         doc = asdict(self)
@@ -160,11 +170,11 @@ def _apply_config_file(cfg: ExperimentConfig, path: str):
             if not line:
                 continue
             if "=" not in line:
-                raise SystemExit(f"error: {path}:{lineno}: expected `key = value`")
+                raise ConfigError(f"{path}:{lineno}: expected `key = value`")
             key, _, value = line.partition("=")
             key = key.strip()
             if key not in CONFIG_KEYS:
-                raise SystemExit(f"error: {path}:{lineno}: unknown config key {key!r}")
+                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
             attr, conv = CONFIG_KEYS[key]
             setattr(cfg, attr, conv(value.strip()))
 
@@ -184,7 +194,7 @@ def _config_from_args(args) -> ExperimentConfig:
                  "jobs", "format", "lp_opt", "girth_floor", "labeling_fiber"):
         val = getattr(args, name, None)
         if val is not None:
-            setattr(cfg, name if name != "format" else "format", val)
+            setattr(cfg, name, val)
     if getattr(args, "solvers", None):
         cfg.solvers = [t.strip() for t in args.solvers.split(",") if t.strip()]
     if getattr(args, "out", None):
@@ -294,7 +304,7 @@ def cmd_solve(args) -> int:
     delta = canonical_fractional(inst)[0] if inst.is_gap and "ckr" in cfg.solvers else None
     results = _run_solvers(cfg, inst, seed, delta)
     if not results:
-        raise SystemExit("error: no solvers selected")
+        raise ConfigError("no solvers selected")
     best_name, (best_f, best_cost) = min(results.items(), key=lambda kv: (kv[1][1], kv[0]))
     for name, (_, cost) in sorted(results.items()):
         print(f"{name}: {cost!r}")
@@ -329,7 +339,7 @@ def cmd_split(args) -> int:
     cfg = _config_from_args(args)
     inst, x = _load_or_build(cfg, args)
     if x is None:
-        raise SystemExit("error: split analysis needs a gap instance")
+        raise ConfigError("split analysis needs a gap instance")
     cand = _candidate_for(cfg, args, inst, x)
     report = verify_split(cand, x)
     payload = json.loads(report.to_json())
@@ -353,7 +363,7 @@ def cmd_cert(args) -> int:
     cfg = _config_from_args(args)
     inst, x = _load_or_build(cfg, args)
     if x is None:
-        raise SystemExit("error: certificate analysis needs a gap instance")
+        raise ConfigError("certificate analysis needs a gap instance")
     cand = _candidate_for(cfg, args, inst, x)
     cert = build_certificate(x, cand, force=cfg.force)
     _, ft, icc = transform_pipeline(x, cand)

@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .graphs import Graph, _fisher_yates, validate_lengths
+from .graphs import Graph, _fisher_yates, shortest_path_metric, validate_lengths
 
 RNG_SCHEME = "pcg64-fisheryates-v1"
 
@@ -63,6 +63,7 @@ class ExtendedGraph:
     matchings: list[np.ndarray]  # per base edge id; fiber perm, tail = smaller cloud
     seed: int
     _flat: FlatExtension | None = field(default=None, repr=False, compare=False)
+    _metric: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def cloud_count(self) -> int:
@@ -185,6 +186,18 @@ def _flat(x: ExtendedGraph) -> FlatExtension:
     )
     x._flat = flat
     return flat
+
+
+def extension_metric(x: ExtendedGraph) -> np.ndarray:
+    """D_X: the dense all-pairs shortest-path metric of the flattened extension.
+
+    Computed once per extension and cached on it; every distance and
+    shortest-path tree over the extension is read from this one array.
+    """
+    if x._metric is None:
+        flat = _flat(x)
+        x._metric = shortest_path_metric(flat.graph, flat.lengths)
+    return x._metric
 
 
 def _shift(code: int, offset: int) -> int:

@@ -8,7 +8,6 @@ serialized.
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -394,33 +393,35 @@ def girth(g: Graph):
 def shortest_path_metric(g: Graph, lengths: np.ndarray) -> np.ndarray:
     """Exact all-pairs shortest-path distances as a dense (V, V) float matrix.
 
-    Disconnected pairs get math.inf.  Backed by scipy's Dijkstra; agreement
-    with a Floyd-Warshall oracle is pinned in the test suite.
+    Disconnected pairs get math.inf.  Backed by scipy's Dijkstra, the only
+    shortest-path search in the package; agreement with a Floyd-Warshall
+    oracle is pinned in the test suite.
     """
-    from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import dijkstra
 
     lengths = validate_lengths(g, lengths)
-    n = g.vertex_count
-    if n == 0:
+    if g.vertex_count == 0:
         return np.zeros((0, 0))
-    # Self-loops never shorten a path; parallel edges collapse to the cheapest.
-    mins: dict[tuple[int, int], float] = {}
-    for eid, (u, v) in enumerate(g.edges):
-        if u == v:
-            continue
-        key = (u, v)
-        if key not in mins or lengths[eid] < mins[key]:
-            mins[key] = float(lengths[eid])
-    if not mins:
-        out = np.full((n, n), np.inf)
-        np.fill_diagonal(out, 0.0)
-        return out
-    rows = np.fromiter((k[0] for k in mins), dtype=np.int64, count=len(mins))
-    cols = np.fromiter((k[1] for k in mins), dtype=np.int64, count=len(mins))
-    vals = np.fromiter(mins.values(), dtype=float, count=len(mins))
-    w = coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    return dijkstra(w, directed=False)
+    return dijkstra(_csr(g, lengths), directed=False)
+
+
+def _csr(g: Graph, lengths: np.ndarray):
+    """Upper-triangular CSR adjacency for an undirected search.
+
+    Self-loops never shorten a path and are dropped; parallel edges collapse
+    to the shortest (a sparse sum would add their lengths).
+    """
+    from scipy.sparse import csr_matrix
+
+    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    keep = ends[:, 0] != ends[:, 1]
+    us, vs, ls = ends[keep, 0], ends[keep, 1], lengths[keep]
+    order = np.lexsort((ls, vs, us))  # by (u, v), shortest first
+    us, vs, ls = us[order], vs[order], ls[order]
+    first = np.ones(us.size, dtype=bool)
+    first[1:] = (us[1:] != us[:-1]) | (vs[1:] != vs[:-1])
+    n = g.vertex_count
+    return csr_matrix((ls[first], (us[first], vs[first])), shape=(n, n))
 
 
 @dataclass
@@ -451,26 +452,22 @@ class ShortestPathTree:
         return [int(self.pred_edge[v]) for v in verts[1:]]
 
 
-def single_source_shortest_paths(g: Graph, lengths: np.ndarray, source: int) -> ShortestPathTree:
+def single_source_shortest_paths(
+    g: Graph, lengths: np.ndarray, source: int, dist: np.ndarray
+) -> ShortestPathTree:
+    """Canonical shortest-path tree of `source`, read from its distance row.
+
+    `dist` must be the exact row `source` of shortest_path_metric(g, lengths);
+    only the predecessors are computed here.
+    """
     lengths = validate_lengths(g, lengths)
     n = g.vertex_count
-    dist = np.full(n, np.inf)
-    dist[source] = 0.0
+    dist = np.asarray(dist, dtype=float)
+    if dist.shape != (n,):
+        raise GraphError(f"distance row has shape {dist.shape}, expected ({n},)")
+    if not (0 <= source < n and dist[source] == 0.0):
+        raise GraphError(f"distance row is not the row of source {source}")
     adj = g.adjacency()
-    heap = [(0.0, source)]
-    settled = np.zeros(n, dtype=bool)
-    while heap:
-        du, u = heapq.heappop(heap)
-        if settled[u]:
-            continue
-        settled[u] = True
-        for w, eid in adj[u]:
-            nd = du + lengths[eid]
-            if nd < dist[w]:
-                dist[w] = nd
-                heapq.heappush(heap, (nd, w))
-    # Canonical predecessors in a separate pass so tie-breaking is independent
-    # of heap pop order.
     pred_vertex = np.full(n, -1, dtype=np.int64)
     pred_edge = np.full(n, -1, dtype=np.int64)
     for v in range(n):

@@ -17,13 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .extension import RNG_SCHEME, ExtendedGraph, flatten, sample_extension
+from .extension import RNG_SCHEME, ExtendedGraph, extension_metric, flatten, sample_extension
 from .graphs import (
     Graph,
     expansion_estimate,
     girth,
     random_regular,
-    shortest_path_metric,
     uniform_lengths,
 )
 
@@ -189,7 +188,7 @@ class GapOrigin:
     extension: ExtendedGraph
     big_l: float
     edge_lengths: np.ndarray  # per instance-graph edge: extension lengths then L
-    dx: np.ndarray            # dense D_X, k x k with k <= DENSE_METRIC_CAP
+    dx: np.ndarray            # extension_metric(extension), the cached k x k D_X
 
 
 @dataclass
@@ -258,7 +257,7 @@ def build_gap_instance(x: ExtendedGraph, big_l: float) -> ZeroExtInstance:
     graph = Graph(vertex_count=2 * k, edges=edges)
     lengths = np.concatenate([flat.lengths, np.full(k, float(big_l))])
     weights = 1.0 / lengths
-    dx = shortest_path_metric(flat.graph, flat.lengths)
+    dx = extension_metric(x)
     metric = GapTerminalMetric(dx, 2.0 * big_l)
     origin = GapOrigin(extension=x, big_l=float(big_l), edge_lengths=lengths, dx=dx)
     return ZeroExtInstance(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import _fisher_yates
+from .graphs import Graph, _fisher_yates, shortest_path_metric
 from .instance import DENSE_METRIC_CAP, SemiMetric, ZeroExtInstance
 
 # Largest (vertex, terminal) slab ckr_round evaluates at once: 2 MiB of floats.
@@ -161,21 +161,9 @@ def ckr_round(inst: ZeroExtInstance, delta: SemiMetric, seed: int) -> np.ndarray
 # -- deterministic baselines ----------------------------------------------------
 
 
-def baseline_labelings(inst: ZeroExtInstance) -> dict[str, np.ndarray]:
-    """The two deterministic baselines: all_to_one and nearest_terminal.
-
-    all_to_one scans every terminal exhaustively (k is capped at 4096) and
-    keeps the cheapest; nearest_terminal assigns every vertex to its closest
-    terminal under the instance's path lengths, ties to the smallest
-    terminal id.  On gap instances the latter is the identity v -> v_T.
-    """
-    return {
-        "all_to_one": all_to_one(inst),
-        "nearest_terminal": nearest_terminal(inst),
-    }
-
-
 def all_to_one(inst: ZeroExtInstance) -> np.ndarray:
+    """Every non-terminal to the one terminal of least total cost, found by
+    scanning all k terminals; ties to the smallest terminal id."""
     k = inst.k
     if k > DENSE_METRIC_CAP:
         raise TooLargeError(f"all_to_one scan is capped at k={DENSE_METRIC_CAP}, got {k}")
@@ -204,24 +192,19 @@ def all_to_one(inst: ZeroExtInstance) -> np.ndarray:
 
 
 def nearest_terminal(inst: ZeroExtInstance) -> np.ndarray:
+    """Every vertex to its closest terminal under edge lengths 1/w, ties to
+    the smallest terminal id; zero-weight edges are not traversed."""
     f = np.full(inst.vertex_count, -1, dtype=np.int64)
     f[inst.terminals] = inst.terminals
     if inst.is_gap:
         # Lengths are positive, so the pendant v -> v_T is the unique nearest choice.
         f[: inst.k] = inst.terminals
         return f
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import dijkstra
-
-    w = inst.weights
-    keep = w > 0
-    us = np.array([u for u, _ in inst.graph.edges])[keep]
-    vs = np.array([v for _, v in inst.graph.edges])[keep]
-    lengths = 1.0 / w[keep]
-    n = inst.vertex_count
-    mat = coo_matrix((lengths, (us, vs)), shape=(n, n)).tocsr()
+    keep = inst.weights > 0
+    edges = [e for e, kept in zip(inst.graph.edges, keep) if kept]
+    g = Graph(vertex_count=inst.vertex_count, edges=edges, multigraph=True)
     order = np.argsort(inst.terminals, kind="stable")
-    dist = dijkstra(mat, directed=False, indices=inst.terminals[order])
+    dist = shortest_path_metric(g, 1.0 / inst.weights[keep])[inst.terminals[order]]
     if np.any(np.isinf(dist.min(axis=0))):
         bad = int(np.flatnonzero(np.isinf(dist.min(axis=0)))[0])
         raise SolverError(f"vertex {bad} cannot reach any terminal")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf2
-from .extension import ExtendedGraph, flatten, project, project_path
+from .extension import ExtendedGraph, extension_metric, flatten, project, project_path
 from .graphs import Graph, single_source_shortest_paths
 from .instance import ZeroExtInstance
 from .solvers import validate_labeling
@@ -178,7 +178,9 @@ def build_split_candidate(
 
     def tree_for(source: int):
         if source not in trees:
-            trees[source] = single_source_shortest_paths(flat.graph, flat.lengths, source)
+            trees[source] = single_source_shortest_paths(
+                flat.graph, flat.lengths, source, dx[source]
+            )
         return trees[source]
 
     kept_edges = []
@@ -274,18 +276,11 @@ def verify_split(c: SplitCandidate, x: ExtendedGraph) -> SplitReport:
         detail=f"kept {len(c.edge_ids)} of {n_edges} base edges, need >= {need:.6g}",
     )
 
-    flat = flatten(x)
-    trees: dict[int, object] = {}
-
-    def dist(r1: int, r2: int) -> float:
-        if r1 not in trees:
-            trees[r1] = single_source_shortest_paths(flat.graph, flat.lengths, r1)
-        return float(trees[r1].dist[r2])
-
+    dx = extension_metric(x)
     distance_witnesses = []
     for eid in c.edge_ids:
         g1, g2 = x.base.edges[eid]
-        d = dist(c.rep_map[g1], c.rep_map[g2])
+        d = float(dx[c.rep_map[g1], c.rep_map[g2]])
         if not d < c.alpha:
             distance_witnesses.append({"edge": eid, "distance": d})
     conditions["distance"] = ConditionVerdict(

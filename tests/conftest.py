@@ -1,13 +1,15 @@
 """Shared corpus builders and independent oracles.
 
 The oracles here deliberately avoid the library's own code paths: shortest
-paths come from a plain Floyd-Warshall loop, optima from itertools
+paths come from a plain Floyd-Warshall loop and single-source trees from a
+heap Dijkstra with its own predecessor pass, optima from itertools
 enumeration, cycle verdicts from explicit simple-cycle enumeration,
 shuffles from one scalar draw per Fisher-Yates step, and CKR labelings from
 one terminal column at a time.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 
@@ -46,6 +48,46 @@ def graph_fw(g: graphs.Graph, lengths) -> np.ndarray:
     return floyd_warshall(
         g.vertex_count,
         [(u, v, float(lengths[eid])) for eid, (u, v) in enumerate(g.edges)],
+    )
+
+
+def heap_dijkstra_tree(g: graphs.Graph, lengths, source: int) -> graphs.ShortestPathTree:
+    """Textbook heap Dijkstra, then canonical predecessors in a separate pass.
+
+    Among tight predecessors (relative tolerance DIST_RTOL) the smallest
+    vertex id wins, then the smallest edge id.
+    """
+    lengths = np.asarray(lengths, dtype=float)
+    n = g.vertex_count
+    dist = np.full(n, np.inf)
+    dist[source] = 0.0
+    adj = g.adjacency()
+    heap = [(0.0, source)]
+    settled = np.zeros(n, dtype=bool)
+    while heap:
+        du, u = heapq.heappop(heap)
+        if settled[u]:
+            continue
+        settled[u] = True
+        for w, eid in adj[u]:
+            nd = du + lengths[eid]
+            if nd < dist[w]:
+                dist[w] = nd
+                heapq.heappush(heap, (nd, w))
+    pred_vertex = np.full(n, -1, dtype=np.int64)
+    pred_edge = np.full(n, -1, dtype=np.int64)
+    for v in range(n):
+        if v == source or not math.isfinite(dist[v]):
+            continue
+        tight = [
+            (u, eid)
+            for u, eid in adj[v]
+            if u != v
+            and abs(dist[u] + lengths[eid] - dist[v]) <= graphs.DIST_RTOL * max(1.0, abs(dist[v]))
+        ]
+        pred_vertex[v], pred_edge[v] = min(tight)
+    return graphs.ShortestPathTree(
+        source=source, dist=dist, pred_vertex=pred_vertex, pred_edge=pred_edge
     )
 
 

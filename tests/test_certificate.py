@@ -1,11 +1,19 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
 
-from conftest import candidate_corpus, cayley_setup, direct_route_setup, graph_fw, wandering_setup
+from conftest import (
+    candidate_corpus,
+    cayley_setup,
+    direct_route_setup,
+    graph_fw,
+    heap_dijkstra_tree,
+    wandering_setup,
+)
 from zeroext import certificate as cert_mod
 from zeroext import split
 from zeroext.certificate import (
@@ -82,6 +90,14 @@ def test_rep_path_lengths_match_fw_oracle():
         )
         want = oracle[cand.rep_map[g1], cand.rep_map[g2]]
         assert abs(total - want) <= 1e-9 * max(1.0, want)
+    # Without stored paths the certificate builds its own trees from D_X rows:
+    # the same canonical paths as the heap-Dijkstra oracle.
+    rebuilt = shortest_rep_paths(x, dataclasses.replace(cand, path_assignment={}))
+    assert rebuilt == paths
+    for eid, path in zip(sorted(cand.edge_ids), rebuilt):
+        g1, g2 = x.base.edges[eid]
+        r1, r2 = cand.rep_map[g1], cand.rep_map[g2]
+        assert path == heap_dijkstra_tree(flat.graph, flat.lengths, r1).path_vertices(r2)
 
 
 # -- formal transformation ----------------------------------------------------------
@@ -424,6 +440,7 @@ def test_self_loop_r_edge_round_trip():
     x = sample_extension(c3, uniform_lengths(c3, 1.0), fiber, uniform_lengths(fiber, 1.0), seed=4)
     from zeroext.certificate import Certificate, representations as make_reps
     from zeroext.extension import traverse_inter
+    from zeroext.extension import extension_metric
     from zeroext.graphs import single_source_shortest_paths
 
     lookup = c3.edge_lookup()
@@ -433,7 +450,7 @@ def test_self_loop_r_edge_round_trip():
     v3 = traverse_inter(x, lookup[(0, 2)], v2)
     assert v3 // x.fiber_size == 0 and v3 != v0
     flat = flatten(x)
-    tree = single_source_shortest_paths(flat.graph, flat.lengths, v3)
+    tree = single_source_shortest_paths(flat.graph, flat.lengths, v3, extension_metric(x)[v3])
     intra_walk = tree.path_vertices(v0)
     assert all(u // x.fiber_size == 0 for u in intra_walk)
     walks = [intra_walk, [v0, v1, v2, v3]]

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import time
 
+import numpy as np
 import pytest
 
 from zeroext import cli
-from zeroext.instance import load_instance
+from zeroext.graphs import Graph
+from zeroext.instance import build_generic_instance, load_instance, save_instance
 
 
 def run(argv):
@@ -153,28 +156,53 @@ def test_config_file_overrides_flags(tmp_path, capsys):
     assert [(r["n"], r["seed"]) for r in rows] == [("6", "7")]
 
 
-def test_config_file_unknown_key_rejected(tmp_path):
+def assert_flag_error(capsys, argv, pattern):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and re.search(pattern, err), err
+
+
+def test_config_file_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "conf.txt"
     cfg.write_text("frobnicate = 3\n")
-    with pytest.raises(SystemExit, match="unknown config key"):
-        run(["gap", "--config", str(cfg)])
+    assert_flag_error(capsys, ["gap", "--config", str(cfg)], "unknown config key")
 
 
-def test_invalid_parameters_rejected():
-    with pytest.raises(SystemExit, match="threshold"):
-        run(["gap", "--n", "6", "--threshold", "0.4"])
-    with pytest.raises(SystemExit, match="epsilon"):
-        run(["gap", "--n", "6", "--epsilon", "0.5"])
-    with pytest.raises(SystemExit, match="at least one n"):
-        run(["gap", "--n", ",", "--d", "2"])
-    with pytest.raises(SystemExit, match="one seed"):
-        run(["frac", "--n", "6", "--seeds", ","])
-    with pytest.raises(SystemExit, match="jobs must be >= 1"):
-        run(["gap", "--n", "6", "--jobs", "0"])
-    with pytest.raises(SystemExit, match="ckr_draws must be >= 0"):
-        run(["solve", "--n", "6", "--ckr-draws", "-2"])
-    with pytest.raises(SystemExit, match="local_rounds must be >= 0"):
-        run(["solve", "--n", "6", "--local-rounds", "-1"])
+def test_invalid_parameters_rejected(capsys):
+    assert_flag_error(capsys, ["gap", "--n", "6", "--threshold", "0.4"], "threshold")
+    assert_flag_error(capsys, ["gap", "--n", "6", "--epsilon", "0.5"], "epsilon")
+    assert_flag_error(capsys, ["gap", "--n", ",", "--d", "2"], "at least one n")
+    assert_flag_error(capsys, ["frac", "--n", "6", "--seeds", ","], "one seed")
+    assert_flag_error(capsys, ["gap", "--n", "6", "--jobs", "0"], "jobs must be >= 1")
+    assert_flag_error(capsys, ["solve", "--n", "6", "--ckr-draws", "-2"], "ckr_draws must be >= 0")
+    assert_flag_error(capsys, ["solve", "--n", "6", "--local-rounds", "-1"], "local_rounds must be >= 0")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--solvers", ","],
+        ["--solvers", "ckr", "--ckr-draws", "0"],
+        ["--solvers", "local_search", "--local-rounds", "0"],
+        ["--solvers", "ckr,local_search", "--ckr-draws", "0", "--local-rounds", "0"],
+    ],
+)
+def test_solver_list_that_runs_nothing_rejected_before_sampling(flags, tmp_path, capsys):
+    started = time.perf_counter()
+    assert_flag_error(capsys, ["gap", "--n", "8", "--out", str(tmp_path)] + flags, "runs nothing")
+    assert time.perf_counter() - started < 1.0
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_split_of_a_generic_instance_is_a_flag_error(tmp_path, capsys):
+    g = Graph(vertex_count=3, edges=[(0, 1), (1, 2)])
+    path = tmp_path / "generic.json"
+    save_instance(
+        build_generic_instance(g, np.array([1.0, 1.0]), np.array([0, 2]), np.array([[0.0, 1.0], [1.0, 0.0]])),
+        path,
+    )
+    for command in ("split", "cert"):
+        assert_flag_error(capsys, [command, "--instance", str(path)], "needs a gap instance")
 
 
 def test_out_dir_env_variable(tmp_path, monkeypatch, capsys):

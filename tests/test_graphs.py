@@ -6,8 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import graph_fw, reference_random_regular, scalar_fisher_yates
-from zeroext import graphs
+from conftest import (
+    cayley_setup,
+    graph_fw,
+    heap_dijkstra_tree,
+    reference_random_regular,
+    scalar_fisher_yates,
+)
+from zeroext import extension, graphs, instance
 from zeroext.graphs import (
     Graph,
     GraphError,
@@ -225,9 +231,19 @@ def test_disconnected_pairs_are_infinite():
 def test_canonical_predecessor_tie_breaking():
     # Two equal routes 0-1-3 and 0-2-3; the smaller middle vertex wins.
     g = Graph(vertex_count=4, edges=[(0, 1), (0, 2), (1, 3), (2, 3)])
-    tree = single_source_shortest_paths(g, uniform_lengths(g, 1.0), 0)
+    lengths = uniform_lengths(g, 1.0)
+    tree = single_source_shortest_paths(g, lengths, 0, shortest_path_metric(g, lengths)[0])
     assert tree.path_vertices(3) == [0, 1, 3]
     assert tree.path_edges(3) == [0, 2]
+
+
+def _assert_trees_match_oracle(g, lengths, dist):
+    for s in range(g.vertex_count):
+        tree = single_source_shortest_paths(g, lengths, s, dist[s])
+        want = heap_dijkstra_tree(g, lengths, s)
+        assert np.array_equal(tree.dist, want.dist), s
+        assert np.array_equal(tree.pred_vertex, want.pred_vertex), s
+        assert np.array_equal(tree.pred_edge, want.pred_edge), s
 
 
 def test_single_source_matches_metric():
@@ -241,9 +257,9 @@ def test_single_source_matches_metric():
     )
     lengths = rng.random(g.edge_count) + 0.5
     dist = shortest_path_metric(g, lengths)
+    _assert_trees_match_oracle(g, lengths, dist)
     for s in range(g.vertex_count):
-        tree = single_source_shortest_paths(g, lengths, s)
-        assert np.allclose(tree.dist, dist[s], rtol=1e-9)
+        tree = single_source_shortest_paths(g, lengths, s, dist[s])
         for t in range(g.vertex_count):
             if math.isfinite(dist[s, t]):
                 path = tree.path_vertices(t)
@@ -251,6 +267,37 @@ def test_single_source_matches_metric():
                     lengths[tree.pred_edge[v]] for v in path[1:]
                 )
                 assert abs(total - dist[s, t]) <= 1e-9 * max(1, dist[s, t])
+
+
+@pytest.mark.parametrize("n", [8, 16, 24])
+def test_trees_from_extension_metric_match_heap_oracle(n):
+    for seed in range(3):
+        x = instance.default_gap_instance(n, 4, seed).extension
+        flat = extension.flatten(x)
+        _assert_trees_match_oracle(flat.graph, flat.lengths, extension.extension_metric(x))
+
+
+def test_trees_from_extension_metric_match_heap_oracle_cayley():
+    for seed in range(3):
+        x, _ = cayley_setup(seed)
+        flat = extension.flatten(x)
+        _assert_trees_match_oracle(flat.graph, flat.lengths, extension.extension_metric(x))
+
+
+def test_single_source_rejects_a_row_of_another_source():
+    g = Graph(vertex_count=3, edges=[(0, 1), (1, 2)])
+    lengths = uniform_lengths(g, 1.0)
+    dist = shortest_path_metric(g, lengths)
+    with pytest.raises(GraphError, match="not the row of source 1"):
+        single_source_shortest_paths(g, lengths, 1, dist[0])
+    with pytest.raises(GraphError, match="shape"):
+        single_source_shortest_paths(g, lengths, 0, dist[0, :2])
+
+
+def test_parallel_edges_collapse_to_the_shortest():
+    g = Graph(vertex_count=3, edges=[(0, 1), (0, 1), (1, 1), (1, 2)], multigraph=True)
+    lengths = np.array([1.0, 1.0, 0.5, 1.5])
+    assert np.array_equal(shortest_path_metric(g, lengths), graph_fw(g, lengths))
 
 
 # -- expansion estimate -----------------------------------------------------------

@@ -141,6 +141,9 @@ def test_instance_json_round_trip(tmp_path):
     assert np.allclose(back.metric.matrix(), build.instance.metric.matrix(), rtol=0, atol=0)
     save_instance(back, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+    for inst in (build.instance, back):
+        assert inst.origin.dx is extension.extension_metric(inst.origin.extension)
+        assert inst.metric.dx is inst.origin.dx
 
     g = Graph(vertex_count=3, edges=[(0, 1), (1, 2)])
     generic = build_generic_instance(g, np.array([1.0, 2.0]), np.array([0, 2]), np.array([[0.0, 3.0], [3.0, 0.0]]))
@@ -179,7 +182,7 @@ def test_build_and_load_enforce_the_dense_ceiling(tmp_path, monkeypatch):
         raise AssertionError("computed D_X for an instance over the ceiling")
 
     monkeypatch.setattr(instance, "DENSE_METRIC_CAP", 8)  # k = 9
-    monkeypatch.setattr(instance, "shortest_path_metric", no_apsp)
+    monkeypatch.setattr(extension, "shortest_path_metric", no_apsp)
     with pytest.raises(InstanceError, match="k=9 points, above the dense metric ceiling k <= 8"):
         build_gap_instance(x, big_l=1.5)
     with pytest.raises(InstanceError, match="ceiling k <= 8"):

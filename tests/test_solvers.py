@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     enumerate_optimum,
+    graph_fw,
     random_generic_instance,
     random_labeling,
     reference_ckr_round,
@@ -17,7 +18,6 @@ from zeroext.solvers import (
     SolverError,
     TooLargeError,
     all_to_one,
-    baseline_labelings,
     brute_force,
     ckr_round,
     integral_cost,
@@ -237,8 +237,20 @@ def test_ckr_block_edges_match_reference(monkeypatch, slab):
 
 def test_baselines_star_tie_breaking():
     inst = star_instance()
-    base = baseline_labelings(inst)
-    assert base["nearest_terminal"][1] == 0  # tie broken to the smaller id
+    assert nearest_terminal(inst)[1] == 0  # tie broken to the smaller id
+
+
+def test_nearest_terminal_takes_the_shorter_of_parallel_edges():
+    # Vertex 1 reaches terminal 0 over either of two length-1 edges and
+    # terminal 2 over one length-1.5 edge; summing the parallel pair would
+    # make terminal 0 look 2 away.
+    g = Graph(vertex_count=3, edges=[(0, 1), (0, 1), (1, 2)], multigraph=True)
+    weights = np.array([1.0, 1.0, 1.0 / 1.5])
+    inst = build_generic_instance(g, weights, np.array([0, 2]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    fw = graph_fw(g, 1.0 / weights)
+    want = inst.terminals[np.argmin(fw[inst.terminals], axis=0)]
+    assert np.array_equal(nearest_terminal(inst), want)
+    assert nearest_terminal(inst)[1] == 0
 
 
 def test_nearest_terminal_gap_is_identity(small_gap):

@@ -9,6 +9,7 @@ from conftest import (
     direct_route_setup,
     exhaustive_homeomorphism_verdict,
     graph_fw,
+    heap_dijkstra_tree,
     random_connected_graph,
     wandering_setup,
 )
@@ -223,13 +224,20 @@ def test_pass_case_all_conditions():
 
 
 def test_alpha_zero_fails_distance():
-    x, inst = direct_route_setup(4)
-    f = per_cloud_labeling(inst, x, 0)
-    cand = build_split_candidate(inst, x, f, alpha=1e9, epsilon=0.3, threshold=0.9)
-    cand.alpha = 0.0
-    report = verify_split(cand, x)
-    assert not report.conditions["distance"].passed
-    assert len(report.conditions["distance"].witnesses) == len(cand.edge_ids)
+    for x, inst in (direct_route_setup(4), wandering_setup(1)):
+        f = per_cloud_labeling(inst, x, 0)
+        cand = build_split_candidate(inst, x, f, alpha=1e9, epsilon=0.3, threshold=0.9)
+        cand.alpha = 0.0
+        report = verify_split(cand, x)
+        assert not report.conditions["distance"].passed
+        witnesses = report.conditions["distance"].witnesses
+        assert len(witnesses) == len(cand.edge_ids)
+        # Every witness distance is the oracle's single-source distance, bit for bit.
+        flat = flatten(x)
+        for w in witnesses:
+            g1, g2 = x.base.edges[w["edge"]]
+            oracle = heap_dijkstra_tree(flat.graph, flat.lengths, cand.rep_map[g1])
+            assert w["distance"] == float(oracle.dist[cand.rep_map[g2]])
 
 
 def test_epsilon_zero_fails_size_for_proper_subgraph():
