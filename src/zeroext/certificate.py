@@ -101,10 +101,6 @@ class FormalTransformation:
     fiber: Graph
     fiber_size: int
 
-    @property
-    def path_count(self) -> int:
-        return len(self.paths)
-
     def ind_inverse(self) -> dict[Ind, int]:
         return {v: k for k, v in self.ind.items()}
 

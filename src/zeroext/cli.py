@@ -115,6 +115,9 @@ class ExperimentConfig:
             raise ConfigError("ckr_draws must be >= 0")
         if self.local_rounds < 0:
             raise ConfigError("local_rounds must be >= 0")
+
+    def check_solvers_run(self):
+        """For the commands that run solvers: reject a list that runs none."""
         idle = {"ckr": self.ckr_draws == 0, "local_search": self.local_rounds == 0}
         if all(idle.get(s, False) for s in self.solvers):
             raise ConfigError(
@@ -299,6 +302,7 @@ def _run_solvers(cfg: ExperimentConfig, inst: ZeroExtInstance, seed: int, delta)
 
 def cmd_solve(args) -> int:
     cfg = _config_from_args(args)
+    cfg.check_solvers_run()
     inst, _ = _load_or_build(cfg, args)
     seed = cfg.seeds[0]
     delta = canonical_fractional(inst)[0] if inst.is_gap and "ckr" in cfg.solvers else None
@@ -421,6 +425,7 @@ def _gap_row(cfg: ExperimentConfig, n: int, seed: int) -> dict:
 
 def cmd_gap(args) -> int:
     cfg = _config_from_args(args)
+    cfg.check_solvers_run()
     started = time.perf_counter()
     tasks = [(n, seed) for n in cfg.n_values for seed in cfg.seeds]
     if cfg.jobs > 1:

@@ -391,18 +391,23 @@ def girth(g: Graph):
 
 
 def shortest_path_metric(g: Graph, lengths: np.ndarray) -> np.ndarray:
-    """Exact all-pairs shortest-path distances as a dense (V, V) float matrix.
+    """Exact all-pairs shortest-path distances as a dense (V, V) float matrix."""
+    return shortest_path_rows(g, lengths, np.arange(g.vertex_count))
 
-    Disconnected pairs get math.inf.  Backed by scipy's Dijkstra, the only
-    shortest-path search in the package; agreement with a Floyd-Warshall
-    oracle is pinned in the test suite.
+
+def shortest_path_rows(g: Graph, lengths: np.ndarray, sources) -> np.ndarray:
+    """Exact distances from each of `sources` as a dense (len(sources), V)
+    float matrix; disconnected pairs get math.inf.
+
+    Backed by scipy's Dijkstra, the only shortest-path search in the package;
+    agreement with a Floyd-Warshall oracle is pinned in the test suite.
     """
     from scipy.sparse.csgraph import dijkstra
 
     lengths = validate_lengths(g, lengths)
     if g.vertex_count == 0:
         return np.zeros((0, 0))
-    return dijkstra(_csr(g, lengths), directed=False)
+    return dijkstra(_csr(g, lengths), directed=False, indices=sources)
 
 
 def _csr(g: Graph, lengths: np.ndarray):

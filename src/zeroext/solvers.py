@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import Graph, _fisher_yates, shortest_path_metric
+from .graphs import Graph, _fisher_yates, shortest_path_rows
 from .instance import DENSE_METRIC_CAP, SemiMetric, ZeroExtInstance
 
 # Largest (vertex, terminal) slab ckr_round evaluates at once: 2 MiB of floats.
@@ -204,7 +204,7 @@ def nearest_terminal(inst: ZeroExtInstance) -> np.ndarray:
     edges = [e for e, kept in zip(inst.graph.edges, keep) if kept]
     g = Graph(vertex_count=inst.vertex_count, edges=edges, multigraph=True)
     order = np.argsort(inst.terminals, kind="stable")
-    dist = shortest_path_metric(g, 1.0 / inst.weights[keep])[inst.terminals[order]]
+    dist = shortest_path_rows(g, 1.0 / inst.weights[keep], inst.terminals[order])
     if np.any(np.isinf(dist.min(axis=0))):
         bad = int(np.flatnonzero(np.isinf(dist.min(axis=0)))[0])
         raise SolverError(f"vertex {bad} cannot reach any terminal")

@@ -172,7 +172,7 @@ def build_split_candidate(
             kept_vertices.append(g)
     kept_set = set(kept_vertices)
 
-    dx = inst.origin.dx
+    dx = extension_metric(x)
     flat = flatten(x)
     trees: dict[int, object] = {}
 

@@ -194,6 +194,21 @@ def test_solver_list_that_runs_nothing_rejected_before_sampling(flags, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["split", "cert", "frac"])
+def test_idle_solver_list_in_a_shared_config_ignored_by_commands_without_solvers(
+    command, tmp_path, capsys
+):
+    conf = tmp_path / "conf.txt"
+    conf.write_text("solvers = ckr\nckr_draws = 0\n")
+    argv = [command, "--n", "6", "--seed", "0", "--config", str(conf), "--out", str(tmp_path)]
+    if command != "frac":
+        argv += ["--epsilon", "0.1", "--alpha", "1e9", "--threshold", "0.9"]
+    if command == "cert":
+        argv += ["--force"]
+    assert run(argv) == 0
+    assert_flag_error(capsys, ["solve", "--n", "6", "--seed", "0", "--config", str(conf)], "runs nothing")
+
+
 def test_split_of_a_generic_instance_is_a_flag_error(tmp_path, capsys):
     g = Graph(vertex_count=3, edges=[(0, 1), (1, 2)])
     path = tmp_path / "generic.json"

@@ -222,6 +222,25 @@ def test_metric_properties_on_random_graphs():
             assert np.all(lhs[mask] <= rhs[mask] + 1e-9 * np.maximum(1, np.abs(lhs[mask])))
 
 
+def test_rows_are_the_metric_rows_of_their_sources():
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        n = int(rng.integers(4, 15))
+        edges = sorted(
+            {tuple(sorted(rng.integers(0, n, 2))) for _ in range(2 * n)}
+            - {(i, i) for i in range(n)}
+        )
+        g = Graph(vertex_count=n, edges=edges)
+        sources = rng.choice(n, size=int(rng.integers(1, n + 1)))  # unsorted, repeats
+        whole = rng.integers(1, 9, size=g.edge_count).astype(float)
+        rows = graphs.shortest_path_rows(g, whole, sources)
+        assert rows.shape == (sources.size, n)
+        assert np.array_equal(rows, graph_fw(g, whole)[sources])
+        real = rng.random(g.edge_count) + 0.1
+        rows = graphs.shortest_path_rows(g, real, sources)
+        assert np.array_equal(rows, shortest_path_metric(g, real)[sources])
+
+
 def test_disconnected_pairs_are_infinite():
     g = Graph(vertex_count=4, edges=[(0, 1), (2, 3)])
     d = shortest_path_metric(g, uniform_lengths(g, 1.0))

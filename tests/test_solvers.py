@@ -11,7 +11,7 @@ from conftest import (
     reference_ckr_round,
 )
 from zeroext import relaxation, solvers
-from zeroext.graphs import Graph
+from zeroext.graphs import Graph, shortest_path_metric
 from zeroext.instance import build_generic_instance, default_gap_instance
 from zeroext.relaxation import DenseSemiMetric, canonical_fractional
 from zeroext.solvers import (
@@ -251,6 +251,33 @@ def test_nearest_terminal_takes_the_shorter_of_parallel_edges():
     want = inst.terminals[np.argmin(fw[inst.terminals], axis=0)]
     assert np.array_equal(nearest_terminal(inst), want)
     assert nearest_terminal(inst)[1] == 0
+
+
+def test_nearest_terminal_searches_from_the_terminals_only(monkeypatch):
+    # k rows, not the V x V metric: generic instances have no size cap.
+    shapes = []
+    real = solvers.shortest_path_rows
+
+    def spy(g, lengths, sources):
+        out = real(g, lengths, sources)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(solvers, "shortest_path_rows", spy)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        inst = random_generic_instance(rng)
+        keep = inst.weights > 0
+        g = Graph(
+            vertex_count=inst.vertex_count,
+            edges=[e for e, kept in zip(inst.graph.edges, keep) if kept],
+            multigraph=True,
+        )
+        dist = shortest_path_metric(g, 1.0 / inst.weights[keep])[inst.terminals]
+        want = inst.terminals[np.argmin(dist, axis=0)]
+        want[inst.terminals] = inst.terminals
+        assert np.array_equal(nearest_terminal(inst), want)
+        assert shapes[-1] == (inst.k, inst.vertex_count)
 
 
 def test_nearest_terminal_gap_is_identity(small_gap):
