@@ -250,8 +250,8 @@ def cmd_generate(args) -> int:
 def cmd_frac(args) -> int:
     cfg = _config_from_args(args)
     inst, _ = _load_or_build(cfg, args)
-    delta, cost = canonical_fractional(inst)
-    violations = is_feasible(delta, inst)
+    lengths, cost = canonical_fractional(inst)
+    violations = is_feasible(lengths, inst)
     feasible = not violations
     print(f"fractional cost: {cost!r}")
     print(f"edges: {inst.graph.edge_count}")
@@ -272,10 +272,10 @@ def cmd_frac(args) -> int:
     return 0 if feasible else 1
 
 
-def _run_solvers(cfg: ExperimentConfig, inst: ZeroExtInstance, seed: int, delta):
+def _run_solvers(cfg: ExperimentConfig, inst: ZeroExtInstance, seed: int, lengths):
     """All configured heuristics; returns {name: (labeling, cost)}.
 
-    `delta` is the canonical fractional solution CKR rounds, or None for a
+    `lengths` is the canonical fractional solution CKR rounds, or None for a
     generic instance, which has none.
     """
     results: dict[str, tuple[np.ndarray, float]] = {}
@@ -285,10 +285,10 @@ def _run_solvers(cfg: ExperimentConfig, inst: ZeroExtInstance, seed: int, delta)
     if "nearest_terminal" in cfg.solvers:
         f = nearest_terminal(inst)
         results["nearest_terminal"] = (f, integral_cost(f, inst))
-    if "ckr" in cfg.solvers and delta is not None:
+    if "ckr" in cfg.solvers and lengths is not None:
         for i in range(cfg.ckr_draws):
             sub = int(np.random.SeedSequence((seed, 777, i)).generate_state(1)[0])
-            f = ckr_round(inst, delta, sub)
+            f = ckr_round(inst, lengths, sub)
             results[f"ckr[{i}]"] = (f, integral_cost(f, inst))
     if "local_search" in cfg.solvers:
         start = min(results.values(), key=lambda fc: fc[1])[0] if results else nearest_terminal(inst)
@@ -305,8 +305,8 @@ def cmd_solve(args) -> int:
     cfg.check_solvers_run()
     inst, _ = _load_or_build(cfg, args)
     seed = cfg.seeds[0]
-    delta = canonical_fractional(inst)[0] if inst.is_gap and "ckr" in cfg.solvers else None
-    results = _run_solvers(cfg, inst, seed, delta)
+    lengths = canonical_fractional(inst)[0] if inst.is_gap and "ckr" in cfg.solvers else None
+    results = _run_solvers(cfg, inst, seed, lengths)
     if not results:
         raise ConfigError("no solvers selected")
     best_name, (best_f, best_cost) = min(results.items(), key=lambda kv: (kv[1][1], kv[0]))
@@ -407,8 +407,8 @@ def cmd_export_lp(args) -> int:
 def _gap_row(cfg: ExperimentConfig, n: int, seed: int) -> dict:
     build = _build(cfg, n, seed)
     inst = build.instance
-    delta, frac = canonical_fractional(inst)
-    results = _run_solvers(cfg, inst, seed, delta)
+    lengths, frac = canonical_fractional(inst)
+    results = _run_solvers(cfg, inst, seed, lengths)
     best_name, (_, best_cost) = min(results.items(), key=lambda kv: (kv[1][1], kv[0]))
     return {
         "n": n,

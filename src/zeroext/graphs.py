@@ -190,15 +190,18 @@ def uniform_lengths(g: Graph, value: float) -> np.ndarray:
     return np.full(g.edge_count, float(value))
 
 
-def validate_lengths(g: Graph, lengths: np.ndarray) -> np.ndarray:
+def validate_lengths(g: Graph, lengths: np.ndarray, *, allow_zero: bool = False) -> np.ndarray:
+    """One float length per edge, each > 0 (>= 0 with allow_zero); NaN never passes."""
     lengths = np.asarray(lengths, dtype=float)
     if lengths.shape != (g.edge_count,):
         raise GraphError(
             f"length vector has shape {lengths.shape}, expected ({g.edge_count},)"
         )
-    if np.any(lengths <= 0):
-        bad = int(np.argmin(lengths))
-        raise GraphError(f"edge {bad} has non-positive length {lengths[bad]}")
+    bad = ~(lengths >= 0) if allow_zero else ~(lengths > 0)
+    if np.any(bad):
+        eid = int(np.flatnonzero(bad)[0])
+        bound = ">= 0" if allow_zero else "> 0"
+        raise GraphError(f"edge {eid} has length {lengths[eid]}, expected {bound}")
     return lengths
 
 
@@ -397,14 +400,14 @@ def shortest_path_metric(g: Graph, lengths: np.ndarray) -> np.ndarray:
 
 def shortest_path_rows(g: Graph, lengths: np.ndarray, sources) -> np.ndarray:
     """Exact distances from each of `sources` as a dense (len(sources), V)
-    float matrix; disconnected pairs get math.inf.
+    float matrix; disconnected pairs get math.inf.  Lengths may be zero.
 
     Backed by scipy's Dijkstra, the only shortest-path search in the package;
     agreement with a Floyd-Warshall oracle is pinned in the test suite.
     """
     from scipy.sparse.csgraph import dijkstra
 
-    lengths = validate_lengths(g, lengths)
+    lengths = validate_lengths(g, lengths, allow_zero=True)
     if g.vertex_count == 0:
         return np.zeros((0, 0))
     return dijkstra(_csr(g, lengths), directed=False, indices=sources)
@@ -414,7 +417,8 @@ def _csr(g: Graph, lengths: np.ndarray):
     """Upper-triangular CSR adjacency for an undirected search.
 
     Self-loops never shorten a path and are dropped; parallel edges collapse
-    to the shortest (a sparse sum would add their lengths).
+    to the shortest (a sparse sum would add their lengths).  A zero length
+    stays an explicit entry, which scipy's Dijkstra treats as an edge.
     """
     from scipy.sparse import csr_matrix
 
@@ -435,26 +439,52 @@ class ShortestPathTree:
 
     Among equal-length shortest paths (relative tolerance DIST_RTOL) the
     predecessor with the smallest vertex id wins, then the smallest edge id;
-    this makes path reconstruction deterministic.
+    this makes path reconstruction deterministic.  A vertex's predecessor
+    depends only on its own neighbours, so it is found when a path first
+    walks back through the vertex, and cached.
     """
 
+    graph: Graph
+    lengths: np.ndarray
     source: int
     dist: np.ndarray
-    pred_vertex: np.ndarray
-    pred_edge: np.ndarray
+    _pred: dict[int, tuple[int, int]] = field(default_factory=dict, repr=False)
+    _floats: tuple[list, list] | None = field(default=None, repr=False)
 
-    def path_vertices(self, target: int) -> list[int]:
+    def predecessor(self, v: int) -> tuple[int, int]:
+        """The (vertex, edge id) through which the canonical path reaches v."""
+        if v not in self._pred:
+            # Python floats hold the same values as the arrays and read faster.
+            self._floats = self._floats or (self.dist.tolist(), self.lengths.tolist())
+            dist, lengths = self._floats
+            tol = DIST_RTOL * max(1.0, abs(dist[v]))
+            tight = [
+                (u, eid)
+                for u, eid in self.graph.adjacency()[v]
+                if u != v and abs(dist[u] + lengths[eid] - dist[v]) <= tol
+            ]
+            if not tight:  # float pathologies only; should not happen
+                raise GraphError(f"no tight predecessor found for vertex {v}")
+            self._pred[v] = min(tight)
+        return self._pred[v]
+
+    def _walk(self, target: int) -> tuple[list[int], list[int]]:
+        """Vertices and edge ids of the canonical path from the source to target."""
         if not math.isfinite(self.dist[target]):
             raise GraphError(f"vertex {target} unreachable from {self.source}")
-        out = [target]
-        while out[-1] != self.source:
-            out.append(int(self.pred_vertex[out[-1]]))
-        out.reverse()
-        return out
+        verts, eids = [target], []
+        v = target
+        while v != self.source:
+            v, eid = self._pred[v] if v in self._pred else self.predecessor(v)
+            verts.append(v)
+            eids.append(eid)
+        return verts[::-1], eids[::-1]
+
+    def path_vertices(self, target: int) -> list[int]:
+        return self._walk(target)[0]
 
     def path_edges(self, target: int) -> list[int]:
-        verts = self.path_vertices(target)
-        return [int(self.pred_edge[v]) for v in verts[1:]]
+        return self._walk(target)[1]
 
 
 def single_source_shortest_paths(
@@ -463,7 +493,7 @@ def single_source_shortest_paths(
     """Canonical shortest-path tree of `source`, read from its distance row.
 
     `dist` must be the exact row `source` of shortest_path_metric(g, lengths);
-    only the predecessors are computed here.
+    predecessors are found only along the paths that are asked for.
     """
     lengths = validate_lengths(g, lengths)
     n = g.vertex_count
@@ -472,25 +502,7 @@ def single_source_shortest_paths(
         raise GraphError(f"distance row has shape {dist.shape}, expected ({n},)")
     if not (0 <= source < n and dist[source] == 0.0):
         raise GraphError(f"distance row is not the row of source {source}")
-    adj = g.adjacency()
-    pred_vertex = np.full(n, -1, dtype=np.int64)
-    pred_edge = np.full(n, -1, dtype=np.int64)
-    for v in range(n):
-        if v == source or not math.isfinite(dist[v]):
-            continue
-        best = None
-        for u, eid in adj[v]:
-            if u == v:
-                continue
-            slack = abs(dist[u] + lengths[eid] - dist[v])
-            if slack <= DIST_RTOL * max(1.0, abs(dist[v])):
-                cand = (u, eid)
-                if best is None or cand < best:
-                    best = cand
-        if best is None:  # float pathologies only; should not happen
-            raise GraphError(f"no tight predecessor found for vertex {v}")
-        pred_vertex[v], pred_edge[v] = best
-    return ShortestPathTree(source=source, dist=dist, pred_vertex=pred_vertex, pred_edge=pred_edge)
+    return ShortestPathTree(graph=g, lengths=lengths, source=source, dist=dist)
 
 
 # -- expansion diagnostic -------------------------------------------------

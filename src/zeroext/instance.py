@@ -76,10 +76,9 @@ class GapParams:
 
 
 class SemiMetric:
-    """Symmetric non-negative distance over indices 0..size-1.
-
-    A terminal metric is indexed by terminal position; a fractional solution
-    (see `relaxation`) by instance vertex.
+    """A terminal metric: symmetric non-negative distance over terminal
+    positions 0..size-1.  Fractional solutions are edge lengths instead (see
+    `relaxation`).
     """
 
     size: int
@@ -256,6 +255,7 @@ def build_gap_instance(x: ExtendedGraph, big_l: float) -> ZeroExtInstance:
     edges = list(flat.graph.edges) + [(v, k + v) for v in range(k)]
     graph = Graph(vertex_count=2 * k, edges=edges)
     lengths = np.concatenate([flat.lengths, np.full(k, float(big_l))])
+    lengths.setflags(write=False)  # handed out as the canonical fractional solution
     weights = 1.0 / lengths
     dx = extension_metric(x)
     metric = GapTerminalMetric(dx, 2.0 * big_l)

@@ -10,9 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import Graph, _fisher_yates, shortest_path_rows
-from .instance import DENSE_METRIC_CAP, SemiMetric, ZeroExtInstance
+from .instance import DENSE_METRIC_CAP, ZeroExtInstance
+from .relaxation import check_lengths, fractional_cost, induced_semimetric
 
-# Largest (vertex, terminal) slab ckr_round evaluates at once: 2 MiB of floats.
+# Largest slab of distances ckr_round holds at once: 2 MiB of floats.
 CKR_SLAB_PAIRS = 1 << 18
 
 
@@ -45,13 +46,9 @@ def validate_labeling(f: np.ndarray, inst: ZeroExtInstance) -> np.ndarray:
 
 
 def integral_cost(f: np.ndarray, inst: ZeroExtInstance) -> float:
-    """Sum over edges of weight times terminal distance between the labels."""
-    f = validate_labeling(f, inst)
-    fi = inst.term_index[f]
-    m = inst.graph.edge_count
-    uu = np.fromiter((u for u, _ in inst.graph.edges), dtype=np.int64, count=m)
-    vv = np.fromiter((v for _, v in inst.graph.edges), dtype=np.int64, count=m)
-    return float(np.sum(inst.weights * inst.metric.pair_values(fi[uu], fi[vv])))
+    """Sum over edges of weight times terminal distance between the labels:
+    the fractional cost of the labeling's pull-back."""
+    return fractional_cost(induced_semimetric(validate_labeling(f, inst), inst), inst)
 
 
 # -- exact oracle -------------------------------------------------------------
@@ -115,46 +112,42 @@ def brute_force(inst: ZeroExtInstance, cap: int = 10_000_000) -> tuple[np.ndarra
 # -- randomized rounding -------------------------------------------------------
 
 
-def ckr_round(inst: ZeroExtInstance, delta: SemiMetric, seed: int) -> np.ndarray:
-    """Ball-growing rounding of a feasible fractional solution.
+def ckr_round(inst: ZeroExtInstance, lengths: np.ndarray, seed: int) -> np.ndarray:
+    """Ball-growing rounding of a feasible fractional solution (edge lengths).
 
     Draw r uniform in [1, 2) and a uniform random terminal permutation;
     every non-terminal u joins the first terminal t in permutation order with
-    delta(u, t) <= r * A_u, where A_u is u's distance to its closest
-    terminal.  Any leftover vertex (impossible in exact arithmetic, kept as a
-    float guard) goes to its nearest terminal.  Deterministic given the seed;
-    terminals stay fixed.
+    d(u, t) <= r * A_u, where d is the shortest-path distance under `lengths`
+    and A_u is u's distance to its closest terminal.  Since r >= 1 and float
+    rounding is monotone, the closest terminal always passes.  Deterministic
+    given the seed; terminals stay fixed.
 
-    Non-terminals are tested in row blocks: one `pair_values` call gives a
-    block's distances to all terminals in permutation order, and each row
-    takes its first column within the bound.  That is the same comparison on
-    the same values as processing the terminals one at a time, so the
-    labeling is identical to it; memory stays at CKR_SLAB_PAIRS pairs.
+    Non-terminals are tested in row blocks against all terminals in
+    permutation order; each row takes its first column within the bound, the
+    same comparison on the same values as processing the terminals one at a
+    time.  For a gap instance's canonical lengths d(x, t_j) = D_X[x, j] + L
+    is read from the cached D_X; other lengths run one shortest_path_rows
+    search from each block.  A block holds at most CKR_SLAB_PAIRS distances.
     """
+    lengths = check_lengths(lengths, inst)
     rng = np.random.default_rng(int(seed))
     r = 1.0 + float(rng.random())
     k = inst.k
     order = inst.terminals[_fisher_yates(rng, k)]
+    canonical = inst.is_gap and np.array_equal(lengths, inst.origin.edge_lengths)
 
     f = np.full(inst.vertex_count, -1, dtype=np.int64)
     f[inst.terminals] = inst.terminals
     nonterms = inst.nonterminals()
-    rows = max(1, CKR_SLAB_PAIRS // max(1, k))
-    leftover = []
+    rows = max(1, CKR_SLAB_PAIRS // max(1, k if canonical else inst.vertex_count))
     for start in range(0, nonterms.size, rows):
         blk = nonterms[start : start + rows]
-        slab = delta.pair_values(blk[:, None], order[None, :])
-        bound = r * slab.min(axis=1)
-        within = slab <= bound[:, None]
-        first = within.argmax(axis=1)
-        hit = within[np.arange(blk.size), first]
-        f[blk[hit]] = order[first[hit]]
-        leftover.extend(blk[~hit].tolist())
-    for v in leftover:
-        col = delta.pair_values(
-            np.full(k, v, dtype=np.int64), inst.terminals.astype(np.int64)
-        )
-        f[v] = int(inst.terminals[int(np.argmin(col))])
+        if canonical:  # non-terminals are the extension points 0..k-1
+            slab = inst.origin.dx[blk[:, None], (order - k)[None, :]] + inst.origin.big_l
+        else:
+            slab = shortest_path_rows(inst.graph, lengths, blk)[:, order]
+        within = slab <= r * slab.min(axis=1)[:, None]
+        f[blk] = order[within.argmax(axis=1)]
     return f
 
 

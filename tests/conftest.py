@@ -2,7 +2,7 @@
 
 The oracles here deliberately avoid the library's own code paths: shortest
 paths come from a plain Floyd-Warshall loop and single-source trees from a
-heap Dijkstra with its own predecessor pass, optima from itertools
+heap Dijkstra with its own (numpy) predecessor pass, optima from itertools
 enumeration, cycle verdicts from explicit simple-cycle enumeration,
 shuffles from one scalar draw per Fisher-Yates step, and CKR labelings from
 one terminal column at a time.
@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -51,19 +52,14 @@ def graph_fw(g: graphs.Graph, lengths) -> np.ndarray:
     )
 
 
-def heap_dijkstra_tree(g: graphs.Graph, lengths, source: int) -> graphs.ShortestPathTree:
-    """Textbook heap Dijkstra, then canonical predecessors in a separate pass.
-
-    Among tight predecessors (relative tolerance DIST_RTOL) the smallest
-    vertex id wins, then the smallest edge id.
-    """
-    lengths = np.asarray(lengths, dtype=float)
-    n = g.vertex_count
-    dist = np.full(n, np.inf)
+def heap_dijkstra_dist(g: graphs.Graph, lengths, source: int) -> np.ndarray:
+    """Textbook heap Dijkstra: the distance row of `source`."""
+    lengths = np.asarray(lengths, dtype=float).tolist()
+    dist = [math.inf] * g.vertex_count
     dist[source] = 0.0
     adj = g.adjacency()
     heap = [(0.0, source)]
-    settled = np.zeros(n, dtype=bool)
+    settled = [False] * g.vertex_count
     while heap:
         du, u = heapq.heappop(heap)
         if settled[u]:
@@ -74,21 +70,70 @@ def heap_dijkstra_tree(g: graphs.Graph, lengths, source: int) -> graphs.Shortest
             if nd < dist[w]:
                 dist[w] = nd
                 heapq.heappush(heap, (nd, w))
+    return np.array(dist)
+
+
+@dataclass
+class OracleTree:
+    source: int
+    dist: np.ndarray
+    pred_vertex: np.ndarray
+    pred_edge: np.ndarray
+
+    def path_vertices(self, target: int) -> list[int]:
+        out = [target]
+        while out[-1] != self.source:
+            out.append(int(self.pred_vertex[out[-1]]))
+        return out[::-1]
+
+    def all_paths(self) -> dict[int, tuple[list[int], list[int]]]:
+        """(path_vertices, path_edges) of every reachable target, each built
+        from its predecessor's in one pass over the vertices by distance."""
+        paths = {self.source: ([self.source], [])}
+        for v in np.argsort(self.dist, kind="stable").tolist():
+            if v != self.source and math.isfinite(self.dist[v]):
+                verts, eids = paths[int(self.pred_vertex[v])]
+                paths[v] = (verts + [v], eids + [int(self.pred_edge[v])])
+        return paths
+
+
+def heap_dijkstra_tree(g: graphs.Graph, lengths, source: int) -> OracleTree:
+    """Heap Dijkstra, then canonical predecessors of every vertex at once.
+
+    Among tight predecessors (relative tolerance DIST_RTOL) the smallest
+    vertex id wins, then the smallest edge id: every (vertex, neighbour,
+    edge) triple is tested in one numpy pass and the lexicographically least
+    tight one per vertex is kept.
+    """
+    lengths = np.asarray(lengths, dtype=float)
+    n = g.vertex_count
+    dist = heap_dijkstra_dist(g, lengths, source)
+    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    eids = np.arange(ends.shape[0])
+    loop = ends[:, 0] == ends[:, 1]
+    vv = np.concatenate([ends[~loop, 0], ends[~loop, 1]])
+    uu = np.concatenate([ends[~loop, 1], ends[~loop, 0]])
+    ee = np.concatenate([eids[~loop], eids[~loop]])
+    with np.errstate(invalid="ignore"):
+        slack = np.abs(dist[uu] + lengths[ee] - dist[vv])
+    tight = (
+        np.isfinite(dist[vv])
+        & (vv != source)
+        & (slack <= graphs.DIST_RTOL * np.maximum(1.0, np.abs(dist[vv])))
+    )
+    vv, uu, ee = vv[tight], uu[tight], ee[tight]
+    order = np.lexsort((ee, uu, vv))
+    vv, uu, ee = vv[order], uu[order], ee[order]
+    first = np.ones(vv.size, dtype=bool)
+    first[1:] = vv[1:] != vv[:-1]
     pred_vertex = np.full(n, -1, dtype=np.int64)
     pred_edge = np.full(n, -1, dtype=np.int64)
-    for v in range(n):
-        if v == source or not math.isfinite(dist[v]):
-            continue
-        tight = [
-            (u, eid)
-            for u, eid in adj[v]
-            if u != v
-            and abs(dist[u] + lengths[eid] - dist[v]) <= graphs.DIST_RTOL * max(1.0, abs(dist[v]))
-        ]
-        pred_vertex[v], pred_edge[v] = min(tight)
-    return graphs.ShortestPathTree(
-        source=source, dist=dist, pred_vertex=pred_vertex, pred_edge=pred_edge
-    )
+    pred_vertex[vv[first]] = uu[first]
+    pred_edge[vv[first]] = ee[first]
+    reached = np.isfinite(dist)
+    reached[source] = False
+    assert np.all(pred_vertex[reached] >= 0)
+    return OracleTree(source=source, dist=dist, pred_vertex=pred_vertex, pred_edge=pred_edge)
 
 
 # -- independent sampling oracles -----------------------------------------------
@@ -126,47 +171,35 @@ def reference_random_regular(m: int, d: int, seed: int, tries: int = 3000):
 # -- one-terminal-at-a-time CKR oracle ------------------------------------------
 
 
-def reference_ckr_round(inst, delta, seed: int) -> np.ndarray:
+def reference_ckr_round(inst, lengths, seed: int) -> np.ndarray:
     """CKR rounding that tests one terminal column at a time.
 
     Same draws as the library (r first, then the permutation, here from the
     scalar Fisher-Yates); every still-unassigned vertex joins the first
     terminal in permutation order within r times its nearest-terminal
-    distance, and leftovers go to the nearest terminal.
+    distance.  Distances to the terminals are D_X + L for a gap instance's
+    canonical lengths and Floyd-Warshall ones for any other lengths.
     """
     rng = np.random.default_rng(int(seed))
     r = 1.0 + float(rng.random())
-    k = inst.k
-    perm = scalar_fisher_yates(rng, k)
+    perm = scalar_fisher_yates(rng, inst.k)
 
     n = inst.vertex_count
-    all_v = np.arange(n, dtype=np.int64)
-    if getattr(delta, "dx", None) is not None:
-        a_min = np.concatenate([delta.dx.min(axis=1) + delta.big_l, np.zeros(delta.k)])
+    if inst.is_gap and np.array_equal(lengths, inst.origin.edge_lengths):
+        to_term = np.zeros((n, inst.k))
+        to_term[: inst.k] = inst.origin.dx + inst.origin.big_l
     else:
-        a_min = np.full(n, np.inf)
-        for t in inst.terminals:
-            col = delta.pair_values(all_v, np.full(n, int(t), dtype=np.int64))
-            np.minimum(a_min, col, out=a_min)
+        to_term = graph_fw(inst.graph, lengths)[:, inst.terminals]
+    bound = r * to_term.min(axis=1)
 
     f = np.full(n, -1, dtype=np.int64)
     f[inst.terminals] = inst.terminals
     unassigned = inst.term_index < 0
-    bound = r * a_min
     for tpos in perm:
-        if not unassigned.any():
-            break
-        t_vertex = int(inst.terminals[tpos])
-        col = delta.pair_values(all_v, np.full(n, t_vertex, dtype=np.int64))
-        take = unassigned & (col <= bound)
-        f[take] = t_vertex
+        take = unassigned & (to_term[:, tpos] <= bound)
+        f[take] = int(inst.terminals[tpos])
         unassigned &= ~take
-    if unassigned.any():
-        for v in np.flatnonzero(unassigned):
-            col = delta.pair_values(
-                np.full(k, v, dtype=np.int64), inst.terminals.astype(np.int64)
-            )
-            f[v] = int(inst.terminals[int(np.argmin(col))])
+    assert not unassigned.any()
     return f
 
 

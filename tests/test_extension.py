@@ -165,6 +165,15 @@ def test_edge_label_round_trip_directions():
             assert src.generator_inverse[lab_u.value] == lab_v.value
 
 
+def test_sample_extension_rejects_zero_lengths():
+    c3 = build_cayley([3], [(1,)])
+    zero = np.zeros(c3.edge_count)
+    with pytest.raises(graphs.GraphError, match="length 0.0, expected > 0"):
+        sample_extension(c3, zero, c3, uniform_lengths(c3, 1.0), seed=0)
+    with pytest.raises(graphs.GraphError, match="length 0.0, expected > 0"):
+        sample_extension(c3, uniform_lengths(c3, 1.0), c3, zero, seed=0)
+
+
 def test_traverse_inter_errors():
     x = sample_extension(single_edge(), np.array([1.0]), edgeless(3), np.zeros(0), seed=2)
     with pytest.raises(ExtensionError):

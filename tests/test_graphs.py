@@ -261,8 +261,9 @@ def _assert_trees_match_oracle(g, lengths, dist):
         tree = single_source_shortest_paths(g, lengths, s, dist[s])
         want = heap_dijkstra_tree(g, lengths, s)
         assert np.array_equal(tree.dist, want.dist), s
-        assert np.array_equal(tree.pred_vertex, want.pred_vertex), s
-        assert np.array_equal(tree.pred_edge, want.pred_edge), s
+        for t, (verts, eids) in want.all_paths().items():
+            assert tree.path_vertices(t) == verts, (s, t)
+            assert tree.path_edges(t) == eids, (s, t)
 
 
 def test_single_source_matches_metric():
@@ -282,9 +283,8 @@ def test_single_source_matches_metric():
         for t in range(g.vertex_count):
             if math.isfinite(dist[s, t]):
                 path = tree.path_vertices(t)
-                total = sum(
-                    lengths[tree.pred_edge[v]] for v in path[1:]
-                )
+                assert len(tree.path_edges(t)) == len(path) - 1
+                total = sum(lengths[e] for e in tree.path_edges(t))
                 assert abs(total - dist[s, t]) <= 1e-9 * max(1, dist[s, t])
 
 
@@ -303,6 +303,18 @@ def test_trees_from_extension_metric_match_heap_oracle_cayley():
         _assert_trees_match_oracle(flat.graph, flat.lengths, extension.extension_metric(x))
 
 
+def test_tree_finds_predecessors_only_along_asked_paths():
+    # A path 0-1-...-9: asking for vertex 3 walks back through 3, 2 and 1 only.
+    g = Graph(vertex_count=10, edges=[(v, v + 1) for v in range(9)])
+    lengths = uniform_lengths(g, 1.0)
+    tree = single_source_shortest_paths(g, lengths, 0, shortest_path_metric(g, lengths)[0])
+    assert tree.path_vertices(3) == [0, 1, 2, 3]
+    assert sorted(tree._pred) == [1, 2, 3]
+    assert tree.path_edges(5) == [0, 1, 2, 3, 4]
+    assert sorted(tree._pred) == [1, 2, 3, 4, 5]
+    assert tree.path_vertices(0) == [0] and tree.path_edges(0) == []
+
+
 def test_single_source_rejects_a_row_of_another_source():
     g = Graph(vertex_count=3, edges=[(0, 1), (1, 2)])
     lengths = uniform_lengths(g, 1.0)
@@ -311,6 +323,22 @@ def test_single_source_rejects_a_row_of_another_source():
         single_source_shortest_paths(g, lengths, 1, dist[0])
     with pytest.raises(GraphError, match="shape"):
         single_source_shortest_paths(g, lengths, 0, dist[0, :2])
+
+
+def test_rows_take_zero_lengths_and_reject_negative_or_nan():
+    # Zero-length edges stay edges: 0 and 2 are at distance 0, not apart.
+    g = Graph(vertex_count=4, edges=[(0, 1), (1, 2), (2, 3), (0, 3)])
+    zero = np.array([0.0, 0.0, 1.0, 3.0])
+    rows = graphs.shortest_path_rows(g, zero, [0, 3])
+    assert rows[0, 2] == 0.0
+    assert np.array_equal(rows, graph_fw(g, zero)[[0, 3]])
+    for bad in (np.array([1.0, -1.0, 1.0, 1.0]), np.array([1.0, np.nan, 1.0, 1.0])):
+        with pytest.raises(GraphError, match="edge 1 has length (-1.0|nan), expected >= 0"):
+            graphs.shortest_path_rows(g, bad, [0])
+        with pytest.raises(GraphError, match="edge 1 has length (-1.0|nan), expected > 0"):
+            graphs.validate_lengths(g, bad)
+    with pytest.raises(GraphError, match="edge 0 has length 0.0, expected > 0"):
+        graphs.validate_lengths(g, zero)
 
 
 def test_parallel_edges_collapse_to_the_shortest():

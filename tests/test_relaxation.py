@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from conftest import random_generic_instance, random_labeling
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import floyd_warshall, heap_dijkstra_dist, random_generic_instance, random_labeling
 from zeroext import instance, relaxation, solvers
-from zeroext.graphs import Graph
+from zeroext.graphs import Graph, shortest_path_rows
 from zeroext.instance import build_generic_instance, default_gap_instance
 from zeroext.relaxation import (
-    DenseSemiMetric,
     RelaxationError,
     canonical_fractional,
     export_lp,
@@ -76,27 +78,26 @@ def lp_optimum(inst) -> float:
 
 def test_canonical_cost_equals_edge_count(small_gap):
     inst = small_gap.instance
-    delta, cost = canonical_fractional(inst)
+    lengths, cost = canonical_fractional(inst)
+    assert lengths is inst.origin.edge_lengths and not lengths.flags.writeable
     m = inst.graph.edge_count
     assert abs(cost - m) <= 1e-9 * m
-    contributions = per_edge_contribution(delta, inst)
+    contributions = per_edge_contribution(lengths, inst)
     assert np.all(np.abs(contributions - 1.0) <= 1e-9)
 
 
 def test_canonical_is_feasible(small_gap):
-    delta, _ = canonical_fractional(small_gap.instance)
-    assert is_feasible(delta, small_gap.instance) == []
+    lengths, _ = canonical_fractional(small_gap.instance)
+    assert is_feasible(lengths, small_gap.instance) == []
 
 
 def test_canonical_terminal_equality(small_gap):
     inst = small_gap.instance
-    delta, _ = canonical_fractional(inst)
-    for i in range(0, inst.k, 7):
-        for j in range(0, inst.k, 11):
-            ti, tj = int(inst.terminals[i]), int(inst.terminals[j])
-            assert abs(delta.value(ti, tj) - inst.metric.value(i, j)) <= 1e-9 * max(
-                1.0, inst.metric.value(i, j)
-            )
+    lengths, _ = canonical_fractional(inst)
+    rows, cols = np.arange(0, inst.k, 7), np.arange(0, inst.k, 11)
+    got = shortest_path_rows(inst.graph, lengths, inst.terminals[rows])[:, inst.terminals[cols]]
+    want = inst.metric.pair_values(rows[:, None], cols[None, :])
+    assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, want))
 
 
 def test_canonical_requires_gap_instance():
@@ -121,28 +122,108 @@ def test_canonical_cost_small_example():
 
 def test_terminal_violation_reported():
     inst = star_instance()
-    mat = np.array(
-        [[0.0, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.0]]
-    )  # terminals 0 and 2 at distance 0 != 1
-    violations = is_feasible(DenseSemiMetric(mat), inst)
-    kinds = {v.kind for v in violations}
-    assert "terminal" in kinds
-    terminal_viol = [v for v in violations if v.kind == "terminal"]
-    assert terminal_viol[0].vertices == (0, 2)
+    violations = is_feasible(np.array([0.25, 0.25]), inst)  # d(0, 2) = 0.5 < 1
+    assert [(v.vertices, v.magnitude) for v in violations] == [((0, 2), 0.5)]
+    assert str(violations[0]) == "terminal pair (0,2) short of D by 5.000e-01"
 
 
 def test_all_zero_delta_lists_terminal_pairs():
-    inst = star_instance()
-    violations = is_feasible(DenseSemiMetric(np.zeros((3, 3))), inst)
-    assert [v for v in violations if v.kind == "terminal"]
+    # Zero-length edges are edges: d(0, 2) = 0, so the pair falls short by D.
+    violations = is_feasible(np.zeros(2), star_instance())
+    assert [(v.vertices, v.magnitude) for v in violations] == [((0, 2), 1.0)]
 
 
-def test_triangle_violation_reported():
+def test_longer_terminal_distances_are_feasible():
+    assert is_feasible(np.array([3.0, 0.0]), star_instance()) == []
+    assert is_feasible(np.array([1.0, 0.0]), star_instance()) == []
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda lengths, inst: is_feasible(lengths, inst),
+        lambda lengths, inst: fractional_cost(lengths, inst),
+        lambda lengths, inst: per_edge_contribution(lengths, inst),
+        lambda lengths, inst: solvers.ckr_round(inst, lengths, 0),
+    ],
+    ids=["is_feasible", "fractional_cost", "per_edge_contribution", "ckr_round"],
+)
+def test_length_vectors_checked_at_the_boundary(call):
     inst = star_instance()
-    mat = np.array([[0.0, 0.1, 1.0], [0.1, 0.0, 0.1], [1.0, 0.1, 0.0]])
-    violations = is_feasible(DenseSemiMetric(mat), inst)
-    tri = [v for v in violations if v.kind == "triangle"]
-    assert tri and tri[0].vertices[2] == 1
+    for bad, message in (
+        (np.ones(3), "shape"),
+        (np.array([1.0, -0.5]), "edge 1 has length -0.5, expected >= 0"),
+        (np.array([np.nan, 1.0]), "edge 0 has length nan, expected >= 0"),
+    ):
+        with pytest.raises(RelaxationError, match=message):
+            call(bad, inst)
+
+
+LENGTH_VALUES = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0])
+
+
+@st.composite
+def tiny_instances_with_lengths(draw):
+    """Generic multigraph instances (self-loops, parallel edges) with dyadic
+    lengths, some zero, so every distance is exact on both routes; D may put
+    two terminals at distance 0."""
+    n = draw(st.integers(2, 6))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=10))
+    g = Graph(vertex_count=n, edges=edges, multigraph=True)
+    k = draw(st.integers(2, min(n, 4)))
+    terminals = sorted(draw(st.permutations(range(n)))[:k])
+    clique = [
+        (i, j, float(draw(st.integers(0, 6)))) for i in range(k) for j in range(i + 1, k)
+    ]
+    metric = floyd_warshall(k, clique)
+    weights = np.ones(g.edge_count)
+    lengths = np.array(draw(st.lists(LENGTH_VALUES, min_size=g.edge_count, max_size=g.edge_count)))
+    return build_generic_instance(g, weights, terminals, metric), lengths
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tiny_instances_with_lengths())
+def test_feasibility_is_exact_against_floyd_warshall(case):
+    inst, lengths = case
+    fw = floyd_warshall(
+        inst.vertex_count,
+        [(u, v, float(lengths[e])) for e, (u, v) in enumerate(inst.graph.edges)],
+    )
+    rtol = relaxation.FEAS_RTOL
+    want = set()
+    for i in range(inst.k):
+        for j in range(i + 1, inst.k):
+            ti, tj = int(inst.terminals[i]), int(inst.terminals[j])
+            if fw[ti, tj] < inst.metric.value(i, j) * (1 - rtol):
+                want.add((ti, tj))
+    got = [v.vertices for v in is_feasible(lengths, inst)]
+    assert len(got) == len(set(got))
+    assert set(got) == want
+
+
+@pytest.mark.parametrize("rows", [relaxation.FEASIBILITY_ROWS, 7])
+def test_halved_extension_edge_is_caught_at_n16(monkeypatch, rows):
+    # k = 256 terminals: one search chunk, or 37 chunks with a short last one.
+    monkeypatch.setattr(relaxation, "FEASIBILITY_ROWS", rows)
+    inst = default_gap_instance(16, 4, 0).instance
+    lengths = inst.origin.edge_lengths.copy()
+    u, v = inst.graph.edges[0]
+    assert inst.term_index[u] < 0 and inst.term_index[v] < 0  # an extension edge
+    lengths[0] /= 2
+    violations = is_feasible(lengths, inst)
+    assert violations
+    pairs = {v.vertices for v in violations}
+    assert (int(inst.terminals[u]), int(inst.terminals[v])) in pairs
+    # The oracle's heap Dijkstra from every terminal flags the same pairs.
+    want = set()
+    for i, ti in enumerate(inst.terminals.tolist()):
+        dist = heap_dijkstra_dist(inst.graph, lengths, ti)
+        for j in range(i + 1, inst.k):
+            d_ij = inst.metric.value(i, j)
+            if d_ij - dist[inst.terminals[j]] > relaxation.FEAS_RTOL * d_ij:
+                want.add((ti, int(inst.terminals[j])))
+    assert pairs == want
 
 
 # -- costs ------------------------------------------------------------------------
@@ -150,16 +231,31 @@ def test_triangle_violation_reported():
 
 def test_fractional_cost_zero_delta():
     inst = star_instance()
-    assert fractional_cost(DenseSemiMetric(np.zeros((3, 3))), inst) == 0.0
+    assert fractional_cost(np.zeros(2), inst) == 0.0
 
 
 def test_induced_semimetric_examples():
     inst = star_instance()
     f = np.array([0, 0, 2])  # middle vertex joins terminal 0
     ind = induced_semimetric(f, inst)
-    assert ind.value(1, 2) == 1.0  # D(t0, t2)
-    assert ind.value(0, 1) == 0.0
+    assert ind.tolist() == [0.0, 1.0]  # D(t0, t0) on edge (0, 1), D(t0, t2) on (1, 2)
     assert fractional_cost(ind, inst) == solvers.integral_cost(f, inst)
+    for bad in (np.array([0, 1, 2]), np.array([0, 3, 2]), np.array([0, 2])):
+        with pytest.raises(RelaxationError, match="to a terminal"):
+            induced_semimetric(bad, inst)
+
+
+def test_induced_semimetric_never_densifies():
+    # 5000 vertices were refused as a dense 5000 x 5000 matrix; the
+    # pull-back is one length per edge.
+    n = 5000
+    g = Graph(vertex_count=n, edges=[(v, v + 1) for v in range(n - 1)])
+    inst = build_generic_instance(g, np.ones(n - 1), np.array([0, n - 1]), 3.0 * (1 - np.eye(2)))
+    f = np.zeros(n, dtype=np.int64)
+    f[n // 2 :] = n - 1
+    lengths = induced_semimetric(f, inst)
+    assert lengths.shape == (n - 1,) and lengths.sum() == 3.0
+    assert is_feasible(lengths, inst) == []
 
 
 def test_induced_equals_integral_random():

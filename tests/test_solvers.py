@@ -13,7 +13,7 @@ from conftest import (
 from zeroext import relaxation, solvers
 from zeroext.graphs import Graph, shortest_path_metric
 from zeroext.instance import build_generic_instance, default_gap_instance
-from zeroext.relaxation import DenseSemiMetric, canonical_fractional
+from zeroext.relaxation import canonical_fractional
 from zeroext.solvers import (
     SolverError,
     TooLargeError,
@@ -149,51 +149,48 @@ def test_brute_force_cap():
 
 def test_ckr_zero_distance_always_assigned():
     inst = star_instance()
-    mat = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-    delta = DenseSemiMetric(mat)  # vertex 1 sits on terminal 0
+    lengths = np.array([0.0, 1.0])  # vertex 1 sits on terminal 0
     for seed in range(50):
-        f = ckr_round(inst, delta, seed)
+        f = ckr_round(inst, lengths, seed)
         assert f[1] == 0
 
 
 def test_ckr_equidistant_splits_evenly():
     inst = star_instance()
-    delta = DenseSemiMetric(
-        np.array([[0.0, 0.5, 1.0], [0.5, 0.0, 0.5], [1.0, 0.5, 0.0]])
-    )
+    lengths = np.array([0.5, 0.5])
     hits = 0
     n_trials = 10_000
     for seed in range(n_trials):
-        f = ckr_round(inst, delta, seed)
+        f = ckr_round(inst, lengths, seed)
         hits += f[1] == 0
     assert abs(hits / n_trials - 0.5) < 0.05
 
 
 def test_ckr_valid_and_reproducible(small_gap):
     inst = small_gap.instance
-    delta, _ = canonical_fractional(inst)
-    f1 = ckr_round(inst, delta, 9)
-    f2 = ckr_round(inst, delta, 9)
+    lengths, _ = canonical_fractional(inst)
+    f1 = ckr_round(inst, lengths, 9)
+    f2 = ckr_round(inst, lengths, 9)
     assert np.array_equal(f1, f2)
     validate_labeling(f1, inst)
     assert np.isfinite(integral_cost(f1, inst))
-    labelings = {tuple(ckr_round(inst, delta, seed).tolist()) for seed in range(20)}
+    labelings = {tuple(ckr_round(inst, lengths, seed).tolist()) for seed in range(20)}
     assert len(labelings) >= 2  # the draws reach more than one labeling
 
 
-def _assert_ckr_matches_reference(inst, delta, seeds):
+def _assert_ckr_matches_reference(inst, lengths, seeds):
     for seed in seeds:
-        got = ckr_round(inst, delta, seed)
-        assert np.array_equal(got, reference_ckr_round(inst, delta, seed)), seed
+        got = ckr_round(inst, lengths, seed)
+        assert np.array_equal(got, reference_ckr_round(inst, lengths, seed)), seed
 
 
 @pytest.mark.parametrize("n,d", [(4, 3), (6, 4), (8, 4), (16, 4)])
 def test_ckr_matches_one_terminal_at_a_time_on_gap(n, d):
     for build_seed in range(3):
         inst = default_gap_instance(n, d, build_seed).instance
-        delta, _ = canonical_fractional(inst)
+        lengths, _ = canonical_fractional(inst)
         draws = [int(np.random.SeedSequence((build_seed, 777, i)).generate_state(1)[0]) for i in range(3)]
-        _assert_ckr_matches_reference(inst, delta, draws)
+        _assert_ckr_matches_reference(inst, lengths, draws)
 
 
 def test_ckr_matches_one_terminal_at_a_time_on_generic():
@@ -204,6 +201,19 @@ def test_ckr_matches_one_terminal_at_a_time_on_generic():
         _assert_ckr_matches_reference(inst, induced, range(8))
 
 
+@pytest.mark.parametrize("slab", [solvers.CKR_SLAB_PAIRS, 100])
+def test_ckr_on_other_lengths_of_a_gap_instance_matches_reference(monkeypatch, slab):
+    # Integer lengths, zeros included, keep Dijkstra and Floyd-Warshall exact;
+    # they differ from the canonical lengths, so CKR searches the graph, in
+    # one block or (slab 100 over 32 vertices) in blocks of 3 rows.
+    monkeypatch.setattr(solvers, "CKR_SLAB_PAIRS", slab)
+    inst = default_gap_instance(4, 3, 0).instance
+    rng = np.random.default_rng(8)
+    for _ in range(4):
+        lengths = rng.integers(0, 4, size=inst.graph.edge_count).astype(float)
+        _assert_ckr_matches_reference(inst, lengths, range(6))
+
+
 def test_ckr_bound_is_inclusive_and_exact():
     # Terminal 2 sits exactly at r * A_v and terminal 3 one ulp beyond it.
     g = Graph(vertex_count=4, edges=[(0, 1), (0, 2), (0, 3)])
@@ -212,12 +222,9 @@ def test_ckr_bound_is_inclusive_and_exact():
     chosen = set()
     for seed in range(30):
         r = 1.0 + float(np.random.default_rng(seed).random())
-        mat = np.full((4, 4), 2.0)
-        mat[0, 1:] = mat[1:, 0] = [a, r * a, np.nextafter(r * a, np.inf)]
-        np.fill_diagonal(mat, 0.0)
-        delta = DenseSemiMetric(mat)
-        f = ckr_round(inst, delta, seed)
-        assert np.array_equal(f, reference_ckr_round(inst, delta, seed))
+        lengths = np.array([a, r * a, np.nextafter(r * a, np.inf)])
+        f = ckr_round(inst, lengths, seed)
+        assert np.array_equal(f, reference_ckr_round(inst, lengths, seed))
         chosen.add(int(f[0]))
     assert chosen == {1, 2}
 
@@ -227,9 +234,9 @@ def test_ckr_block_edges_match_reference(monkeypatch, slab):
     # k = 36 terminals and 36 non-terminals: single-row blocks (slab <= k),
     # a slab k does not divide, a final one-row block, and one block.
     inst = default_gap_instance(6, 4, 1).instance
-    delta, _ = canonical_fractional(inst)
+    lengths, _ = canonical_fractional(inst)
     monkeypatch.setattr(solvers, "CKR_SLAB_PAIRS", slab)
-    _assert_ckr_matches_reference(inst, delta, range(5))
+    _assert_ckr_matches_reference(inst, lengths, range(5))
 
 
 # -- baselines ----------------------------------------------------------------------
@@ -330,11 +337,11 @@ def test_every_solver_at_least_brute_force():
     rng = np.random.default_rng(29)
     inst = random_generic_instance(rng, max_nonterms=4, max_terms=3)
     _, opt = brute_force(inst)
-    delta = relaxation.induced_semimetric(nearest_terminal(inst), inst)
+    lengths = relaxation.induced_semimetric(nearest_terminal(inst), inst)
     candidates = [
         all_to_one(inst),
         nearest_terminal(inst),
-        ckr_round(inst, delta, 0),
+        ckr_round(inst, lengths, 0),
         local_search(inst, random_labeling(rng, inst), 20),
     ]
     for f in candidates:
