@@ -663,6 +663,61 @@ def build_certificate(x: ExtendedGraph, c: SplitCandidate, *, force: bool = Fals
 # -- reconstruction -----------------------------------------------------------------
 
 
+def _check_label(lab: EdgeLabel, base: Graph, fiber: Graph, where: str) -> None:
+    g = {"intra": fiber, "inter": base}.get(lab.kind)
+    if g is None:
+        raise CertificateError(f"{where}: unknown label kind {lab.kind!r}")
+    if lab.scheme == "gen" and g.generator_codes is not None:
+        if lab.value not in g.generator_codes:
+            raise CertificateError(f"{where}: no {lab.kind} generator {lab.value}")
+    elif lab.scheme == "edge":
+        if not 0 <= lab.value < g.edge_count or lab.direction not in (1, -1):
+            raise CertificateError(
+                f"{where}: {lab.kind} label names edge {lab.value} (of {g.edge_count}) "
+                f"with direction {lab.direction}"
+            )
+    else:
+        raise CertificateError(f"{where}: label scheme {lab.scheme!r} does not fit the graph")
+
+
+def _check_certificate(cert: Certificate) -> None:
+    """Reject parts that do not fit the public graphs or each other, so the
+    replay in `reconstruct_r` meets only well-formed input."""
+    base, fiber = cert.base, cert.fiber
+    if (cert.base_mode, cert.fiber_mode) != (_label_mode(base), _label_mode(fiber)):
+        raise CertificateError(
+            f"label modes {cert.base_mode}/{cert.fiber_mode} do not fit the base and fiber graphs"
+        )
+    if cert.fiber_size != fiber.vertex_count:
+        raise CertificateError(f"fiber size {cert.fiber_size} != {fiber.vertex_count}")
+    for eid, g1, g2 in cert.subgraph_edges:
+        if g1 not in cert.representatives or g2 not in cert.representatives:
+            raise CertificateError(f"kept edge {eid} joins a cloud without a representative")
+    for cid, rep in enumerate(cert.representations):
+        inds = rep.distinguished
+        if not inds or not 0 <= rep.cloud < base.vertex_count or any(i[0] != rep.cloud for i in inds):
+            raise CertificateError(f"component {cid}: no distinguished index, or one outside its cloud")
+        if cert.fiber_mode == "gen":
+            continue
+        anchor = rep.anchor_identity
+        if not isinstance(anchor, int) or not 0 <= anchor < cert.fiber_size:
+            raise CertificateError(f"component {cid}: anchor identity {anchor!r} is no fiber vertex")
+        for w in rep.distinguished[1:]:
+            if (rep.distinguished[0], w) not in rep.diffs:
+                raise CertificateError(f"component {cid}: no relative position of {w}")
+        for diff in rep.diffs.values():
+            for e, d in diff:
+                _check_label(EdgeLabel("intra", "edge", e, d), base, fiber, f"component {cid}")
+    for pidx, sp in enumerate(cert.skeleton_paths):
+        if sp.length < 1 or len(sp.labels) != sp.length - 1:
+            raise CertificateError(f"path {pidx}: {len(sp.labels)} labels for {sp.length} vertices")
+        for pos in sp.kept:
+            if not 0 <= pos < sp.length:
+                raise CertificateError(f"path {pidx}: kept position {pos} outside [0, {sp.length})")
+        for j, lab in enumerate(sp.labels):
+            _check_label(lab, base, fiber, f"path {pidx} step {j}")
+
+
 def reconstruct_r(cert: Certificate) -> ICCGraph:
     """Rebuild the inner component graph from the certificate alone.
 
@@ -672,6 +727,7 @@ def reconstruct_r(cert: Certificate) -> ICCGraph:
     direction) so re-traversals do not duplicate R edges.  Any inconsistency
     raises CertificateError, naming the path and step.
     """
+    _check_certificate(cert)
     base, fiber = cert.base, cert.fiber
     comps = cert.representations
     comp_of_ind: dict[Ind, int] = {}
@@ -980,8 +1036,19 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(doc: dict, base: Graph, fiber: Graph) -> Certificate:
-    if doc.get("format") != "zeroext-certificate":
+    """Parse a certificate document; a missing or ill-typed part raises
+    CertificateError.  `reconstruct_r` checks the parts against the graphs."""
+    if not isinstance(doc, dict) or doc.get("format") != "zeroext-certificate":
         raise CertificateError("not a certificate document")
+    if doc.get("version") != 1:
+        raise CertificateError(f"unsupported certificate version {doc.get('version')!r}")
+    try:
+        return _certificate_from_doc(doc, base, fiber)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise CertificateError(f"malformed certificate document: {exc!r}") from None
+
+
+def _certificate_from_doc(doc: dict, base: Graph, fiber: Graph) -> Certificate:
     fiber_mode = doc["mode"]["fiber"]
 
     def un_ind(t) -> Ind:

@@ -17,6 +17,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -134,7 +135,7 @@ class ExperimentConfig:
 # -- configuration plumbing ------------------------------------------------------
 
 
-def _parse_int_list(text: str) -> list[int]:
+def int_list(text: str) -> list[int]:
     out = []
     for part in text.split(","):
         part = part.strip()
@@ -146,27 +147,56 @@ def _parse_int_list(text: str) -> list[int]:
     return out
 
 
-CONFIG_KEYS = {
-    "n": ("n_values", _parse_int_list),
-    "d": ("d", int),
-    "seeds": ("seeds", _parse_int_list),
-    "epsilon": ("epsilon", float),
-    "alpha": ("alpha", float),
-    "threshold": ("threshold", float),
-    "solvers": ("solvers", lambda s: [t.strip() for t in s.split(",") if t.strip()]),
-    "ckr_draws": ("ckr_draws", int),
-    "local_rounds": ("local_rounds", int),
-    "jobs": ("jobs", int),
-    "out": ("out_dir", str),
-    "format": ("format", str),
-    "lp_opt": ("lp_opt", str),
-    "girth_floor": ("girth_floor", int),
-    "labeling_fiber": ("labeling_fiber", int),
+class Option(NamedTuple):
+    """Flag `--name` (`-` for `_`) plus `aliases`.  A valued option with a `field`
+    sets that config attribute and is a config-file key; the rest are flags only."""
+
+    field: str | None
+    parse: Callable[[str], object] | None
+    help: str
+    aliases: tuple[str, ...] = ()
+
+
+OPTIONS = {
+    "n": Option("n_values", int_list, "comma list / a..b ranges of per-factor sizes"),
+    "d": Option("d", int, "regular degree (default 4)"),
+    "seeds": Option("seeds", int_list, "comma list / a..b ranges of seeds", ("--seed",)),
+    "girth_floor": Option("girth_floor", int, "base girth floor (default ceil(log_{d-1} n))"),
+    "epsilon": Option("epsilon", float, "split fraction parameter"),
+    "alpha": Option("alpha", float, "representative distance bound"),
+    "threshold": Option("threshold", float, "majority threshold (> 1/2)"),
+    "solvers": Option("solvers", lambda s: [t.strip() for t in s.split(",") if t.strip()],
+                      "comma list of heuristics to run"),
+    "ckr_draws": Option("ckr_draws", int, "CKR roundings per instance"),
+    "local_rounds": Option("local_rounds", int, "local search rounds"),
+    "jobs": Option("jobs", int, "worker threads for seed fan-out"),
+    "out": Option("out_dir", str, "output directory (config `out` > --out > ZEROEXT_OUT)"),
+    "format": Option("format", str, "stdout rows: csv or json"),
+    "lp_opt": Option("lp_opt", str, "JSON file of external LP optima"),
+    "labeling_fiber": Option("labeling_fiber", int, "fiber vertex of the per-cloud labeling"),
+    "force": Option("force", None, "build diagnostics even if not a split"),
+    "labeling": Option(None, str, "labeling file (default: per-cloud constant)"),
+    "instance": Option(None, str, "load an instance JSON instead of generating"),
+    "lp_name": Option(None, str, "output file name"),
+    "config": Option(None, str, "key = value file; values override flags"),
 }
+CONFIG_FILE_KEYS = {name for name, opt in OPTIONS.items() if opt.field and opt.parse}
+
+# Option groups of the command table at the end of the module.  A command that
+# takes --instance analyses one instance, built from BUILD or loaded from it.
+BUILD = ("n", "d", "seeds", "girth_floor")
+ONE_INSTANCE = BUILD + ("instance", "out", "config")
+SOLVE = ("solvers", "ckr_draws", "local_rounds")
+SPLIT = ONE_INSTANCE + ("epsilon", "alpha", "threshold", "labeling", "labeling_fiber")
 
 
-def _apply_config_file(cfg: ExperimentConfig, path: str):
-    """`key = value` lines; unknown keys are rejected; values override flags."""
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _read_config_file(path: str) -> dict[str, object]:
+    """`key = value` lines, parsed; a key that is no config key is rejected."""
+    values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -175,37 +205,42 @@ def _apply_config_file(cfg: ExperimentConfig, path: str):
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected `key = value`")
             key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in CONFIG_KEYS:
+            key, value = key.strip(), value.strip()
+            if key not in CONFIG_FILE_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            attr, conv = CONFIG_KEYS[key]
-            setattr(cfg, attr, conv(value.strip()))
+            try:
+                values[key] = OPTIONS[key].parse(value)
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
+    return values
 
 
 def _config_from_args(args) -> ExperimentConfig:
+    """The command's own options; config-file values override flags, and file
+    keys the command does not read are ignored.  `args.out` becomes the output
+    directory named by config `out`, --out or ZEROEXT_OUT (first wins), or None."""
+    names = COMMANDS[args.command][1]
+    flags = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    read = set(names)
+    if flags.get("instance"):
+        clash = [_flag(name) for name in BUILD if name in flags]
+        if clash:
+            raise ConfigError(f"{', '.join(clash)} cannot be combined with --instance")
+        read -= set(BUILD)
+    from_file = {}
+    if flags.get("config"):
+        from_file = {k: v for k, v in _read_config_file(flags["config"]).items() if k in read}
+    values = {**flags, **from_file}
     cfg = ExperimentConfig()
-    cfg.out_dir = os.environ.get("ZEROEXT_OUT", ".")
-    if getattr(args, "n", None):
-        cfg.n_values = _parse_int_list(args.n)
-    if getattr(args, "d", None) is not None:
-        cfg.d = args.d
-    if getattr(args, "seed", None) is not None:
-        cfg.seeds = [args.seed]
-    if getattr(args, "seeds", None):
-        cfg.seeds = _parse_int_list(args.seeds)
-    for name in ("epsilon", "alpha", "threshold", "ckr_draws", "local_rounds",
-                 "jobs", "format", "lp_opt", "girth_floor", "labeling_fiber"):
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(cfg, name, val)
-    if getattr(args, "solvers", None):
-        cfg.solvers = [t.strip() for t in args.solvers.split(",") if t.strip()]
-    if getattr(args, "out", None):
-        cfg.out_dir = args.out
-    if getattr(args, "force", False):
-        cfg.force = True
-    if getattr(args, "config", None):
-        _apply_config_file(cfg, args.config)
+    for name, value in values.items():
+        if OPTIONS[name].field:
+            setattr(cfg, OPTIONS[name].field, value)
+    args.out = values.get("out") or os.environ.get("ZEROEXT_OUT") or None
+    cfg.out_dir = args.out or "."
+    for name, got in (("n", cfg.n_values), ("seeds", cfg.seeds)):
+        if "instance" in names and len(got) > 1:
+            where = f"config key {name}" if name in from_file else _flag(name)
+            raise ConfigError(f"{where}: {args.command} builds one instance, got {len(got)} values")
     cfg.validate()
     return cfg
 
@@ -215,15 +250,21 @@ def _out_path(cfg: ExperimentConfig, name: str) -> str:
     return os.path.join(cfg.out_dir, name)
 
 
+def _write_json(cfg: ExperimentConfig, name: str, doc: dict) -> str:
+    path = _out_path(cfg, name)
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+    return path
+
+
 def _build(cfg: ExperimentConfig, n: int, seed: int):
     return default_gap_instance(n, cfg.d, seed, girth_floor=cfg.girth_floor)
 
 
 def _load_or_build(cfg: ExperimentConfig, args) -> tuple[ZeroExtInstance, object | None]:
-    if getattr(args, "instance", None):
+    if args.instance:
         inst = load_instance(args.instance)
-        x = inst.origin.extension if inst.is_gap else None
-        return inst, x
+        return inst, inst.origin.extension if inst.is_gap else None
     build = _build(cfg, cfg.n_values[0], cfg.seeds[0])
     return build.instance, build.extension
 
@@ -231,24 +272,19 @@ def _load_or_build(cfg: ExperimentConfig, args) -> tuple[ZeroExtInstance, object
 # -- subcommands --------------------------------------------------------------------
 
 
-def cmd_generate(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_generate(cfg: ExperimentConfig, args) -> int:
     for n in cfg.n_values:
         for seed in cfg.seeds:
             build = _build(cfg, n, seed)
             stem = f"gap_n{n}_d{cfg.d}_s{seed}"
             inst_path = _out_path(cfg, stem + ".instance.json")
             save_instance(build.instance, inst_path)
-            prov = dict(build.provenance)
-            prov["config"] = cfg.as_dict()
-            with open(_out_path(cfg, stem + ".provenance.json"), "w") as fh:
-                json.dump(prov, fh, indent=2)
+            _write_json(cfg, stem + ".provenance.json", {**build.provenance, "config": cfg.as_dict()})
             print(f"wrote {inst_path} (k={build.instance.k})")
     return 0
 
 
-def cmd_frac(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_frac(cfg: ExperimentConfig, args) -> int:
     inst, _ = _load_or_build(cfg, args)
     lengths, cost = canonical_fractional(inst)
     violations = is_feasible(lengths, inst)
@@ -256,10 +292,9 @@ def cmd_frac(args) -> int:
     print(f"fractional cost: {cost!r}")
     print(f"edges: {inst.graph.edge_count}")
     print(f"feasible: {'true' if feasible else 'false'}")
-    if violations:
-        for v in violations[:10]:
-            print(f"  violation: {v}")
-    if getattr(args, "out", None):
+    for v in violations[:10]:
+        print(f"  violation: {v}")
+    if args.out:
         doc = {
             "config": cfg.as_dict(),
             "frac_cost": cost,
@@ -267,8 +302,7 @@ def cmd_frac(args) -> int:
             "feasible": feasible,
             "violations": [str(v) for v in violations[:100]],
         }
-        with open(_out_path(cfg, "frac.json"), "w") as fh:
-            json.dump(doc, fh, indent=2)
+        _write_json(cfg, "frac.json", doc)
     return 0 if feasible else 1
 
 
@@ -300,8 +334,7 @@ def _run_solvers(cfg: ExperimentConfig, inst: ZeroExtInstance, seed: int, length
     return results
 
 
-def cmd_solve(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_solve(cfg: ExperimentConfig, args) -> int:
     cfg.check_solvers_run()
     inst, _ = _load_or_build(cfg, args)
     seed = cfg.seeds[0]
@@ -313,21 +346,20 @@ def cmd_solve(args) -> int:
     for name, (_, cost) in sorted(results.items()):
         print(f"{name}: {cost!r}")
     print(f"best: {best_name} ({best_cost!r})")
-    if getattr(args, "out", None):
+    if args.out:
         save_labeling(best_f, _out_path(cfg, "best.labeling"))
         doc = {
             "config": cfg.as_dict(),
             "costs": {name: cost for name, (_, cost) in results.items()},
             "best": best_name,
         }
-        with open(_out_path(cfg, "solve.json"), "w") as fh:
-            json.dump(doc, fh, indent=2)
+        _write_json(cfg, "solve.json", doc)
     return 0
 
 
 def _candidate_for(cfg: ExperimentConfig, args, inst, x):
     n = x.cloud_count
-    if getattr(args, "labeling", None):
+    if args.labeling:
         f = load_labeling(args.labeling, inst)
     else:
         f = per_cloud_labeling(inst, x, cfg.labeling_fiber)
@@ -339,8 +371,7 @@ def _candidate_for(cfg: ExperimentConfig, args, inst, x):
     )
 
 
-def cmd_split(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_split(cfg: ExperimentConfig, args) -> int:
     inst, x = _load_or_build(cfg, args)
     if x is None:
         raise ConfigError("split analysis needs a gap instance")
@@ -357,14 +388,13 @@ def cmd_split(args) -> int:
     }
     text = json.dumps(payload, indent=2)
     print(text)
-    if getattr(args, "out", None):
+    if args.out:
         with open(_out_path(cfg, "split.json"), "w") as fh:
             fh.write(text + "\n")
     return 0
 
 
-def cmd_cert(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_cert(cfg: ExperimentConfig, args) -> int:
     inst, x = _load_or_build(cfg, args)
     if x is None:
         raise ConfigError("certificate analysis needs a gap instance")
@@ -373,7 +403,8 @@ def cmd_cert(args) -> int:
     _, ft, icc = transform_pipeline(x, cand)
     rebuilt = reconstruct_r(cert)
     round_trip = rebuilt.canonical_form() == icc.canonical_form()
-    diag = diagnostics(icc, x.base, cfg.epsilon, cfg.d)
+    d = 2 * x.base.edge_count // x.base.vertex_count  # the base is d-regular
+    diag = diagnostics(icc, x.base, cfg.epsilon, d)
     doc = {
         "config": cfg.as_dict(),
         "round_trip_exact": bool(round_trip),
@@ -381,24 +412,18 @@ def cmd_cert(args) -> int:
         "max_cloud_occupancy": ft.max_cloud_occupancy(),
         "certificate": certificate_to_json(cert),
     }
-    print(
-        json.dumps(
-            {k: doc[k] for k in ("round_trip_exact", "diagnostics", "max_cloud_occupancy")},
-            indent=2,
-        )
-    )
-    if getattr(args, "out", None):
-        with open(_out_path(cfg, "certificate.json"), "w") as fh:
-            json.dump(doc, fh, indent=2)
+    summary = {k: doc[k] for k in ("round_trip_exact", "diagnostics", "max_cloud_occupancy")}
+    print(json.dumps(summary, indent=2))
+    if args.out:
+        _write_json(cfg, "certificate.json", doc)
     if not round_trip:
         raise SystemExit("error: certificate round trip failed")
     return 0
 
 
-def cmd_export_lp(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_export_lp(cfg: ExperimentConfig, args) -> int:
     inst, _ = _load_or_build(cfg, args)
-    path = _out_path(cfg, getattr(args, "lp_name", None) or "relaxation.lp")
+    path = _out_path(cfg, args.lp_name or "relaxation.lp")
     export_lp(inst, path)
     print(f"wrote {path}")
     return 0
@@ -423,8 +448,7 @@ def _gap_row(cfg: ExperimentConfig, n: int, seed: int) -> dict:
     }
 
 
-def cmd_gap(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_gap(cfg: ExperimentConfig, args) -> int:
     cfg.check_solvers_run()
     started = time.perf_counter()
     tasks = [(n, seed) for n in cfg.n_values for seed in cfg.seeds]
@@ -435,7 +459,6 @@ def cmd_gap(args) -> int:
         rows = [_gap_row(cfg, *t) for t in tasks]
     rows.sort(key=lambda r: (r["n"], r["seed"]))
 
-    lp_opts = {}
     if cfg.lp_opt:
         with open(cfg.lp_opt) as fh:
             lp_opts = json.load(fh)
@@ -462,18 +485,12 @@ def cmd_gap(args) -> int:
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
-    prov_path = _out_path(cfg, "gap.provenance.json")
-    with open(prov_path, "w") as fh:
-        json.dump(
-            {
-                "config": cfg.as_dict(),
-                "caveat": GAP_CAVEAT,
-                "elapsed_seconds": elapsed,
-                "rows": rows,
-            },
-            fh,
-            indent=2,
-        )
+    prov_path = _write_json(cfg, "gap.provenance.json", {
+        "config": cfg.as_dict(),
+        "caveat": GAP_CAVEAT,
+        "elapsed_seconds": elapsed,
+        "rows": rows,
+    })
     print(f"wrote {csv_path} and {prov_path} in {elapsed:.1f}s")
     return 0
 
@@ -481,56 +498,37 @@ def cmd_gap(args) -> int:
 # -- entry point ---------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--n", help="comma list / a..b ranges of per-factor sizes")
-    p.add_argument("--d", type=int, help="regular degree (default 4)")
-    p.add_argument("--seed", type=int, help="single seed")
-    p.add_argument("--seeds", help="comma list / a..b ranges of seeds")
-    p.add_argument("--epsilon", type=float, help="split fraction parameter")
-    p.add_argument("--alpha", type=float, help="representative distance bound")
-    p.add_argument("--threshold", type=float, help="majority threshold (> 1/2)")
-    p.add_argument("--solvers", help="comma list of heuristics to run")
-    p.add_argument("--ckr-draws", dest="ckr_draws", type=int)
-    p.add_argument("--local-rounds", dest="local_rounds", type=int)
-    p.add_argument("--jobs", type=int, help="worker threads for seed fan-out")
-    p.add_argument("--girth-floor", dest="girth_floor", type=int)
-    p.add_argument("--out", help="output directory (or ZEROEXT_OUT)")
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--lp-opt", dest="lp_opt", help="JSON file of external LP optima")
-    p.add_argument("--config", help="key = value file; values override flags")
-    p.add_argument("--instance", help="load an instance JSON instead of generating")
+# command -> (handler, the options it reads)
+COMMANDS = {
+    "generate": (cmd_generate, BUILD + ("out", "config")),
+    "frac": (cmd_frac, ONE_INSTANCE),
+    "solve": (cmd_solve, ONE_INSTANCE + SOLVE),
+    "split": (cmd_split, SPLIT),
+    "cert": (cmd_cert, SPLIT + ("force",)),
+    "export-lp": (cmd_export_lp, ONE_INSTANCE + ("lp_name",)),
+    "gap": (cmd_gap, BUILD + ("out", "config") + SOLVE + ("jobs", "format", "lp_opt")),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="zeroext", description="0-Extension gap construction harness")
+    parser.add_argument("--version", action="version", version=f"zeroext {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, names) in COMMANDS.items():
+        p = sub.add_parser(name)
+        for opt_name in names:
+            opt = OPTIONS[opt_name]
+            flags = (_flag(opt_name),) + opt.aliases
+            kind = {"type": opt.parse} if opt.parse else {"action": "store_true", "default": None}
+            p.add_argument(*flags, dest=opt_name, help=opt.help, **kind)
+    return parser
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="zeroext",
-        description="0-Extension gap construction harness",
-    )
-    parser.add_argument("--version", action="version", version=f"zeroext {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    commands = {
-        "generate": cmd_generate,
-        "frac": cmd_frac,
-        "solve": cmd_solve,
-        "split": cmd_split,
-        "cert": cmd_cert,
-        "export-lp": cmd_export_lp,
-        "gap": cmd_gap,
-    }
-    for name in commands:
-        p = sub.add_parser(name)
-        _add_common(p)
-        if name in ("split", "cert"):
-            p.add_argument("--labeling", help="labeling file (default: per-cloud constant)")
-            p.add_argument("--labeling-fiber", dest="labeling_fiber", type=int)
-            p.add_argument("--force", action="store_true", help="build diagnostics even if not a split")
-        if name == "export-lp":
-            p.add_argument("--lp-name", dest="lp_name", help="output file name")
-
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return commands[args.command](args)
+        return COMMANDS[args.command][0](_config_from_args(args), args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

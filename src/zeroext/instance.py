@@ -24,6 +24,7 @@ from .graphs import (
     girth,
     random_regular,
     uniform_lengths,
+    validate_lengths,
 )
 
 DENSE_METRIC_CAP = 4096  # largest k of a gap instance: D_X is a dense k x k matrix
@@ -236,8 +237,8 @@ class ZeroExtInstance:
 
 def build_gap_instance(x: ExtendedGraph, big_l: float) -> ZeroExtInstance:
     """Instance over a sampled extension: pendant terminals, D = D_X + 2L."""
-    if big_l <= 0:
-        raise InstanceError("L must be positive")
+    if not 0 < big_l < math.inf:
+        raise InstanceError(f"L must be positive and finite, got {big_l}")
     if x.vertex_count > DENSE_METRIC_CAP:
         raise InstanceError(
             f"extension has k={x.vertex_count} points, above the dense metric "
@@ -453,29 +454,87 @@ def save_instance(inst: ZeroExtInstance, path) -> None:
         fh.write("\n")
 
 
-def load_instance(path) -> ZeroExtInstance:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "zeroext-instance":
-        raise InstanceError(f"{path} is not an instance file")
-    if doc["metric"]["mode"] == "gap":
-        origin = doc["origin"]
-        x = ExtendedGraph(
-            base=_graph_from_json(origin["base"]),
-            base_lengths=np.array(origin["base_lengths"], dtype=float),
-            fiber=_graph_from_json(origin["fiber"]),
-            fiber_lengths=np.array(origin["fiber_lengths"], dtype=float),
-            matchings=[np.array(m, dtype=np.int64) for m in origin["matchings"]],
-            seed=int(origin["seed"]),
+def _read(path, doc: dict, key: str, parse=lambda value: value):
+    """parse(doc[a][b]) for the key "a.b"; a missing or malformed value raises
+    InstanceError naming the file and the key."""
+    try:
+        node = doc
+        for part in key.split("."):
+            node = node[part]
+        return parse(node)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise InstanceError(f"{path}: bad or missing {key!r}: {exc}") from None
+
+
+def _read_gap_origin(path, doc: dict) -> tuple[ExtendedGraph, float]:
+    base = _read(path, doc, "origin.base", _graph_from_json)
+    fiber = _read(path, doc, "origin.fiber", _graph_from_json)
+    matchings = _read(path, doc, "origin.matchings", lambda ms: [np.asarray(m) for m in ms])
+    if len(matchings) != base.edge_count:
+        raise InstanceError(
+            f"{path}: 'origin.matchings' has {len(matchings)} matchings for "
+            f"{base.edge_count} base edges"
         )
-        inst = build_gap_instance(x, float(doc["metric"]["L"]))
-        inst.provenance = doc.get("provenance")
-        return inst
-    inst = build_generic_instance(
-        graph=_graph_from_json(doc["graph"]),
-        weights=np.array(doc["weights"], dtype=float),
-        terminals=np.array(doc["terminals"], dtype=np.int64),
-        metric=np.array(doc["metric"]["matrix"], dtype=float),
+    identity = np.arange(fiber.vertex_count)
+    for eid, m in enumerate(matchings):
+        if m.dtype.kind != "i" or m.shape != identity.shape or not np.array_equal(np.sort(m), identity):
+            raise InstanceError(
+                f"{path}: 'origin.matchings'[{eid}] is not a permutation of "
+                f"range({fiber.vertex_count})"
+            )
+    x = ExtendedGraph(
+        base=base,
+        base_lengths=_read(path, doc, "origin.base_lengths", lambda v: validate_lengths(base, v)),
+        fiber=fiber,
+        fiber_lengths=_read(path, doc, "origin.fiber_lengths", lambda v: validate_lengths(fiber, v)),
+        matchings=[m.astype(np.int64) for m in matchings],
+        seed=_read(path, doc, "origin.seed", int),
     )
+    return x, _read(path, doc, "metric.L", float)
+
+
+def _built(path, build, *parts) -> ZeroExtInstance:
+    """build(*parts); parts that do not fit together are reported against the file."""
+    try:
+        return build(*parts)
+    except (IndexError, TypeError, ValueError) as exc:
+        raise InstanceError(f"{path}: {exc}") from None
+
+
+def load_instance(path) -> ZeroExtInstance:
+    """Read an instance file.  Every malformed part raises InstanceError naming
+    the file: a missing or ill-typed key, a matching that is not a permutation
+    of the fiber, or a gap instance whose stored graph, weights or terminals
+    differ from the ones rebuilt from its origin."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:
+        raise InstanceError(f"{path}: not a JSON document ({exc})") from None
+    if not isinstance(doc, dict) or doc.get("format") != "zeroext-instance":
+        raise InstanceError(f"{path} is not an instance file")
+    if doc.get("version") != 1:
+        raise InstanceError(f"{path}: unsupported 'version' {doc.get('version')!r}")
+    mode = _read(path, doc, "metric.mode")
+    if mode == "gap":
+        inst = _built(path, build_gap_instance, *_read_gap_origin(path, doc))
+        for key, rebuilt in (
+            ("graph", _graph_to_json(inst.graph)),
+            ("weights", inst.weights.tolist()),
+            ("terminals", inst.terminals.tolist()),
+        ):
+            if doc.get(key) != rebuilt:
+                raise InstanceError(f"{path}: {key!r} differs from the instance rebuilt from 'origin'")
+    elif mode == "dense":
+        inst = _built(
+            path,
+            build_generic_instance,
+            _read(path, doc, "graph", _graph_from_json),
+            _read(path, doc, "weights", lambda v: np.array(v, dtype=float)),
+            _read(path, doc, "terminals", lambda v: np.array(v, dtype=np.int64)),
+            _read(path, doc, "metric.matrix", lambda v: np.array(v, dtype=float)),
+        )
+    else:
+        raise InstanceError(f"{path}: unknown 'metric.mode' {mode!r}")
     inst.provenance = doc.get("provenance")
     return inst

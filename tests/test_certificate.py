@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     candidate_corpus,
@@ -511,3 +514,109 @@ def test_reverse_transit_replay_in_reconstruction():
     rebuilt = reconstruct_r(cert)
     assert rebuilt.canonical_form() == icc.canonical_form()
     assert rebuilt.r_graph.edge_count == 1
+
+
+# -- tampered certificate documents --------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def cert_docs():
+    """JSON documents of an edge-mode and a gen-mode certificate, with the
+    public graphs they are read against."""
+    corpus = candidate_corpus(3, seed0=5)
+    docs = {}
+    for mode, (x, _, cand) in (("edge", corpus[0]), ("gen", corpus[2])):
+        doc = certificate_to_json(build_certificate(x, cand, force=True))
+        assert doc["mode"]["fiber"] == mode
+        docs[mode] = (json.dumps(doc), x.base, x.fiber)
+    return docs
+
+
+def rebuild_from(docs, mode, tamper):
+    text, base, fiber = docs[mode]
+    doc = json.loads(text)
+    tamper(doc)
+    return reconstruct_r(certificate_from_json(doc, base, fiber))
+
+
+def drop_representative(doc):
+    g1 = doc["subgraph"]["edges"][0][1]
+    doc["representatives"] = [pair for pair in doc["representatives"] if pair[0] != g1]
+
+
+def drop_diff(doc):
+    rep = next(r for r in doc["representations"] if len(r["distinguished"]) > 1)
+    first, second = rep["distinguished"][:2]
+    rep["diffs"] = [entry for entry in rep["diffs"] if entry[:2] != [first, second]]
+
+
+def far_label(doc):
+    sp = next(sp for sp in doc["skeleton"] if sp["labels"])
+    sp["labels"][0][2] = 10**6
+
+
+def null_anchor(doc):
+    doc["representations"][0]["anchor_identity"] = None
+
+
+def kept_beyond_path(doc):
+    sp = doc["skeleton"][0]
+    sp["kept"].append([999, sp["kept"][-1][1]])
+
+
+TAMPERED = {
+    "dropped-representative": ("edge", drop_representative, "joins a cloud without a representative"),
+    "no-mode": ("edge", lambda doc: doc.pop("mode"), "malformed certificate document: KeyError"),
+    "dropped-diff": ("edge", drop_diff, "no relative position of"),
+    "label-edge-1e6": ("edge", far_label, "label names edge 1000000"),
+    "label-generator-1e6": ("gen", far_label, "no (intra|inter) generator 1000000"),
+    "null-anchor": ("edge", null_anchor, "anchor identity None is no fiber vertex"),
+    "kept-position-999": ("edge", kept_beyond_path, r"kept position 999 outside \[0, \d+\)"),
+    "version": ("gen", lambda doc: doc.__setitem__("version", 2), "unsupported certificate version 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERED))
+def test_tampered_certificate_raises_certificate_error(cert_docs, case):
+    mode, tamper, message = TAMPERED[case]
+    with pytest.raises(CertificateError, match=message):
+        rebuild_from(cert_docs, mode, tamper)
+
+
+def _parts(node):
+    """(container, key) of every entry of a JSON document, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _parts(value)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    mode=st.sampled_from(["edge", "gen"]),
+    truncate=st.booleans(),
+    replacement=st.one_of(st.integers(-3, 12), st.just(10**6), st.none(), st.just("bogus")),
+    data=st.data(),
+)
+def test_truncated_or_perturbed_certificates_raise_only_certificate_error(
+    cert_docs, mode, truncate, replacement, data
+):
+    """Drop one key or list tail, or overwrite one scalar; reconstruction then
+    either succeeds or raises CertificateError, never another exception."""
+    def tamper(doc):
+        parts = list(_parts(doc))
+        if not truncate:
+            parts = [(c, k) for c, k in parts if not isinstance(c[k], (dict, list))]
+        container, key = data.draw(st.sampled_from(parts))
+        if not truncate:
+            container[key] = replacement
+        elif isinstance(container, dict):
+            del container[key]
+        else:
+            del container[key:]
+
+    try:
+        rebuild_from(cert_docs, mode, tamper)
+    except CertificateError:
+        pass

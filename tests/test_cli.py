@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import re
@@ -169,8 +170,8 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
 
 
 def test_invalid_parameters_rejected(capsys):
-    assert_flag_error(capsys, ["gap", "--n", "6", "--threshold", "0.4"], "threshold")
-    assert_flag_error(capsys, ["gap", "--n", "6", "--epsilon", "0.5"], "epsilon")
+    assert_flag_error(capsys, ["split", "--n", "6", "--threshold", "0.4"], "threshold")
+    assert_flag_error(capsys, ["split", "--n", "6", "--epsilon", "0.5"], "epsilon")
     assert_flag_error(capsys, ["gap", "--n", ",", "--d", "2"], "at least one n")
     assert_flag_error(capsys, ["frac", "--n", "6", "--seeds", ","], "one seed")
     assert_flag_error(capsys, ["gap", "--n", "6", "--jobs", "0"], "jobs must be >= 1")
@@ -248,3 +249,181 @@ def test_gap_lp_opt_attaches_verified_ratio(tmp_path):
     row = prov["rows"][0]
     assert row["lp_opt"] == 100.0
     assert abs(row["verified_ratio"] - row["best_integral"] / 100.0) < 1e-12
+
+
+# -- the option table ---------------------------------------------------------------
+
+GENERATE = {"--n", "--d", "--seeds", "--seed", "--girth-floor", "--out", "--config"}
+FRAC = GENERATE | {"--instance"}
+SPLIT = FRAC | {"--epsilon", "--alpha", "--threshold", "--labeling", "--labeling-fiber"}
+SOLVERS = {"--solvers", "--ckr-draws", "--local-rounds"}
+COMMAND_FLAGS = {
+    "generate": GENERATE,
+    "frac": FRAC,
+    "export-lp": FRAC | {"--lp-name"},
+    "solve": FRAC | SOLVERS,
+    "split": SPLIT,
+    "cert": SPLIT | {"--force"},
+    "gap": GENERATE | SOLVERS | {"--jobs", "--format", "--lp-opt"},
+}
+
+
+def test_each_command_registers_exactly_the_options_it_reads():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(COMMAND_FLAGS)
+    registrations = 0
+    for name, sub in commands.items():
+        actions = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        registrations += len(actions)
+        assert {s for a in actions for s in a.option_strings} == COMMAND_FLAGS[name], name
+        seeds = next(a for a in actions if "--seeds" in a.option_strings)
+        assert seeds.option_strings == ["--seeds", "--seed"]  # two spellings, one option
+    assert registrations == 68
+
+
+def test_config_file_keys_are_the_valued_config_options():
+    assert cli.CONFIG_FILE_KEYS == {
+        "n", "d", "seeds", "epsilon", "alpha", "threshold", "solvers", "ckr_draws",
+        "local_rounds", "jobs", "out", "format", "lp_opt", "girth_floor", "labeling_fiber",
+    }
+
+
+@pytest.fixture
+def saved_d3(tmp_path):
+    """An n=4, d=3 gap instance file."""
+    assert run(["generate", "--n", "4", "--d", "3", "--seed", "0", "--out", str(tmp_path)]) == 0
+    return str(tmp_path / "gap_n4_d3_s0.instance.json")
+
+
+def assert_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and flag in err, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gap", "--instance", "{file}"],
+        ["frac", "--jobs", "2"],
+        ["generate", "--epsilon", "0.1"],
+        ["split", "--solvers", "ckr"],
+        ["solve", "--force"],
+        ["export-lp", "--format", "json"],
+    ],
+    ids=lambda argv: argv[0] + argv[1],
+)
+def test_an_option_the_command_does_not_read_is_a_usage_error(argv, saved_d3, capsys):
+    assert_usage_error(capsys, [a.format(file=saved_d3) for a in argv], argv[1])
+
+
+@pytest.mark.parametrize("command", ["frac", "export-lp", "solve", "split", "cert"])
+@pytest.mark.parametrize(
+    "flags, pattern",
+    [
+        (["--n", "5,6"], r"--n: \S+ builds one instance, got 2 values"),
+        (["--seeds", "0..3"], r"--seeds: \S+ builds one instance, got 4 values"),
+        (["--seed", "1,2"], r"--seeds: \S+ builds one instance, got 2 values"),
+    ],
+    ids=["n", "seeds", "seed"],
+)
+def test_one_instance_commands_reject_many_n_or_seeds(command, flags, pattern, tmp_path, capsys):
+    assert_flag_error(capsys, [command, *flags, "--out", str(tmp_path)], pattern)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_one_instance_commands_reject_many_n_or_seeds_from_the_config_file(tmp_path, capsys):
+    for key in ("n = 5,6", "seeds = 0..1"):
+        conf = tmp_path / "conf.txt"
+        conf.write_text(key + "\n")
+        name = key.split()[0]
+        assert_flag_error(capsys, ["frac", "--config", str(conf)], f"config key {name}: frac builds one")
+
+
+@pytest.mark.parametrize("flag", ["--n", "--d", "--seed", "--seeds", "--girth-floor"])
+def test_build_flags_with_an_instance_file_are_a_flag_error(flag, saved_d3, capsys):
+    named = "--seeds" if flag == "--seed" else flag
+    assert_flag_error(capsys, ["frac", "--instance", saved_d3, flag, "3"], f"{named} cannot be combined")
+
+
+def test_shared_config_keys_a_command_does_not_read_are_ignored(saved_d3, tmp_path, capsys):
+    # jobs = 0 and epsilon = 0.5 would fail validation in a command that reads them;
+    # the build keys are not read when the instance comes from a file.
+    conf = tmp_path / "conf.txt"
+    conf.write_text("n = 5,6\nseeds = 0..3\nd = 4\njobs = 0\nepsilon = 0.5\nsolvers = ckr\n")
+    out = tmp_path / "o"
+    assert run(["frac", "--instance", saved_d3, "--config", str(conf), "--out", str(out)]) == 0
+    doc = json.loads((out / "frac.json").read_text())
+    assert doc["frac_cost"] == 64.0 and doc["config"]["jobs"] == 2 and doc["config"]["epsilon"] == 0.05
+    conf.write_text("n = 5\njobs = 0\nepsilon = 0.5\nlabeling_fiber = 3\n")
+    assert run(["generate", "--config", str(conf), "--out", str(out)]) == 0
+    prov = json.loads((out / "gap_n5_d4_s0.provenance.json").read_text())
+    assert prov["config"]["n_values"] == [5]
+    assert (prov["config"]["jobs"], prov["config"]["epsilon"], prov["config"]["labeling_fiber"]) == (2, 0.05, 0)
+
+
+def test_a_bad_config_value_names_its_key(tmp_path, capsys):
+    conf = tmp_path / "conf.txt"
+    conf.write_text("# shared\n\nd = three\n")
+    assert_flag_error(capsys, ["frac", "--config", str(conf)], r"conf.txt:3: bad value for d: 'three'")
+
+
+OUTPUT_FILES = {
+    "frac": "frac.json",
+    "solve": "solve.json",
+    "split": "split.json",
+    "cert": "certificate.json",
+}
+
+
+@pytest.mark.parametrize("source", ["env", "config"])
+@pytest.mark.parametrize("command", sorted(OUTPUT_FILES))
+def test_optional_output_is_written_wherever_the_directory_is_named(
+    command, source, saved_d3, tmp_path, monkeypatch, capsys
+):
+    out = tmp_path / "named"
+    argv = [command, "--instance", saved_d3]
+    if command in ("split", "cert"):
+        argv += ["--epsilon", "0.1", "--alpha", "1e9", "--threshold", "0.9"]
+    if command == "cert":
+        argv += ["--force"]
+    if source == "env":
+        monkeypatch.setenv("ZEROEXT_OUT", str(out))
+    else:
+        monkeypatch.delenv("ZEROEXT_OUT", raising=False)
+        conf = tmp_path / "conf.txt"
+        conf.write_text(f"out = {out}\n")
+        argv += ["--config", str(conf)]
+    assert run(argv) == 0
+    doc = json.loads((out / OUTPUT_FILES[command]).read_text())
+    assert doc["config"]["out_dir"] == str(out)
+
+
+def test_optional_output_is_not_written_when_no_directory_is_named(saved_d3, tmp_path, monkeypatch):
+    monkeypatch.delenv("ZEROEXT_OUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert run(["frac", "--instance", saved_d3]) == 0
+    assert not (tmp_path / "frac.json").exists()
+
+
+def test_output_directory_precedence_config_then_flag_then_env(tmp_path, monkeypatch):
+    monkeypatch.setenv("ZEROEXT_OUT", str(tmp_path / "env"))
+    conf = tmp_path / "conf.txt"
+    conf.write_text(f"out = {tmp_path / 'conf'}\n")
+    common = ["gap", "--n", "5", "--jobs", "1", "--solvers", "all_to_one"]
+    assert run(common + ["--out", str(tmp_path / "flag"), "--config", str(conf)]) == 0
+    assert run(common + ["--out", str(tmp_path / "flag2")]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == ["conf", "flag2"]
+
+
+def test_cert_diagnostics_use_the_degree_of_a_loaded_instance(saved_d3, tmp_path, capsys):
+    # n=4, d=3, epsilon=0.1: (1 - 4 * 0.1) * (3/2 - 1) * 4 = 1.2 (the default d=4 gave 2.4).
+    out = tmp_path / "c"
+    argv = ["cert", "--instance", saved_d3, "--epsilon", "0.1", "--alpha", "1e9",
+            "--threshold", "0.9", "--force", "--out", str(out)]
+    assert run(argv) == 0
+    diag = json.loads((out / "certificate.json").read_text())["diagnostics"]
+    assert diag["betti_floor"] == pytest.approx(1.2)

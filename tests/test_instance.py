@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import functools
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import graph_fw
 from zeroext import extension, graphs, instance
@@ -192,3 +198,108 @@ def test_build_and_load_enforce_the_dense_ceiling(tmp_path, monkeypatch):
 def test_girth_floor_failure_reports_best():
     with pytest.raises(InstanceError, match="best girth"):
         default_gap_instance(12, 4, 0, girth_floor=30, retry_cap=5)
+
+
+# -- instance files fail at the boundary --------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """Text of a saved n=4, d=3 gap instance and of a small generic one, plus a
+    scratch path to write damaged copies to."""
+    root = tmp_path_factory.mktemp("saved")
+    g = Graph(vertex_count=3, edges=[(0, 1), (1, 2)])
+    instances = {
+        "gap": default_gap_instance(4, 3, 0).instance,
+        "generic": build_generic_instance(g, [1.0, 2.0], [0, 2], [[0.0, 3.0], [3.0, 0.0]]),
+    }
+    texts = {}
+    for kind, inst in instances.items():
+        save_instance(inst, root / f"{kind}.json")
+        texts[kind] = (root / f"{kind}.json").read_text()
+    return texts, root / "damaged.json"
+
+
+DROP = object()
+
+
+def load_edited(saved, where: tuple, value, kind="gap"):
+    """Load a copy of a saved file with doc[where] set to value (or dropped)."""
+    texts, path = saved
+    doc = json.loads(texts[kind])
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    if value is DROP:
+        del node[where[-1]]
+    else:
+        node[where[-1]] = value
+    path.write_text(json.dumps(doc))
+    return load_instance(path)
+
+
+MALFORMED_GAP_FILES = {
+    "no-metric": (("metric",), DROP, "bad or missing 'metric.mode'"),
+    "no-matchings": (("origin", "matchings"), DROP, "bad or missing 'origin.matchings'"),
+    "short-matching": (("origin", "matchings", 2), [0, 1, 2], r"'origin.matchings'\[2\] is not a permutation of range\(4\)"),
+    "matching-left-out": (("origin", "matchings", 5), DROP, "'origin.matchings' has 5 matchings for 6 base edges"),
+    "repeated-vertex": (("origin", "matchings", 0), [0, 0, 0, 0], r"'origin.matchings'\[0\] is not a permutation"),
+    "fractional-vertex": (("origin", "matchings", 0), [0, 1, 2, 3.5], r"'origin.matchings'\[0\] is not a permutation"),
+    "edited-graph": (("graph", "edges", 0), [0, 31], "'graph' differs from the instance rebuilt from 'origin'"),
+    "edited-weight": (("weights", 0), 2.0, "'weights' differs"),
+    "edited-terminals": (("terminals", 0), 17, "'terminals' differs"),
+    "short-lengths": (("origin", "base_lengths", 5), DROP, "bad or missing 'origin.base_lengths'"),
+    "negative-length": (("origin", "fiber_lengths", 1), -1.0, "'origin.fiber_lengths': edge 1 has length -1.0"),
+    "zero-L": (("metric", "L"), 0.0, "L must be positive and finite"),
+    "unknown-mode": (("metric", "mode"), "lazy", "unknown 'metric.mode' 'lazy'"),
+    "version": (("version",), 2, "unsupported 'version' 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_GAP_FILES))
+def test_malformed_gap_file_raises_instance_error_naming_file_and_key(saved, case):
+    where, value, message = MALFORMED_GAP_FILES[case]
+    with pytest.raises(InstanceError, match=re.escape(str(saved[1])) + ".*" + message):
+        load_edited(saved, where, value)
+
+
+def test_malformed_generic_file_raises_instance_error(saved):
+    with pytest.raises(InstanceError, match="bad or missing 'metric.matrix'"):
+        load_edited(saved, ("metric", "matrix"), DROP, "generic")
+    with pytest.raises(InstanceError, match=r"metric shape \(1, 2\) does not match 2 terminals"):
+        load_edited(saved, ("metric", "matrix", 1), DROP, "generic")
+
+
+def _containers(node, where=()):
+    """Every dict and non-empty list of a JSON document, with its key path."""
+    if isinstance(node, dict):
+        yield where, node
+        for key, value in node.items():
+            yield from _containers(value, where + (key,))
+    elif isinstance(node, list) and node:
+        yield where, node
+        for i, value in enumerate(node):
+            yield from _containers(value, where + (i,))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["gap", "generic"]), cut_text=st.booleans(), data=st.data())
+def test_every_truncation_of_a_saved_file_raises_instance_error(saved, kind, cut_text, data):
+    """Cut the text anywhere before its closing brace, or drop one key or the
+    tail of one list anywhere outside the free-form provenance record."""
+    texts, path = saved
+    text = texts[kind]
+    if cut_text:
+        damaged = text[: data.draw(st.integers(0, len(text.rstrip()) - 1))]
+    else:
+        doc = json.loads(text)
+        spots = [node for where, node in _containers(doc) if where[:1] != ("provenance",)]
+        node = data.draw(st.sampled_from(spots))
+        if isinstance(node, dict):
+            del node[data.draw(st.sampled_from(sorted(k for k in node if k != "provenance")))]
+        else:
+            del node[data.draw(st.integers(0, len(node) - 1)) :]
+        damaged = json.dumps(doc)
+    path.write_text(damaged)
+    with pytest.raises(InstanceError, match=re.escape(str(path))):
+        load_instance(path)
