@@ -690,7 +690,18 @@ def _check_certificate(cert: Certificate) -> None:
         )
     if cert.fiber_size != fiber.vertex_count:
         raise CertificateError(f"fiber size {cert.fiber_size} != {fiber.vertex_count}")
+    kept = set(cert.subgraph_vertices)
+    outside = sorted(v for v in kept if not 0 <= v < base.vertex_count)
+    if outside:
+        raise CertificateError(f"kept vertices {outside} are outside the base graph")
+    eids = [eid for eid, _, _ in cert.subgraph_edges]
+    if any(a >= b for a, b in zip(eids, eids[1:])):
+        raise CertificateError("kept edge ids are not strictly ascending")
     for eid, g1, g2 in cert.subgraph_edges:
+        if not 0 <= eid < base.edge_count or tuple(base.edges[eid]) != (g1, g2):
+            raise CertificateError(f"kept edge ({eid}, {g1}, {g2}) is no edge of the base graph")
+        if g1 not in kept or g2 not in kept:
+            raise CertificateError(f"kept edge {eid} has an endpoint outside the kept vertices")
         if g1 not in cert.representatives or g2 not in cert.representatives:
             raise CertificateError(f"kept edge {eid} joins a cloud without a representative")
     for cid, rep in enumerate(cert.representations):

@@ -12,10 +12,11 @@ import argparse
 import csv
 import json
 import math
+import multiprocessing
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
@@ -169,7 +170,7 @@ OPTIONS = {
                       "comma list of heuristics to run"),
     "ckr_draws": Option("ckr_draws", int, "CKR roundings per instance"),
     "local_rounds": Option("local_rounds", int, "local search rounds"),
-    "jobs": Option("jobs", int, "worker threads for seed fan-out"),
+    "jobs": Option("jobs", int, "worker processes for the rows (about 200 MiB each at n=64)"),
     "out": Option("out_dir", str, "output directory (config `out` > --out > ZEROEXT_OUT)"),
     "format": Option("format", str, "stdout rows: csv or json"),
     "lp_opt": Option("lp_opt", str, "JSON file of external LP optima"),
@@ -257,13 +258,30 @@ def _write_json(cfg: ExperimentConfig, name: str, doc: dict) -> str:
     return path
 
 
+def _config_doc(cfg: ExperimentConfig, args) -> dict:
+    """The config embedded in a one-instance command's output, with the path
+    of the instance file it loaded, if any."""
+    doc = cfg.as_dict()
+    if args.instance:
+        doc["instance"] = args.instance
+    return doc
+
+
 def _build(cfg: ExperimentConfig, n: int, seed: int):
     return default_gap_instance(n, cfg.d, seed, girth_floor=cfg.girth_floor)
 
 
 def _load_or_build(cfg: ExperimentConfig, args) -> tuple[ZeroExtInstance, object | None]:
+    """The command's one instance.  A loaded file's provenance sets the build
+    fields of `cfg` (None, or no n or seed, where the file records none), so
+    the config embedded in the output describes the file."""
     if args.instance:
         inst = load_instance(args.instance)
+        prov = inst.provenance if isinstance(inst.provenance, dict) else {}
+        known = {key: value for key, value in prov.items() if type(value) is int}
+        cfg.n_values = [known["n"]] if "n" in known else []
+        cfg.seeds = [known["seed"]] if "seed" in known else []
+        cfg.d, cfg.girth_floor = known.get("d"), known.get("girth_floor")
         return inst, inst.origin.extension if inst.is_gap else None
     build = _build(cfg, cfg.n_values[0], cfg.seeds[0])
     return build.instance, build.extension
@@ -296,7 +314,7 @@ def cmd_frac(cfg: ExperimentConfig, args) -> int:
         print(f"  violation: {v}")
     if args.out:
         doc = {
-            "config": cfg.as_dict(),
+            "config": _config_doc(cfg, args),
             "frac_cost": cost,
             "edges": inst.graph.edge_count,
             "feasible": feasible,
@@ -337,7 +355,7 @@ def _run_solvers(cfg: ExperimentConfig, inst: ZeroExtInstance, seed: int, length
 def cmd_solve(cfg: ExperimentConfig, args) -> int:
     cfg.check_solvers_run()
     inst, _ = _load_or_build(cfg, args)
-    seed = cfg.seeds[0]
+    seed = cfg.seeds[0] if cfg.seeds else 0  # a loaded file may record no seed
     lengths = canonical_fractional(inst)[0] if inst.is_gap and "ckr" in cfg.solvers else None
     results = _run_solvers(cfg, inst, seed, lengths)
     if not results:
@@ -349,7 +367,7 @@ def cmd_solve(cfg: ExperimentConfig, args) -> int:
     if args.out:
         save_labeling(best_f, _out_path(cfg, "best.labeling"))
         doc = {
-            "config": cfg.as_dict(),
+            "config": _config_doc(cfg, args),
             "costs": {name: cost for name, (_, cost) in results.items()},
             "best": best_name,
         }
@@ -378,7 +396,7 @@ def cmd_split(cfg: ExperimentConfig, args) -> int:
     cand = _candidate_for(cfg, args, inst, x)
     report = verify_split(cand, x)
     payload = json.loads(report.to_json())
-    payload["config"] = cfg.as_dict()
+    payload["config"] = _config_doc(cfg, args)
     payload["candidate"] = {
         "vertices": len(cand.vertices),
         "edges": len(cand.edge_ids),
@@ -406,7 +424,7 @@ def cmd_cert(cfg: ExperimentConfig, args) -> int:
     d = 2 * x.base.edge_count // x.base.vertex_count  # the base is d-regular
     diag = diagnostics(icc, x.base, cfg.epsilon, d)
     doc = {
-        "config": cfg.as_dict(),
+        "config": _config_doc(cfg, args),
         "round_trip_exact": bool(round_trip),
         "diagnostics": diag,
         "max_cloud_occupancy": ft.max_cloud_occupancy(),
@@ -448,15 +466,29 @@ def _gap_row(cfg: ExperimentConfig, n: int, seed: int) -> dict:
     }
 
 
+def _gap_rows(cfg: ExperimentConfig, tasks: list[tuple[int, int]]) -> list[dict]:
+    """Rows of the (n, seed) tasks in task order, on min(jobs, tasks) worker
+    processes.  A row is a pure function of (cfg, n, seed), so the worker
+    count never changes a row.
+
+    Workers are forked: `spawn` and `forkserver` re-import the caller's
+    `__main__`, which breaks a script that calls `main` without an
+    `if __name__ == "__main__"` guard.  Where fork is unavailable, rows run
+    in this process.
+    """
+    workers = min(cfg.jobs, len(tasks))
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [_gap_row(cfg, n, seed) for n, seed in tasks]
+    ns, seeds = zip(*tasks)
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        return list(pool.map(_gap_row, [cfg] * len(tasks), ns, seeds))
+
+
 def cmd_gap(cfg: ExperimentConfig, args) -> int:
     cfg.check_solvers_run()
     started = time.perf_counter()
-    tasks = [(n, seed) for n in cfg.n_values for seed in cfg.seeds]
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(lambda t: _gap_row(cfg, *t), tasks))
-    else:
-        rows = [_gap_row(cfg, *t) for t in tasks]
+    rows = _gap_rows(cfg, [(n, seed) for n in cfg.n_values for seed in cfg.seeds])
     rows.sort(key=lambda r: (r["n"], r["seed"]))
 
     if cfg.lp_opt:

@@ -410,21 +410,26 @@ def shortest_path_rows(g: Graph, lengths: np.ndarray, sources) -> np.ndarray:
     lengths = validate_lengths(g, lengths, allow_zero=True)
     if g.vertex_count == 0:
         return np.zeros((0, 0))
-    return dijkstra(_csr(g, lengths), directed=False, indices=sources)
+    return dijkstra(_csr(g, lengths), directed=True, indices=sources)
 
 
 def _csr(g: Graph, lengths: np.ndarray):
-    """Upper-triangular CSR adjacency for an undirected search.
+    """Symmetric CSR adjacency: each edge in both orientations, searched as
+    a directed graph (scipy's undirected mode symmetrizes on every call).
 
     Self-loops never shorten a path and are dropped; parallel edges collapse
     to the shortest (a sparse sum would add their lengths).  A zero length
-    stays an explicit entry, which scipy's Dijkstra treats as an edge.
+    stays an explicit entry, which scipy's Dijkstra treats as an edge; for
+    that reason the matrix is not built as `m + m.T`, which drops explicit
+    zeros.
     """
     from scipy.sparse import csr_matrix
 
     ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
     keep = ends[:, 0] != ends[:, 1]
-    us, vs, ls = ends[keep, 0], ends[keep, 1], lengths[keep]
+    us = np.concatenate((ends[keep, 0], ends[keep, 1]))
+    vs = np.concatenate((ends[keep, 1], ends[keep, 0]))
+    ls = np.concatenate((lengths[keep], lengths[keep]))
     order = np.lexsort((ls, vs, us))  # by (u, v), shortest first
     us, vs, ls = us[order], vs[order], ls[order]
     first = np.ones(us.size, dtype=bool)

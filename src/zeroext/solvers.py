@@ -269,27 +269,35 @@ def save_labeling(f: np.ndarray, path) -> None:
 
 
 def load_labeling(path, inst: ZeroExtInstance) -> np.ndarray:
-    """Read `vertex label` lines; every vertex must appear exactly once."""
+    """Read `vertex label` lines of UTF-8 text; every vertex must appear exactly
+    once.  Every fault raises SolverError naming the file."""
     n = inst.vertex_count
     f: list[int | None] = [None] * n
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            try:
-                v, t = map(int, parts)  # ValueError on a non-integer or a wrong count
-            except ValueError:
-                raise SolverError(
-                    f"{path}:{lineno}: expected 'vertex label', got {line.strip()!r}"
-                ) from None
-            if not 0 <= v < n:
-                raise SolverError(f"{path}:{lineno}: vertex {v} outside [0, {n})")
-            if not 0 <= t < n:
-                raise SolverError(f"{path}:{lineno}: label {t} outside [0, {n})")
-            if f[v] is not None:
-                raise SolverError(f"{path}:{lineno}: vertex {v} is labeled twice")
-            f[v] = t
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise SolverError(f"{path}: not UTF-8 text") from None
+    for lineno, line in enumerate(lines, 1):
+        parts = line.split()
+        if not parts:
+            continue
+        try:
+            v, t = map(int, parts)  # ValueError on a non-integer or a wrong count
+        except ValueError:
+            raise SolverError(
+                f"{path}:{lineno}: expected 'vertex label', got {line.strip()!r}"
+            ) from None
+        if not 0 <= v < n:
+            raise SolverError(f"{path}:{lineno}: vertex {v} outside [0, {n})")
+        if not 0 <= t < n:
+            raise SolverError(f"{path}:{lineno}: label {t} outside [0, {n})")
+        if f[v] is not None:
+            raise SolverError(f"{path}:{lineno}: vertex {v} is labeled twice")
+        f[v] = t
     if None in f:
         raise SolverError(f"{path}: vertex {f.index(None)} has no label")
-    return validate_labeling(np.array(f, dtype=np.int64), inst)
+    try:
+        return validate_labeling(np.array(f, dtype=np.int64), inst)
+    except SolverError as exc:
+        raise SolverError(f"{path}: {exc}") from None

@@ -483,37 +483,42 @@ def test_self_loop_r_edge_round_trip():
 
 def test_reverse_transit_replay_in_reconstruction():
     # A transit traversed forward by one path and backward by another must be
-    # recognized as the same R edge during reconstruction.
+    # recognized as the same R edge during reconstruction.  Each path runs
+    # from the smaller cloud of its kept base edge: (0, 0, 2) and (1, 2, 3).
     from zeroext.certificate import Certificate, representations as make_reps
 
-    base = Graph(vertex_count=3, edges=[(0, 1), (1, 2)])
+    base = Graph(vertex_count=4, edges=[(0, 2), (2, 3), (0, 1), (1, 2), (0, 3)])
     fiber = Graph(vertex_count=2, edges=[])
     fwd = QPath(
         verts=[(0, 1), (1, 1), (2, 1)],
-        labels=[EdgeLabel("inter", "edge", 0, 1), EdgeLabel("inter", "edge", 1, 1)],
+        labels=[EdgeLabel("inter", "edge", 2, 1), EdgeLabel("inter", "edge", 3, 1)],
     )
     rev = QPath(
-        verts=[(2, 1), (1, 1), (0, 1)],
-        labels=[EdgeLabel("inter", "edge", 1, -1), EdgeLabel("inter", "edge", 0, -1)],
+        verts=[(2, 1), (1, 1), (0, 1), (3, 1)],
+        labels=[
+            EdgeLabel("inter", "edge", 3, -1),
+            EdgeLabel("inter", "edge", 2, -1),
+            EdgeLabel("inter", "edge", 4, 1),
+        ],
     )
-    ft = _synthetic_ft(base, fiber, [fwd, rev], {0: (0, 1), 2: (1, 1), 4: (2, 1)})
+    ft = _synthetic_ft(base, fiber, [fwd, rev], {0: (0, 1), 2: (1, 1), 4: (2, 1), 6: (3, 1)})
     icc = inner_components(ft)
-    assert icc.r_graph.edge_count == 1
+    assert icc.r_graph.edge_count == 2
     cert = Certificate(
         base_mode="edge",
         fiber_mode="edge",
-        subgraph_vertices=[0, 1, 2],
-        subgraph_edges=[(0, 0, 2), (1, 2, 0)],
+        subgraph_vertices=[0, 2, 3],
+        subgraph_edges=[(0, 0, 2), (1, 2, 3)],
         representations=make_reps(ft, icc),
         skeleton_paths=skeleton(ft, icc),
-        representatives={0: 0, 2: 4},
+        representatives={0: 0, 2: 4, 3: 6},
         base=base,
         fiber=fiber,
         fiber_size=2,
     )
     rebuilt = reconstruct_r(cert)
     assert rebuilt.canonical_form() == icc.canonical_form()
-    assert rebuilt.r_graph.edge_count == 1
+    assert rebuilt.r_graph.edge_count == 2
 
 
 # -- tampered certificate documents --------------------------------------------------
@@ -564,6 +569,17 @@ def kept_beyond_path(doc):
     sp["kept"].append([999, sp["kept"][-1][1]])
 
 
+def last_kept_edge(change):
+    def tamper(doc):
+        doc["subgraph"]["edges"][-1] = change(doc["subgraph"]["edges"][-1])
+    return tamper
+
+
+def drop_kept_vertex(doc):
+    g1 = doc["subgraph"]["edges"][0][1]
+    doc["subgraph"]["vertices"].remove(g1)
+
+
 TAMPERED = {
     "dropped-representative": ("edge", drop_representative, "joins a cloud without a representative"),
     "no-mode": ("edge", lambda doc: doc.pop("mode"), "malformed certificate document: KeyError"),
@@ -573,6 +589,17 @@ TAMPERED = {
     "null-anchor": ("edge", null_anchor, "anchor identity None is no fiber vertex"),
     "kept-position-999": ("edge", kept_beyond_path, r"kept position 999 outside \[0, \d+\)"),
     "version": ("gen", lambda doc: doc.__setitem__("version", 2), "unsupported certificate version 2"),
+    "kept-edge-reversed": ("edge", last_kept_edge(lambda e: [e[0], e[2], e[1]]),
+                           r"kept edge \(\d+, \d+, \d+\) is no edge of the base graph"),
+    "kept-edge-id-1e6": ("edge", last_kept_edge(lambda e: [10**6, e[1], e[2]]),
+                         r"kept edge \(1000000, \d+, \d+\) is no edge"),
+    "kept-edges-descending": ("edge", lambda doc: doc["subgraph"]["edges"].reverse(),
+                              "kept edge ids are not strictly ascending"),
+    "kept-edge-twice": ("gen", lambda doc: doc["subgraph"]["edges"].insert(0, doc["subgraph"]["edges"][0]),
+                        "kept edge ids are not strictly ascending"),
+    "kept-vertex-dropped": ("edge", drop_kept_vertex, "has an endpoint outside the kept vertices"),
+    "kept-vertex-1e6": ("gen", lambda doc: doc["subgraph"]["vertices"].append(10**6),
+                        r"kept vertices \[1000000\] are outside the base graph"),
 }
 
 

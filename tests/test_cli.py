@@ -3,15 +3,20 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from zeroext import cli
 from zeroext.graphs import Graph
-from zeroext.instance import build_generic_instance, load_instance, save_instance
+from zeroext.instance import InstanceError, build_generic_instance, load_instance, save_instance
 
 
 def run(argv):
@@ -39,14 +44,51 @@ def test_gap_writes_csv_and_provenance(tmp_path, capsys):
 
 
 def test_gap_csv_deterministic(tmp_path):
-    # Thread fan-out must not change results: identical data rows either way
-    # (the leading comment embeds the run's own config, so it may differ).
+    # Rows in worker processes must equal rows run in-process: identical data
+    # rows either way (the leading comment embeds the run's own config, so it
+    # may differ).
     out1, out2 = tmp_path / "a", tmp_path / "b"
     run(["gap", "--n", "6", "--seeds", "3..4", "--jobs", "2", "--out", str(out1)])
     run(["gap", "--n", "6", "--seeds", "3..4", "--jobs", "1", "--out", str(out2)])
     rows1 = (out1 / "gap.csv").read_text().splitlines()[1:]
     rows2 = (out2 / "gap.csv").read_text().splitlines()[1:]
     assert rows1 == rows2
+
+
+def test_gap_jobs_from_a_script_without_a_main_guard(tmp_path):
+    # Workers are forked; a spawned worker would re-import this unguarded
+    # script and run `main` again, which breaks the pool.
+    script = tmp_path / "unguarded.py"
+    script.write_text(textwrap.dedent(f"""\
+        from zeroext import cli
+        raise SystemExit(cli.main(["gap", "--n", "5", "--seeds", "0,1", "--jobs", "2",
+                                   "--solvers", "all_to_one", "--out", {str(tmp_path / "o")!r}]))
+    """))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    rows = (tmp_path / "o" / "gap.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[2] for row in rows] == ["0", "1"]
+
+
+def test_a_row_that_raises_in_a_worker_exits_2_naming_the_error(monkeypatch, tmp_path, capsys):
+    parent = os.getpid()
+    build = cli._build
+
+    def failing(cfg, n, seed):
+        if seed == 1:
+            raise InstanceError(f"row failed in process {os.getpid()}")
+        return build(cfg, n, seed)
+
+    monkeypatch.setattr(cli, "_build", failing)  # forked workers inherit the patch
+    argv = ["gap", "--n", "5", "--seeds", "0,1", "--jobs", "2", "--solvers", "all_to_one",
+            "--out", str(tmp_path)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    worker = int(re.fullmatch(r"error: row failed in process (\d+)\n", err).group(1))
+    assert worker != parent
+    assert not (tmp_path / "gap.csv").exists()
 
 
 def test_frac_reports_cost_and_feasibility(capsys):
@@ -210,15 +252,21 @@ def test_idle_solver_list_in_a_shared_config_ignored_by_commands_without_solvers
     assert_flag_error(capsys, ["solve", "--n", "6", "--seed", "0", "--config", str(conf)], "runs nothing")
 
 
-def test_split_of_a_generic_instance_is_a_flag_error(tmp_path, capsys):
+@pytest.fixture
+def saved_generic(tmp_path):
+    """A generic instance file: a path with terminals at both ends, no provenance."""
     g = Graph(vertex_count=3, edges=[(0, 1), (1, 2)])
     path = tmp_path / "generic.json"
     save_instance(
         build_generic_instance(g, np.array([1.0, 1.0]), np.array([0, 2]), np.array([[0.0, 1.0], [1.0, 0.0]])),
         path,
     )
+    return str(path)
+
+
+def test_split_of_a_generic_instance_is_a_flag_error(saved_generic, capsys):
     for command in ("split", "cert"):
-        assert_flag_error(capsys, [command, "--instance", str(path)], "needs a gap instance")
+        assert_flag_error(capsys, [command, "--instance", saved_generic], "needs a gap instance")
 
 
 def test_out_dir_env_variable(tmp_path, monkeypatch, capsys):
@@ -427,3 +475,33 @@ def test_cert_diagnostics_use_the_degree_of_a_loaded_instance(saved_d3, tmp_path
     assert run(argv) == 0
     diag = json.loads((out / "certificate.json").read_text())["diagnostics"]
     assert diag["betti_floor"] == pytest.approx(1.2)
+
+
+SPLIT_FLAGS = ["--epsilon", "0.1", "--alpha", "1e9", "--threshold", "0.9"]
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_FILES))
+def test_outputs_of_a_loaded_instance_describe_the_file(command, tmp_path):
+    # The embedded config of a loaded n=4, d=3, seed-2 file names the file and
+    # equals that of the same build from flags.
+    build = ["--n", "4", "--d", "3", "--seed", "2", "--girth-floor", "3"]
+    assert run(["generate", *build, "--out", str(tmp_path)]) == 0
+    path = str(tmp_path / "gap_n4_d3_s2.instance.json")
+    extra = {"split": SPLIT_FLAGS, "cert": SPLIT_FLAGS + ["--force"]}.get(command, [])
+    docs = {}
+    for name, source in (("loaded", ["--instance", path]), ("built", build)):
+        assert run([command, *source, *extra, "--out", str(tmp_path / name)]) == 0
+        docs[name] = json.loads((tmp_path / name / OUTPUT_FILES[command]).read_text())
+    loaded, built = docs["loaded"]["config"], docs["built"]["config"]
+    assert loaded.pop("instance") == path and "instance" not in built
+    assert (loaded["n_values"], loaded["d"], loaded["seeds"], loaded["girth_floor"]) == ([4], 3, [2], 3)
+    assert {**loaded, "out_dir": None} == {**built, "out_dir": None}
+    if command == "solve":  # CKR draws from the file's seed, as from a build's
+        assert docs["loaded"]["costs"] == docs["built"]["costs"]
+
+
+def test_outputs_of_a_file_without_build_settings_record_none(saved_generic, tmp_path):
+    assert run(["solve", "--instance", saved_generic, "--out", str(tmp_path)]) == 0
+    config = json.loads((tmp_path / "solve.json").read_text())["config"]
+    assert (config["n_values"], config["d"], config["seeds"], config["girth_floor"]) == ([], None, [], None)
+    assert config["instance"] == saved_generic

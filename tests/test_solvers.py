@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     enumerate_optimum,
@@ -377,3 +381,57 @@ def test_labeling_file_rejects_bad_lines(tmp_path, text, match):
     path.write_text(text)
     with pytest.raises(SolverError, match=match):
         load_labeling(path, star_instance())
+
+
+@pytest.fixture(scope="module")
+def saved_labeling(small_gap, tmp_path_factory):
+    inst = small_gap.instance
+    path = tmp_path_factory.mktemp("labeling") / "f.labeling"
+    save_labeling(nearest_terminal(inst), path)
+    return inst, path, path.read_bytes()
+
+
+def _damaged_labeling(data, inst, text: bytes) -> bytes:
+    """The text of a valid labeling file with one fault that makes it invalid."""
+    n, terms = inst.vertex_count, inst.terminals.tolist()
+    lines = text.splitlines(keepends=True)
+    kind = data.draw(st.sampled_from([
+        "truncated", "not-utf8", "vertex-twice", "vertex-outside", "label-outside",
+        "label-non-terminal", "terminal-moved", "not-two-integers",
+    ]))
+    if kind == "truncated":  # at least the last line is lost
+        return text[: data.draw(st.integers(0, len(text) - len(lines[-1]) - 1))]
+    if kind == "not-utf8":
+        at = data.draw(st.integers(0, len(text)))
+        return text[:at] + bytes([data.draw(st.integers(0x80, 0xBF))]) + text[at:]
+    outside = st.one_of(st.integers(max_value=-1), st.integers(min_value=n))
+    if kind == "terminal-moved":
+        i = data.draw(st.sampled_from(terms))
+        v, t = i, data.draw(st.sampled_from([u for u in terms if u != i]))
+    else:
+        i = data.draw(st.integers(0, len(lines) - 1))
+        v, t = (int(tok) for tok in lines[i].split())
+    if kind == "vertex-twice":
+        v = data.draw(st.sampled_from([u for u in range(n) if u != v]))
+    elif kind == "vertex-outside":
+        v = data.draw(outside)
+    elif kind == "label-outside":
+        t = data.draw(outside)
+    elif kind == "label-non-terminal":
+        t = data.draw(st.sampled_from(sorted(set(range(n)) - set(terms))))
+    fields = [str(v), str(t)]
+    if kind == "not-two-integers":  # a field replaced by, or followed by, a non-integer
+        j, replace = data.draw(st.integers(0, 2)), data.draw(st.booleans())
+        bad = data.draw(st.sampled_from(["x", "1.5", "0x1f", "--1", "1e3"]))
+        fields = fields[:j] + [bad] + fields[j + replace:]
+    line = " ".join(fields)
+    return b"".join(lines[:i]) + line.encode() + b"\n" + b"".join(lines[i + 1:])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_truncated_or_corrupted_labeling_files_raise_solver_error(saved_labeling, data):
+    inst, path, text = saved_labeling
+    path.write_bytes(_damaged_labeling(data, inst, text))
+    with pytest.raises(SolverError, match=re.escape(str(path))):
+        load_labeling(path, inst)
