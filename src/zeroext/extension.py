@@ -19,7 +19,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .graphs import Graph, _fisher_yates, shortest_path_metric, validate_lengths
+from .graphs import (
+    Graph,
+    _fisher_yates,
+    level_search_metric,
+    shortest_path_metric,
+    validate_lengths,
+)
 
 RNG_SCHEME = "pcg64-fisheryates-v1"
 
@@ -191,12 +197,19 @@ def _flat(x: ExtendedGraph) -> FlatExtension:
 def extension_metric(x: ExtendedGraph) -> np.ndarray:
     """D_X: the dense all-pairs shortest-path metric of the flattened extension.
 
-    Computed once per extension and cached on it; every distance and
-    shortest-path tree over the extension is read from this one array.
+    Computed once per extension and cached on it, read-only; every distance
+    and shortest-path tree over the extension is read from this one array.
+    Both searches give the same floats.  The level search is used when the
+    lengths take at most two values (the base and fiber lengths of the gap
+    construction), where it is several times faster; other lengths, such as
+    a hand-edited instance file's, go to Dijkstra.
     """
     if x._metric is None:
         flat = _flat(x)
-        x._metric = shortest_path_metric(flat.graph, flat.lengths)
+        few = np.unique(flat.lengths).size <= 2
+        search = level_search_metric if few else shortest_path_metric
+        x._metric = search(flat.graph, flat.lengths)
+        x._metric.setflags(write=False)
     return x._metric
 
 

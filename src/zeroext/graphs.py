@@ -8,6 +8,7 @@ serialized.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -356,7 +357,9 @@ def girth(g: Graph):
     """Edge count of the shortest cycle; math.inf for forests.
 
     Self-loops count as 1-cycles and parallel pairs as 2-cycles.  Otherwise a
-    BFS from every vertex finds the shortest cycle exactly.
+    BFS from every vertex finds the shortest cycle exactly.  A cycle closed
+    from depth t has at least 2t + 1 edges, so a BFS stops at the first depth
+    where that reaches the best cycle found so far.
     """
     best = math.inf
     counts: dict[tuple[int, int], int] = {}
@@ -372,7 +375,9 @@ def girth(g: Graph):
         via = [-1] * g.vertex_count
         dist[root] = 0
         q = [root]
-        while q:
+        depth = 0
+        while q and 2 * depth + 1 < best:
+            depth += 1
             nxt = []
             for u in q:
                 for w, eid in adj[u]:
@@ -402,8 +407,9 @@ def shortest_path_rows(g: Graph, lengths: np.ndarray, sources) -> np.ndarray:
     """Exact distances from each of `sources` as a dense (len(sources), V)
     float matrix; disconnected pairs get math.inf.  Lengths may be zero.
 
-    Backed by scipy's Dijkstra, the only shortest-path search in the package;
-    agreement with a Floyd-Warshall oracle is pinned in the test suite.
+    Backed by scipy's Dijkstra; agreement with a Floyd-Warshall oracle is
+    pinned in the test suite.  `level_search_metric` gives the same floats for
+    all sources at once and is the faster search when lengths take few values.
     """
     from scipy.sparse.csgraph import dijkstra
 
@@ -436,6 +442,128 @@ def _csr(g: Graph, lengths: np.ndarray):
     first[1:] = (us[1:] != us[:-1]) | (vs[1:] != vs[:-1])
     n = g.vertex_count
     return csr_matrix((ls[first], (us[first], vs[first])), shape=(n, n))
+
+
+# Bitsets over sources are little-endian words, so that a byte view unpacks
+# (bitorder="little") to sources in ascending order.
+_WORD = np.dtype("<u8")
+# Sources per search, in words of 64: a block's bitsets stay in cache, and
+# the memory held besides the result stays a few MiB.
+_BLOCK_WORDS = 4
+
+
+def level_search_metric(g: Graph, lengths: np.ndarray) -> np.ndarray:
+    """shortest_path_metric(g, lengths), byte for byte, from a search over
+    many sources at once.  Its cost grows with the number of distinct
+    distances, so it is the fast search when the lengths take few values.
+
+    Dijkstra's float result is the least fixed point
+    D[s, v] = min_u fl(D[s, u] + l(u, v)) with D[s, s] = 0.  Float addition is
+    monotone, so settling candidate values in ascending order over all sources
+    together gives the same floats.  Each vertex holds a bitset over sources;
+    the pairs first reached at value F spread, one length class at a time, to
+    the neighbours, queued at fl(F + l).  A pair's value is stored as the index
+    of its level in bit-planes and decoded after the search into rows of a
+    C-ordered matrix.  Sources are searched in blocks of 64 * _BLOCK_WORDS.
+    """
+    lengths = validate_lengths(g, lengths, allow_zero=True)
+    n = g.vertex_count
+    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    keep = ends[:, 0] != ends[:, 1]  # self-loops never shorten a path
+    classes, cls = np.unique(lengths[keep], return_inverse=True)
+    steps = [
+        (float(length), _neighbour_table(n, ends[keep][cls == c]))
+        for c, length in enumerate(classes)
+    ]
+    out = np.empty((n, n))
+    for s0 in range(0, n, 64 * _BLOCK_WORDS):
+        s1 = min(n, s0 + 64 * _BLOCK_WORDS)
+        planes, values = _search_levels(n, steps, np.arange(s0, s1))
+        _decode_levels(planes, values, out[s0:s1])
+    return out
+
+
+def _search_levels(n: int, steps, sources: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Bit-planes of each (vertex, source) pair's level, and the level values.
+
+    Bit j of a bitset row stands for sources[j]; bits past the last source
+    are never reached and decode to nothing.  Every bitset has a zero row n,
+    which the neighbour tables' padding points at.
+    """
+    bit = np.arange(sources.size)
+    unreached = np.zeros((n + 1, -(-sources.size // 64)), dtype=_WORD)
+    unreached[:n] = ~np.zeros(unreached.shape[1], dtype=_WORD)
+    start = np.zeros_like(unreached)
+    start[sources, bit // 64] = np.uint64(1) << (bit % 64).astype(_WORD)
+    queue = {0.0: start}
+    heap = [0.0]
+    values: list[float] = []
+    planes: list[np.ndarray] = []
+    while heap:
+        f = heapq.heappop(heap)
+        new = queue.pop(f)
+        np.bitwise_and(new, unreached, out=new)
+        if not new.any():
+            continue
+        unreached ^= new
+        if not values or values[-1] != f:  # f comes back when fl(f + l) == f
+            values.append(f)
+        _add_level(planes, new, len(values) - 1)
+        for length, table in steps:
+            reach = _spread(new, table)
+            target = f + length
+            if target in queue:
+                queue[target] |= reach
+            else:
+                queue[target] = reach
+                heapq.heappush(heap, target)
+    if unreached.any():
+        values.append(math.inf)
+        _add_level(planes, unreached, len(values) - 1)
+    return planes, np.array(values)
+
+
+def _neighbour_table(n: int, ends: np.ndarray) -> np.ndarray:
+    """(n, max degree) neighbours of each vertex over the given edges, padded
+    with n."""
+    heads = np.concatenate((ends[:, 0], ends[:, 1]))
+    tails = np.concatenate((ends[:, 1], ends[:, 0]))
+    order = np.argsort(heads, kind="stable")
+    heads, tails = heads[order], tails[order]
+    degree = np.bincount(heads, minlength=n)
+    table = np.full((n, int(degree.max(initial=0))), n, dtype=np.int64)
+    slot = np.arange(heads.size) - np.repeat(np.cumsum(degree) - degree, degree)
+    table[heads, slot] = tails
+    return table
+
+
+def _spread(bits: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Row v of the result ORs the rows of `bits` at v's neighbours in `table`."""
+    out = np.zeros_like(bits)
+    gathered = np.empty_like(bits[:-1])
+    for column in table.T:
+        np.take(bits, column, axis=0, out=gathered)
+        out[:-1] |= gathered
+    return out
+
+
+def _add_level(planes: list[np.ndarray], bits: np.ndarray, level: int) -> None:
+    """Record `level` for the pairs in `bits`: bit b of it goes to plane b."""
+    while level >> len(planes):
+        planes.append(np.zeros_like(bits))
+    for b, plane in enumerate(planes):
+        if level >> b & 1:
+            plane |= bits
+
+
+def _decode_levels(planes: list[np.ndarray], values: np.ndarray, out: np.ndarray) -> None:
+    """out[j, v] = values[level of bit j at vertex v]."""
+    sources, n = out.shape
+    index = np.zeros((n, sources), dtype=np.min_scalar_type(values.size - 1))
+    for b, plane in enumerate(planes):
+        bits = np.unpackbits(plane[:n].view(np.uint8), axis=1, bitorder="little")
+        index |= bits[:, :sources].astype(index.dtype) << b
+    np.take(values, index.T, out=out, mode="clip")
 
 
 @dataclass

@@ -4,8 +4,8 @@ The oracles here deliberately avoid the library's own code paths: shortest
 paths come from a plain Floyd-Warshall loop and single-source trees from a
 heap Dijkstra with its own (numpy) predecessor pass, optima from itertools
 enumeration, cycle verdicts from explicit simple-cycle enumeration,
-shuffles from one scalar draw per Fisher-Yates step, and CKR labelings from
-one terminal column at a time.
+shuffles from one scalar draw per Fisher-Yates step, girth from a BFS that
+is never cut short, and CKR labelings from one terminal column at a time.
 """
 from __future__ import annotations
 
@@ -166,6 +166,36 @@ def reference_random_regular(m: int, d: int, seed: int, tries: int = 3000):
         f"configuration model failed after {tries} tries for m={m}, d={d}; "
         "try a larger m or smaller d"
     )
+
+
+def reference_girth(g: graphs.Graph):
+    """Shortest cycle by a full BFS from every vertex, never cut short."""
+    counts: dict[tuple[int, int], int] = {}
+    for u, v in g.edges:
+        if u == v:
+            return 1
+        counts[(u, v)] = counts.get((u, v), 0) + 1
+    best = 2 if any(c > 1 for c in counts.values()) else math.inf
+    adj = g.adjacency()
+    for root in range(g.vertex_count):
+        dist = [-1] * g.vertex_count
+        via = [-1] * g.vertex_count
+        dist[root] = 0
+        q = [root]
+        while q:
+            nxt = []
+            for u in q:
+                for w, eid in adj[u]:
+                    if eid == via[u]:
+                        continue
+                    if dist[w] == -1:
+                        dist[w] = dist[u] + 1
+                        via[w] = eid
+                        nxt.append(w)
+                    else:
+                        best = min(best, dist[u] + dist[w] + 1)
+            q = nxt
+    return best
 
 
 # -- one-terminal-at-a-time CKR oracle ------------------------------------------

@@ -174,6 +174,16 @@ def test_sample_extension_rejects_zero_lengths():
         sample_extension(c3, uniform_lengths(c3, 1.0), c3, zero, seed=0)
 
 
+@pytest.mark.parametrize("base_lengths", [[2.0, 2.0, 2.0], [1.0, 2.0, 3.0]])
+def test_cached_extension_metric_is_read_only(base_lengths):
+    # Shared by the instance, split and certificate code; none may write to it.
+    x = sample_extension(c3(), np.array(base_lengths), c3(), uniform_lengths(c3(), 1.0), seed=3)
+    dx = extension.extension_metric(x)
+    assert extension.extension_metric(x) is dx
+    with pytest.raises(ValueError, match="read-only"):
+        dx[0, 1] = 0.0
+
+
 def test_traverse_inter_errors():
     x = sample_extension(single_edge(), np.array([1.0]), edgeless(3), np.zeros(0), seed=2)
     with pytest.raises(ExtensionError):

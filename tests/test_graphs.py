@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     cayley_setup,
     graph_fw,
     heap_dijkstra_tree,
+    reference_girth,
     reference_random_regular,
     scalar_fisher_yates,
 )
@@ -20,6 +23,7 @@ from zeroext.graphs import (
     build_cayley,
     expansion_estimate,
     girth,
+    level_search_metric,
     random_regular,
     shortest_path_metric,
     single_source_shortest_paths,
@@ -163,9 +167,35 @@ def test_girth_examples():
     assert girth(tree) == math.inf
 
 
+MULTIGRAPHS = [
+    [(0, 0), (0, 1)],
+    [(0, 1), (0, 1)],
+    [(0, 1), (1, 2), (1, 2), (2, 0)],
+    [(0, 1), (1, 2), (2, 3), (3, 0), (2, 2)],
+    [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (3, 4)],
+]
+
+
 def test_girth_multigraph_cases():
     assert girth(Graph(vertex_count=2, edges=[(0, 0), (0, 1)], multigraph=True)) == 1
     assert girth(Graph(vertex_count=2, edges=[(0, 1), (0, 1)], multigraph=True)) == 2
+    for edges in MULTIGRAPHS:
+        g = Graph(vertex_count=5, edges=edges, multigraph=True)
+        assert girth(g) == reference_girth(g), edges
+
+
+def test_girth_matches_full_bfs_on_random_graphs():
+    # The BFS stops once no deeper cycle can beat the best; the result stays exact.
+    for m, d in ((8, 3), (12, 3), (16, 4), (32, 4), (20, 5), (64, 3)):
+        for seed in range(8):
+            g = random_regular(m, d, seed)
+            assert girth(g) == reference_girth(g), (m, d, seed)
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        n = int(rng.integers(1, 12))
+        edges = [tuple(int(a) for a in rng.integers(0, n, 2)) for _ in range(int(rng.integers(0, 2 * n)))]
+        g = Graph(vertex_count=n, edges=[e for e in edges if e[0] != e[1]], multigraph=True)
+        assert girth(g) == reference_girth(g), g.edges
 
 
 # -- shortest paths -------------------------------------------------------------
@@ -345,6 +375,81 @@ def test_parallel_edges_collapse_to_the_shortest():
     g = Graph(vertex_count=3, edges=[(0, 1), (0, 1), (1, 1), (1, 2)], multigraph=True)
     lengths = np.array([1.0, 1.0, 0.5, 1.5])
     assert np.array_equal(shortest_path_metric(g, lengths), graph_fw(g, lengths))
+
+
+# -- the level search reproduces Dijkstra's floats ------------------------------
+
+
+def _assert_same_bytes(g, lengths):
+    want = shortest_path_metric(g, lengths)
+    got = level_search_metric(g, lengths)
+    assert got.flags.c_contiguous
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# k = 400 and 576 span two and three decode blocks; 400 ends in a partial word.
+@pytest.mark.parametrize("n, d", [(5, 4), (6, 3), (8, 4), (10, 3), (12, 5), (16, 4), (20, 3), (24, 4)])
+def test_level_search_matches_dijkstra_bytes_on_gap_extensions(n, d):
+    for seed in range(3):
+        x = instance.default_gap_instance(n, d, seed, girth_floor=3).extension
+        flat = extension.flatten(x)
+        _assert_same_bytes(flat.graph, flat.lengths)
+        assert extension.extension_metric(x).tobytes() == level_search_metric(flat.graph, flat.lengths).tobytes()
+
+
+def test_level_search_matches_dijkstra_bytes_on_cayley_extensions():
+    for seed in range(3):
+        x, _ = cayley_setup(seed)
+        flat = extension.flatten(x)
+        _assert_same_bytes(flat.graph, flat.lengths)
+
+
+def test_level_search_rows_are_rows_of_their_source_on_an_asymmetric_metric():
+    # Float sums make this D_X differ from its transpose in the last bits, so
+    # decoding the bits of source s into column s instead of row s fails here.
+    x = instance.default_gap_instance(10, 3, 0, girth_floor=3).extension
+    flat = extension.flatten(x)
+    dx = level_search_metric(flat.graph, flat.lengths)
+    assert not np.array_equal(dx, dx.T)
+    for s in range(0, x.vertex_count, 7):
+        row = graphs.shortest_path_rows(flat.graph, flat.lengths, [s])[0]
+        assert dx[s].tobytes() == row.tobytes(), s
+
+
+def test_level_search_sizes_the_level_index_to_the_level_count():
+    # A path with random lengths has about n^2 / 2 distinct distances, more
+    # than a one-byte level index can name.
+    g = Graph(vertex_count=40, edges=[(v, v + 1) for v in range(39)])
+    lengths = np.random.default_rng(2).random(g.edge_count) + 0.5
+    assert np.unique(shortest_path_metric(g, lengths)).size > 256
+    _assert_same_bytes(g, lengths)
+
+
+@st.composite
+def small_graphs_with_lengths(draw):
+    """A small multigraph (loops, parallel edges, often disconnected) with
+    lengths from two values, from {1, 1e-17, 0} (where fl(F + l) == F), or
+    arbitrary floats >= 0."""
+    kind = draw(st.sampled_from(["two", "tiny", "floats"]))
+    n = draw(st.integers(1, 10 if kind == "floats" else 80))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    if kind == "floats":
+        length = st.floats(0.0, 10.0, allow_nan=False)
+    elif kind == "tiny":
+        length = st.sampled_from([1.0, 1e-17, 0.0])
+    else:
+        length = st.sampled_from(draw(st.sampled_from([(0.7, 1.3), (1.5, 2.25), (1.0, 1e-17)])))
+    lengths = draw(st.lists(length, min_size=len(edges), max_size=len(edges)))
+    return Graph(vertex_count=n, edges=edges, multigraph=True), np.array(lengths, dtype=float)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_graphs_with_lengths())
+@example((Graph(vertex_count=4, edges=[(0, 1), (1, 2), (2, 3)]), np.array([1.0, 1e-17, 1.0])))
+def test_level_search_matches_dijkstra_bytes_on_small_graphs(case):
+    _assert_same_bytes(*case)
 
 
 # -- expansion estimate -----------------------------------------------------------

@@ -189,10 +189,36 @@ def test_build_and_load_enforce_the_dense_ceiling(tmp_path, monkeypatch):
 
     monkeypatch.setattr(instance, "DENSE_METRIC_CAP", 8)  # k = 9
     monkeypatch.setattr(extension, "shortest_path_metric", no_apsp)
+    monkeypatch.setattr(extension, "level_search_metric", no_apsp)
     with pytest.raises(InstanceError, match="k=9 points, above the dense metric ceiling k <= 8"):
         build_gap_instance(x, big_l=1.5)
     with pytest.raises(InstanceError, match="ceiling k <= 8"):
         load_instance(path)
+
+
+def test_loaded_instance_with_uneven_base_lengths_takes_dijkstra(tmp_path, monkeypatch):
+    # Three distinct lengths on the extension: D_X comes from Dijkstra, and
+    # the level search gives the same bytes.
+    x = sample_extension(c3(), np.array([1.0, 2.0, 3.0]), c3(), uniform_lengths(c3(), 0.5), seed=4)
+    path = tmp_path / "uneven.json"
+    save_instance(build_gap_instance(x, big_l=1.5), path)
+    calls = []
+
+    def spy(search):
+        def wrapped(*args):
+            calls.append(search.__name__)
+            return search(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(extension, "shortest_path_metric", spy(graphs.shortest_path_metric))
+    monkeypatch.setattr(extension, "level_search_metric", spy(graphs.level_search_metric))
+    back = load_instance(path)
+    assert calls == ["shortest_path_metric"]
+    flat = flatten(back.origin.extension)
+    assert back.origin.dx.tobytes() == graphs.level_search_metric(flat.graph, flat.lengths).tobytes()
+    build_gap_instance(sample_extension(c3(), uniform_lengths(c3(), 2.0), c3(), uniform_lengths(c3(), 0.5), seed=4), 1.5)
+    assert calls == ["shortest_path_metric", "level_search_metric"]
 
 
 def test_girth_floor_failure_reports_best():
