@@ -9,10 +9,11 @@ per-component representations, the label skeleton of the transformed paths,
 and the representative identities; R is reconstructible from the certificate
 alone, without the sampled matchings.
 
-Label modes: 'gen' when the relevant side is a labeled Cayley graph (relative
-positions inside a cloud are start-independent group elements), 'edge'
-otherwise (edge-id steps; each representation then anchors one true fiber
-identity so relative positions can be evaluated in the public fiber graph).
+Step labels are edge ids with a direction (see `EdgeLabel`), so they name a
+step in any base and fiber graph.  A relative position inside a cloud is the
+sequence of intra steps between two vertices; each representation anchors
+one true fiber identity, from which the public fiber graph gives the
+identity of every other distinguished vertex.
 """
 from __future__ import annotations
 
@@ -35,52 +36,38 @@ class CertificateError(ValueError):
 # -- label helpers -------------------------------------------------------------
 
 
-def _invert_label(lab: EdgeLabel, base: Graph, fiber: Graph) -> EdgeLabel:
-    if lab.scheme == "edge":
-        return EdgeLabel(lab.kind, "edge", lab.value, -lab.direction)
-    g = fiber if lab.kind == "intra" else base
-    return EdgeLabel(lab.kind, "gen", g.generator_inverse[lab.value], 0)
+# Version-1 documents carry this constant mode header, and serialize each
+# label as [kind, "edge", value, direction].
+MODE = {"base": "edge", "fiber": "edge"}
+
+
+def _invert_label(lab: EdgeLabel) -> EdgeLabel:
+    return EdgeLabel(lab.kind, lab.value, -lab.direction)
 
 
 def _label_ser(lab: EdgeLabel) -> tuple:
-    return (lab.kind, lab.scheme, int(lab.value), int(lab.direction))
+    return (lab.kind, "edge", int(lab.value), int(lab.direction))
 
 
 def _label_unser(t) -> EdgeLabel:
-    return EdgeLabel(str(t[0]), str(t[1]), int(t[2]), int(t[3]))
+    if t[1] != "edge":
+        raise ValueError(f"label scheme {t[1]!r} is not 'edge'")
+    return EdgeLabel(str(t[0]), int(t[2]), int(t[3]))
 
 
-def _apply_cloud(g_cur: int, lab: EdgeLabel, base: Graph) -> int:
-    """Cloud reached by traversing an inter label from cloud g_cur."""
-    if lab.kind != "inter":
-        return g_cur
-    if lab.scheme == "gen":
-        el = base.group.elements()[g_cur]
-        return base.group.index(base.group.mul(el, base.generator_codes[lab.value]))
-    u, v = base.edges[lab.value]
-    if lab.direction == 1 and g_cur == u:
-        return v
-    if lab.direction == -1 and g_cur == v:
-        return u
+def _follow(g: Graph, at: int, lab: EdgeLabel) -> int:
+    """The vertex of g (the base for an inter label, the fiber for an intra
+    one) reached from vertex `at` along the edge and direction `lab` names."""
+    if 0 <= lab.value < g.edge_count:
+        u, v = g.edges[lab.value]
+        if lab.direction == 1 and at == u:
+            return v
+        if lab.direction == -1 and at == v:
+            return u
+    side = "base" if lab.kind == "inter" else "fiber"
     raise CertificateError(
-        f"inter step (base edge {lab.value}={base.edges[lab.value]}, "
-        f"dir {lab.direction}) does not apply in cloud {g_cur}"
-    )
-
-
-def _apply_fiber(h_cur: int, lab: EdgeLabel, fiber: Graph) -> int:
-    """Fiber vertex reached by an intra label from fiber vertex h_cur."""
-    if lab.scheme == "gen":
-        el = fiber.group.elements()[h_cur]
-        return fiber.group.index(fiber.group.mul(el, fiber.generator_codes[lab.value]))
-    u, v = fiber.edges[lab.value]
-    if lab.direction == 1 and h_cur == u:
-        return v
-    if lab.direction == -1 and h_cur == v:
-        return u
-    raise CertificateError(
-        f"intra step (edge {lab.value}, dir {lab.direction}) does not apply at "
-        f"fiber vertex {h_cur}"
+        f"{lab.kind} step ({side} edge {lab.value}, dir {lab.direction}) does not "
+        f"apply at {side} vertex {at}"
     )
 
 
@@ -168,7 +155,6 @@ def reconstruct_paths(
     """
     from .extension import traverse_inter, vertex_id
 
-    base_lookup = x.base.edge_lookup()
     resolved: dict[Ind, int] = {}
     out: list[list[int]] = [None] * len(ft.paths)
 
@@ -196,7 +182,7 @@ def reconstruct_paths(
             labels = qpath.labels
         elif which == "end":
             verts = qpath.verts[::-1]
-            labels = [_invert_label(l, x.base, x.fiber) for l in qpath.labels[::-1]]
+            labels = [_invert_label(l) for l in qpath.labels[::-1]]
             order = range(len(labels))
         else:
             raise CertificateError(f"endpoint position must be start or end, got {which}")
@@ -208,18 +194,12 @@ def reconstruct_paths(
             try:
                 if lab.kind == "intra":
                     g = project(x, cur)
-                    h = _apply_fiber(cur % x.fiber_size, lab, x.fiber)
+                    h = _follow(x.fiber, cur % x.fiber_size, lab)
                     cur = vertex_id(x, g, h)
                 else:
-                    g2 = _apply_cloud(project(x, cur), lab, x.base)
-                    if lab.scheme == "gen":
-                        beid = base_lookup.get((min(project(x, cur), g2), max(project(x, cur), g2)))
-                        if beid is None:
-                            raise CertificateError("label names a non-existent base edge")
-                    else:
-                        beid = lab.value
-                    cur = traverse_inter(x, beid, cur)
-            except (KeyError, CertificateError) as exc:
+                    _follow(x.base, project(x, cur), lab)  # checks the direction
+                    cur = traverse_inter(x, lab.value, cur)
+            except CertificateError as exc:
                 raise CertificateError(f"path {pidx} step {j}: {exc}") from None
             walk.append(cur)
             bind(pidx, j + 1, verts[j + 1], cur)
@@ -275,11 +255,11 @@ class ICCGraph:
 
 
 def _canonical_transit(
-    first: Ind, last: Ind, labels: list[EdgeLabel], base: Graph, fiber: Graph
+    first: Ind, last: Ind, labels: list[EdgeLabel]
 ) -> tuple[tuple[Ind, Ind], list[EdgeLabel]]:
     """Direction-normalize a transit: keep the lex-smaller directed serialization."""
     fwd = (first, tuple(_label_ser(l) for l in labels))
-    rev_labels = [_invert_label(l, base, fiber) for l in labels[::-1]]
+    rev_labels = [_invert_label(l) for l in labels[::-1]]
     bwd = (last, tuple(_label_ser(l) for l in rev_labels))
     if fwd <= bwd:
         return (first, last), list(labels)
@@ -291,12 +271,8 @@ def _transit_last_base_edge(start_cloud: int, labels: list[EdgeLabel], base: Gra
     last = -1
     for lab in labels:
         if lab.kind == "inter":
-            g_next = _apply_cloud(g, lab, base)
-            if lab.scheme == "edge":
-                last = lab.value
-            else:
-                last = base.edge_lookup()[(min(g, g_next), max(g, g_next))]
-            g = g_next
+            g = _follow(base, g, lab)
+            last = lab.value
     if last < 0:
         raise CertificateError("transit contains no inter-cloud step")
     return int(last)
@@ -368,9 +344,7 @@ def inner_components(ft: FormalTransformation) -> ICCGraph:
                 continue  # intra step inside one inner component
             seg_verts = qpath.verts[a : b + 1]
             seg_labels = qpath.labels[a:b]
-            ends, canon = _canonical_transit(
-                seg_verts[0], seg_verts[-1], seg_labels, ft.base, ft.fiber
-            )
+            ends, canon = _canonical_transit(seg_verts[0], seg_verts[-1], seg_labels)
             key = (ends[0], tuple(_label_ser(l) for l in canon))
             first = (min(seg_verts[0], seg_verts[1]), max(seg_verts[0], seg_verts[1]))
             last = (min(seg_verts[-2], seg_verts[-1]), max(seg_verts[-2], seg_verts[-1]))
@@ -490,10 +464,8 @@ def skeleton(ft: FormalTransformation, icc: ICCGraph) -> list[SkeletonPath]:
 class ComponentRepresentation:
     cloud: int
     distinguished: list[Ind]
-    diffs: dict[tuple[Ind, Ind], tuple]   # ordered pair -> group element ('gen'
-                                          # fiber mode) or intra step sequence
-    anchor_identity: int | None           # fiber vertex of distinguished[0],
-                                          # present only in 'edge' fiber mode
+    diffs: dict[tuple[Ind, Ind], tuple]   # ordered pair -> intra steps (edge, direction)
+    anchor_identity: int                  # fiber vertex of distinguished[0]
 
 
 def _intra_adjacency(ft: FormalTransformation) -> dict[Ind, dict[Ind, EdgeLabel]]:
@@ -504,25 +476,20 @@ def _intra_adjacency(ft: FormalTransformation) -> dict[Ind, dict[Ind, EdgeLabel]
                 continue
             u, v = qpath.verts[j], qpath.verts[j + 1]
             adj.setdefault(u, {}).setdefault(v, lab)
-            adj.setdefault(v, {}).setdefault(u, _invert_label(lab, ft.base, ft.fiber))
+            adj.setdefault(v, {}).setdefault(u, _invert_label(lab))
     return adj
-
-
-def _label_mode(g: Graph) -> str:
-    return "gen" if g.labels is not None else "edge"
 
 
 def representations(ft: FormalTransformation, icc: ICCGraph) -> list[ComponentRepresentation]:
     """Distinguished vertices of every inner component, plus their pairwise
     relative positions (all ordered pairs; redundant but faithful)."""
     adj = _intra_adjacency(ft)
-    mode = _label_mode(ft.fiber)
-    inv = ft.ind_inverse() if mode == "edge" else None
+    inv = ft.ind_inverse()
     out = []
     for comp in icc.components:
         diffs: dict[tuple[Ind, Ind], tuple] = {}
         for a in comp.distinguished:
-            reached = _walk_diffs(a, adj, ft.fiber, mode)
+            reached = _walk_diffs(a, adj)
             for b in comp.distinguished:
                 if b == a:
                     continue
@@ -531,37 +498,27 @@ def representations(ft: FormalTransformation, icc: ICCGraph) -> list[ComponentRe
                         f"distinguished vertices {a} and {b} are not intra-connected"
                     )
                 diffs[(a, b)] = reached[b]
-        anchor = None
-        if mode == "edge":
-            anchor = inv[comp.distinguished[0]] % ft.fiber_size
         out.append(
             ComponentRepresentation(
                 cloud=comp.cloud,
                 distinguished=list(comp.distinguished),
                 diffs=diffs,
-                anchor_identity=anchor,
+                anchor_identity=inv[comp.distinguished[0]] % ft.fiber_size,
             )
         )
     return out
 
 
-def _walk_diffs(start: Ind, adj, fiber: Graph, mode: str) -> dict[Ind, tuple]:
+def _walk_diffs(start: Ind, adj) -> dict[Ind, tuple]:
     """BFS accumulation of relative positions from `start` over intra edges."""
-    if mode == "gen":
-        acc0: tuple = fiber.group.identity()
-    else:
-        acc0 = ()
-    reached = {start: acc0}
+    reached: dict[Ind, tuple] = {start: ()}
     q = deque([start])
     while q:
         u = q.popleft()
         for w, lab in sorted(adj.get(u, {}).items()):
             if w in reached:
                 continue
-            if mode == "gen":
-                reached[w] = fiber.group.mul(reached[u], fiber.generator_codes[lab.value])
-            else:
-                reached[w] = reached[u] + ((int(lab.value), int(lab.direction)),)
+            reached[w] = reached[u] + ((int(lab.value), int(lab.direction)),)
             q.append(w)
     return reached
 
@@ -578,8 +535,6 @@ class Certificate:
     deliberately absent and cannot be recovered from a certificate.
     """
 
-    base_mode: str
-    fiber_mode: str
     subgraph_vertices: list[int]
     subgraph_edges: list[tuple[int, int, int]]   # (base edge id, g1, g2), ascending
     representations: list[ComponentRepresentation]
@@ -627,6 +582,16 @@ def transform_pipeline(
     return paths, ft, icc
 
 
+def require_split(x: ExtendedGraph, c: SplitCandidate) -> None:
+    """Re-verify a candidate; raise CertificateError naming the failed conditions."""
+    report = verify_split(c, x)
+    if not report.is_split:
+        failed = [n for n, v in report.conditions.items() if not v.passed]
+        raise CertificateError(
+            f"candidate fails split conditions {failed}; use force=True for diagnostics"
+        )
+
+
 def build_certificate(x: ExtendedGraph, c: SplitCandidate, *, force: bool = False) -> Certificate:
     """Assemble the certificate of a split candidate.
 
@@ -634,25 +599,24 @@ def build_certificate(x: ExtendedGraph, c: SplitCandidate, *, force: bool = Fals
     certificates from candidates that fail some split condition.
     """
     if not force:
-        report = verify_split(c, x)
-        if not report.is_split:
-            failed = [n for n, v in report.conditions.items() if not v.passed]
-            raise CertificateError(
-                f"candidate fails split conditions {failed}; use force=True for diagnostics"
-            )
+        require_split(x, c)
     _, ft, icc = transform_pipeline(x, c)
-    skel = skeleton(ft, icc)
-    reps = representations(ft, icc)
+    return assemble_certificate(x, c, ft, icc)
+
+
+def assemble_certificate(
+    x: ExtendedGraph, c: SplitCandidate, ft: FormalTransformation, icc: ICCGraph
+) -> Certificate:
+    """The certificate of a candidate from its transformation and inner
+    component graph, as `transform_pipeline` returns them; no verification."""
     sub_edges = [
         (eid, x.base.edges[eid][0], x.base.edges[eid][1]) for eid in sorted(c.edge_ids)
     ]
     return Certificate(
-        base_mode=_label_mode(x.base),
-        fiber_mode=_label_mode(x.fiber),
         subgraph_vertices=sorted(c.vertices),
         subgraph_edges=sub_edges,
-        representations=reps,
-        skeleton_paths=skel,
+        representations=representations(ft, icc),
+        skeleton_paths=skeleton(ft, icc),
         representatives={g: int(c.rep_map[g]) for g in sorted(c.rep_map)},
         base=x.base,
         fiber=x.fiber,
@@ -667,27 +631,17 @@ def _check_label(lab: EdgeLabel, base: Graph, fiber: Graph, where: str) -> None:
     g = {"intra": fiber, "inter": base}.get(lab.kind)
     if g is None:
         raise CertificateError(f"{where}: unknown label kind {lab.kind!r}")
-    if lab.scheme == "gen" and g.generator_codes is not None:
-        if lab.value not in g.generator_codes:
-            raise CertificateError(f"{where}: no {lab.kind} generator {lab.value}")
-    elif lab.scheme == "edge":
-        if not 0 <= lab.value < g.edge_count or lab.direction not in (1, -1):
-            raise CertificateError(
-                f"{where}: {lab.kind} label names edge {lab.value} (of {g.edge_count}) "
-                f"with direction {lab.direction}"
-            )
-    else:
-        raise CertificateError(f"{where}: label scheme {lab.scheme!r} does not fit the graph")
+    if not 0 <= lab.value < g.edge_count or lab.direction not in (1, -1):
+        raise CertificateError(
+            f"{where}: {lab.kind} label names edge {lab.value} (of {g.edge_count}) "
+            f"with direction {lab.direction}"
+        )
 
 
 def _check_certificate(cert: Certificate) -> None:
     """Reject parts that do not fit the public graphs or each other, so the
     replay in `reconstruct_r` meets only well-formed input."""
     base, fiber = cert.base, cert.fiber
-    if (cert.base_mode, cert.fiber_mode) != (_label_mode(base), _label_mode(fiber)):
-        raise CertificateError(
-            f"label modes {cert.base_mode}/{cert.fiber_mode} do not fit the base and fiber graphs"
-        )
     if cert.fiber_size != fiber.vertex_count:
         raise CertificateError(f"fiber size {cert.fiber_size} != {fiber.vertex_count}")
     kept = set(cert.subgraph_vertices)
@@ -708,8 +662,6 @@ def _check_certificate(cert: Certificate) -> None:
         inds = rep.distinguished
         if not inds or not 0 <= rep.cloud < base.vertex_count or any(i[0] != rep.cloud for i in inds):
             raise CertificateError(f"component {cid}: no distinguished index, or one outside its cloud")
-        if cert.fiber_mode == "gen":
-            continue
         anchor = rep.anchor_identity
         if not isinstance(anchor, int) or not 0 <= anchor < cert.fiber_size:
             raise CertificateError(f"component {cid}: anchor identity {anchor!r} is no fiber vertex")
@@ -718,7 +670,7 @@ def _check_certificate(cert: Certificate) -> None:
                 raise CertificateError(f"component {cid}: no relative position of {w}")
         for diff in rep.diffs.values():
             for e, d in diff:
-                _check_label(EdgeLabel("intra", "edge", e, d), base, fiber, f"component {cid}")
+                _check_label(EdgeLabel("intra", e, d), base, fiber, f"component {cid}")
     for pidx, sp in enumerate(cert.skeleton_paths):
         if sp.length < 1 or len(sp.labels) != sp.length - 1:
             raise CertificateError(f"path {pidx}: {len(sp.labels)} labels for {sp.length} vertices")
@@ -748,41 +700,23 @@ def reconstruct_r(cert: Certificate) -> ICCGraph:
                 raise CertificateError(f"index {ind} distinguished in two components")
             comp_of_ind[ind] = cid
 
-    # True identities of distinguished vertices, available in 'edge' fiber mode.
-    ids: list[dict[Ind, int] | None] = [None] * len(comps)
-    if cert.fiber_mode == "edge":
-        for cid, rep in enumerate(comps):
-            anchor = rep.distinguished[0]
-            table = {anchor: int(rep.anchor_identity)}
-            for w in rep.distinguished[1:]:
-                h = int(rep.anchor_identity)
-                for (e, d) in rep.diffs[(anchor, w)]:
-                    h = _apply_fiber(h, EdgeLabel("intra", "edge", e, d), fiber)
-                table[w] = h
-            ids[cid] = table
+    # True fiber identities of the distinguished vertices, from each anchor.
+    ids: list[dict[Ind, int]] = []
+    for rep in comps:
+        anchor = rep.distinguished[0]
+        table = {anchor: int(rep.anchor_identity)}
+        for w in rep.distinguished[1:]:
+            h = int(rep.anchor_identity)
+            for (e, d) in rep.diffs[(anchor, w)]:
+                h = _follow(fiber, h, EdgeLabel("intra", e, d))
+            table[w] = h
+        ids.append(table)
 
-    def entry_state(cid: int, v0: Ind):
-        if cert.fiber_mode == "gen":
-            return fiber.group.identity()
-        return ids[cid][v0]
-
-    def advance(cid: int, acc, lab: EdgeLabel):
-        if cert.fiber_mode == "gen":
-            return fiber.group.mul(acc, fiber.generator_codes[lab.value])
-        return _apply_fiber(acc, lab, fiber)
-
-    def resolve(cid: int, v0: Ind, acc, where: str) -> Ind:
-        rep = comps[cid]
-        if cert.fiber_mode == "gen":
-            if acc == fiber.group.identity():
-                return v0
-            for w in rep.distinguished:
-                if w != v0 and rep.diffs.get((v0, w)) == acc:
-                    return w
-        else:
-            for w, h in ids[cid].items():
-                if h == acc:
-                    return w
+    def resolve(cid: int, h: int, where: str) -> Ind:
+        """The distinguished vertex of component cid at fiber vertex h."""
+        for w, h_w in ids[cid].items():
+            if h_w == h:
+                return w
         raise CertificateError(
             f"{where}: accumulated position matches no distinguished vertex of "
             f"component {cid}"
@@ -815,22 +749,21 @@ def reconstruct_r(cert: Certificate) -> ICCGraph:
         cid = comp_of_ind[start_ind]
         rep_comps.add(cid)
         rep_comps.add(comp_of_ind[end_ind])
-        if cert.fiber_mode == "edge" and ids[cid][start_ind] != r_start % cert.fiber_size:
+        if ids[cid][start_ind] != r_start % cert.fiber_size:
             raise CertificateError(f"path {pidx}: start identity disagrees with representative")
 
-        v0 = start_ind
-        acc = entry_state(cid, v0)
+        h = ids[cid][start_ind]  # fiber vertex of the walk inside component cid
         pos = 0
         while pos < len(labels):
             lab = labels[pos]
             if lab.kind == "intra":
                 try:
-                    acc = advance(cid, acc, lab)
-                except (KeyError, CertificateError) as exc:
+                    h = _follow(fiber, h, lab)
+                except CertificateError as exc:
                     raise CertificateError(f"path {pidx} step {pos}: {exc}") from None
                 pos += 1
                 continue
-            exit_ind = resolve(cid, v0, acc, f"path {pidx} step {pos}")
+            exit_ind = resolve(cid, h, f"path {pidx} step {pos}")
             key = (exit_ind, _label_ser(lab))
             rec = transit_seen.get(key)
             if rec is not None:
@@ -842,8 +775,7 @@ def reconstruct_r(cert: Certificate) -> ICCGraph:
                     )
                 pos += rec["length"]
                 cid = rec["far_comp"]
-                v0 = rec["far_ind"]
-                acc = entry_state(cid, v0)
+                h = ids[cid][rec["far_ind"]]
                 continue
             # New transit: walk until a kept index lands in a component.
             seg_labels: list[EdgeLabel] = []
@@ -855,8 +787,8 @@ def reconstruct_r(cert: Certificate) -> ICCGraph:
                 seg_labels.append(lab_j)
                 if lab_j.kind == "inter":
                     try:
-                        g_walk = _apply_cloud(g_walk, lab_j, base)
-                    except (KeyError, CertificateError) as exc:
+                        g_walk = _follow(base, g_walk, lab_j)
+                    except CertificateError as exc:
                         raise CertificateError(f"path {pidx} step {j}: {exc}") from None
                 j += 1
                 head = kept.get(j)
@@ -871,7 +803,7 @@ def reconstruct_r(cert: Certificate) -> ICCGraph:
                     f"match kept index {entry_ind}"
                 )
             c2 = comp_of_ind[entry_ind]
-            rev = [_invert_label(l, base, fiber) for l in seg_labels[::-1]]
+            rev = [_invert_label(l) for l in seg_labels[::-1]]
             transit_seen[(exit_ind, _label_ser(seg_labels[0]))] = {
                 "length": len(seg_labels),
                 "labels_ser": [_label_ser(l) for l in seg_labels],
@@ -884,7 +816,7 @@ def reconstruct_r(cert: Certificate) -> ICCGraph:
                 "far_comp": cid,
                 "far_ind": exit_ind,
             }
-            ends, canon = _canonical_transit(exit_ind, entry_ind, seg_labels, base, fiber)
+            ends, canon = _canonical_transit(exit_ind, entry_ind, seg_labels)
             transits.append(
                 Transit(
                     comp_a=comp_of_ind[ends[0]],
@@ -896,9 +828,8 @@ def reconstruct_r(cert: Certificate) -> ICCGraph:
             )
             pos = j
             cid = c2
-            v0 = entry_ind
-            acc = entry_state(cid, v0)
-        final = resolve(cid, v0, acc, f"path {pidx} end")
+            h = ids[cid][entry_ind]
+        final = resolve(cid, h, f"path {pidx} end")
         if final != end_ind:
             raise CertificateError(
                 f"path {pidx}: walk ends at {final}, skeleton claims {end_ind}"
@@ -1005,18 +936,15 @@ def diagnostics(icc: ICCGraph, base: Graph, epsilon: float, d: int, *, slack_con
 
 
 def certificate_to_json(cert: Certificate) -> dict:
-    """Four top-level sections mirroring the quadruplet, plus a mode header."""
+    """Four top-level sections mirroring the quadruplet, plus the mode header."""
 
     def ser_ind(ind: Ind):
         return [int(ind[0]), int(ind[1])]
 
-    def ser_diff(diff: tuple):
-        return [list(t) if isinstance(t, tuple) else t for t in diff]
-
     return {
         "format": "zeroext-certificate",
         "version": cert.version,
-        "mode": {"base": cert.base_mode, "fiber": cert.fiber_mode},
+        "mode": dict(MODE),
         "fiber_size": cert.fiber_size,
         "subgraph": {
             "vertices": [int(v) for v in cert.subgraph_vertices],
@@ -1027,7 +955,7 @@ def certificate_to_json(cert: Certificate) -> dict:
                 "cloud": rep.cloud,
                 "distinguished": [ser_ind(i) for i in rep.distinguished],
                 "diffs": [
-                    [ser_ind(a), ser_ind(b), ser_diff(diff)]
+                    [ser_ind(a), ser_ind(b), [list(step) for step in diff]]
                     for (a, b), diff in sorted(rep.diffs.items())
                 ],
                 "anchor_identity": rep.anchor_identity,
@@ -1060,14 +988,13 @@ def certificate_from_json(doc: dict, base: Graph, fiber: Graph) -> Certificate:
 
 
 def _certificate_from_doc(doc: dict, base: Graph, fiber: Graph) -> Certificate:
-    fiber_mode = doc["mode"]["fiber"]
+    if doc["mode"] != MODE:
+        raise ValueError(f"label mode {doc['mode']!r} is not {MODE!r}")
 
     def un_ind(t) -> Ind:
         return (int(t[0]), int(t[1]))
 
     def un_diff(raw) -> tuple:
-        if fiber_mode == "gen":
-            return tuple(int(v) for v in raw)
         return tuple((int(e), int(d)) for e, d in raw)
 
     reps = [
@@ -1088,8 +1015,6 @@ def _certificate_from_doc(doc: dict, base: Graph, fiber: Graph) -> Certificate:
         for s in doc["skeleton"]
     ]
     return Certificate(
-        base_mode=doc["mode"]["base"],
-        fiber_mode=fiber_mode,
         subgraph_vertices=[int(v) for v in doc["subgraph"]["vertices"]],
         subgraph_edges=[(int(e), int(a), int(b)) for e, a, b in doc["subgraph"]["edges"]],
         representations=reps,

@@ -14,6 +14,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -24,10 +25,11 @@ import numpy as np
 
 from . import __version__
 from .certificate import (
-    build_certificate,
+    assemble_certificate,
     certificate_to_json,
     diagnostics,
     reconstruct_r,
+    require_split,
     transform_pipeline,
 )
 from .instance import (
@@ -198,21 +200,25 @@ def _flag(name: str) -> str:
 def _read_config_file(path: str) -> dict[str, object]:
     """`key = value` lines, parsed; a key that is no config key is rejected."""
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected `key = value`")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in CONFIG_FILE_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                values[key] = OPTIONS[key].parse(value)
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected `key = value`")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in CONFIG_FILE_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            values[key] = OPTIONS[key].parse(value)
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
     return values
 
 
@@ -417,8 +423,10 @@ def cmd_cert(cfg: ExperimentConfig, args) -> int:
     if x is None:
         raise ConfigError("certificate analysis needs a gap instance")
     cand = _candidate_for(cfg, args, inst, x)
-    cert = build_certificate(x, cand, force=cfg.force)
+    if not cfg.force:
+        require_split(x, cand)
     _, ft, icc = transform_pipeline(x, cand)
+    cert = assemble_certificate(x, cand, ft, icc)
     rebuilt = reconstruct_r(cert)
     round_trip = rebuilt.canonical_form() == icc.canonical_form()
     d = 2 * x.base.edge_count // x.base.vertex_count  # the base is d-regular
@@ -485,20 +493,37 @@ def _gap_rows(cfg: ExperimentConfig, tasks: list[tuple[int, int]]) -> list[dict]
         return list(pool.map(_gap_row, [cfg] * len(tasks), ns, seeds))
 
 
+def _read_lp_opt(path: str) -> dict[str, int | float]:
+    """The `--lp-opt` file: a JSON object mapping "n,seed" keys to positive
+    finite LP optima.  Any other content raises ConfigError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
+    except ValueError as exc:
+        raise ConfigError(f"{path}: not a JSON document ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f'{path}: expected a JSON object keyed "n,seed", got {type(doc).__name__}')
+    for key, value in doc.items():
+        if not re.fullmatch(r"[0-9]+,[0-9]+", key):
+            raise ConfigError(f'{path}: key {key!r} is not "n,seed"')
+        if type(value) not in (int, float) or not 0 < value <= sys.float_info.max:
+            raise ConfigError(f"{path}: LP optimum {value!r} of {key!r} is not a positive finite number")
+    return doc
+
+
 def cmd_gap(cfg: ExperimentConfig, args) -> int:
     cfg.check_solvers_run()
+    lp_opts = _read_lp_opt(cfg.lp_opt) if cfg.lp_opt else {}
     started = time.perf_counter()
     rows = _gap_rows(cfg, [(n, seed) for n in cfg.n_values for seed in cfg.seeds])
     rows.sort(key=lambda r: (r["n"], r["seed"]))
-
-    if cfg.lp_opt:
-        with open(cfg.lp_opt) as fh:
-            lp_opts = json.load(fh)
-        for row in rows:
-            key = f"{row['n']},{row['seed']}"
-            if key in lp_opts:
-                row["lp_opt"] = lp_opts[key]
-                row["verified_ratio"] = row["best_integral"] / lp_opts[key]
+    for row in rows:
+        key = f"{row['n']},{row['seed']}"
+        if key in lp_opts:
+            row["lp_opt"] = lp_opts[key]
+            row["verified_ratio"] = row["best_integral"] / lp_opts[key]
 
     elapsed = time.perf_counter() - started
     print(f"# caveat: {GAP_CAVEAT}")

@@ -38,13 +38,13 @@ class EdgeLabel(NamedTuple):
     """Directed label of a flattened-extension edge, as read from its tail.
 
     kind: 'intra' (fiber step inside a cloud) or 'inter' (matching step).
-    scheme: 'gen' when the relevant graph is a labeled Cayley graph (value is
-    the signed generator code), else 'edge' (value is the fiber/base edge id
-    and direction is +1 when traversed tail->head of the stored edge).
+    value: the fiber edge id (intra) or base edge id (inter).
+    direction: +1 when traversed from the smaller endpoint of the stored edge
+    to the larger, -1 the other way.  The label names the step for any base
+    and fiber graph.
     """
 
     kind: str
-    scheme: str
     value: int
     direction: int
 
@@ -57,7 +57,6 @@ class FlatExtension:
     lengths: np.ndarray
     edge_kind: np.ndarray    # 0 = intra-cloud, 1 = inter-cloud, per flat edge
     edge_origin: np.ndarray  # fiber edge id (intra) or base edge id (inter)
-    labels_present: bool
 
 
 @dataclass
@@ -130,9 +129,7 @@ def as_graph(x: ExtendedGraph) -> tuple[Graph, np.ndarray]:
     Edge order: all intra-cloud edges (cloud-major, fiber edge order), then
     all inter-cloud edges (base-edge-major, fiber vertex order).  Intra edges
     carry the fiber length of their fiber edge, inter edges the base length
-    of their base edge.  Generator labels are attached when both base and
-    fiber are labeled (fiber codes as-is, base codes shifted past them);
-    otherwise labels are omitted and the flattening is flagged.
+    of their base edge.
     """
     return (_flat(x).graph, _flat(x).lengths)
 
@@ -145,50 +142,31 @@ def _flat(x: ExtendedGraph) -> FlatExtension:
     if x._flat is not None:
         return x._flat
     nG, nH = x.cloud_count, x.fiber_size
-    labeled = x.base.labels is not None and x.fiber.labels is not None
-    offset = 0
-    if labeled:
-        offset = max(abs(c) for c in x.fiber.generator_codes) if x.fiber.generator_codes else 0
-
     edges: list[tuple[int, int]] = []
     lengths: list[float] = []
     kinds: list[int] = []
     origins: list[int] = []
-    labels: dict[tuple[int, int], int] = {} if labeled else None
 
     for g in range(nG):
         for f_eid, (h1, h2) in enumerate(x.fiber.edges):
-            u, v = vertex_id(x, g, h1), vertex_id(x, g, h2)
-            eid = len(edges)
-            edges.append((u, v))
+            edges.append((vertex_id(x, g, h1), vertex_id(x, g, h2)))
             lengths.append(float(x.fiber_lengths[f_eid]))
             kinds.append(0)
             origins.append(f_eid)
-            if labeled:
-                labels[(u, eid)] = x.fiber.labels[(h1, f_eid)]
-                labels[(v, eid)] = x.fiber.labels[(h2, f_eid)]
     for b_eid, (g1, g2) in enumerate(x.base.edges):
         perm = x.matchings[b_eid]
         for h in range(nH):
-            u, v = vertex_id(x, g1, h), vertex_id(x, g2, int(perm[h]))
-            eid = len(edges)
-            edges.append((u, v))
+            edges.append((vertex_id(x, g1, h), vertex_id(x, g2, int(perm[h]))))
             lengths.append(float(x.base_lengths[b_eid]))
             kinds.append(1)
             origins.append(b_eid)
-            if labeled:
-                c1 = x.base.labels[(g1, b_eid)]
-                c2 = x.base.labels[(g2, b_eid)]
-                labels[(u, eid)] = _shift(c1, offset)
-                labels[(v, eid)] = _shift(c2, offset)
 
-    graph = Graph(vertex_count=nG * nH, edges=edges, labels=labels)
+    graph = Graph(vertex_count=nG * nH, edges=edges)
     flat = FlatExtension(
         graph=graph,
         lengths=np.array(lengths),
         edge_kind=np.array(kinds, dtype=np.int8),
         edge_origin=np.array(origins, dtype=np.int64),
-        labels_present=labeled,
     )
     x._flat = flat
     return flat
@@ -213,30 +191,15 @@ def extension_metric(x: ExtendedGraph) -> np.ndarray:
     return x._metric
 
 
-def _shift(code: int, offset: int) -> int:
-    return code + offset if code > 0 else code - offset
-
-
 def edge_label(x: ExtendedGraph, flat_edge: int, tail: int) -> EdgeLabel:
-    """Structured directed label of a flat edge as traversed from `tail`.
-
-    Uses Cayley generator codes when the relevant component graph has them,
-    edge id + direction otherwise.  Either form determines the step fully.
-    """
+    """Directed label of a flat edge as traversed from `tail`: its fiber or base
+    edge id and the direction of the step along that edge."""
     flat = _flat(x)
     u, v = flat.graph.edges[flat_edge]
     if tail not in (u, v):
         raise ExtensionError(f"vertex {tail} is not an endpoint of flat edge {flat_edge}")
-    origin = int(flat.edge_origin[flat_edge])
-    if flat.edge_kind[flat_edge] == 0:
-        if x.fiber.labels is not None:
-            h_tail = fiber_of(x, tail)
-            return EdgeLabel("intra", "gen", x.fiber.labels[(h_tail, origin)], 0)
-        return EdgeLabel("intra", "edge", origin, 1 if tail == u else -1)
-    if x.base.labels is not None:
-        g_tail = project(x, tail)
-        return EdgeLabel("inter", "gen", x.base.labels[(g_tail, origin)], 0)
-    return EdgeLabel("inter", "edge", origin, 1 if tail == u else -1)
+    kind = "intra" if flat.edge_kind[flat_edge] == 0 else "inter"
+    return EdgeLabel(kind, int(flat.edge_origin[flat_edge]), 1 if tail == u else -1)
 
 
 def traverse_inter(x: ExtendedGraph, base_edge: int, from_vertex: int) -> int:

@@ -7,7 +7,6 @@ serialized.
 """
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import math
@@ -15,10 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-
-@functools.lru_cache(maxsize=64)
-def _group_elements(moduli: tuple[int, ...]) -> list[tuple[int, ...]]:
-    return [tuple(t) for t in itertools.product(*(range(m) for m in moduli))]
 
 # Relative tolerance used whenever two float distances are compared for equality.
 DIST_RTOL = 1e-9
@@ -28,65 +23,17 @@ class GraphError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CyclicProductGroup:
-    """Direct product of cyclic groups Z_m1 x ... x Z_mr; elements are int tuples."""
-
-    moduli: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.moduli or any(int(m) < 1 for m in self.moduli):
-            raise GraphError("group moduli must be positive integers")
-        object.__setattr__(self, "moduli", tuple(int(m) for m in self.moduli))
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.moduli)
-
-    def identity(self) -> tuple[int, ...]:
-        return (0,) * len(self.moduli)
-
-    def canon(self, el) -> tuple[int, ...]:
-        if len(el) != len(self.moduli):
-            raise GraphError(f"element {el!r} has wrong arity for moduli {self.moduli}")
-        return tuple(int(a) % m for a, m in zip(el, self.moduli))
-
-    def mul(self, a, b) -> tuple[int, ...]:
-        return tuple((x + y) % m for x, y, m in zip(a, b, self.moduli))
-
-    def inv(self, a) -> tuple[int, ...]:
-        return tuple((-x) % m for x, m in zip(a, self.moduli))
-
-    def elements(self) -> list[tuple[int, ...]]:
-        """All elements in lexicographic order; this fixes vertex numbering."""
-        return _group_elements(self.moduli)
-
-    def index(self, el) -> int:
-        idx = 0
-        for a, m in zip(el, self.moduli):
-            idx = idx * m + (int(a) % m)
-        return idx
-
-
 @dataclass
 class Graph:
     """Undirected graph with dense edge ids 0..|E|-1.
 
     edges[i] is the (u, v) endpoint pair of edge i, normalized u <= v.
-    labels, when present, map (vertex, edge_id) to a signed generator code;
-    the codes at the two endpoints of an edge are inverse generators, and all
-    codes incident to one vertex are distinct (Cayley property).
-
     Self-loops and parallel edges are rejected unless multigraph=True.
     """
 
     vertex_count: int
     edges: list[tuple[int, int]]
-    labels: dict[tuple[int, int], int] | None = None
     multigraph: bool = False
-    group: CyclicProductGroup | None = None
-    generator_codes: dict[int, tuple[int, ...]] | None = None
-    generator_inverse: dict[int, int] | None = None
     _adj: list | None = field(default=None, repr=False, compare=False)
     _lookup: dict | None = field(default=None, repr=False, compare=False)
 
@@ -101,27 +48,6 @@ class Graph:
             if (u, v) in seen and not self.multigraph:
                 raise GraphError(f"parallel edge ({u}, {v}) requires multigraph mode")
             seen.add((u, v))
-        if self.labels is not None:
-            self._check_labels()
-
-    def _check_labels(self):
-        for eid, (u, v) in enumerate(self.edges):
-            if (u, eid) not in self.labels or (v, eid) not in self.labels:
-                raise GraphError(f"edge {eid} is missing a label at one endpoint")
-        per_vertex: dict[int, set[int]] = {}
-        for (v, _), code in self.labels.items():
-            bucket = per_vertex.setdefault(v, set())
-            if code in bucket:
-                raise GraphError(f"vertex {v} carries duplicate incident label {code}")
-            bucket.add(code)
-        if self.generator_inverse is not None:
-            for eid, (u, v) in enumerate(self.edges):
-                cu = self.labels[(u, eid)]
-                cv = self.labels[(v, eid)]
-                if self.generator_inverse.get(cu) != cv:
-                    raise GraphError(
-                        f"edge {eid} labels {cu}/{cv} are not an inverse pair"
-                    )
 
     # -- basic accessors ------------------------------------------------
 
@@ -148,11 +74,6 @@ class Graph:
             deg[u] += 1
             deg[v] += 1
         return deg
-
-    def label(self, vertex: int, edge_id: int) -> int:
-        if self.labels is None:
-            raise GraphError("graph carries no generator labels")
-        return self.labels[(vertex, edge_id)]
 
     def edge_lookup(self) -> dict[tuple[int, int], int]:
         """Map normalized endpoint pair -> edge id.  Only valid for simple graphs."""
@@ -210,78 +131,44 @@ def validate_lengths(g: Graph, lengths: np.ndarray, *, allow_zero: bool = False)
 
 
 def build_cayley(moduli, generators) -> Graph:
-    """Cayley graph of a product of cyclic groups over the given generators.
+    """Cayley graph of the product of cyclic groups Z_m1 x ... x Z_mr over the
+    given generators (int tuples, reduced mod the moduli).
 
-    The generator set is symmetrized automatically (inverses added).  Each
-    inverse pair {s, s^-1} gets a signed code +j/-j; involutions get +j which
-    is its own inverse.  Vertex ids follow lexicographic element order.
+    The generator set is symmetrized (inverses added).  Vertex ids number the
+    elements in lexicographic order.  Vertex x adds its edges to x + s in the
+    order of the inverse pairs {s, -s} by their lex-smaller member, s before
+    -s, skipping an edge already added.
     """
-    group = CyclicProductGroup(tuple(moduli))
-    gens = []
-    seen = set()
+    moduli = tuple(int(m) for m in moduli)
+    if not moduli or any(m < 1 for m in moduli):
+        raise GraphError("group moduli must be positive integers")
+
+    def add(a, b) -> tuple[int, ...]:
+        return tuple((x + y) % m for x, y, m in zip(a, b, moduli))
+
+    def neg(a) -> tuple[int, ...]:
+        return tuple(-x % m for x, m in zip(a, moduli))
+
+    gens: list[tuple[int, ...]] = []
     for raw in generators:
-        el = group.canon(raw)
-        if el == group.identity():
+        if len(raw) != len(moduli):
+            raise GraphError(f"element {raw!r} has wrong arity for moduli {moduli}")
+        el = tuple(int(a) % m for a, m in zip(raw, moduli))
+        if not any(el):
             raise GraphError("generator equal to the identity is not allowed")
-        if el in seen:
-            raise GraphError(f"duplicate generator {raw!r} after symmetrization")
-        seen.add(el)
+        if el in gens:
+            raise GraphError(f"duplicate generator {raw!r} after reduction mod {moduli}")
         gens.append(el)
+    symmetric = sorted(set(gens) | {neg(el) for el in gens})
+    steps = list(dict.fromkeys(s for el in symmetric for s in (el, neg(el))))
 
-    symmetric = set(gens)
-    for el in gens:
-        symmetric.add(group.inv(el))
-
-    # Stable code assignment: inverse classes ordered by their lex-smaller member.
-    classes = []
-    done = set()
-    for el in sorted(symmetric):
-        if el in done:
-            continue
-        inv = group.inv(el)
-        done.add(el)
-        done.add(inv)
-        classes.append((el, inv))
-
-    generator_codes: dict[int, tuple[int, ...]] = {}
-    generator_inverse: dict[int, int] = {}
-    code_of: dict[tuple[int, ...], int] = {}
-    for j, (el, inv) in enumerate(classes, start=1):
-        generator_codes[j] = el
-        code_of[el] = j
-        if inv == el:
-            generator_inverse[j] = j
-        else:
-            generator_codes[-j] = inv
-            code_of[inv] = -j
-            generator_inverse[j] = -j
-            generator_inverse[-j] = j
-
-    elements = group.elements()
-    edges: list[tuple[int, int]] = []
-    labels: dict[tuple[int, int], int] = {}
-    added: set[tuple[int, int]] = set()
-    for x_idx, x in enumerate(elements):
-        for code in sorted(generator_codes, key=abs):
-            s = generator_codes[code]
-            y = group.mul(x, s)
-            y_idx = group.index(y)
-            pair = (min(x_idx, y_idx), max(x_idx, y_idx))
-            if pair in added:
-                continue
-            added.add(pair)
-            eid = len(edges)
-            edges.append(pair)
-            labels[(x_idx, eid)] = code
-            labels[(y_idx, eid)] = generator_inverse[code]
-    return Graph(
-        vertex_count=group.size,
-        edges=edges,
-        labels=labels,
-        group=group,
-        generator_codes=generator_codes,
-        generator_inverse=generator_inverse,
-    )
+    index = {el: i for i, el in enumerate(itertools.product(*(range(m) for m in moduli)))}
+    edges: dict[tuple[int, int], None] = {}
+    for el, x in index.items():
+        for s in steps:
+            y = index[add(el, s)]
+            edges.setdefault((min(x, y), max(x, y)))
+    return Graph(vertex_count=len(index), edges=list(edges))
 
 
 def random_regular(m: int, d: int, seed: int, *, tries: int = 3000) -> Graph:

@@ -76,31 +76,10 @@ class GapParams:
 # -- metrics ----------------------------------------------------------------
 
 
-class SemiMetric:
-    """A terminal metric: symmetric non-negative distance over terminal
-    positions 0..size-1.  Fractional solutions are edge lengths instead (see
-    `relaxation`).
-    """
-
-    size: int
-
-    def value(self, i: int, j: int) -> float:
-        raise NotImplementedError
-
-    def pair_values(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-        """Distances d(ii, jj), elementwise over the two index arrays.
-
-        The index arrays broadcast against each other like numpy operands,
-        so `pair_values(rows[:, None], cols[None, :])` is a rows x cols slab.
-        """
-        raise NotImplementedError
-
-    def matrix(self) -> np.ndarray:
-        raise NotImplementedError
-
-
-class DenseSemiMetric(SemiMetric):
-    """A semi-metric stored as a square matrix."""
+class DenseSemiMetric:
+    """A terminal semi-metric stored as a square matrix, indexed by terminal
+    position.  Fractional solutions are edge lengths instead (see
+    `relaxation`)."""
 
     def __init__(self, matrix: np.ndarray):
         mat = np.asarray(matrix, dtype=float)
@@ -113,6 +92,8 @@ class DenseSemiMetric(SemiMetric):
         return float(self.mat[i, j])
 
     def pair_values(self, ii, jj):
+        """Distances d(ii, jj), elementwise over index arrays that broadcast
+        like numpy operands."""
         return self.mat[np.asarray(ii), np.asarray(jj)]
 
     def rows(self, positions: np.ndarray) -> np.ndarray:
@@ -123,7 +104,7 @@ class DenseSemiMetric(SemiMetric):
         return self.mat
 
 
-class GapTerminalMetric(SemiMetric):
+class GapTerminalMetric:
     """D = D_X + 2L off the diagonal, backed by the dense D_X of the extension."""
 
     def __init__(self, dx: np.ndarray, two_l: float):
@@ -196,7 +177,7 @@ class ZeroExtInstance:
     graph: Graph
     weights: np.ndarray
     terminals: np.ndarray          # terminal vertex ids
-    metric: SemiMetric             # indexed by terminal position
+    metric: DenseSemiMetric | GapTerminalMetric  # indexed by terminal position
     origin: GapOrigin | None = None
     provenance: dict | None = None
     term_index: np.ndarray = field(init=False)
@@ -383,40 +364,26 @@ def build_generic_instance(graph: Graph, weights, terminals, metric) -> ZeroExtI
 # -- serialization -----------------------------------------------------------
 
 
+_GRAPH_KEYS = ("vertex_count", "edges", "multigraph")
+
+
 def _graph_to_json(g: Graph) -> dict:
     out = {"vertex_count": g.vertex_count, "edges": [[int(u), int(v)] for u, v in g.edges]}
     if g.multigraph:
         out["multigraph"] = True
-    if g.labels is not None:
-        out["labels"] = [[int(v), int(e), int(c)] for (v, e), c in sorted(g.labels.items())]
-        if g.group is not None:
-            out["group_moduli"] = list(g.group.moduli)
-            out["generator_codes"] = {str(c): list(el) for c, el in g.generator_codes.items()}
-            out["generator_inverse"] = {str(c): int(i) for c, i in g.generator_inverse.items()}
     return out
 
 
 def _graph_from_json(doc: dict) -> Graph:
-    labels = None
-    if "labels" in doc:
-        labels = {(int(v), int(e)): int(c) for v, e, c in doc["labels"]}
-    group = None
-    generator_codes = None
-    generator_inverse = None
-    if "group_moduli" in doc:
-        from .graphs import CyclicProductGroup
-
-        group = CyclicProductGroup(tuple(doc["group_moduli"]))
-        generator_codes = {int(c): tuple(el) for c, el in doc["generator_codes"].items()}
-        generator_inverse = {int(c): int(i) for c, i in doc["generator_inverse"].items()}
+    """A graph document; any key besides _GRAPH_KEYS (such as the generator
+    labels of older files) is rejected."""
+    extra = sorted(key for key in doc if key not in _GRAPH_KEYS)
+    if extra:
+        raise ValueError(f"graph key {extra[0]!r} is not one of {_GRAPH_KEYS}")
     return Graph(
         vertex_count=int(doc["vertex_count"]),
         edges=[(int(u), int(v)) for u, v in doc["edges"]],
-        labels=labels,
         multigraph=bool(doc.get("multigraph", False)),
-        group=group,
-        generator_codes=generator_codes,
-        generator_inverse=generator_inverse,
     )
 
 

@@ -400,7 +400,8 @@ def wandering_setup(seed: int, n: int = 8, d: int = 4):
 
 
 def cayley_setup(seed: int):
-    """Labeled base and fiber so certificates run in generator mode."""
+    """Cayley base and fiber: the 3 x 3 torus over Z_3 x Z_3 and the circulant
+    C_8(1, 3).  Their steps are labeled by edge id, as on any other graph."""
     base = graphs.build_cayley([3, 3], [(1, 0), (0, 1)])
     fiber = graphs.build_cayley([8], [(1,), (3,)])
     x = extension.sample_extension(
@@ -415,8 +416,8 @@ def cayley_setup(seed: int):
 
 
 def candidate_corpus(count: int, seed0: int = 0):
-    """Seeded split candidates spanning labeled/unlabeled modes and both
-    tight and wandering path geometries."""
+    """Seeded split candidates over random regular and Cayley graphs, with
+    both tight and wandering path geometries."""
     out = []
     rng = np.random.default_rng(seed0)
     for i in range(count):

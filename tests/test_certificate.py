@@ -163,7 +163,7 @@ def test_corrupted_label_raises_at_step():
     cand = build_split_candidate(inst, x, f, alpha=1e9, epsilon=0.5, threshold=0.9)
     paths, ft, _ = transform_pipeline(x, cand)
     target = next(i for i, q in enumerate(ft.paths) if q.labels)
-    ft.paths[target].labels[0] = EdgeLabel("intra", "gen", 99, 0)  # no such generator
+    ft.paths[target].labels[0] = EdgeLabel("intra", 99, 1)  # no such fiber edge
     starts = {i: ("start", p[0]) for i, p in enumerate(paths)}
     with pytest.raises(CertificateError, match=rf"path {target} step 0"):
         reconstruct_paths(ft, x, starts)
@@ -193,8 +193,8 @@ def test_straight_through_cloud_contributes_no_r_vertex():
     q = QPath(
         verts=[(0, 1), (1, 1), (2, 1)],
         labels=[
-            EdgeLabel("inter", "edge", 0, 1),
-            EdgeLabel("inter", "edge", 1, 1),
+            EdgeLabel("inter", 0, 1),
+            EdgeLabel("inter", 1, 1),
         ],
     )
     ft = _synthetic_ft(base, fiber, [q], {0: (0, 1), 2: (1, 1), 4: (2, 1)})
@@ -237,7 +237,7 @@ def test_intra_only_path_keeps_endpoints_only():
     fiber = Graph(vertex_count=3, edges=[(0, 1), (1, 2)])
     q = QPath(
         verts=[(0, 1), (0, 2), (0, 3)],
-        labels=[EdgeLabel("intra", "edge", 0, 1), EdgeLabel("intra", "edge", 1, 1)],
+        labels=[EdgeLabel("intra", 0, 1), EdgeLabel("intra", 1, 1)],
     )
     ft = _synthetic_ft(base, fiber, [q], {0: (0, 1), 1: (0, 2), 2: (0, 3)})
     icc = inner_components(ft)
@@ -250,11 +250,11 @@ def test_surprising_edge_kept_once_across_traversals():
     fiber = Graph(vertex_count=2, edges=[])
     fwd = QPath(
         verts=[(0, 1), (1, 1), (2, 1)],
-        labels=[EdgeLabel("inter", "edge", 0, 1), EdgeLabel("inter", "edge", 1, 1)],
+        labels=[EdgeLabel("inter", 0, 1), EdgeLabel("inter", 1, 1)],
     )
     rev = QPath(
         verts=[(2, 1), (1, 1), (0, 1)],
-        labels=[EdgeLabel("inter", "edge", 1, -1), EdgeLabel("inter", "edge", 0, -1)],
+        labels=[EdgeLabel("inter", 1, -1), EdgeLabel("inter", 0, -1)],
     )
     ft = _synthetic_ft(base, fiber, [fwd, rev], {0: (0, 1), 2: (1, 1), 4: (2, 1)})
     icc = inner_components(ft)
@@ -354,7 +354,7 @@ def test_tampered_skeleton_label_detected():
         for sp in tampered.skeleton_paths:
             if sp.labels:
                 lab = sp.labels[-1]
-                flipped = cert_mod._invert_label(lab, x.base, x.fiber)
+                flipped = cert_mod._invert_label(lab)
                 if flipped != lab:
                     sp.labels[-1] = flipped
                     done = True
@@ -368,15 +368,22 @@ def test_tampered_skeleton_label_detected():
 
 
 def test_representation_diffs_are_ordered_pairs():
-    x, inst, cand = candidate_corpus(3, seed0=2)[2]  # Cayley mode
+    x, inst, cand = candidate_corpus(3, seed0=2)[2]  # Cayley base and fiber
     _, ft, icc = transform_pipeline(x, cand)
     reps = representations(ft, icc)
+    identity = {ind: v % x.fiber_size for v, ind in ft.ind.items()}
     for rep in reps:
         p = len(rep.distinguished)
         assert len(rep.diffs) == p * (p - 1)
+        assert rep.anchor_identity == identity[rep.distinguished[0]]
         for (a, b), diff in rep.diffs.items():
-            inv = rep.diffs[(b, a)]
-            assert x.fiber.group.mul(diff, inv) == x.fiber.group.identity()
+            # The steps walk the fiber from a's true identity to b's.
+            h = identity[a]
+            for e, d in diff:
+                u, v = x.fiber.edges[e]
+                assert h == (u if d == 1 else v)
+                h = v if d == 1 else u
+            assert h == identity[b]
 
 
 # -- diagnostics ----------------------------------------------------------------------------
@@ -465,8 +472,6 @@ def test_self_loop_r_edge_round_trip():
     assert icc.s_tot == 2
 
     cert = Certificate(
-        base_mode="gen",
-        fiber_mode="gen",
         subgraph_vertices=[0, 1, 2],
         subgraph_edges=[(lookup[(0, 1)], 0, 1), (lookup[(1, 2)], 1, 2)],
         representations=make_reps(ft, icc),
@@ -491,22 +496,20 @@ def test_reverse_transit_replay_in_reconstruction():
     fiber = Graph(vertex_count=2, edges=[])
     fwd = QPath(
         verts=[(0, 1), (1, 1), (2, 1)],
-        labels=[EdgeLabel("inter", "edge", 2, 1), EdgeLabel("inter", "edge", 3, 1)],
+        labels=[EdgeLabel("inter", 2, 1), EdgeLabel("inter", 3, 1)],
     )
     rev = QPath(
         verts=[(2, 1), (1, 1), (0, 1), (3, 1)],
         labels=[
-            EdgeLabel("inter", "edge", 3, -1),
-            EdgeLabel("inter", "edge", 2, -1),
-            EdgeLabel("inter", "edge", 4, 1),
+            EdgeLabel("inter", 3, -1),
+            EdgeLabel("inter", 2, -1),
+            EdgeLabel("inter", 4, 1),
         ],
     )
     ft = _synthetic_ft(base, fiber, [fwd, rev], {0: (0, 1), 2: (1, 1), 4: (2, 1), 6: (3, 1)})
     icc = inner_components(ft)
     assert icc.r_graph.edge_count == 2
     cert = Certificate(
-        base_mode="edge",
-        fiber_mode="edge",
         subgraph_vertices=[0, 2, 3],
         subgraph_edges=[(0, 0, 2), (1, 2, 3)],
         representations=make_reps(ft, icc),
@@ -526,19 +529,19 @@ def test_reverse_transit_replay_in_reconstruction():
 
 @pytest.fixture(scope="module")
 def cert_docs():
-    """JSON documents of an edge-mode and a gen-mode certificate, with the
-    public graphs they are read against."""
+    """JSON documents of a certificate over random regular graphs and of one
+    over Cayley graphs, with the public graphs they are read against."""
     corpus = candidate_corpus(3, seed0=5)
     docs = {}
-    for mode, (x, _, cand) in (("edge", corpus[0]), ("gen", corpus[2])):
+    for family, (x, _, cand) in (("regular", corpus[0]), ("cayley", corpus[2])):
         doc = certificate_to_json(build_certificate(x, cand, force=True))
-        assert doc["mode"]["fiber"] == mode
-        docs[mode] = (json.dumps(doc), x.base, x.fiber)
+        assert doc["mode"] == {"base": "edge", "fiber": "edge"}
+        docs[family] = (json.dumps(doc), x.base, x.fiber)
     return docs
 
 
-def rebuild_from(docs, mode, tamper):
-    text, base, fiber = docs[mode]
+def rebuild_from(docs, family, tamper):
+    text, base, fiber = docs[family]
     doc = json.loads(text)
     tamper(doc)
     return reconstruct_r(certificate_from_json(doc, base, fiber))
@@ -558,6 +561,13 @@ def drop_diff(doc):
 def far_label(doc):
     sp = next(sp for sp in doc["skeleton"] if sp["labels"])
     sp["labels"][0][2] = 10**6
+
+
+def label_scheme(scheme):
+    def tamper(doc):
+        sp = next(sp for sp in doc["skeleton"] if sp["labels"])
+        sp["labels"][0][1] = scheme
+    return tamper
 
 
 def null_anchor(doc):
@@ -581,33 +591,39 @@ def drop_kept_vertex(doc):
 
 
 TAMPERED = {
-    "dropped-representative": ("edge", drop_representative, "joins a cloud without a representative"),
-    "no-mode": ("edge", lambda doc: doc.pop("mode"), "malformed certificate document: KeyError"),
-    "dropped-diff": ("edge", drop_diff, "no relative position of"),
-    "label-edge-1e6": ("edge", far_label, "label names edge 1000000"),
-    "label-generator-1e6": ("gen", far_label, "no (intra|inter) generator 1000000"),
-    "null-anchor": ("edge", null_anchor, "anchor identity None is no fiber vertex"),
-    "kept-position-999": ("edge", kept_beyond_path, r"kept position 999 outside \[0, \d+\)"),
-    "version": ("gen", lambda doc: doc.__setitem__("version", 2), "unsupported certificate version 2"),
-    "kept-edge-reversed": ("edge", last_kept_edge(lambda e: [e[0], e[2], e[1]]),
+    "dropped-representative": ("regular", drop_representative, "joins a cloud without a representative"),
+    "no-mode": ("regular", lambda doc: doc.pop("mode"), "malformed certificate document: KeyError"),
+    "mode-gen": ("cayley", lambda doc: doc.__setitem__("mode", {"base": "gen", "fiber": "gen"}),
+                 "label mode {'base': 'gen', 'fiber': 'gen'} is not"),
+    "fiber-mode-gen": ("regular", lambda doc: doc["mode"].__setitem__("fiber", "gen"),
+                       "label mode {'base': 'edge', 'fiber': 'gen'} is not"),
+    "label-scheme-gen": ("cayley", label_scheme("gen"), "label scheme 'gen' is not 'edge'"),
+    "label-scheme-null": ("regular", label_scheme(None), "label scheme None is not 'edge'"),
+    "dropped-diff": ("regular", drop_diff, "no relative position of"),
+    "label-edge-1e6": ("regular", far_label, "label names edge 1000000"),
+    "label-edge-1e6-cayley": ("cayley", far_label, "label names edge 1000000"),
+    "null-anchor": ("regular", null_anchor, "anchor identity None is no fiber vertex"),
+    "kept-position-999": ("regular", kept_beyond_path, r"kept position 999 outside \[0, \d+\)"),
+    "version": ("cayley", lambda doc: doc.__setitem__("version", 2), "unsupported certificate version 2"),
+    "kept-edge-reversed": ("regular", last_kept_edge(lambda e: [e[0], e[2], e[1]]),
                            r"kept edge \(\d+, \d+, \d+\) is no edge of the base graph"),
-    "kept-edge-id-1e6": ("edge", last_kept_edge(lambda e: [10**6, e[1], e[2]]),
+    "kept-edge-id-1e6": ("regular", last_kept_edge(lambda e: [10**6, e[1], e[2]]),
                          r"kept edge \(1000000, \d+, \d+\) is no edge"),
-    "kept-edges-descending": ("edge", lambda doc: doc["subgraph"]["edges"].reverse(),
+    "kept-edges-descending": ("regular", lambda doc: doc["subgraph"]["edges"].reverse(),
                               "kept edge ids are not strictly ascending"),
-    "kept-edge-twice": ("gen", lambda doc: doc["subgraph"]["edges"].insert(0, doc["subgraph"]["edges"][0]),
+    "kept-edge-twice": ("cayley", lambda doc: doc["subgraph"]["edges"].insert(0, doc["subgraph"]["edges"][0]),
                         "kept edge ids are not strictly ascending"),
-    "kept-vertex-dropped": ("edge", drop_kept_vertex, "has an endpoint outside the kept vertices"),
-    "kept-vertex-1e6": ("gen", lambda doc: doc["subgraph"]["vertices"].append(10**6),
+    "kept-vertex-dropped": ("regular", drop_kept_vertex, "has an endpoint outside the kept vertices"),
+    "kept-vertex-1e6": ("cayley", lambda doc: doc["subgraph"]["vertices"].append(10**6),
                         r"kept vertices \[1000000\] are outside the base graph"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(TAMPERED))
 def test_tampered_certificate_raises_certificate_error(cert_docs, case):
-    mode, tamper, message = TAMPERED[case]
+    family, tamper, message = TAMPERED[case]
     with pytest.raises(CertificateError, match=message):
-        rebuild_from(cert_docs, mode, tamper)
+        rebuild_from(cert_docs, family, tamper)
 
 
 def _parts(node):
@@ -621,13 +637,13 @@ def _parts(node):
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(
-    mode=st.sampled_from(["edge", "gen"]),
+    family=st.sampled_from(["regular", "cayley"]),
     truncate=st.booleans(),
     replacement=st.one_of(st.integers(-3, 12), st.just(10**6), st.none(), st.just("bogus")),
     data=st.data(),
 )
 def test_truncated_or_perturbed_certificates_raise_only_certificate_error(
-    cert_docs, mode, truncate, replacement, data
+    cert_docs, family, truncate, replacement, data
 ):
     """Drop one key or list tail, or overwrite one scalar; reconstruction then
     either succeeds or raises CertificateError, never another exception."""
@@ -644,6 +660,6 @@ def test_truncated_or_perturbed_certificates_raise_only_certificate_error(
             del container[key:]
 
     try:
-        rebuild_from(cert_docs, mode, tamper)
+        rebuild_from(cert_docs, family, tamper)
     except CertificateError:
         pass

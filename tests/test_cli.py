@@ -299,6 +299,37 @@ def test_gap_lp_opt_attaches_verified_ratio(tmp_path):
     assert abs(row["verified_ratio"] - row["best_integral"] / 100.0) < 1e-12
 
 
+BAD_LP_OPT_FILES = {
+    "zero": (b'{"6,0": 0}', r"LP optimum 0 of '6,0' is not a positive finite number"),
+    "negative": (b'{"6,0": -3.5}', "LP optimum -3.5 of '6,0'"),
+    "string": (b'{"6,0": "100"}', "LP optimum '100' of '6,0'"),
+    "boolean": (b'{"6,0": true}', "LP optimum True of '6,0'"),
+    "nan": (b'{"6,0": NaN}', "LP optimum nan of '6,0'"),
+    "infinite": (b'{"6,0": 1e999}', "LP optimum inf of '6,0'"),
+    "huge-integer": (b'{"6,0": 1' + b"0" * 400 + b"}", "LP optimum 10* of '6,0'"),
+    "list": (b"[100.0]", 'expected a JSON object keyed "n,seed", got list'),
+    "bad-key": (b'{"6;0": 100.0}', "key '6;0' is not \"n,seed\""),
+    "not-json": (b'{"6,0": ', "not a JSON document"),
+    "not-utf8": (b'{"6,0": 1\xff}', "not UTF-8 text"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LP_OPT_FILES))
+def test_a_bad_lp_opt_file_is_rejected_before_any_row_runs(case, tmp_path, monkeypatch, capsys):
+    text, message = BAD_LP_OPT_FILES[case]
+    lp_file = tmp_path / "lp.json"
+    lp_file.write_bytes(text)
+
+    def no_row(*args):
+        raise AssertionError("computed a gap row before reading --lp-opt")
+
+    monkeypatch.setattr(cli, "_gap_row", no_row)
+    out = tmp_path / "out"
+    argv = ["gap", "--n", "6", "--seed", "0", "--jobs", "1", "--lp-opt", str(lp_file), "--out", str(out)]
+    assert_flag_error(capsys, argv, re.escape(f"{lp_file}: ") + message)
+    assert not out.exists()
+
+
 # -- the option table ---------------------------------------------------------------
 
 GENERATE = {"--n", "--d", "--seeds", "--seed", "--girth-floor", "--out", "--config"}
@@ -417,6 +448,12 @@ def test_a_bad_config_value_names_its_key(tmp_path, capsys):
     conf = tmp_path / "conf.txt"
     conf.write_text("# shared\n\nd = three\n")
     assert_flag_error(capsys, ["frac", "--config", str(conf)], r"conf.txt:3: bad value for d: 'three'")
+
+
+def test_a_config_file_that_is_not_utf8_is_named(tmp_path, capsys):
+    conf = tmp_path / "conf.txt"
+    conf.write_bytes(b"n = 6\n\xff\n")
+    assert_flag_error(capsys, ["frac", "--config", str(conf)], re.escape(f"{conf}: not UTF-8 text"))
 
 
 OUTPUT_FILES = {

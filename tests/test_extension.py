@@ -137,21 +137,6 @@ def test_lift_covering_property():
             assert sorted(base_edges) == sorted(star[project(x, v)])
 
 
-def test_labels_present_iff_both_labeled():
-    labeled = build_cayley([4], [(1,)])
-    x = sample_extension(labeled, uniform_lengths(labeled, 1.0), labeled, uniform_lengths(labeled, 1.0), seed=0)
-    flat = flatten(x)
-    assert flat.labels_present
-    g, _ = as_graph(x)
-    for v in range(g.vertex_count):
-        incident = [g.labels[(v, eid)] for eid, (a, b) in enumerate(g.edges) if v in (a, b)]
-        assert len(set(incident)) == len(incident)
-    plain = graphs.random_regular(4, 3, seed=0)
-    x2 = sample_extension(plain, uniform_lengths(plain, 1.0), labeled, uniform_lengths(labeled, 1.0), seed=0)
-    assert not flatten(x2).labels_present
-    assert flatten(x2).graph.labels is None
-
-
 def test_edge_label_round_trip_directions():
     x = sample_extension(c3(), uniform_lengths(c3(), 1.0), c3(), uniform_lengths(c3(), 1.0), seed=9)
     flat = flatten(x)
@@ -159,10 +144,16 @@ def test_edge_label_round_trip_directions():
         u, v = flat.graph.edges[eid]
         lab_u = edge_label(x, eid, u)
         lab_v = edge_label(x, eid, v)
-        assert lab_u.kind == lab_v.kind
-        if lab_u.scheme == "gen":
-            src = x.fiber if lab_u.kind == "intra" else x.base
-            assert src.generator_inverse[lab_u.value] == lab_v.value
+        assert (lab_u.kind, lab_u.value) == (lab_v.kind, lab_v.value)
+        assert (lab_u.direction, lab_v.direction) == (1, -1)
+        # The label names the fiber or base edge the step runs along, smaller
+        # endpoint first in direction +1.
+        if lab_u.kind == "intra":
+            assert lab_u.value == flat.edge_origin[eid]
+            assert x.fiber.edges[lab_u.value] == (u % 3, v % 3)
+        else:
+            assert x.base.edges[lab_u.value] == (project(x, u), project(x, v))
+            assert traverse_inter(x, lab_u.value, u) == v
 
 
 def test_sample_extension_rejects_zero_lengths():

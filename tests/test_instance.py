@@ -279,6 +279,9 @@ MALFORMED_GAP_FILES = {
     "zero-L": (("metric", "L"), 0.0, "L must be positive and finite"),
     "unknown-mode": (("metric", "mode"), "lazy", "unknown 'metric.mode' 'lazy'"),
     "version": (("version",), 2, "unsupported 'version' 2"),
+    "base-labels": (("origin", "base", "labels"), [[0, 0, 1], [1, 0, -1]],
+                    "bad or missing 'origin.base': graph key 'labels'"),
+    "fiber-group": (("origin", "fiber", "group_moduli"), [4], "bad or missing 'origin.fiber': graph key 'group_moduli'"),
 }
 
 
@@ -294,6 +297,13 @@ def test_malformed_generic_file_raises_instance_error(saved):
         load_edited(saved, ("metric", "matrix"), DROP, "generic")
     with pytest.raises(InstanceError, match=r"metric shape \(1, 2\) does not match 2 terminals"):
         load_edited(saved, ("metric", "matrix", 1), DROP, "generic")
+
+
+@pytest.mark.parametrize("key", ["labels", "group_moduli"])
+def test_generic_graph_with_generator_labels_raises_instance_error(saved, key):
+    # Graph documents carry no generator labels; an older file with them is rejected.
+    with pytest.raises(InstanceError, match=re.escape(str(saved[1])) + f".*'graph': graph key '{key}'"):
+        load_edited(saved, ("graph", key), [[0, 0, 1]], "generic")
 
 
 def _containers(node, where=()):
