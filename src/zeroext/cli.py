@@ -102,6 +102,12 @@ class ExperimentConfig:
     def validate(self):
         if not self.n_values or not self.seeds:
             raise ConfigError("need at least one n and one seed")
+        if min(self.seeds) < 0:
+            raise ConfigError("seeds must be >= 0")
+        if self.girth_floor is not None and self.girth_floor < 0:
+            raise ConfigError("girth_floor must be >= 0")
+        if self.alpha is not None and not self.alpha > 0:
+            raise ConfigError("alpha must be > 0")
         for n in self.n_values:
             GapParams(n=n, d=self.d)  # raises InstanceError on a bad n or d
         if not 0 < self.epsilon < 0.125:
@@ -330,12 +336,12 @@ def cmd_frac(cfg: ExperimentConfig, args) -> int:
     return 0 if feasible else 1
 
 
-def _run_solvers(cfg: ExperimentConfig, inst: ZeroExtInstance, seed: int, lengths):
-    """All configured heuristics; returns {name: (labeling, cost)}.
-
-    `lengths` is the canonical fractional solution CKR rounds, or None for a
-    generic instance, which has none.
-    """
+def analyse(cfg: ExperimentConfig, inst: ZeroExtInstance, seed: int) -> tuple[dict, np.ndarray]:
+    """One instance's row and its best labeling: the canonical fractional cost
+    (`frac_cost` and `ratio` are None on a generic instance, which has none),
+    the cost of each configured heuristic in KNOWN_SOLVERS order, and the best
+    of them, least cost with ties to the smaller name."""
+    lengths, frac = canonical_fractional(inst) if inst.is_gap else (None, None)
     results: dict[str, tuple[np.ndarray, float]] = {}
     if "all_to_one" in cfg.solvers:
         f = all_to_one(inst)
@@ -355,28 +361,31 @@ def _run_solvers(cfg: ExperimentConfig, inst: ZeroExtInstance, seed: int, length
         if rounds > 0:
             f = local_search(inst, start, max_rounds=rounds)
             results["local_search"] = (f, integral_cost(f, inst))
-    return results
+    if not results:
+        raise ConfigError("no selected solver ran: ckr rounds the canonical fractional solution, "
+                          "which only gap instances have")
+    best_name, (best_f, best_cost) = min(results.items(), key=lambda kv: (kv[1][1], kv[0]))
+    row = {
+        "frac_cost": frac,
+        "best_integral": best_cost,
+        "ratio": None if frac is None else (best_cost / frac if frac > 0 else math.inf),
+        "solver": best_name,
+        "all_costs": {name: cost for name, (_, cost) in results.items()},
+    }
+    return row, best_f
 
 
 def cmd_solve(cfg: ExperimentConfig, args) -> int:
     cfg.check_solvers_run()
     inst, _ = _load_or_build(cfg, args)
     seed = cfg.seeds[0] if cfg.seeds else 0  # a loaded file may record no seed
-    lengths = canonical_fractional(inst)[0] if inst.is_gap and "ckr" in cfg.solvers else None
-    results = _run_solvers(cfg, inst, seed, lengths)
-    if not results:
-        raise ConfigError("no solvers selected")
-    best_name, (best_f, best_cost) = min(results.items(), key=lambda kv: (kv[1][1], kv[0]))
-    for name, (_, cost) in sorted(results.items()):
+    row, best_f = analyse(cfg, inst, seed)
+    for name, cost in sorted(row["all_costs"].items()):
         print(f"{name}: {cost!r}")
-    print(f"best: {best_name} ({best_cost!r})")
+    print(f"best: {row['solver']} ({row['best_integral']!r})")
     if args.out:
         save_labeling(best_f, _out_path(cfg, "best.labeling"))
-        doc = {
-            "config": _config_doc(cfg, args),
-            "costs": {name: cost for name, (_, cost) in results.items()},
-            "best": best_name,
-        }
+        doc = {"config": _config_doc(cfg, args), "costs": row["all_costs"], "best": row["solver"]}
         _write_json(cfg, "solve.json", doc)
     return 0
 
@@ -457,21 +466,8 @@ def cmd_export_lp(cfg: ExperimentConfig, args) -> int:
 
 def _gap_row(cfg: ExperimentConfig, n: int, seed: int) -> dict:
     build = _build(cfg, n, seed)
-    inst = build.instance
-    lengths, frac = canonical_fractional(inst)
-    results = _run_solvers(cfg, inst, seed, lengths)
-    best_name, (_, best_cost) = min(results.items(), key=lambda kv: (kv[1][1], kv[0]))
-    return {
-        "n": n,
-        "k": inst.k,
-        "seed": seed,
-        "frac_cost": frac,
-        "best_integral": best_cost,
-        "ratio": best_cost / frac if frac > 0 else math.inf,
-        "solver": best_name,
-        "all_costs": {name: cost for name, (_, cost) in results.items()},
-        "provenance": build.provenance,
-    }
+    row, _ = analyse(cfg, build.instance, seed)
+    return {"n": n, "k": build.instance.k, "seed": seed, **row, "provenance": build.provenance}
 
 
 def _gap_rows(cfg: ExperimentConfig, tasks: list[tuple[int, int]]) -> list[dict]:

@@ -219,6 +219,11 @@ def test_invalid_parameters_rejected(capsys):
     assert_flag_error(capsys, ["gap", "--n", "6", "--jobs", "0"], "jobs must be >= 1")
     assert_flag_error(capsys, ["solve", "--n", "6", "--ckr-draws", "-2"], "ckr_draws must be >= 0")
     assert_flag_error(capsys, ["solve", "--n", "6", "--local-rounds", "-1"], "local_rounds must be >= 0")
+    assert_flag_error(capsys, ["gap", "--n", "6", "--seeds=-1"], "seeds must be >= 0")
+    assert_flag_error(capsys, ["generate", "--n", "6", "--girth-floor=-5"], "girth_floor must be >= 0")
+    for alpha in ("-1", "0", "nan"):
+        assert_flag_error(capsys, ["split", "--n", "6", f"--alpha={alpha}"], "alpha must be > 0")
+    assert run(["split", "--n", "6", "--alpha", "inf"]) == 0
 
 
 @pytest.mark.parametrize(
@@ -267,6 +272,19 @@ def saved_generic(tmp_path):
 def test_split_of_a_generic_instance_is_a_flag_error(saved_generic, capsys):
     for command in ("split", "cert"):
         assert_flag_error(capsys, [command, "--instance", saved_generic], "needs a gap instance")
+
+
+def test_ckr_alone_on_a_generic_instance_says_why_nothing_ran(saved_generic, capsys):
+    argv = ["solve", "--instance", saved_generic, "--solvers", "ckr"]
+    assert_flag_error(capsys, argv, "ckr rounds the canonical fractional solution, which only gap instances have")
+
+
+def test_solve_reports_the_gap_row_of_the_same_instance(tmp_path):
+    assert run(["solve", "--n", "6", "--seed", "0", "--out", str(tmp_path / "s")]) == 0
+    assert run(["gap", "--n", "6", "--seed", "0", "--out", str(tmp_path / "g")]) == 0
+    solved = json.loads((tmp_path / "s" / "solve.json").read_text())
+    row = json.loads((tmp_path / "g" / "gap.provenance.json").read_text())["rows"][0]
+    assert solved["costs"] == row["all_costs"] and solved["best"] == row["solver"]
 
 
 def test_out_dir_env_variable(tmp_path, monkeypatch, capsys):

@@ -63,7 +63,7 @@ def test_cert_document(tmp_path):
     assert_json_digest("cert", without_config(tmp_path / "certificate.json"))
 
 
-def test_solve_outputs(tmp_path):
+def test_solve_labeling_and_document(tmp_path):
     assert cli.main(["solve", "--n", "8", "--seed", "0", "--out", str(tmp_path)]) == 0
     assert_digest("solve.labeling", (tmp_path / "best.labeling").read_bytes())
     assert_json_digest("solve.json", without_config(tmp_path / "solve.json"))
