@@ -42,7 +42,7 @@ from .instance import (
 from .relaxation import canonical_fractional, export_lp, is_feasible
 from .solvers import (
     all_to_one,
-    ckr_round,
+    ckr_rounds,
     integral_cost,
     load_labeling,
     local_search,
@@ -294,6 +294,9 @@ def _load_or_build(cfg: ExperimentConfig, args) -> tuple[ZeroExtInstance, object
         cfg.n_values = [known["n"]] if "n" in known else []
         cfg.seeds = [known["seed"]] if "seed" in known else []
         cfg.d, cfg.girth_floor = known.get("d"), known.get("girth_floor")
+        for key in ("seed", "girth_floor"):  # validate() ran on the flags only
+            if known.get(key, 0) < 0:
+                raise ConfigError(f"{args.instance}: provenance {key} {known[key]} must be >= 0")
         return inst, inst.origin.extension if inst.is_gap else None
     build = _build(cfg, cfg.n_values[0], cfg.seeds[0])
     return build.instance, build.extension
@@ -350,9 +353,8 @@ def analyse(cfg: ExperimentConfig, inst: ZeroExtInstance, seed: int) -> tuple[di
         f = nearest_terminal(inst)
         results["nearest_terminal"] = (f, integral_cost(f, inst))
     if "ckr" in cfg.solvers and lengths is not None:
-        for i in range(cfg.ckr_draws):
-            sub = int(np.random.SeedSequence((seed, 777, i)).generate_state(1)[0])
-            f = ckr_round(inst, lengths, sub)
+        subs = [int(np.random.SeedSequence((seed, 777, i)).generate_state(1)[0]) for i in range(cfg.ckr_draws)]
+        for i, f in enumerate(ckr_rounds(inst, lengths, subs)):
             results[f"ckr[{i}]"] = (f, integral_cost(f, inst))
     if "local_search" in cfg.solvers:
         start = min(results.values(), key=lambda fc: fc[1])[0] if results else nearest_terminal(inst)

@@ -13,7 +13,7 @@ from .graphs import Graph, _fisher_yates, shortest_path_rows
 from .instance import DENSE_METRIC_CAP, ZeroExtInstance
 from .relaxation import check_lengths, fractional_cost, induced_semimetric
 
-# Largest slab of distances ckr_round holds at once: 2 MiB of floats.
+# Largest block of distances ckr_rounds holds at once: 2 MiB of floats.
 CKR_SLAB_PAIRS = 1 << 18
 
 
@@ -122,33 +122,93 @@ def ckr_round(inst: ZeroExtInstance, lengths: np.ndarray, seed: int) -> np.ndarr
     rounding is monotone, the closest terminal always passes.  Deterministic
     given the seed; terminals stay fixed.
 
-    Non-terminals are tested in row blocks against all terminals in
-    permutation order; each row takes its first column within the bound, the
-    same comparison on the same values as processing the terminals one at a
-    time.  For a gap instance's canonical lengths d(x, t_j) = D_X[x, j] + L
-    is read from the cached D_X; other lengths run one shortest_path_rows
-    search from each block.  A block holds at most CKR_SLAB_PAIRS distances.
+    This is the one-draw case of `ckr_rounds`, whose shared pass over the
+    distances serves any number of draws.
+    """
+    return ckr_rounds(inst, lengths, [seed])[0]
+
+
+def ckr_rounds(inst: ZeroExtInstance, lengths: np.ndarray, seeds) -> list[np.ndarray]:
+    """`ckr_round` for each seed, from one pass over the distances.
+
+    Each seed draws its r and then its permutation exactly as `ckr_round`
+    does.  The distances are read in blocks of at most CKR_SLAB_PAIRS
+    entries and every block serves all draws (see `_first_hits`).  For a gap
+    instance's canonical lengths, d(x, t_j) = D_X[x, j] + L is read from the
+    cached D_X in contiguous row blocks.  Other lengths run
+    shortest_path_rows from the terminals, in chunks, twice: once for every
+    A_u and once for the hits, so at most 2k sources whatever the number of
+    draws (k when one chunk holds every terminal, searched once).
     """
     lengths = check_lengths(lengths, inst)
-    rng = np.random.default_rng(int(seed))
-    r = 1.0 + float(rng.random())
     k = inst.k
-    order = inst.terminals[_fisher_yates(rng, k)]
-    canonical = inst.is_gap and np.array_equal(lengths, inst.origin.edge_lengths)
-
-    f = np.full(inst.vertex_count, -1, dtype=np.int64)
-    f[inst.terminals] = inst.terminals
+    rs, perms = [], []
+    for seed in seeds:
+        rng = np.random.default_rng(int(seed))
+        rs.append(1.0 + float(rng.random()))
+        perms.append(_fisher_yates(rng, k))
+    if not perms:
+        return []
+    ranks = np.empty((len(perms), k), dtype=np.int64)  # inverse permutations
+    for d, perm in enumerate(perms):
+        ranks[d, perm] = np.arange(k)
     nonterms = inst.nonterminals()
-    rows = max(1, CKR_SLAB_PAIRS // max(1, k if canonical else inst.vertex_count))
-    for start in range(0, nonterms.size, rows):
-        blk = nonterms[start : start + rows]
-        if canonical:  # non-terminals are the extension points 0..k-1
-            slab = inst.origin.dx[blk[:, None], (order - k)[None, :]] + inst.origin.big_l
-        else:
-            slab = shortest_path_rows(inst.graph, lengths, blk)[:, order]
-        within = slab <= r * slab.min(axis=1)[:, None]
-        f[blk] = order[within.argmax(axis=1)]
-    return f
+    first = np.full((len(perms), nonterms.size), k, dtype=np.int64)  # k: no hit yet
+
+    if inst.is_gap and np.array_equal(lengths, inst.origin.edge_lengths):
+        # Non-terminals are the extension points 0..k-1 and terminal
+        # position j is column j of D_X.
+        dx, big_l = inst.origin.dx, inst.origin.big_l
+        rows = max(1, CKR_SLAB_PAIRS // k)
+        slab_buf = np.empty((min(rows, k), k))
+        keep_buf = np.empty((min(rows, k), k), dtype=bool)
+        cols = np.arange(k)
+        for start in range(0, k, rows):
+            stop = min(start + rows, k)
+            slab = np.add(dx[start:stop], big_l, out=slab_buf[: stop - start])
+            _first_hits(slab, slab.min(axis=1), cols, rs, ranks, first[:, start:stop],
+                        keep=keep_buf[: stop - start])
+    else:
+        chunk = max(1, CKR_SLAB_PAIRS // max(1, inst.vertex_count))
+
+        def from_terminals():  # (first terminal position, distances to the non-terminals)
+            for start in range(0, k, chunk):
+                terms = inst.terminals[start : start + chunk]
+                yield start, shortest_path_rows(inst.graph, lengths, terms)[:, nonterms]
+
+        one_chunk = list(from_terminals()) if k <= chunk else None  # searched once, read twice
+        a = np.full(nonterms.size, np.inf)
+        for _, dist in one_chunk or from_terminals():
+            np.minimum(a, dist.min(axis=0), out=a)
+        for start, dist in one_chunk or from_terminals():
+            _first_hits(dist.T, a, np.arange(start, start + dist.shape[0]), rs, ranks, first)
+
+    out = []
+    for perm, hit in zip(perms, first):
+        f = np.empty(inst.vertex_count, dtype=np.int64)
+        f[inst.terminals] = inst.terminals
+        f[nonterms] = inst.terminals[perm[hit]]
+        out.append(f)
+    return out
+
+
+def _first_hits(block, a, cols, rs, ranks, first, keep=None) -> None:
+    """Lower first[d, u] to the least ranks[d, cols[j]] over the entries
+    block[u, j] <= rs[d] * a[u]: each draw's first hit in its permutation
+    order, for every draw d from one comparison of the block.
+
+    That comparison, against max(rs) * a[u], keeps a superset of every
+    draw's hits: float multiplication rounds monotonically, so
+    fl(r * a) <= fl(max(rs) * a) whenever r <= max(rs).  Each draw then
+    applies its own comparison to the survivors only.  `keep`, if given, is
+    a boolean buffer shaped like the block.
+    """
+    keep = np.less_equal(block, max(rs) * a[:, None], out=keep)
+    u, j = np.nonzero(keep)
+    vals = block[u, j]
+    for d, r in enumerate(rs):
+        hit = vals <= r * a[u]
+        np.minimum.at(first[d], u[hit], ranks[d, cols[j[hit]]])
 
 
 # -- deterministic baselines ----------------------------------------------------
@@ -221,7 +281,7 @@ def local_search(inst: ZeroExtInstance, f: np.ndarray, max_rounds: int = 100) ->
     nonterms = inst.nonterminals()
     if nonterms.size == 0 or max_rounds <= 0:
         return f
-    # Per-vertex incident edge data.
+    # Per-vertex incident edge data, as neighbour and weight arrays built once.
     incident: dict[int, list[tuple[int, float]]] = {int(v): [] for v in nonterms}
     for eid, (u, v) in enumerate(inst.graph.edges):
         w = float(inst.weights[eid])
@@ -231,28 +291,29 @@ def local_search(inst: ZeroExtInstance, f: np.ndarray, max_rounds: int = 100) ->
             incident[int(u)].append((int(v), w))
         if int(inst.term_index[v]) < 0:
             incident[int(v)].append((int(u), w))
+    adjacency = [
+        (v, np.array([o for o, _ in pairs], dtype=np.int64), np.array([w for _, w in pairs], dtype=float))
+        for v, pairs in incident.items()
+        if pairs
+    ]
     order = np.argsort(inst.terminals, kind="stable")
+    in_id_order = bool(np.all(order == np.arange(inst.k)))
     terminals_by_id = inst.terminals[order]
 
     for _ in range(int(max_rounds)):
         fi = inst.term_index[f]
         best_gain = 0.0
         best_move = None
-        for v in nonterms:
-            pairs = incident[int(v)]
-            if not pairs:
-                continue
-            others = np.fromiter((fi[o] for o, _ in pairs), dtype=np.int64, count=len(pairs))
-            ws = np.fromiter((w for _, w in pairs), dtype=float, count=len(pairs))
-            rows = inst.metric.rows(others)  # (deg, k)
-            cand = ws @ rows
-            cand = cand[order]
-            cur = float(cand[np.flatnonzero(terminals_by_id == f[v])[0]])
-            j = int(np.argmin(cand))
+        for v, nbrs, ws in adjacency:
+            cand = ws @ inst.metric.rows(fi[nbrs])  # by terminal position
+            cur = float(cand[fi[v]])
+            if not in_id_order:
+                cand = cand[order]
+            j = int(np.argmin(cand))  # ties to the smallest terminal id
             gain = cur - float(cand[j])
             if gain > best_gain + 1e-12 * max(1.0, abs(cur)):
                 best_gain = gain
-                best_move = (int(v), int(terminals_by_id[j]))
+                best_move = (v, int(terminals_by_id[j]))
         if best_move is None:
             break
         f[best_move[0]] = best_move[1]

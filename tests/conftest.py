@@ -5,7 +5,9 @@ paths come from a plain Floyd-Warshall loop and single-source trees from a
 heap Dijkstra with its own (numpy) predecessor pass, optima from itertools
 enumeration, cycle verdicts from explicit simple-cycle enumeration,
 shuffles from one scalar draw per Fisher-Yates step, girth from a BFS that
-is never cut short, and CKR labelings from one terminal column at a time.
+is never cut short, CKR labelings from one terminal column at a time, and
+local-search moves from a per-vertex loop that regathers every vertex's
+incident edges each round.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from zeroext import extension, graphs, instance, split
+from zeroext import extension, graphs, instance, solvers, split
 
 
 # -- independent shortest-path oracle -----------------------------------------
@@ -230,6 +232,59 @@ def reference_ckr_round(inst, lengths, seed: int) -> np.ndarray:
         f[take] = int(inst.terminals[tpos])
         unassigned &= ~take
     assert not unassigned.any()
+    return f
+
+
+# -- per-vertex local search oracle ---------------------------------------------
+
+
+def reference_local_search(inst, f, max_rounds: int = 100) -> np.ndarray:
+    """Steepest single-vertex relabeling descent, one vertex at a time with
+    its incident edges regathered every round.
+
+    Each round evaluates every (vertex, terminal) move and applies the single
+    best strictly-improving one; stops at a local optimum or after
+    max_rounds.  The result never costs more than the input.
+    """
+    f = solvers.validate_labeling(f, inst).copy()
+    nonterms = inst.nonterminals()
+    if nonterms.size == 0 or max_rounds <= 0:
+        return f
+    # Per-vertex incident edge data.
+    incident: dict[int, list[tuple[int, float]]] = {int(v): [] for v in nonterms}
+    for eid, (u, v) in enumerate(inst.graph.edges):
+        w = float(inst.weights[eid])
+        if u == v:
+            continue
+        if int(inst.term_index[u]) < 0:
+            incident[int(u)].append((int(v), w))
+        if int(inst.term_index[v]) < 0:
+            incident[int(v)].append((int(u), w))
+    order = np.argsort(inst.terminals, kind="stable")
+    terminals_by_id = inst.terminals[order]
+
+    for _ in range(int(max_rounds)):
+        fi = inst.term_index[f]
+        best_gain = 0.0
+        best_move = None
+        for v in nonterms:
+            pairs = incident[int(v)]
+            if not pairs:
+                continue
+            others = np.fromiter((fi[o] for o, _ in pairs), dtype=np.int64, count=len(pairs))
+            ws = np.fromiter((w for _, w in pairs), dtype=float, count=len(pairs))
+            rows = inst.metric.rows(others)  # (deg, k)
+            cand = ws @ rows
+            cand = cand[order]
+            cur = float(cand[np.flatnonzero(terminals_by_id == f[v])[0]])
+            j = int(np.argmin(cand))
+            gain = cur - float(cand[j])
+            if gain > best_gain + 1e-12 * max(1.0, abs(cur)):
+                best_gain = gain
+                best_move = (int(v), int(terminals_by_id[j]))
+        if best_move is None:
+            break
+        f[best_move[0]] = best_move[1]
     return f
 
 

@@ -393,6 +393,18 @@ def saved_d3(tmp_path):
     return str(tmp_path / "gap_n4_d3_s0.instance.json")
 
 
+@pytest.mark.parametrize("key,value", [("seed", -1), ("girth_floor", -5)])
+def test_negative_provenance_field_of_a_loaded_file_rejected(saved_d3, tmp_path, capsys, key, value):
+    doc = json.loads(open(saved_d3).read())
+    doc["provenance"][key] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    for command in ("solve", "frac"):
+        assert_flag_error(
+            capsys, [command, "--instance", str(path)], re.escape(f"{path}: provenance {key} {value} must be >= 0")
+        )
+
+
 def assert_usage_error(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
         run(argv)

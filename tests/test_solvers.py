@@ -13,6 +13,7 @@ from conftest import (
     random_generic_instance,
     random_labeling,
     reference_ckr_round,
+    reference_local_search,
 )
 from zeroext import relaxation, solvers
 from zeroext.graphs import Graph, shortest_path_metric
@@ -24,6 +25,7 @@ from zeroext.solvers import (
     all_to_one,
     brute_force,
     ckr_round,
+    ckr_rounds,
     integral_cost,
     load_labeling,
     local_search,
@@ -183,9 +185,14 @@ def test_ckr_valid_and_reproducible(small_gap):
 
 
 def _assert_ckr_matches_reference(inst, lengths, seeds):
-    for seed in seeds:
-        got = ckr_round(inst, lengths, seed)
-        assert np.array_equal(got, reference_ckr_round(inst, lengths, seed)), seed
+    seeds = list(seeds)
+    want = [reference_ckr_round(inst, lengths, seed) for seed in seeds]
+    for seed, f in zip(seeds, want):
+        assert np.array_equal(ckr_round(inst, lengths, seed), f), seed
+    shared = ckr_rounds(inst, lengths, seeds)  # every draw from one pass
+    assert len(shared) == len(seeds)
+    for seed, f, g in zip(seeds, want, shared):
+        assert np.array_equal(g, f), seed
 
 
 @pytest.mark.parametrize("n,d", [(4, 3), (6, 4), (8, 4), (16, 4)])
@@ -208,8 +215,9 @@ def test_ckr_matches_one_terminal_at_a_time_on_generic():
 @pytest.mark.parametrize("slab", [solvers.CKR_SLAB_PAIRS, 100])
 def test_ckr_on_other_lengths_of_a_gap_instance_matches_reference(monkeypatch, slab):
     # Integer lengths, zeros included, keep Dijkstra and Floyd-Warshall exact;
-    # they differ from the canonical lengths, so CKR searches the graph, in
-    # one block or (slab 100 over 32 vertices) in blocks of 3 rows.
+    # they differ from the canonical lengths, so CKR searches the graph from
+    # its 16 terminals, in one chunk or (slab 100 over 32 vertices) in
+    # chunks of 3 sources.
     monkeypatch.setattr(solvers, "CKR_SLAB_PAIRS", slab)
     inst = default_gap_instance(4, 3, 0).instance
     rng = np.random.default_rng(8)
@@ -240,7 +248,60 @@ def test_ckr_block_edges_match_reference(monkeypatch, slab):
     inst = default_gap_instance(6, 4, 1).instance
     lengths, _ = canonical_fractional(inst)
     monkeypatch.setattr(solvers, "CKR_SLAB_PAIRS", slab)
+    rs = {1.0 + float(np.random.default_rng(seed).random()) for seed in range(5)}
+    assert len(rs) == 5  # the shared pass serves draws of different r
     _assert_ckr_matches_reference(inst, lengths, range(5))
+    assert ckr_rounds(inst, lengths, []) == []
+
+
+@pytest.mark.parametrize("slab", [solvers.CKR_SLAB_PAIRS, 100])
+@pytest.mark.parametrize("draws", [1, 3, 8])
+def test_ckr_rounds_search_from_the_terminals_only(monkeypatch, slab, draws):
+    # Other lengths search from at most 2k sources (A_u, then the hits),
+    # however many draws share the call, never from the V - k non-terminals.
+    monkeypatch.setattr(solvers, "CKR_SLAB_PAIRS", slab)
+    sources = []
+    search = solvers.shortest_path_rows
+
+    def counting(g, lengths, srcs):
+        sources.extend(np.atleast_1d(srcs).tolist())
+        return search(g, lengths, srcs)
+
+    monkeypatch.setattr(solvers, "shortest_path_rows", counting)
+    inst = default_gap_instance(4, 3, 0).instance
+    lengths = np.random.default_rng(2).integers(1, 4, size=inst.graph.edge_count).astype(float)
+    ckr_rounds(inst, lengths, range(draws))
+    assert 0 < len(sources) <= 2 * inst.k
+    assert set(sources) <= set(inst.terminals.tolist())
+
+
+def test_first_hits_bound_is_inclusive_per_draw():
+    # One row, three columns: at fl(r1 * a), one ulp above it, and one ulp
+    # above fl(r2 * a).  Ranks favour the later columns, so a wrongly taken
+    # entry would show.
+    a, r1, r2 = 0.7, 1.3, 1.55
+    at = r1 * a
+    block = np.array([[at, np.nextafter(at, np.inf), np.nextafter(r2 * a, np.inf)]])
+    ranks = np.array([[2, 1, 0], [2, 1, 0]])
+    first = np.full((2, 1), 3)
+    solvers._first_hits(block, np.array([a]), np.arange(3), [r1, r2], ranks, first)
+    assert first[:, 0].tolist() == [2, 1]  # r1 takes only column 0; r2 also column 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.floats(min_value=0.0, max_value=1e300, allow_nan=False),
+    r1=st.floats(min_value=1.0, max_value=2.0, exclude_max=True),
+    r2=st.floats(min_value=1.0, max_value=2.0, exclude_max=True),
+)
+def test_first_hits_max_r_filter_keeps_every_smaller_r_hit(a, r1, r2):
+    # The entry sits exactly on the smaller draw's bound; the shared filter
+    # at max(r1, r2) must let it through to that draw.
+    lo, hi = sorted((r1, r2))
+    block = np.array([[lo * a]])
+    first = np.full((2, 1), 1)
+    solvers._first_hits(block, np.array([a]), np.arange(1), [hi, lo], np.zeros((2, 1), dtype=np.int64), first)
+    assert first[:, 0].tolist() == [0, 0]
 
 
 # -- baselines ----------------------------------------------------------------------
@@ -335,6 +396,38 @@ def test_local_search_monotone_and_bounded_below():
         assert c1 <= c0 + 1e-12
         _, opt = brute_force(inst)
         assert c1 >= opt - 1e-9 * max(1.0, abs(opt))
+
+
+@pytest.mark.parametrize("n", [6, 8, 16])
+def test_local_search_matches_per_vertex_oracle_on_gap(n):
+    inst = default_gap_instance(n, 4, 0).instance
+    lengths, _ = canonical_fractional(inst)
+    moved = 0
+    for seed in range(2):
+        start = ckr_round(inst, lengths, seed)
+        got = local_search(inst, start, max_rounds=20)
+        assert np.array_equal(got, reference_local_search(inst, start, max_rounds=20))
+        moved += int(np.count_nonzero(got != start))
+    # At n=6 both starts are already local optima; from n=8 on the descent moves.
+    assert moved > 0 or n == 6
+
+
+def test_local_search_matches_per_vertex_oracle_on_generic():
+    rng = np.random.default_rng(37)
+    shuffled = 0
+    for case in range(15):
+        inst = random_generic_instance(rng, max_nonterms=6, max_terms=4)
+        if case % 2:  # the same instance with its terminals listed out of id order
+            p = rng.permutation(inst.k)
+            while np.all(np.diff(inst.terminals[p]) > 0):
+                p = rng.permutation(inst.k)
+            inst = build_generic_instance(
+                inst.graph, inst.weights, inst.terminals[p], inst.metric.matrix()[np.ix_(p, p)]
+            )
+            shuffled += 1
+        f0 = random_labeling(rng, inst)
+        assert np.array_equal(local_search(inst, f0, 30), reference_local_search(inst, f0, 30))
+    assert shuffled == 7
 
 
 def test_every_solver_at_least_brute_force():
