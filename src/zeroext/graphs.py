@@ -36,6 +36,7 @@ class Graph:
     multigraph: bool = False
     _adj: list | None = field(default=None, repr=False, compare=False)
     _lookup: dict | None = field(default=None, repr=False, compare=False)
+    _ends: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.edges = [(min(u, v), max(u, v)) for (u, v) in self.edges]
@@ -74,6 +75,14 @@ class Graph:
             deg[u] += 1
             deg[v] += 1
         return deg
+
+    def endpoints(self) -> np.ndarray:
+        """The edges as a read-only (|E|, 2) int64 array, row i = edges[i]."""
+        if self._ends is None:
+            ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+            ends.setflags(write=False)
+            self._ends = ends
+        return self._ends
 
     def edge_lookup(self) -> dict[tuple[int, int], int]:
         """Map normalized endpoint pair -> edge id.  Only valid for simple graphs."""
@@ -298,12 +307,20 @@ def shortest_path_rows(g: Graph, lengths: np.ndarray, sources) -> np.ndarray:
     pinned in the test suite.  `level_search_metric` gives the same floats for
     all sources at once and is the faster search when lengths take few values.
     """
+    return shortest_path_search(g, lengths)(sources)
+
+
+def shortest_path_search(g: Graph, lengths: np.ndarray):
+    """`shortest_path_rows(g, lengths, sources)` as a function of the
+    sources, with the adjacency built once for every call: the search for
+    callers that take their sources in chunks."""
     from scipy.sparse.csgraph import dijkstra
 
     lengths = validate_lengths(g, lengths, allow_zero=True)
     if g.vertex_count == 0:
-        return np.zeros((0, 0))
-    return dijkstra(_csr(g, lengths), directed=True, indices=sources)
+        return lambda sources: np.zeros((0, 0))
+    csr = _csr(g, lengths)
+    return lambda sources: dijkstra(csr, directed=True, indices=sources)
 
 
 def _csr(g: Graph, lengths: np.ndarray):
@@ -318,7 +335,7 @@ def _csr(g: Graph, lengths: np.ndarray):
     """
     from scipy.sparse import csr_matrix
 
-    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    ends = g.endpoints()
     keep = ends[:, 0] != ends[:, 1]
     us = np.concatenate((ends[keep, 0], ends[keep, 1]))
     vs = np.concatenate((ends[keep, 1], ends[keep, 0]))
@@ -355,7 +372,7 @@ def level_search_metric(g: Graph, lengths: np.ndarray) -> np.ndarray:
     """
     lengths = validate_lengths(g, lengths, allow_zero=True)
     n = g.vertex_count
-    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    ends = g.endpoints()
     keep = ends[:, 0] != ends[:, 1]  # self-loops never shorten a path
     classes, cls = np.unique(lengths[keep], return_inverse=True)
     steps = [
@@ -549,8 +566,7 @@ def expansion_estimate(g: Graph, iterations: int, seed: int) -> EigenEstimate:
     if np.any(deg != d) or d == 0:
         raise GraphError("expansion estimate requires a regular graph")
     n = g.vertex_count
-    us = np.array([u for u, _ in g.edges])
-    vs = np.array([v for _, v in g.edges])
+    us, vs = g.endpoints().T
     rng = np.random.default_rng(int(seed))
     x = rng.standard_normal(n)
     x -= x.mean()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GraphError, shortest_path_rows, validate_lengths
+from .graphs import GraphError, shortest_path_search, validate_lengths
 from .instance import ZeroExtInstance
 
 FEAS_RTOL = 1e-9
@@ -85,16 +85,16 @@ def is_feasible(
     an empty list means feasible.
 
     Exact: one Dijkstra search per terminal, FEASIBILITY_ROWS sources at a
-    time, read against the rows of D.  A longer distance is no violation,
-    since the clique joined in keeps d(t_i, t_j) = D(i, j).
+    time over one adjacency, read against the rows of D.  A longer distance
+    is no violation, since the clique joined in keeps d(t_i, t_j) = D(i, j).
     """
-    lengths = check_lengths(lengths, inst)
+    search = shortest_path_search(inst.graph, check_lengths(lengths, inst))
     terms = inst.terminals
     k = terms.size
     out: list[Violation] = []
     for start in range(0, k, FEASIBILITY_ROWS):
         pos = np.arange(start, min(start + FEASIBILITY_ROWS, k))
-        got = shortest_path_rows(inst.graph, lengths, terms[pos])[:, terms]
+        got = search(terms[pos])[:, terms]
         want = inst.metric.rows(pos)
         short = want - got
         bad = (short > rtol * want) & (pos[:, None] < np.arange(k)[None, :])
@@ -115,7 +115,7 @@ def induced_semimetric(f: np.ndarray, inst: ZeroExtInstance) -> np.ndarray:
     if f.shape != (n,) or not np.all((f >= 0) & (f < n)) or np.any(inst.term_index[f] < 0):
         raise RelaxationError(f"labeling must map each of the {n} vertices to a terminal")
     fi = inst.term_index[f]
-    ends = np.array(inst.graph.edges, dtype=np.int64).reshape(-1, 2)
+    ends = inst.graph.endpoints()
     return inst.metric.pair_values(fi[ends[:, 0]], fi[ends[:, 1]])
 
 

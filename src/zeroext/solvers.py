@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import Graph, _fisher_yates, shortest_path_rows
+from .graphs import Graph, _fisher_yates, shortest_path_rows, shortest_path_search
 from .instance import DENSE_METRIC_CAP, ZeroExtInstance
 from .relaxation import check_lengths, fractional_cost, induced_semimetric
 
@@ -135,8 +135,8 @@ def ckr_rounds(inst: ZeroExtInstance, lengths: np.ndarray, seeds) -> list[np.nda
     does.  The distances are read in blocks of at most CKR_SLAB_PAIRS
     entries and every block serves all draws (see `_first_hits`).  For a gap
     instance's canonical lengths, d(x, t_j) = D_X[x, j] + L is read from the
-    cached D_X in contiguous row blocks.  Other lengths run
-    shortest_path_rows from the terminals, in chunks, twice: once for every
+    cached D_X in contiguous row blocks.  Other lengths search the graph
+    from the terminals, in chunks over one adjacency, twice: once for every
     A_u and once for the hits, so at most 2k sources whatever the number of
     draws (k when one chunk holds every terminal, searched once).
     """
@@ -170,11 +170,11 @@ def ckr_rounds(inst: ZeroExtInstance, lengths: np.ndarray, seeds) -> list[np.nda
                         keep=keep_buf[: stop - start])
     else:
         chunk = max(1, CKR_SLAB_PAIRS // max(1, inst.vertex_count))
+        search = shortest_path_search(inst.graph, lengths)
 
         def from_terminals():  # (first terminal position, distances to the non-terminals)
             for start in range(0, k, chunk):
-                terms = inst.terminals[start : start + chunk]
-                yield start, shortest_path_rows(inst.graph, lengths, terms)[:, nonterms]
+                yield start, search(inst.terminals[start : start + chunk])[:, nonterms]
 
         one_chunk = list(from_terminals()) if k <= chunk else None  # searched once, read twice
         a = np.full(nonterms.size, np.inf)
@@ -273,50 +273,115 @@ def nearest_terminal(inst: ZeroExtInstance) -> np.ndarray:
 def local_search(inst: ZeroExtInstance, f: np.ndarray, max_rounds: int = 100) -> np.ndarray:
     """Steepest single-vertex relabeling descent.
 
-    Each round evaluates every (vertex, terminal) move and applies the single
-    best strictly-improving one; stops at a local optimum or after
-    max_rounds.  The result never costs more than the input.
-    """
-    f = validate_labeling(f, inst).copy()
-    nonterms = inst.nonterminals()
-    if nonterms.size == 0 or max_rounds <= 0:
-        return f
-    # Per-vertex incident edge data, as neighbour and weight arrays built once.
-    incident: dict[int, list[tuple[int, float]]] = {int(v): [] for v in nonterms}
-    for eid, (u, v) in enumerate(inst.graph.edges):
-        w = float(inst.weights[eid])
-        if u == v:
-            continue
-        if int(inst.term_index[u]) < 0:
-            incident[int(u)].append((int(v), w))
-        if int(inst.term_index[v]) < 0:
-            incident[int(v)].append((int(u), w))
-    adjacency = [
-        (v, np.array([o for o, _ in pairs], dtype=np.int64), np.array([w for _, w in pairs], dtype=float))
-        for v, pairs in incident.items()
-        if pairs
-    ]
-    order = np.argsort(inst.terminals, kind="stable")
-    in_id_order = bool(np.all(order == np.arange(inst.k)))
-    terminals_by_id = inst.terminals[order]
+    Each round applies the single best strictly-improving (vertex, terminal)
+    move; stops at a local optimum or after max_rounds.  The result never
+    costs more than the input.  Vertex v, whose incident edges (edge-id
+    order, self-loops skipped) have weights ws and neighbours labeled l,
+    prices the terminals at cand = ws @ D[l]; its gain is
+    g_v = cur_v - min(cand), with cur_v = cand[f(v)] and ties to the
+    smallest terminal id.  In vertex order, v replaces the best move so far
+    when g_v > best_gain + 1e-12 max(1, cur_v), from best_gain = 0, so no
+    vertex with g_v <= 1e-12 max(1, cur_v) is ever chosen.
 
+    Such vertices are skipped, but only with proof.  A screen prices
+    vertices in blocks of at most CKR_SLAB_PAIRS (vertex, terminal) entries
+    from A, the weight per neighbour label (repeated labels summed), and its
+    row sum W, without forming the k x k D: c~ = (A @ D_X + 2L W) - 2L A on
+    a gap instance (D_X has a zero diagonal) and A @ D on any other.  All
+    terms are nonnegative, so every sum carries the usual gamma_m relative
+    bound; only the last subtraction can cancel, and it is exact when the
+    neighbours carry r_v = 1 label.  With n_v incident edges and u = 2^-53,
+
+        beta_v = 10u (n_v + 4) (c~_v[f(v)] + [r_v > 1] 2L W_v)
+
+    is twice a bound on the error of g~_v = c~_v[f(v)] - min(c~_v) as an
+    estimate of g_v, and of c~_v[f(v)] as one of cur_v; the other half
+    covers the rounding of the test itself.  So a vertex with
+    g~_v + beta_v <= 1e-12 max(1, c~_v[f(v)] - beta_v) has
+    g_v <= 1e-12 max(1, cur_v) and is dropped.  Survivors are priced
+    exactly as above, and the scan runs in vertex order over those whose
+    gain passes, so it chooses the move a scan of every vertex would.  A
+    move at v changes only the prices of v and of its non-terminal
+    neighbours, and only they are screened and priced again.
+    """
+    from scipy.sparse import csr_matrix
+
+    f = validate_labeling(f, inst).copy()
+    if max_rounds <= 0:
+        return f
+    n, k = inst.vertex_count, inst.k
+    # Incident (neighbour, weight) entries of the non-terminals, by vertex and
+    # then edge id, self-loops skipped: vertex v owns entries lo[v]:lo[v + 1].
+    ends = inst.graph.endpoints()
+    eids = np.flatnonzero(ends[:, 0] != ends[:, 1])
+    own = np.concatenate((ends[eids, 0], ends[eids, 1]))
+    nbr = np.concatenate((ends[eids, 1], ends[eids, 0]))
+    eids = np.concatenate((eids, eids))
+    free = inst.term_index[own] < 0
+    own, nbr, eids = own[free], nbr[free], eids[free]
+    by_vertex = np.lexsort((eids, own))
+    own, nbr, wt = own[by_vertex], nbr[by_vertex], inst.weights[eids[by_vertex]]
+    lo = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(own, minlength=n), out=lo[1:])
+
+    order = np.argsort(inst.terminals, kind="stable")
+    in_id_order = bool(np.all(order == np.arange(k)))
+    terminals_by_id = inst.terminals[order]
+    base, shift = (inst.metric.dx, inst.metric.two_l) if inst.is_gap else (inst.metric.matrix(), 0.0)
+    fi = inst.term_index[f]
+
+    def price(v: int) -> tuple[float, float, int]:
+        """Exact gain, tolerance and best terminal id of vertex v."""
+        ws, nbrs = wt[lo[v] : lo[v + 1]], nbr[lo[v] : lo[v + 1]]
+        cand = ws @ inst.metric.rows(fi[nbrs])  # by terminal position
+        cur = float(cand[fi[v]])
+        if not in_id_order:
+            cand = cand[order]
+        j = int(np.argmin(cand))  # ties to the smallest terminal id
+        return cur - float(cand[j]), 1e-12 * max(1.0, abs(cur)), int(terminals_by_id[j])
+
+    def may_move(vs: np.ndarray) -> np.ndarray:
+        """The screen over vertices vs: False only where the vertex cannot be chosen."""
+        deg = lo[vs + 1] - lo[vs]
+        at = np.repeat(lo[vs] - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
+        a = csr_matrix((wt[at], (np.repeat(np.arange(vs.size), deg), fi[nbr[at]])), shape=(vs.size, k))
+        a.sum_duplicates()  # A: one entry per (vertex, label)
+        labels = np.diff(a.indptr)
+        w = np.add.reduceat(a.data, a.indptr[:-1])
+        approx = a @ base
+        approx += (shift * w)[:, None]
+        approx[np.repeat(np.arange(vs.size), labels), a.indices] -= shift * a.data
+        cur = approx[np.arange(vs.size), fi[vs]]
+        gain = cur - approx.min(axis=1)
+        beta = 10 * 2.0**-53 * (deg + 4) * (cur + (labels > 1) * shift * w)
+        return ~(gain + beta <= 1e-12 * np.maximum(1.0, cur - beta))  # NaN stays
+
+    rows = max(1, CKR_SLAB_PAIRS // k)  # vertices per screen block
+    movable: dict[int, tuple[float, float, int]] = {}  # vertices whose gain passes
+    stale = np.unique(own)  # every non-terminal with an incident edge
     for _ in range(int(max_rounds)):
-        fi = inst.term_index[f]
+        for start in range(0, stale.size, rows):
+            block = stale[start : start + rows]
+            for v, keep in zip(block.tolist(), may_move(block).tolist()):
+                movable.pop(v, None)
+                if keep:
+                    gain, tol, t = price(v)
+                    if gain > tol:  # the scan's first comparison, at best_gain = 0
+                        movable[v] = (gain, tol, t)
         best_gain = 0.0
         best_move = None
-        for v, nbrs, ws in adjacency:
-            cand = ws @ inst.metric.rows(fi[nbrs])  # by terminal position
-            cur = float(cand[fi[v]])
-            if not in_id_order:
-                cand = cand[order]
-            j = int(np.argmin(cand))  # ties to the smallest terminal id
-            gain = cur - float(cand[j])
-            if gain > best_gain + 1e-12 * max(1.0, abs(cur)):
+        for v in sorted(movable):
+            gain, tol, t = movable[v]
+            if gain > best_gain + tol:
                 best_gain = gain
-                best_move = (v, int(terminals_by_id[j]))
+                best_move = (v, t)
         if best_move is None:
             break
-        f[best_move[0]] = best_move[1]
+        v, t = best_move
+        f[v] = t
+        fi[v] = inst.term_index[t]
+        touched = nbr[lo[v] : lo[v + 1]]
+        stale = np.union1d(touched[inst.term_index[touched] < 0], [v])
     return f
 
 

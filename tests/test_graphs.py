@@ -378,6 +378,28 @@ def test_rows_take_zero_lengths_and_reject_negative_or_nan():
         graphs.validate_lengths(g, zero)
 
 
+def test_endpoints_are_one_read_only_array_of_the_edges():
+    g = Graph(vertex_count=3, edges=[(1, 0), (1, 1), (1, 2)], multigraph=True)
+    ends = g.endpoints()
+    assert ends.dtype == np.int64 and ends.tolist() == [[0, 1], [1, 1], [1, 2]]
+    assert g.endpoints() is ends
+    with pytest.raises(ValueError, match="read-only"):
+        ends[0, 0] = 2
+    assert Graph(vertex_count=1, edges=[]).endpoints().shape == (0, 2)
+
+
+def test_search_builds_its_adjacency_once_for_every_chunk(monkeypatch):
+    g = Graph(vertex_count=5, edges=[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    lengths = np.array([1.0, 2.0, 0.0, 1.5, 4.0])
+    builds = []
+    csr = graphs._csr
+    monkeypatch.setattr(graphs, "_csr", lambda *args: builds.append(1) or csr(*args))
+    search = graphs.shortest_path_search(g, lengths)
+    chunks = [search([0, 1]), search([2]), search([3, 4])]
+    assert len(builds) == 1
+    assert np.array_equal(np.vstack(chunks), graph_fw(g, lengths))
+
+
 def test_parallel_edges_collapse_to_the_shortest():
     g = Graph(vertex_count=3, edges=[(0, 1), (0, 1), (1, 1), (1, 2)], multigraph=True)
     lengths = np.array([1.0, 1.0, 0.5, 1.5])

@@ -226,6 +226,23 @@ def test_halved_extension_edge_is_caught_at_n16(monkeypatch, rows):
     assert pairs == want
 
 
+def test_feasibility_searches_one_adjacency_for_every_chunk(monkeypatch):
+    # k = 16 terminals in six chunks of at most 3 sources.
+    inst = default_gap_instance(4, 3, 0).instance
+    lengths = inst.origin.edge_lengths.copy()
+    lengths[:4] /= 3
+    want = [(v.vertices, v.magnitude) for v in is_feasible(lengths, inst)]
+    assert want
+    monkeypatch.setattr(relaxation, "FEASIBILITY_ROWS", 3)
+    builds = []
+    make_search = relaxation.shortest_path_search
+    monkeypatch.setattr(
+        relaxation, "shortest_path_search", lambda *args: builds.append(1) or make_search(*args)
+    )
+    assert [(v.vertices, v.magnitude) for v in is_feasible(lengths, inst)] == want
+    assert len(builds) == 1
+
+
 # -- costs ------------------------------------------------------------------------
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     enumerate_optimum,
     graph_fw,
+    random_connected_graph,
     random_generic_instance,
     random_labeling,
     reference_ckr_round,
@@ -258,19 +259,28 @@ def test_ckr_block_edges_match_reference(monkeypatch, slab):
 @pytest.mark.parametrize("draws", [1, 3, 8])
 def test_ckr_rounds_search_from_the_terminals_only(monkeypatch, slab, draws):
     # Other lengths search from at most 2k sources (A_u, then the hits),
-    # however many draws share the call, never from the V - k non-terminals.
+    # however many draws share the call, never from the V - k non-terminals,
+    # and build the adjacency they search once per call.
     monkeypatch.setattr(solvers, "CKR_SLAB_PAIRS", slab)
     sources = []
-    search = solvers.shortest_path_rows
+    builds = []
+    make_search = solvers.shortest_path_search
 
-    def counting(g, lengths, srcs):
-        sources.extend(np.atleast_1d(srcs).tolist())
-        return search(g, lengths, srcs)
+    def counting(g, lengths):
+        builds.append(1)
+        search = make_search(g, lengths)
 
-    monkeypatch.setattr(solvers, "shortest_path_rows", counting)
+        def counted(srcs):
+            sources.extend(np.atleast_1d(srcs).tolist())
+            return search(srcs)
+
+        return counted
+
+    monkeypatch.setattr(solvers, "shortest_path_search", counting)
     inst = default_gap_instance(4, 3, 0).instance
     lengths = np.random.default_rng(2).integers(1, 4, size=inst.graph.edge_count).astype(float)
     ckr_rounds(inst, lengths, range(draws))
+    assert len(builds) == 1
     assert 0 < len(sources) <= 2 * inst.k
     assert set(sources) <= set(inst.terminals.tolist())
 
@@ -428,6 +438,140 @@ def test_local_search_matches_per_vertex_oracle_on_generic():
         f0 = random_labeling(rng, inst)
         assert np.array_equal(local_search(inst, f0, 30), reference_local_search(inst, f0, 30))
     assert shuffled == 7
+
+
+@pytest.mark.parametrize("slab", [1, 5 * 36 + 7, 36 * 36 - 1])
+def test_local_search_screen_blocks_match_per_vertex_oracle(monkeypatch, slab):
+    # k = 36: screen blocks of 1, 5 (which does not divide the 36
+    # non-terminals) and 35 vertices, from CKR and random starts.
+    monkeypatch.setattr(solvers, "CKR_SLAB_PAIRS", slab)
+    inst = default_gap_instance(6, 4, 1).instance
+    lengths, _ = canonical_fractional(inst)
+    rng = np.random.default_rng(slab)
+    moved = 0
+    for start in [*ckr_rounds(inst, lengths, range(2)), random_labeling(rng, inst)]:
+        got = local_search(inst, start, max_rounds=40)
+        assert np.array_equal(got, reference_local_search(inst, start, max_rounds=40))
+        moved += int(np.count_nonzero(got != start))
+    assert moved > 0
+
+
+def test_local_search_matches_per_vertex_oracle_from_a_random_start_at_n16():
+    inst = default_gap_instance(16, 4, 0).instance
+    start = random_labeling(np.random.default_rng(16), inst)
+    got = local_search(inst, start, max_rounds=200)
+    assert np.array_equal(got, reference_local_search(inst, start, max_rounds=200))
+    assert np.count_nonzero(got != start) > 100
+
+
+def tie_heavy_instance(rng):
+    """Integer weights and a metric of ones and twos, so many moves tie;
+    the terminals are listed out of id order."""
+    m, k = int(rng.integers(2, 7)), int(rng.integers(2, 5))
+    g = random_connected_graph(rng, m + k, extra_edges=int(rng.integers(0, m + k)))
+    weights = rng.integers(1, 3, size=g.edge_count).astype(float)
+    terminals = rng.choice(m + k, size=k, replace=False)
+    while np.all(np.diff(terminals) > 0):
+        terminals = rng.permutation(terminals)
+    upper = np.triu(rng.integers(1, 3, size=(k, k)), 1).astype(float)
+    return build_generic_instance(g, weights, terminals, upper + upper.T)
+
+
+def test_local_search_matches_per_vertex_oracle_on_tie_heavy_instances():
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        inst = tie_heavy_instance(rng)
+        f0 = random_labeling(rng, inst)
+        assert np.array_equal(local_search(inst, f0, 30), reference_local_search(inst, f0, 30))
+
+
+def test_local_search_leaves_a_vertex_with_only_self_loops():
+    # Vertex 3 has only self-loops, so no move changes the cost; vertex 1
+    # has a self-loop besides its edges, which is skipped.
+    g = Graph(vertex_count=5, edges=[(0, 1), (1, 1), (1, 2), (3, 3), (1, 4), (3, 3)], multigraph=True)
+    inst = build_generic_instance(
+        g, np.array([1.0, 5.0, 2.0, 7.0, 1.5, 1.0]), np.array([4, 0, 2]),
+        np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 2.0], [1.0, 2.0, 0.0]]),
+    )
+    f0 = np.array([0, 4, 2, 4, 4])
+    got = local_search(inst, f0, 10)
+    assert np.array_equal(got, reference_local_search(inst, f0, 10))
+    assert got[3] == 4 and got[1] == 2
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), rounds=st.integers(1, 30))
+def test_local_search_equals_per_vertex_oracle_on_tiny_generic_instances(seed, rounds):
+    rng = np.random.default_rng(seed)
+    inst = random_generic_instance(rng, max_nonterms=5, max_terms=4)
+    f0 = random_labeling(rng, inst)
+    assert np.array_equal(local_search(inst, f0, rounds), reference_local_search(inst, f0, rounds))
+
+
+def spy_on_pricing(monkeypatch, inst) -> list[np.ndarray]:
+    """The neighbour label positions of every vertex local_search prices
+    exactly: one inst.metric.rows call each."""
+    calls = []
+    rows = inst.metric.rows
+
+    def spy(positions):
+        calls.append(np.array(positions))
+        return rows(positions)
+
+    monkeypatch.setattr(inst.metric, "rows", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_local_search_screen_prices_no_vertex_at_the_all_to_one_start(monkeypatch, n):
+    inst = default_gap_instance(n, 4, 0).instance
+    start = all_to_one(inst)
+    calls = spy_on_pricing(monkeypatch, inst)
+    assert np.array_equal(local_search(inst, start), start)
+    assert calls == []
+
+
+@pytest.mark.parametrize("start_kind", ["ckr", "random"])
+def test_local_search_screen_keeps_every_vertex_that_can_move(monkeypatch, start_kind):
+    # The first round prices every vertex whose exact gain passes the
+    # tolerance; the screen may drop only the others.
+    inst = default_gap_instance(8, 4, 0).instance
+    if start_kind == "ckr":
+        start = ckr_round(inst, canonical_fractional(inst)[0], 0)
+    else:
+        start = random_labeling(np.random.default_rng(4), inst)
+    fi = inst.term_index[start]
+    can_move = set()
+    for v in inst.nonterminals().tolist():
+        eids = [e for e, (a, b) in enumerate(inst.graph.edges) if v in (a, b) and a != b]
+        others = [b if a == v else a for a, b in (inst.graph.edges[e] for e in eids)]
+        cand = inst.weights[eids] @ inst.metric.rows(fi[others])
+        cur = float(cand[fi[v]])
+        if cur - float(cand.min()) > 1e-12 * max(1.0, cur):
+            can_move.add(v)
+    calls = spy_on_pricing(monkeypatch, inst)
+    local_search(inst, start, max_rounds=1)
+    priced = {int(p[-1]) for p in calls}  # the last label is the pendant's, at position v
+    assert can_move and can_move <= priced
+
+
+def test_local_search_prices_only_the_moved_vertex_and_its_neighbours_again(monkeypatch):
+    inst = default_gap_instance(8, 4, 0).instance
+    start = random_labeling(np.random.default_rng(3), inst)
+    calls = spy_on_pricing(monkeypatch, inst)
+    once = local_search(inst, start, max_rounds=1)
+    first = len(calls)
+    (v,) = np.flatnonzero(once != start)
+    twice = local_search(inst, start, max_rounds=2)
+    # A gap vertex's last neighbour is its own pendant terminal, at position
+    # u, so the last label position of a priced row names the vertex.
+    again = [int(p[-1]) for p in calls[2 * first :]]
+    assert np.array_equal(twice, reference_local_search(inst, start, max_rounds=2))
+    ends = inst.graph.endpoints()
+    nbrs = np.concatenate((ends[ends[:, 0] == v, 1], ends[ends[:, 1] == v, 0]))
+    allowed = {int(v), *(int(u) for u in nbrs if inst.term_index[u] < 0)}
+    assert 0 < len(again) == len(set(again)) and set(again) <= allowed
+    assert first > len(allowed)  # the first round priced more than a move touches
 
 
 def test_every_solver_at_least_brute_force():
