@@ -60,12 +60,6 @@ GAP_CAVEAT = (
 CSV_COLUMNS = ["n", "k", "seed", "frac_cost", "best_integral", "ratio", "solver"]
 KNOWN_SOLVERS = ("all_to_one", "nearest_terminal", "ckr", "local_search")
 
-# Steepest-descent rounds are trimmed so a single instance stays within a
-# fixed move-evaluation budget; full-strength local search remains available
-# through the library API.
-LOCAL_SEARCH_BUDGET = 2 * 10**9
-
-
 class ConfigError(ValueError):
     """A bad flag or config-file value; `main` reports it with exit status 2."""
 
@@ -358,10 +352,8 @@ def analyse(cfg: ExperimentConfig, inst: ZeroExtInstance, seed: int) -> tuple[di
             results[f"ckr[{i}]"] = (f, integral_cost(f, inst))
     if "local_search" in cfg.solvers:
         start = min(results.values(), key=lambda fc: fc[1])[0] if results else nearest_terminal(inst)
-        budget_rounds = max(0, LOCAL_SEARCH_BUDGET // max(1, inst.vertex_count * inst.k * 4))
-        rounds = min(cfg.local_rounds, budget_rounds)
-        if rounds > 0:
-            f = local_search(inst, start, max_rounds=rounds)
+        if cfg.local_rounds > 0:
+            f = local_search(inst, start, max_rounds=cfg.local_rounds)
             results["local_search"] = (f, integral_cost(f, inst))
     if not results:
         raise ConfigError("no selected solver ran: ckr rounds the canonical fractional solution, "

@@ -123,18 +123,14 @@ def fiber_of(x: ExtendedGraph, vertex: int) -> int:
     return vertex % x.fiber_size
 
 
-def as_graph(x: ExtendedGraph) -> tuple[Graph, np.ndarray]:
-    """Flattened Graph and per-edge lengths.
+def flatten(x: ExtendedGraph) -> FlatExtension:
+    """The flattened graph and its per-edge lengths, built once and cached.
 
     Edge order: all intra-cloud edges (cloud-major, fiber edge order), then
     all inter-cloud edges (base-edge-major, fiber vertex order).  Intra edges
     carry the fiber length of their fiber edge, inter edges the base length
     of their base edge.
     """
-    return (_flat(x).graph, _flat(x).lengths)
-
-
-def flatten(x: ExtendedGraph) -> FlatExtension:
     return _flat(x)
 
 

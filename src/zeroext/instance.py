@@ -76,63 +76,40 @@ class GapParams:
 # -- metrics ----------------------------------------------------------------
 
 
-class DenseSemiMetric:
-    """A terminal semi-metric stored as a square matrix, indexed by terminal
-    position.  Fractional solutions are edge lengths instead (see
-    `relaxation`)."""
+class TerminalMetric:
+    """The terminal metric D(i, j) = base[i, j] + shift for i != j, and
+    base[i, i] on the diagonal, indexed by terminal position.  A gap instance
+    has base = D_X (zero diagonal) and shift = 2L; a generic instance has its
+    validated matrix and shift = 0.  Fractional solutions are edge lengths
+    instead (see `relaxation`)."""
 
-    def __init__(self, matrix: np.ndarray):
-        mat = np.asarray(matrix, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise InstanceError("semi-metric must be a square matrix")
-        self.mat = mat
-        self.size = mat.shape[0]
+    def __init__(self, base: np.ndarray, shift: float = 0.0):
+        self.base = np.asarray(base, dtype=float)
+        self.shift = float(shift)
+        self.size = self.base.shape[0]
 
     def value(self, i, j):
-        return float(self.mat[i, j])
+        return float(self.base[i, j] + (self.shift if i != j else 0.0))
 
     def pair_values(self, ii, jj):
-        """Distances d(ii, jj), elementwise over index arrays that broadcast
+        """Distances D(ii, jj), elementwise over index arrays that broadcast
         like numpy operands."""
-        return self.mat[np.asarray(ii), np.asarray(jj)]
-
-    def rows(self, positions: np.ndarray) -> np.ndarray:
-        """The rows at `positions`, one per entry, as a (len, size) array."""
-        return self.mat[positions]
-
-    def matrix(self):
-        return self.mat
-
-
-class GapTerminalMetric:
-    """D = D_X + 2L off the diagonal, backed by the dense D_X of the extension."""
-
-    def __init__(self, dx: np.ndarray, two_l: float):
-        self.dx = np.asarray(dx, dtype=float)
-        self.two_l = float(two_l)
-        self.size = self.dx.shape[0]
-
-    def value(self, i, j):
-        return 0.0 if i == j else float(self.dx[i, j] + self.two_l)
-
-    def pair_values(self, ii, jj):
         ii = np.asarray(ii)
         jj = np.asarray(jj)
-        return (self.dx[ii, jj] + self.two_l) * (ii != jj)
+        return self.base[ii, jj] + self.shift * (ii != jj)
 
     def rows(self, positions: np.ndarray) -> np.ndarray:
         """The rows at `positions`, one per entry, as a (len, size) array."""
-        rows = self.dx[positions] + self.two_l
-        rows[np.arange(positions.size), positions] = 0.0
+        rows = self.base[positions]
+        rows += self.shift
+        rows[np.arange(positions.size), positions] = self.base[positions, positions]
         return rows
 
     def matrix(self):
-        out = self.dx + self.two_l
-        np.fill_diagonal(out, 0.0)
-        return out
+        return self.rows(np.arange(self.size))
 
     def rowsums(self):
-        return self.dx.sum(axis=1) + self.two_l * (self.size - 1)
+        return self.base.sum(axis=1) + self.shift * (self.size - 1)
 
 
 def validate_semimetric(mat: np.ndarray, rtol: float = METRIC_RTOL) -> None:
@@ -177,7 +154,7 @@ class ZeroExtInstance:
     graph: Graph
     weights: np.ndarray
     terminals: np.ndarray          # terminal vertex ids
-    metric: DenseSemiMetric | GapTerminalMetric  # indexed by terminal position
+    metric: TerminalMetric         # indexed by terminal position
     origin: GapOrigin | None = None
     provenance: dict | None = None
     term_index: np.ndarray = field(init=False)
@@ -240,7 +217,7 @@ def build_gap_instance(x: ExtendedGraph, big_l: float) -> ZeroExtInstance:
     lengths.setflags(write=False)  # handed out as the canonical fractional solution
     weights = 1.0 / lengths
     dx = extension_metric(x)
-    metric = GapTerminalMetric(dx, 2.0 * big_l)
+    metric = TerminalMetric(dx, 2.0 * big_l)
     origin = GapOrigin(extension=x, big_l=float(big_l), edge_lengths=lengths, dx=dx)
     return ZeroExtInstance(
         graph=graph,
@@ -343,10 +320,12 @@ def build_generic_instance(graph: Graph, weights, terminals, metric) -> ZeroExtI
     """Validated instance from arbitrary parts; terminals need not be pendant.
 
     `metric` is a dense k x k semi-metric over the terminal list order; a
-    triangle violation is rejected with the offending triple named.
+    triangle violation is rejected with the offending triple named.  The
+    instance holds a copy in which every -0.0 entry reads 0.0, so that each
+    TerminalMetric method, which adds the shift 0.0, returns it bit for bit.
     """
     weights = np.asarray(weights, dtype=float)
-    mat = np.asarray(metric, dtype=float)
+    mat = np.asarray(metric, dtype=float) + 0.0
     terminals = np.asarray(terminals, dtype=np.int64)
     if mat.shape != (terminals.size, terminals.size):
         raise InstanceError(
@@ -357,7 +336,7 @@ def build_generic_instance(graph: Graph, weights, terminals, metric) -> ZeroExtI
         graph=graph,
         weights=weights,
         terminals=terminals,
-        metric=DenseSemiMetric(mat),
+        metric=TerminalMetric(mat),
     )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import Graph, _fisher_yates, shortest_path_rows, shortest_path_search
-from .instance import DENSE_METRIC_CAP, ZeroExtInstance
+from .instance import ZeroExtInstance
 from .relaxation import check_lengths, fractional_cost, induced_semimetric
 
 # Largest block of distances ckr_rounds holds at once: 2 MiB of floats.
@@ -217,15 +217,12 @@ def _first_hits(block, a, cols, rs, ranks, first, keep=None) -> None:
 def all_to_one(inst: ZeroExtInstance) -> np.ndarray:
     """Every non-terminal to the one terminal of least total cost, found by
     scanning all k terminals; ties to the smallest terminal id."""
-    k = inst.k
-    if k > DENSE_METRIC_CAP:
-        raise TooLargeError(f"all_to_one scan is capped at k={DENSE_METRIC_CAP}, got {k}")
     if inst.is_gap:
         # Only pendant edges can cross; they share weight 1/L.
         cost_vec = inst.weights[-1] * inst.metric.rowsums()
     else:
         D = inst.metric.matrix()
-        cost_vec = np.zeros(k)
+        cost_vec = np.zeros(inst.k)
         for eid, (u, v) in enumerate(inst.graph.edges):
             iu, iv = int(inst.term_index[u]), int(inst.term_index[v])
             w = float(inst.weights[eid])
@@ -286,13 +283,13 @@ def local_search(inst: ZeroExtInstance, f: np.ndarray, max_rounds: int = 100) ->
     Such vertices are skipped, but only with proof.  A screen prices
     vertices in blocks of at most CKR_SLAB_PAIRS (vertex, terminal) entries
     from A, the weight per neighbour label (repeated labels summed), and its
-    row sum W, without forming the k x k D: c~ = (A @ D_X + 2L W) - 2L A on
-    a gap instance (D_X has a zero diagonal) and A @ D on any other.  All
-    terms are nonnegative, so every sum carries the usual gamma_m relative
-    bound; only the last subtraction can cancel, and it is exact when the
-    neighbours carry r_v = 1 label.  With n_v incident edges and u = 2^-53,
+    row sum W, without forming the k x k D = B + s off the diagonal (see
+    `TerminalMetric`): c~ = (A @ B + s W) - s A.  All terms are
+    nonnegative, so every sum carries the usual gamma_m relative bound; only
+    the last subtraction can cancel, and it is exact when the neighbours
+    carry r_v = 1 label.  With n_v incident edges and u = 2^-53,
 
-        beta_v = 10u (n_v + 4) (c~_v[f(v)] + [r_v > 1] 2L W_v)
+        beta_v = 10u (n_v + 4) (c~_v[f(v)] + [r_v > 1] s W_v)
 
     is twice a bound on the error of g~_v = c~_v[f(v)] - min(c~_v) as an
     estimate of g_v, and of c~_v[f(v)] as one of cur_v; the other half
@@ -327,7 +324,7 @@ def local_search(inst: ZeroExtInstance, f: np.ndarray, max_rounds: int = 100) ->
     order = np.argsort(inst.terminals, kind="stable")
     in_id_order = bool(np.all(order == np.arange(k)))
     terminals_by_id = inst.terminals[order]
-    base, shift = (inst.metric.dx, inst.metric.two_l) if inst.is_gap else (inst.metric.matrix(), 0.0)
+    base, shift = inst.metric.base, inst.metric.shift
     fi = inst.term_index[f]
 
     def price(v: int) -> tuple[float, float, int]:

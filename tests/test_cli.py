@@ -287,6 +287,19 @@ def test_solve_reports_the_gap_row_of_the_same_instance(tmp_path):
     assert solved["costs"] == row["all_costs"] and solved["best"] == row["solver"]
 
 
+def test_local_rounds_reach_local_search_uncapped(small_gap, monkeypatch):
+    seen = []
+    real = cli.local_search
+
+    def spy(inst, f, max_rounds):
+        seen.append(max_rounds)
+        return real(inst, f, max_rounds=max_rounds)
+
+    monkeypatch.setattr(cli, "local_search", spy)
+    cli.analyse(cli.ExperimentConfig(local_rounds=10**6), small_gap.instance, 0)
+    assert seen == [10**6]
+
+
 def test_out_dir_env_variable(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ZEROEXT_OUT", str(tmp_path / "envout"))
     rc = run(["gap", "--n", "6", "--seed", "0", "--jobs", "1"])

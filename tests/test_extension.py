@@ -7,7 +7,6 @@ from scipy import stats
 from zeroext import extension, graphs
 from zeroext.extension import (
     ExtensionError,
-    as_graph,
     edge_label,
     flatten,
     project,
@@ -33,7 +32,7 @@ def c3():
 
 def test_matching_special_case():
     x = sample_extension(single_edge(), np.array([1.0]), edgeless(3), np.zeros(0), seed=5)
-    g, lengths = as_graph(x)
+    g, lengths = flatten(x).graph, flatten(x).lengths
     assert g.vertex_count == 6
     assert g.edge_count == 3
     assert np.all(g.degrees() == 1)  # a perfect matching between the clouds
@@ -44,7 +43,7 @@ def test_single_vertex_base_copies_fiber():
     fiber = build_cayley([4], [(1,)])
     base = Graph(vertex_count=1, edges=[])
     x = sample_extension(base, np.zeros(0), fiber, uniform_lengths(fiber, 2.0), seed=0)
-    g, lengths = as_graph(x)
+    g, lengths = flatten(x).graph, flatten(x).lengths
     assert g.vertex_count == 4
     assert g.edges == fiber.edges
     assert np.all(lengths == 2.0)
@@ -53,7 +52,7 @@ def test_single_vertex_base_copies_fiber():
 def test_c3_by_c3_degrees_and_determinism():
     x1 = sample_extension(c3(), uniform_lengths(c3(), 1.0), c3(), uniform_lengths(c3(), 1.0), seed=42)
     x2 = sample_extension(c3(), uniform_lengths(c3(), 1.0), c3(), uniform_lengths(c3(), 1.0), seed=42)
-    g1, _ = as_graph(x1)
+    g1 = flatten(x1).graph
     assert np.all(g1.degrees() == 4)  # deg_H + deg_G = 2 + 2
     assert x1.seed == x2.seed
     assert len(x1.matchings) == len(x2.matchings)
@@ -64,10 +63,10 @@ def test_c3_by_c3_degrees_and_determinism():
 
 def test_edge_counts():
     lift = sample_extension(c3(), uniform_lengths(c3(), 1.0), edgeless(4), np.zeros(0), seed=1)
-    gl, _ = as_graph(lift)
+    gl = flatten(lift).graph
     assert gl.edge_count == 3 * 4  # |E_G| * |V_H|
     x = sample_extension(c3(), uniform_lengths(c3(), 1.0), c3(), uniform_lengths(c3(), 1.0), seed=1)
-    gx, _ = as_graph(x)
+    gx = flatten(x).graph
     assert gx.edge_count == 3 * 3 + 3 * 3  # intra + inter
 
 
@@ -78,7 +77,7 @@ def test_degree_identity_over_samples():
         x = sample_extension(
             base, uniform_lengths(base, 1.0), fiber, uniform_lengths(fiber, 1.0), seed=seed
         )
-        g, _ = as_graph(x)
+        g = flatten(x).graph
         deg = g.degrees()
         for v in range(g.vertex_count):
             assert deg[v] == 3 + 3

@@ -55,6 +55,52 @@ def test_gap_metric_matches_fw_oracle():
     assert np.allclose(got, want, rtol=1e-9, atol=0)
 
 
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_metric_methods_return(metric, want):
+    """Every method of the terminal metric reads `want` bit for bit."""
+    k = want.shape[0]
+    ii, jj = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
+    positions = np.array([k - 1, 0, k - 1, k // 2])
+    assert_same_bits(metric.matrix(), want)
+    assert_same_bits(metric.pair_values(ii, jj), want)
+    assert_same_bits(metric.pair_values(ii[:, :1], np.arange(k)[None, :]), want)  # broadcast
+    assert_same_bits(metric.rows(positions), want[positions])
+    assert_same_bits([[metric.value(i, j) for j in range(k)] for i in range(k)], want)
+
+
+def test_gap_terminal_metric_is_dx_plus_2l_off_a_zero_diagonal(small_gap):
+    inst = small_gap.instance
+    dx, big_l = inst.origin.dx, inst.origin.big_l
+    want = dx + 2.0 * big_l
+    np.fill_diagonal(want, 0.0)
+    assert inst.k == 64 and inst.metric.base is dx and inst.metric.shift == 2.0 * big_l
+    assert_metric_methods_return(inst.metric, want)
+    rowsums = inst.metric.rowsums()
+    assert_same_bits(rowsums, dx.sum(axis=1) + 2.0 * big_l * (inst.k - 1))
+    assert np.allclose(rowsums, want.sum(axis=1), rtol=1e-12, atol=0)
+
+
+def test_generic_terminal_metric_returns_its_matrix_with_negative_zeros_as_zeros():
+    # Terminals 3, 0, 2 (out of id order); a diagonal entry of 1e-12 and a
+    # -0.0 entry, both of which validate_semimetric accepts.
+    mat = np.array([[1e-12, 2.0, -0.0], [2.0, 0.0, 2.0], [0.0, 2.0, 0.0]])
+    g = Graph(vertex_count=4, edges=[(0, 1), (1, 2), (1, 3)])
+    inst = build_generic_instance(g, np.ones(3), np.array([3, 0, 2]), mat)
+    want = mat.copy()
+    want[0, 2] = 0.0
+    assert np.signbit(mat[0, 2]) and not np.signbit(want).any()
+    assert inst.metric.shift == 0.0 and inst.metric.base is not mat
+    assert_same_bits(inst.metric.base, want)
+    assert_metric_methods_return(inst.metric, want)
+    assert inst.metric.value(0, 0) == 1e-12
+    assert_same_bits(inst.metric.rowsums(), want.sum(axis=1))
+
+
 def test_default_params_derived_quantities():
     p = GapParams(n=16, d=4)
     # Frozen from a 50-digit decimal oracle (Newton cube root of ln 16).
@@ -149,7 +195,7 @@ def test_instance_json_round_trip(tmp_path):
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
     for inst in (build.instance, back):
         assert inst.origin.dx is extension.extension_metric(inst.origin.extension)
-        assert inst.metric.dx is inst.origin.dx
+        assert inst.metric.base is inst.origin.dx
 
     g = Graph(vertex_count=3, edges=[(0, 1), (1, 2)])
     generic = build_generic_instance(g, np.array([1.0, 2.0]), np.array([0, 2]), np.array([[0.0, 3.0], [3.0, 0.0]]))
