@@ -138,31 +138,23 @@ def _flat(x: ExtendedGraph) -> FlatExtension:
     if x._flat is not None:
         return x._flat
     nG, nH = x.cloud_count, x.fiber_size
-    edges: list[tuple[int, int]] = []
-    lengths: list[float] = []
-    kinds: list[int] = []
-    origins: list[int] = []
-
-    for g in range(nG):
-        for f_eid, (h1, h2) in enumerate(x.fiber.edges):
-            edges.append((vertex_id(x, g, h1), vertex_id(x, g, h2)))
-            lengths.append(float(x.fiber_lengths[f_eid]))
-            kinds.append(0)
-            origins.append(f_eid)
-    for b_eid, (g1, g2) in enumerate(x.base.edges):
-        perm = x.matchings[b_eid]
-        for h in range(nH):
-            edges.append((vertex_id(x, g1, h), vertex_id(x, g2, int(perm[h]))))
-            lengths.append(float(x.base_lengths[b_eid]))
-            kinds.append(1)
-            origins.append(b_eid)
-
-    graph = Graph(vertex_count=nG * nH, edges=edges)
+    nF, nB = x.fiber.edge_count, x.base.edge_count
+    clouds = np.arange(nG, dtype=np.int64)[:, None, None] * nH
+    intra = (clouds + x.fiber.endpoints()).reshape(-1, 2)
+    perms = np.asarray(x.matchings, dtype=np.int64).reshape(nB, nH)
+    tails, heads = (x.base.endpoints() * nH).T
+    inter = np.stack([tails[:, None] + np.arange(nH), heads[:, None] + perms], axis=2)
     flat = FlatExtension(
-        graph=graph,
-        lengths=np.array(lengths),
-        edge_kind=np.array(kinds, dtype=np.int8),
-        edge_origin=np.array(origins, dtype=np.int64),
+        graph=Graph(vertex_count=nG * nH, edges=np.concatenate([intra, inter.reshape(-1, 2)])),
+        lengths=np.concatenate([
+            np.tile(np.asarray(x.fiber_lengths, dtype=float), nG),
+            np.repeat(np.asarray(x.base_lengths, dtype=float), nH),
+        ]),
+        edge_kind=np.repeat(np.array([0, 1], dtype=np.int8), [nG * nF, nB * nH]),
+        edge_origin=np.concatenate([
+            np.tile(np.arange(nF, dtype=np.int64), nG),
+            np.repeat(np.arange(nB, dtype=np.int64), nH),
+        ]),
     )
     x._flat = flat
     return flat

@@ -27,8 +27,11 @@ class GraphError(ValueError):
 class Graph:
     """Undirected graph with dense edge ids 0..|E|-1.
 
-    edges[i] is the (u, v) endpoint pair of edge i, normalized u <= v.
-    Self-loops and parallel edges are rejected unless multigraph=True.
+    `edges` may be a list of (u, v) pairs or an (E, 2) integer array; it is
+    stored as a list in which edges[i] is the endpoint pair of edge i,
+    normalized u <= v.  Self-loops and parallel edges are rejected unless
+    multigraph=True.  The first offending edge is reported, an out-of-range
+    endpoint before a self-loop before a parallel pair.
     """
 
     vertex_count: int
@@ -39,16 +42,30 @@ class Graph:
     _ends: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.edges = [(min(u, v), max(u, v)) for (u, v) in self.edges]
-        seen = set()
-        for eid, (u, v) in enumerate(self.edges):
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise GraphError(f"edge {eid} endpoint out of range: ({u}, {v})")
-            if u == v and not self.multigraph:
-                raise GraphError(f"self-loop at vertex {u} requires multigraph mode")
-            if (u, v) in seen and not self.multigraph:
-                raise GraphError(f"parallel edge ({u}, {v}) requires multigraph mode")
-            seen.add((u, v))
+        ends = np.array(self.edges)
+        if ends.shape == (0,):
+            ends = np.zeros((0, 2), dtype=np.int64)
+        if ends.dtype.kind not in "iu" or ends.ndim != 2 or ends.shape[1] != 2:
+            raise GraphError("edges must be (u, v) pairs of integer vertex ids")
+        ends = np.sort(ends.astype(np.int64), axis=1)
+        u, v = ends[:, 0], ends[:, 1]
+        out = (u < 0) | (v >= self.vertex_count)
+        loop = (u == v) & (not self.multigraph)
+        parallel = np.zeros_like(out)
+        if not self.multigraph:  # every repeat of a pair after its first
+            parallel[:] = True
+            parallel[np.unique(u * self.vertex_count + v, return_index=True)[1]] = False
+        bad = out | loop | parallel
+        if bad.any():
+            eid = int(np.argmax(bad))
+            if out[eid]:
+                raise GraphError(f"edge {eid} endpoint out of range: ({u[eid]}, {v[eid]})")
+            if loop[eid]:
+                raise GraphError(f"self-loop at vertex {u[eid]} requires multigraph mode")
+            raise GraphError(f"parallel edge ({u[eid]}, {v[eid]}) requires multigraph mode")
+        ends.setflags(write=False)
+        self._ends = ends
+        self.edges = list(zip(u.tolist(), v.tolist()))
 
     # -- basic accessors ------------------------------------------------
 
@@ -70,18 +87,11 @@ class Graph:
         return self._adj
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.vertex_count, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        """Edge ends at each vertex; a self-loop counts twice."""
+        return np.bincount(self._ends.ravel(), minlength=self.vertex_count)
 
     def endpoints(self) -> np.ndarray:
         """The edges as a read-only (|E|, 2) int64 array, row i = edges[i]."""
-        if self._ends is None:
-            ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-            ends.setflags(write=False)
-            self._ends = ends
         return self._ends
 
     def edge_lookup(self) -> dict[tuple[int, int], int]:

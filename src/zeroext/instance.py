@@ -203,20 +203,20 @@ def build_gap_instance(x: ExtendedGraph, big_l: float) -> ZeroExtInstance:
             f"ceiling k <= {DENSE_METRIC_CAP}"
         )
     flat = flatten(x)
-    comps = flat.graph.connected_components()
-    if len(comps) > 1:
+    dx = extension_metric(x)
+    if not np.isfinite(dx[:1]).all():  # the extension is connected iff row 0 is finite
+        comps = flat.graph.connected_components()
         sizes = ", ".join(str(len(c)) for c in comps)
         raise InstanceError(
             f"extension is disconnected ({len(comps)} components of sizes {sizes}); "
             "the terminal metric would contain infinities"
         )
     k = flat.graph.vertex_count
-    edges = list(flat.graph.edges) + [(v, k + v) for v in range(k)]
-    graph = Graph(vertex_count=2 * k, edges=edges)
+    pendants = np.arange(k, dtype=np.int64)[:, None] + [0, k]  # (v, k + v)
+    graph = Graph(vertex_count=2 * k, edges=np.concatenate([flat.graph.endpoints(), pendants]))
     lengths = np.concatenate([flat.lengths, np.full(k, float(big_l))])
     lengths.setflags(write=False)  # handed out as the canonical fractional solution
     weights = 1.0 / lengths
-    dx = extension_metric(x)
     metric = TerminalMetric(dx, 2.0 * big_l)
     origin = GapOrigin(extension=x, big_l=float(big_l), edge_lengths=lengths, dx=dx)
     return ZeroExtInstance(
@@ -347,21 +347,32 @@ _GRAPH_KEYS = ("vertex_count", "edges", "multigraph")
 
 
 def _graph_to_json(g: Graph) -> dict:
-    out = {"vertex_count": g.vertex_count, "edges": [[int(u), int(v)] for u, v in g.edges]}
+    out = {"vertex_count": g.vertex_count, "edges": g.endpoints().tolist()}
     if g.multigraph:
         out["multigraph"] = True
     return out
 
 
+def _integers(values: list) -> list:
+    """values, if each is a JSON integer; a float, bool or string id raises
+    rather than being truncated or cast."""
+    for value in values:
+        if type(value) is not int:
+            raise ValueError(f"{value!r} is not an integer")
+    return values
+
+
 def _graph_from_json(doc: dict) -> Graph:
     """A graph document; any key besides _GRAPH_KEYS (such as the generator
-    labels of older files) is rejected."""
+    labels of older files) is rejected, and so is any id that is not a JSON
+    integer."""
     extra = sorted(key for key in doc if key not in _GRAPH_KEYS)
     if extra:
         raise ValueError(f"graph key {extra[0]!r} is not one of {_GRAPH_KEYS}")
+    _integers([doc["vertex_count"]] + [v for e in doc["edges"] for v in e])
     return Graph(
-        vertex_count=int(doc["vertex_count"]),
-        edges=[(int(u), int(v)) for u, v in doc["edges"]],
+        vertex_count=doc["vertex_count"],
+        edges=doc["edges"],
         multigraph=bool(doc.get("multigraph", False)),
     )
 
@@ -477,7 +488,7 @@ def load_instance(path) -> ZeroExtInstance:
             build_generic_instance,
             _read(path, doc, "graph", _graph_from_json),
             _read(path, doc, "weights", lambda v: np.array(v, dtype=float)),
-            _read(path, doc, "terminals", lambda v: np.array(v, dtype=np.int64)),
+            _read(path, doc, "terminals", lambda v: np.array(_integers(v), dtype=np.int64)),
             _read(path, doc, "metric.matrix", lambda v: np.array(v, dtype=float)),
         )
     else:

@@ -7,7 +7,8 @@ enumeration, cycle verdicts from explicit simple-cycle enumeration,
 shuffles from one scalar draw per Fisher-Yates step, girth from a BFS that
 is never cut short, CKR labelings from one terminal column at a time, and
 local-search moves from a per-vertex loop that regathers every vertex's
-incident edges each round.
+incident edges each round, graph validation from a per-edge loop over a seen
+set, and flattened extensions from one append per flat edge.
 """
 from __future__ import annotations
 
@@ -136,6 +137,51 @@ def heap_dijkstra_tree(g: graphs.Graph, lengths, source: int) -> OracleTree:
     reached[source] = False
     assert np.all(pred_vertex[reached] >= 0)
     return OracleTree(source=source, dist=dist, pred_vertex=pred_vertex, pred_edge=pred_edge)
+
+
+# -- per-edge construction oracles ----------------------------------------------
+
+
+def reference_graph_edges(vertex_count: int, edges, multigraph: bool) -> list[tuple[int, int]]:
+    """Normalized edge list of a graph, checked one edge at a time; raises
+    graphs.GraphError with the library's message at the first bad edge."""
+    edges = [(min(u, v), max(u, v)) for (u, v) in edges]
+    seen = set()
+    for eid, (u, v) in enumerate(edges):
+        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+            raise graphs.GraphError(f"edge {eid} endpoint out of range: ({u}, {v})")
+        if u == v and not multigraph:
+            raise graphs.GraphError(f"self-loop at vertex {u} requires multigraph mode")
+        if (u, v) in seen and not multigraph:
+            raise graphs.GraphError(f"parallel edge ({u}, {v}) requires multigraph mode")
+        seen.add((u, v))
+    return edges
+
+
+def reference_flatten(x):
+    """(edges, lengths, edge_kind, edge_origin) of the flattened extension,
+    appended one flat edge at a time in the documented order."""
+    nG, nH = x.cloud_count, x.fiber_size
+    edges, lengths, kinds, origins = [], [], [], []
+    for g in range(nG):
+        for f_eid, (h1, h2) in enumerate(x.fiber.edges):
+            edges.append((g * nH + h1, g * nH + h2))
+            lengths.append(float(x.fiber_lengths[f_eid]))
+            kinds.append(0)
+            origins.append(f_eid)
+    for b_eid, (g1, g2) in enumerate(x.base.edges):
+        perm = x.matchings[b_eid]
+        for h in range(nH):
+            edges.append((g1 * nH + h, g2 * nH + int(perm[h])))
+            lengths.append(float(x.base_lengths[b_eid]))
+            kinds.append(1)
+            origins.append(b_eid)
+    return (
+        edges,
+        np.array(lengths),
+        np.array(kinds, dtype=np.int8),
+        np.array(origins, dtype=np.int64),
+    )
 
 
 # -- independent sampling oracles -----------------------------------------------

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from conftest import reference_flatten
 from zeroext import extension, graphs
 from zeroext.extension import (
     ExtensionError,
@@ -190,3 +195,32 @@ def test_matching_uniformity_quick():
     assert len(counts) == 6
     _, p = stats.chisquare(list(counts.values()))
     assert p >= 0.001
+
+
+@st.composite
+def simple_graphs(draw, max_vertices: int):
+    """A simple graph on 1..max_vertices vertices with its pairs in a drawn
+    order, either orientation, and one positive length per edge."""
+    n = draw(st.integers(1, max_vertices))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in chosen]
+    lengths = draw(st.lists(st.floats(0.01, 100.0), min_size=len(edges), max_size=len(edges)))
+    return Graph(vertex_count=n, edges=edges), np.array(lengths)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(base=simple_graphs(5), fiber=simple_graphs(4), seed=st.integers(0, 2**16))
+@example(base=(c3(), np.array([1.0, 2.0, 3.0])), fiber=(edgeless(3), np.zeros(0)), seed=7)
+@example(base=(single_edge(), np.array([2.5])), fiber=(edgeless(1), np.zeros(0)), seed=0)
+@example(base=(edgeless(2), np.zeros(0)), fiber=(c3(), np.array([0.5, 0.25, 4.0])), seed=1)
+def test_flatten_matches_per_edge_oracle(base, fiber, seed):
+    """Edgeless fibers (lifts), one-vertex fibers and uneven lengths included."""
+    x = sample_extension(*base, *fiber, seed=seed)
+    edges, lengths, kinds, origins = reference_flatten(x)
+    flat = flatten(x)
+    assert flat.graph.vertex_count == x.vertex_count
+    assert flat.graph.edges == edges
+    assert flat.lengths.dtype == lengths.dtype and flat.lengths.tobytes() == lengths.tobytes()
+    for got, want in ((flat.edge_kind, kinds), (flat.edge_origin, origins)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)

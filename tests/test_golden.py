@@ -1,6 +1,6 @@
 """Golden digests of the command-line output.
 
-Each test runs one command through `cli.main` and pins the sha256 of the
+Each test runs commands through `cli.main` and pins the sha256 of the
 bytes it writes, less the parts that name the run rather than the result:
 the embedded config (it holds the output directory) and, in an instance
 file, the package version and the two expansion estimates, which are numpy
@@ -24,6 +24,7 @@ GOLDEN = {
     "solve.labeling": "41c7b8be2e64702a44bce972d951272891c75c13c7434722bcab9f22b1e59aa9",
     "solve.json": "5c8b32663a57287f0e5409d342b1ead1cb6db59562bb674527c1062bbf795009",
     "frac": "1f914c323c80b5aecd1126ae15f0369387e831b85ef51bf06b3aa8db81158d18",
+    "split": "13ec0f9938e0265dc021a6e4a8404d1d721e55e42568dc5b17149d6fbfadfbcb",
 }
 
 
@@ -72,3 +73,19 @@ def test_solve_labeling_and_document(tmp_path):
 def test_frac_document(tmp_path):
     assert cli.main(["frac", "--n", "8", "--seed", "0", "--out", str(tmp_path)]) == 0
     assert_json_digest("frac", without_config(tmp_path / "frac.json"))
+
+
+def test_split_document(tmp_path):
+    assert cli.main(["split", "--n", "8", "--seed", "0", "--out", str(tmp_path)]) == 0
+    assert_json_digest("split", without_config(tmp_path / "split.json"))
+
+
+def test_split_and_cert_of_a_loaded_instance_match_the_built_one(tmp_path):
+    # The load path rebuilds flatten and the instance graph from the file.
+    assert cli.main(["generate", "--n", "8", "--seed", "0", "--out", str(tmp_path)]) == 0
+    path = str(tmp_path / "gap_n8_d4_s0.instance.json")
+    out = tmp_path / "loaded"
+    assert cli.main(["split", "--instance", path, "--out", str(out)]) == 0
+    assert cli.main(["cert", "--instance", path, "--force", "--out", str(out)]) == 0
+    assert_json_digest("split", without_config(out / "split.json"))
+    assert_json_digest("cert", without_config(out / "certificate.json"))

@@ -13,6 +13,7 @@ from conftest import (
     graph_fw,
     heap_dijkstra_tree,
     reference_girth,
+    reference_graph_edges,
     reference_random_regular,
     scalar_fisher_yates,
 )
@@ -518,3 +519,42 @@ def test_validation_errors():
         Graph(vertex_count=2, edges=[(0, 1), (0, 1)])
     with pytest.raises(GraphError, match="out of range"):
         Graph(vertex_count=2, edges=[(0, 5)])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    vertex_count=st.integers(0, 6),
+    edges=st.lists(st.tuples(st.integers(-2, 7), st.integers(-2, 7)), max_size=10),
+    multigraph=st.booleans(),
+    as_array=st.booleans(),
+)
+@example(vertex_count=0, edges=[], multigraph=False, as_array=True)
+@example(vertex_count=3, edges=[(2, 1), (1, 2)], multigraph=False, as_array=False)
+@example(vertex_count=3, edges=[(1, 1), (0, 9)], multigraph=False, as_array=False)
+@example(vertex_count=3, edges=[(0, 9), (1, 1)], multigraph=False, as_array=True)
+@example(vertex_count=3, edges=[(2, 2), (2, 2), (1, 0)], multigraph=True, as_array=True)
+def test_graph_matches_per_edge_oracle(vertex_count, edges, multigraph, as_array):
+    """The array constructor keeps the per-edge loop's edges, or its message
+    for the first bad edge (range, then loop, then parallel)."""
+    try:
+        want = reference_graph_edges(vertex_count, edges, multigraph)
+    except GraphError as exc:
+        want = str(exc)
+    given_edges = np.array(edges, dtype=np.int64).reshape(-1, 2) if as_array else list(edges)
+    before = np.array(given_edges).tobytes()
+    try:
+        g = Graph(vertex_count=vertex_count, edges=given_edges, multigraph=multigraph)
+    except GraphError as exc:
+        assert str(exc) == want
+        return
+    assert g.edges == want
+    assert all(type(u) is int and type(v) is int for u, v in g.edges)
+    assert g.endpoints().tobytes() == np.array(want, dtype=np.int64).reshape(-1, 2).tobytes()
+    assert not g.endpoints().flags.writeable
+    assert np.array(given_edges).tobytes() == before  # the caller's edges are left alone
+
+
+@pytest.mark.parametrize("edges", [[(0, 1.5)], [(0, 1, 2)], [(0,)], [[], []], np.zeros((2, 2), dtype=bool)])
+def test_graph_rejects_edges_that_are_not_integer_pairs(edges):
+    with pytest.raises(GraphError, match="edges must be"):
+        Graph(vertex_count=3, edges=edges)

@@ -178,8 +178,28 @@ def test_disconnected_extension_rejected():
     base = Graph(vertex_count=2, edges=[(0, 1)])
     fiber = Graph(vertex_count=2, edges=[])
     x = sample_extension(base, np.array([1.0]), fiber, np.zeros(0), seed=0)
-    with pytest.raises(InstanceError, match="disconnected"):
+    with pytest.raises(InstanceError, match=r"disconnected \(2 components of sizes 2, 2\)"):
         build_gap_instance(x, big_l=1.0)
+    # Cloud 2 has no base edge: its two points are components of their own.
+    base = Graph(vertex_count=3, edges=[(0, 1)])
+    x = sample_extension(base, np.array([1.0]), fiber, np.zeros(0), seed=0)
+    with pytest.raises(InstanceError, match=r"disconnected \(4 components of sizes 2, 2, 1, 1\)"):
+        build_gap_instance(x, big_l=1.0)
+
+
+def test_connected_extension_is_built_without_a_component_search(monkeypatch):
+    x = sample_extension(c3(), uniform_lengths(c3(), 1.0), c3(), uniform_lengths(c3(), 1.0), seed=3)
+    calls = []
+    search = Graph.connected_components
+
+    def spy(self):
+        calls.append(self.vertex_count)
+        return search(self)
+
+    monkeypatch.setattr(Graph, "connected_components", spy)
+    inst = build_gap_instance(x, big_l=1.5)
+    assert calls == []
+    assert np.isfinite(inst.origin.dx).all()
 
 
 def test_instance_json_round_trip(tmp_path):
@@ -343,6 +363,26 @@ def test_malformed_generic_file_raises_instance_error(saved):
         load_edited(saved, ("metric", "matrix"), DROP, "generic")
     with pytest.raises(InstanceError, match=r"metric shape \(1, 2\) does not match 2 terminals"):
         load_edited(saved, ("metric", "matrix", 1), DROP, "generic")
+
+
+NON_INTEGER_IDS = {
+    "float-edge": ("generic", ("graph", "edges", 0), [0, 1.5], "'graph'"),
+    "bool-edge": ("generic", ("graph", "edges", 0), [0, True], "'graph'"),
+    "string-edge": ("generic", ("graph", "edges", 0), [0, "1"], "'graph'"),
+    "float-terminal": ("generic", ("terminals", 1), 2.7, "'terminals'"),
+    "float-vertex-count": ("generic", ("graph", "vertex_count"), 3.9, "'graph'"),
+    "bool-vertex-count": ("generic", ("graph", "vertex_count"), True, "'graph'"),
+    "float-base-edge": ("gap", ("origin", "base", "edges", 0), [0, 1.0], "'origin.base'"),
+    "float-fiber-vertex-count": ("gap", ("origin", "fiber", "vertex_count"), 4.0, "'origin.fiber'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGER_IDS))
+def test_non_integer_ids_raise_instance_error_naming_file_and_key(saved, case):
+    # A float, bool or string id is rejected, never truncated or cast.
+    kind, where, value, key = NON_INTEGER_IDS[case]
+    with pytest.raises(InstanceError, match=re.escape(f"{saved[1]}: bad or missing {key}: ") + ".* is not an integer"):
+        load_edited(saved, where, value, kind)
 
 
 @pytest.mark.parametrize("key", ["labels", "group_moduli"])
