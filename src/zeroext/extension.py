@@ -22,7 +22,6 @@ import numpy as np
 from .graphs import (
     Graph,
     _fisher_yates,
-    level_search_metric,
     shortest_path_metric,
     validate_lengths,
 )
@@ -165,16 +164,13 @@ def extension_metric(x: ExtendedGraph) -> np.ndarray:
 
     Computed once per extension and cached on it, read-only; every distance
     and shortest-path tree over the extension is read from this one array.
-    Both searches give the same floats.  The level search is used when the
-    lengths take at most two values (the base and fiber lengths of the gap
-    construction), where it is several times faster; other lengths, such as
-    a hand-edited instance file's, go to Dijkstra.
+    The gap construction's two lengths take the level search (see
+    `graphs.LEVEL_SEARCH_LENGTHS`); a hand-edited file's other lengths may
+    take Dijkstra, with the same floats.
     """
     if x._metric is None:
         flat = _flat(x)
-        few = np.unique(flat.lengths).size <= 2
-        search = level_search_metric if few else shortest_path_metric
-        x._metric = search(flat.graph, flat.lengths)
+        x._metric = shortest_path_metric(flat.graph, flat.lengths)
         x._metric.setflags(write=False)
     return x._metric
 

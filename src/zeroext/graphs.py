@@ -304,33 +304,70 @@ def girth(g: Graph):
 # -- shortest paths ------------------------------------------------------
 
 
+# The one engine rule: a search takes the level search when the edge lengths,
+# self-loops excluded, take at most this many distinct values, and scipy's
+# Dijkstra otherwise.  Both give the same floats; the level search's cost grows
+# with the number of distinct distances, so it is the faster one over a few
+# lengths, such as the gap construction's three (l_G, l_H and L).
+LEVEL_SEARCH_LENGTHS = 3
+
+
 def shortest_path_metric(g: Graph, lengths: np.ndarray) -> np.ndarray:
     """Exact all-pairs shortest-path distances as a dense (V, V) float matrix."""
-    return shortest_path_rows(g, lengths, np.arange(g.vertex_count))
+    return shortest_path_search(g, lengths)(np.arange(g.vertex_count))
 
 
 def shortest_path_rows(g: Graph, lengths: np.ndarray, sources) -> np.ndarray:
     """Exact distances from each of `sources` as a dense (len(sources), V)
     float matrix; disconnected pairs get math.inf.  Lengths may be zero.
 
-    Backed by scipy's Dijkstra; agreement with a Floyd-Warshall oracle is
-    pinned in the test suite.  `level_search_metric` gives the same floats for
-    all sources at once and is the faster search when lengths take few values.
+    Searched by the engine that LEVEL_SEARCH_LENGTHS picks; agreement of both
+    engines with a Floyd-Warshall oracle, and with each other byte for byte,
+    is pinned in the test suite.
     """
     return shortest_path_search(g, lengths)(sources)
 
 
-def shortest_path_search(g: Graph, lengths: np.ndarray):
-    """`shortest_path_rows(g, lengths, sources)` as a function of the
-    sources, with the adjacency built once for every call: the search for
-    callers that take their sources in chunks."""
+def shortest_path_search(g: Graph, lengths: np.ndarray, targets=None):
+    """`search(sources)`: the (len(sources), len(targets)) distances from each
+    source to each target (all vertices when targets is None), as
+    `shortest_path_rows(g, lengths, sources)[:, targets]`.
+
+    The engine and its neighbour tables or adjacency are built once, for
+    every call: the search for callers that take their sources in chunks.
+    Sources may be unsorted and repeated.
+    """
+    lengths = validate_lengths(g, lengths, allow_zero=True)
+    n = g.vertex_count
+    targets = None if targets is None else _vertex_ids(n, targets, "target")
+    ends = g.endpoints()
+    keep = ends[:, 0] != ends[:, 1]  # self-loops never shorten a path
+    values, cls = np.unique(lengths[keep], return_inverse=True)
+    if values.size <= LEVEL_SEARCH_LENGTHS:
+        classes = [(float(value), ends[keep][cls == c]) for c, value in enumerate(values)]
+        engine = _level_search(n, classes, targets)
+    else:
+        engine = _dijkstra_search(g, lengths, targets)
+    return lambda sources: engine(_vertex_ids(n, sources, "source"))
+
+
+def _vertex_ids(n: int, ids, role: str) -> np.ndarray:
+    ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+    if ids.size and not (0 <= ids.min() and ids.max() < n):
+        bad = int(ids[(ids < 0) | (ids >= n)][0])
+        raise GraphError(f"{role} {bad} outside [0, {n})")
+    return ids
+
+
+def _dijkstra_search(g: Graph, lengths: np.ndarray, targets):
+    """scipy's Dijkstra over the CSR adjacency, read at the targets."""
     from scipy.sparse.csgraph import dijkstra
 
-    lengths = validate_lengths(g, lengths, allow_zero=True)
     if g.vertex_count == 0:
-        return lambda sources: np.zeros((0, 0))
+        return lambda sources: np.zeros((sources.size, 0))
     csr = _csr(g, lengths)
-    return lambda sources: dijkstra(csr, directed=True, indices=sources)
+    cols = slice(None) if targets is None else targets
+    return lambda sources: dijkstra(csr, directed=True, indices=sources)[:, cols]
 
 
 def _csr(g: Graph, lengths: np.ndarray):
@@ -366,10 +403,9 @@ _WORD = np.dtype("<u8")
 _BLOCK_WORDS = 4
 
 
-def level_search_metric(g: Graph, lengths: np.ndarray) -> np.ndarray:
-    """shortest_path_metric(g, lengths), byte for byte, from a search over
-    many sources at once.  Its cost grows with the number of distinct
-    distances, so it is the fast search when the lengths take few values.
+def _level_search(n: int, classes: list[tuple[float, np.ndarray]], targets):
+    """Dijkstra's distances, byte for byte, from a search over many sources
+    at once; `classes` holds each distinct length with its edges' endpoints.
 
     Dijkstra's float result is the least fixed point
     D[s, v] = min_u fl(D[s, u] + l(u, v)) with D[s, s] = 0.  Float addition is
@@ -377,24 +413,22 @@ def level_search_metric(g: Graph, lengths: np.ndarray) -> np.ndarray:
     together gives the same floats.  Each vertex holds a bitset over sources;
     the pairs first reached at value F spread, one length class at a time, to
     the neighbours, queued at fl(F + l).  A pair's value is stored as the index
-    of its level in bit-planes and decoded after the search into rows of a
-    C-ordered matrix.  Sources are searched in blocks of 64 * _BLOCK_WORDS.
+    of its level in bit-planes, whose target rows are decoded after the search
+    into rows of a C-ordered matrix.  Sources are searched in blocks of
+    64 * _BLOCK_WORDS.
     """
-    lengths = validate_lengths(g, lengths, allow_zero=True)
-    n = g.vertex_count
-    ends = g.endpoints()
-    keep = ends[:, 0] != ends[:, 1]  # self-loops never shorten a path
-    classes, cls = np.unique(lengths[keep], return_inverse=True)
-    steps = [
-        (float(length), _neighbour_table(n, ends[keep][cls == c]))
-        for c, length in enumerate(classes)
-    ]
-    out = np.empty((n, n))
-    for s0 in range(0, n, 64 * _BLOCK_WORDS):
-        s1 = min(n, s0 + 64 * _BLOCK_WORDS)
-        planes, values = _search_levels(n, steps, np.arange(s0, s1))
-        _decode_levels(planes, values, out[s0:s1])
-    return out
+    steps = [(length, _neighbour_table(n, ends)) for length, ends in classes]
+    rows = slice(0, n) if targets is None else targets
+
+    def search(sources: np.ndarray) -> np.ndarray:
+        out = np.empty((sources.size, n if targets is None else targets.size))
+        for s0 in range(0, sources.size, 64 * _BLOCK_WORDS):
+            block = sources[s0 : s0 + 64 * _BLOCK_WORDS]
+            planes, values = _search_levels(n, steps, block)
+            _decode_levels([plane[rows] for plane in planes], values, out[s0 : s0 + block.size])
+        return out
+
+    return search
 
 
 def _search_levels(n: int, steps, sources: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -408,7 +442,7 @@ def _search_levels(n: int, steps, sources: np.ndarray) -> tuple[list[np.ndarray]
     unreached = np.zeros((n + 1, -(-sources.size // 64)), dtype=_WORD)
     unreached[:n] = ~np.zeros(unreached.shape[1], dtype=_WORD)
     start = np.zeros_like(unreached)
-    start[sources, bit // 64] = np.uint64(1) << (bit % 64).astype(_WORD)
+    np.bitwise_or.at(start, (sources, bit // 64), np.uint64(1) << (bit % 64).astype(_WORD))
     queue = {0.0: start}
     heap = [0.0]
     values: list[float] = []
@@ -471,11 +505,11 @@ def _add_level(planes: list[np.ndarray], bits: np.ndarray, level: int) -> None:
 
 
 def _decode_levels(planes: list[np.ndarray], values: np.ndarray, out: np.ndarray) -> None:
-    """out[j, v] = values[level of bit j at vertex v]."""
+    """out[j, t] = values[level of bit j in row t of the planes]."""
     sources, n = out.shape
     index = np.zeros((n, sources), dtype=np.min_scalar_type(values.size - 1))
     for b, plane in enumerate(planes):
-        bits = np.unpackbits(plane[:n].view(np.uint8), axis=1, bitorder="little")
+        bits = np.unpackbits(plane.view(np.uint8), axis=1, bitorder="little")
         index |= bits[:, :sources].astype(index.dtype) << b
     np.take(values, index.T, out=out, mode="clip")
 

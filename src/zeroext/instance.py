@@ -362,18 +362,34 @@ def _integers(values: list) -> list:
     return values
 
 
-def _graph_from_json(doc: dict) -> Graph:
-    """A graph document; any key besides _GRAPH_KEYS (such as the generator
-    labels of older files) is rejected, and so is any id that is not a JSON
-    integer."""
+def _numbers(values: list) -> list:
+    """values, if each is a JSON number; a bool or string raises rather than
+    being cast to a float."""
+    for value in values:
+        if type(value) not in (int, float):
+            raise ValueError(f"{value!r} is not a number")
+    return values
+
+
+def _graph_doc(doc: dict) -> dict:
+    """doc, if it is a graph document: any key besides _GRAPH_KEYS (such as
+    the generator labels of older files) is rejected, and so is any id that
+    is not a JSON integer or a `multigraph` that is not a JSON boolean."""
     extra = sorted(key for key in doc if key not in _GRAPH_KEYS)
     if extra:
         raise ValueError(f"graph key {extra[0]!r} is not one of {_GRAPH_KEYS}")
     _integers([doc["vertex_count"]] + [v for e in doc["edges"] for v in e])
+    if type(doc.get("multigraph", False)) is not bool:
+        raise ValueError(f"multigraph {doc['multigraph']!r} is not true or false")
+    return doc
+
+
+def _graph_from_json(doc: dict) -> Graph:
+    doc = _graph_doc(doc)
     return Graph(
         vertex_count=doc["vertex_count"],
         edges=doc["edges"],
-        multigraph=bool(doc.get("multigraph", False)),
+        multigraph=doc.get("multigraph", False),
     )
 
 
@@ -426,28 +442,28 @@ def _read(path, doc: dict, key: str, parse=lambda value: value):
 def _read_gap_origin(path, doc: dict) -> tuple[ExtendedGraph, float]:
     base = _read(path, doc, "origin.base", _graph_from_json)
     fiber = _read(path, doc, "origin.fiber", _graph_from_json)
-    matchings = _read(path, doc, "origin.matchings", lambda ms: [np.asarray(m) for m in ms])
+    matchings = _read(path, doc, "origin.matchings", lambda ms: [list(m) for m in ms])
     if len(matchings) != base.edge_count:
         raise InstanceError(
             f"{path}: 'origin.matchings' has {len(matchings)} matchings for "
             f"{base.edge_count} base edges"
         )
-    identity = np.arange(fiber.vertex_count)
+    identity = list(range(fiber.vertex_count))
     for eid, m in enumerate(matchings):
-        if m.dtype.kind != "i" or m.shape != identity.shape or not np.array_equal(np.sort(m), identity):
+        if any(type(v) is not int for v in m) or sorted(m) != identity:
             raise InstanceError(
                 f"{path}: 'origin.matchings'[{eid}] is not a permutation of "
                 f"range({fiber.vertex_count})"
             )
     x = ExtendedGraph(
         base=base,
-        base_lengths=_read(path, doc, "origin.base_lengths", lambda v: validate_lengths(base, v)),
+        base_lengths=_read(path, doc, "origin.base_lengths", lambda v: validate_lengths(base, _numbers(v))),
         fiber=fiber,
-        fiber_lengths=_read(path, doc, "origin.fiber_lengths", lambda v: validate_lengths(fiber, v)),
-        matchings=[m.astype(np.int64) for m in matchings],
-        seed=_read(path, doc, "origin.seed", int),
+        fiber_lengths=_read(path, doc, "origin.fiber_lengths", lambda v: validate_lengths(fiber, _numbers(v))),
+        matchings=[np.array(m, dtype=np.int64) for m in matchings],
+        seed=_read(path, doc, "origin.seed", lambda v: _integers([v])[0]),
     )
-    return x, _read(path, doc, "metric.L", float)
+    return x, _read(path, doc, "metric.L", lambda v: float(_numbers([v])[0]))
 
 
 def _built(path, build, *parts) -> ZeroExtInstance:
@@ -460,7 +476,8 @@ def _built(path, build, *parts) -> ZeroExtInstance:
 
 def load_instance(path) -> ZeroExtInstance:
     """Read an instance file.  Every malformed part raises InstanceError naming
-    the file: a missing or ill-typed key, a matching that is not a permutation
+    the file: a missing or ill-typed key (an id that is not a JSON integer, a
+    number that is a bool or a string), a matching that is not a permutation
     of the fiber, or a gap instance whose stored graph, weights or terminals
     differ from the ones rebuilt from its origin."""
     try:
@@ -475,21 +492,22 @@ def load_instance(path) -> ZeroExtInstance:
     mode = _read(path, doc, "metric.mode")
     if mode == "gap":
         inst = _built(path, build_gap_instance, *_read_gap_origin(path, doc))
-        for key, rebuilt in (
-            ("graph", _graph_to_json(inst.graph)),
-            ("weights", inst.weights.tolist()),
-            ("terminals", inst.terminals.tolist()),
+        for key, parse, rebuilt in (
+            ("graph", _graph_doc, _graph_to_json(inst.graph)),
+            ("weights", _numbers, inst.weights.tolist()),
+            ("terminals", _integers, inst.terminals.tolist()),
         ):
-            if doc.get(key) != rebuilt:
+            _read(path, doc, key, parse)  # so that 4.0 or true cannot stand for 4
+            if doc[key] != rebuilt:
                 raise InstanceError(f"{path}: {key!r} differs from the instance rebuilt from 'origin'")
     elif mode == "dense":
         inst = _built(
             path,
             build_generic_instance,
             _read(path, doc, "graph", _graph_from_json),
-            _read(path, doc, "weights", lambda v: np.array(v, dtype=float)),
+            _read(path, doc, "weights", lambda v: np.array(_numbers(v), dtype=float)),
             _read(path, doc, "terminals", lambda v: np.array(_integers(v), dtype=np.int64)),
-            _read(path, doc, "metric.matrix", lambda v: np.array(v, dtype=float)),
+            _read(path, doc, "metric.matrix", lambda v: np.array([_numbers(r) for r in v], dtype=float)),
         )
     else:
         raise InstanceError(f"{path}: unknown 'metric.mode' {mode!r}")

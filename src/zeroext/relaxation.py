@@ -8,7 +8,9 @@ relaxation).  The canonical solution of a gap instance is its own edge
 lengths; a labeling's pull-back l_e = D(f(u), f(v)) costs exactly the
 labeling's integral cost.
 
-No LP solver is embedded.  The gap argument only ever needs one explicit
+Feasibility is checked exactly by one shortest-path search from the
+terminals to the terminals (see `graphs.shortest_path_search`).  No LP
+solver is embedded.  The gap argument only ever needs one explicit
 feasible fractional solution (the shortest-path extension of the terminal
 metric); exact optima can be obtained externally from the exported LP file.
 """
@@ -22,7 +24,7 @@ from .graphs import GraphError, shortest_path_search, validate_lengths
 from .instance import ZeroExtInstance
 
 FEAS_RTOL = 1e-9
-FEASIBILITY_ROWS = 256  # terminal sources per Dijkstra call in is_feasible
+FEASIBILITY_ROWS = 256  # terminal sources per search call in is_feasible
 LP_VERTEX_CAP = 200
 
 
@@ -84,17 +86,19 @@ def is_feasible(
     """Every terminal pair (i < j) with d_l(t_i, t_j) < D(i, j) * (1 - rtol);
     an empty list means feasible.
 
-    Exact: one Dijkstra search per terminal, FEASIBILITY_ROWS sources at a
-    time over one adjacency, read against the rows of D.  A longer distance
-    is no violation, since the clique joined in keeps d(t_i, t_j) = D(i, j).
+    Exact: one shortest-path search from the terminals to the terminals,
+    built once and run FEASIBILITY_ROWS sources at a time, read against the
+    rows of D.  The canonical lengths take three values, so the search is the
+    level search (see `graphs.LEVEL_SEARCH_LENGTHS`).  A longer distance is
+    no violation, since the clique joined in keeps d(t_i, t_j) = D(i, j).
     """
-    search = shortest_path_search(inst.graph, check_lengths(lengths, inst))
     terms = inst.terminals
+    search = shortest_path_search(inst.graph, check_lengths(lengths, inst), targets=terms)
     k = terms.size
     out: list[Violation] = []
     for start in range(0, k, FEASIBILITY_ROWS):
         pos = np.arange(start, min(start + FEASIBILITY_ROWS, k))
-        got = search(terms[pos])[:, terms]
+        got = search(terms[pos])
         want = inst.metric.rows(pos)
         short = want - got
         bad = (short > rtol * want) & (pos[:, None] < np.arange(k)[None, :])

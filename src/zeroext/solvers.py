@@ -280,14 +280,36 @@ def local_search(inst: ZeroExtInstance, f: np.ndarray, max_rounds: int = 100) ->
     when g_v > best_gain + 1e-12 max(1, cur_v), from best_gain = 0, so no
     vertex with g_v <= 1e-12 max(1, cur_v) is ever chosen.
 
-    Such vertices are skipped, but only with proof.  A screen prices
-    vertices in blocks of at most CKR_SLAB_PAIRS (vertex, terminal) entries
-    from A, the weight per neighbour label (repeated labels summed), and its
-    row sum W, without forming the k x k D = B + s off the diagonal (see
-    `TerminalMetric`): c~ = (A @ B + s W) - s A.  All terms are
-    nonnegative, so every sum carries the usual gamma_m relative bound; only
-    the last subtraction can cancel, and it is exact when the neighbours
-    carry r_v = 1 label.  With n_v incident edges and u = 2^-53,
+    Such vertices are skipped, but only with proof, by two screens.  Write
+    n_v for v's incident edges, u = 2^-53, s for the shift and A_v(l) for the
+    weight on v's neighbours labeled l (repeated labels summed), with row sum
+    W_v.  The screens assume base >= 0, as every instance's metric has.
+
+    The label screen reads D only at the labels of v's neighbours, in
+    O(n_v).  Every terminal j != f(v) has cand_j >= s (W_v - M_v), with
+    M_v = max over l != f(v) of A_v(l): each term whose label is not j
+    carries s, and the rest are >= 0.  The screen sums cur~_v (the terms
+    D[l, f(v)] as `price` reads them), W~_v and M~_v, in any order; each
+    sum is within gamma_{n_v} of its exact value, and the fl(base + s) >= s
+    that `price` reads cannot fall below s, so for normal floats
+
+        lambda_v = 8u (n_v + 2) (cur~_v + s W~_v)
+
+    is at least twice a bound on the error of cur~_v as an estimate of
+    `price`'s cur_v plus that of s (W~_v - M~_v) as a lower bound on its
+    cand_j; the other half covers the rounding of the test.  A vertex with
+    cur~_v + lambda_v <= s (W~_v - M~_v) therefore has every cand_j >= cur_v
+    in `price`'s floats, so gain 0, and is dropped.  At the `all_to_one`
+    start of a gap instance, cur_v is at most 2 + diam(D_X) / L against a
+    bound of 2L times v's extension weight (below 6 against 33.5 at
+    n = 64), so every vertex is dropped.
+
+    Survivors meet a screen that prices vertices in blocks of at most
+    CKR_SLAB_PAIRS (vertex, terminal) entries from A and W, without forming
+    the k x k D = B + s off the diagonal (see `TerminalMetric`):
+    c~ = (A @ B + s W) - s A.  All terms are nonnegative, so every sum
+    carries the usual gamma_m relative bound; only the last subtraction can
+    cancel, and it is exact when the neighbours carry r_v = 1 label.  So
 
         beta_v = 10u (n_v + 4) (c~_v[f(v)] + [r_v > 1] s W_v)
 
@@ -301,26 +323,11 @@ def local_search(inst: ZeroExtInstance, f: np.ndarray, max_rounds: int = 100) ->
     move at v changes only the prices of v and of its non-terminal
     neighbours, and only they are screened and priced again.
     """
-    from scipy.sparse import csr_matrix
-
     f = validate_labeling(f, inst).copy()
     if max_rounds <= 0:
         return f
-    n, k = inst.vertex_count, inst.k
-    # Incident (neighbour, weight) entries of the non-terminals, by vertex and
-    # then edge id, self-loops skipped: vertex v owns entries lo[v]:lo[v + 1].
-    ends = inst.graph.endpoints()
-    eids = np.flatnonzero(ends[:, 0] != ends[:, 1])
-    own = np.concatenate((ends[eids, 0], ends[eids, 1]))
-    nbr = np.concatenate((ends[eids, 1], ends[eids, 0]))
-    eids = np.concatenate((eids, eids))
-    free = inst.term_index[own] < 0
-    own, nbr, eids = own[free], nbr[free], eids[free]
-    by_vertex = np.lexsort((eids, own))
-    own, nbr, wt = own[by_vertex], nbr[by_vertex], inst.weights[eids[by_vertex]]
-    lo = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(own, minlength=n), out=lo[1:])
-
+    k = inst.k
+    lo, nbr, wt = _incidence(inst)
     order = np.argsort(inst.terminals, kind="stable")
     in_id_order = bool(np.all(order == np.arange(k)))
     terminals_by_id = inst.terminals[order]
@@ -338,10 +345,11 @@ def local_search(inst: ZeroExtInstance, f: np.ndarray, max_rounds: int = 100) ->
         return cur - float(cand[j]), 1e-12 * max(1.0, abs(cur)), int(terminals_by_id[j])
 
     def may_move(vs: np.ndarray) -> np.ndarray:
-        """The screen over vertices vs: False only where the vertex cannot be chosen."""
-        deg = lo[vs + 1] - lo[vs]
-        at = np.repeat(lo[vs] - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
-        a = csr_matrix((wt[at], (np.repeat(np.arange(vs.size), deg), fi[nbr[at]])), shape=(vs.size, k))
+        """The pricing screen over vertices vs: False only where the vertex cannot be chosen."""
+        from scipy.sparse import csr_matrix
+
+        deg, at, row = _entries(lo, vs)
+        a = csr_matrix((wt[at], (row, fi[nbr[at]])), shape=(vs.size, k))
         a.sum_duplicates()  # A: one entry per (vertex, label)
         labels = np.diff(a.indptr)
         w = np.add.reduceat(a.data, a.indptr[:-1])
@@ -355,12 +363,14 @@ def local_search(inst: ZeroExtInstance, f: np.ndarray, max_rounds: int = 100) ->
 
     rows = max(1, CKR_SLAB_PAIRS // k)  # vertices per screen block
     movable: dict[int, tuple[float, float, int]] = {}  # vertices whose gain passes
-    stale = np.unique(own)  # every non-terminal with an incident edge
+    stale = np.flatnonzero(np.diff(lo))  # every non-terminal with an incident edge
     for _ in range(int(max_rounds)):
-        for start in range(0, stale.size, rows):
-            block = stale[start : start + rows]
+        for v in stale.tolist():
+            movable.pop(v, None)
+        survivors = stale[~_label_screen(inst, lo, nbr, wt, fi, stale)]
+        for start in range(0, survivors.size, rows):
+            block = survivors[start : start + rows]
             for v, keep in zip(block.tolist(), may_move(block).tolist()):
-                movable.pop(v, None)
                 if keep:
                     gain, tol, t = price(v)
                     if gain > tol:  # the scan's first comparison, at best_gain = 0
@@ -380,6 +390,48 @@ def local_search(inst: ZeroExtInstance, f: np.ndarray, max_rounds: int = 100) ->
         touched = nbr[lo[v] : lo[v + 1]]
         stale = np.union1d(touched[inst.term_index[touched] < 0], [v])
     return f
+
+
+def _incidence(inst: ZeroExtInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Incident (neighbour, weight) entries of the non-terminals, by vertex and
+    then edge id, self-loops skipped: vertex v owns entries lo[v]:lo[v + 1]
+    of nbr and wt.  Returns (lo, nbr, wt)."""
+    ends = inst.graph.endpoints()
+    eids = np.flatnonzero(ends[:, 0] != ends[:, 1])
+    own = np.concatenate((ends[eids, 0], ends[eids, 1]))
+    nbr = np.concatenate((ends[eids, 1], ends[eids, 0]))
+    eids = np.concatenate((eids, eids))
+    free = inst.term_index[own] < 0
+    own, nbr, eids = own[free], nbr[free], eids[free]
+    by_vertex = np.lexsort((eids, own))
+    lo = np.zeros(inst.vertex_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(own, minlength=inst.vertex_count), out=lo[1:])
+    return lo, nbr[by_vertex], inst.weights[eids[by_vertex]]
+
+
+def _entries(lo: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entry count of each of vs, and their entries, each with its
+    vertex's row in vs."""
+    deg = lo[vs + 1] - lo[vs]
+    at = np.repeat(lo[vs] - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
+    return deg, at, np.repeat(np.arange(vs.size), deg)
+
+
+def _label_screen(inst, lo, nbr, wt, fi, vs: np.ndarray) -> np.ndarray:
+    """`local_search`'s label screen over vertices vs, labeled at terminal
+    positions fi, on `_incidence`'s entries: True where the vertex is dropped."""
+    deg, at, row = _entries(lo, vs)
+    w, label, own_label = wt[at], fi[nbr[at]], fi[vs][row]
+    cur = np.bincount(row, w * inst.metric.pair_values(label, own_label), minlength=vs.size)
+    total = np.bincount(row, w, minlength=vs.size)
+    other = label != own_label  # A_v(l) for l != f(v), one sum per (row, label)
+    keys, group = np.unique(row[other] * inst.k + label[other], return_inverse=True)
+    most = np.zeros(vs.size)
+    np.maximum.at(most, keys // inst.k, np.bincount(group, w[other]))
+    shift = inst.metric.shift
+    bound = shift * (total - most)
+    lam = 8 * 2.0**-53 * (deg + 2) * (cur + shift * total)
+    return (cur + lam <= bound) & (bound < np.inf)  # NaN is never dropped
 
 
 # -- labeling files ---------------------------------------------------------------

@@ -72,6 +72,28 @@ def test_gap_jobs_from_a_script_without_a_main_guard(tmp_path):
     assert [row.split(",")[2] for row in rows] == ["0", "1"]
 
 
+def test_frac_and_a_gap_row_import_no_scipy(tmp_path):
+    # The level search answers is_feasible and the label screen settles the
+    # all_to_one start, so neither command, nor a forked gap worker, pays
+    # for the scipy import.
+    script = tmp_path / "imports.py"
+    script.write_text(textwrap.dedent(f"""\
+        import sys
+        from zeroext import cli
+        assert cli.main(["frac", "--n", "8", "--out", {str(tmp_path / "f")!r}]) == 0
+        print("scipy after frac:", "scipy" in sys.modules)
+        assert cli.main(["gap", "--n", "8", "--seeds", "0", "--jobs", "1", "--out", {str(tmp_path / "g")!r}]) == 0
+        print("scipy after gap:", "scipy" in sys.modules)
+    """))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert "scipy after frac: False" in lines and "scipy after gap: False" in lines
+    assert (tmp_path / "g" / "gap.csv").read_text().count("\n") == 3  # config, header, one row
+
+
 def test_a_row_that_raises_in_a_worker_exits_2_naming_the_error(monkeypatch, tmp_path, capsys):
     parent = os.getpid()
     build = cli._build

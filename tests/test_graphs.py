@@ -18,13 +18,13 @@ from conftest import (
     scalar_fisher_yates,
 )
 from zeroext import extension, graphs, instance
+from zeroext.extension import sample_extension
 from zeroext.graphs import (
     Graph,
     GraphError,
     build_cayley,
     expansion_estimate,
     girth,
-    level_search_metric,
     random_regular,
     shortest_path_metric,
     single_source_shortest_paths,
@@ -401,18 +401,91 @@ def test_search_builds_its_adjacency_once_for_every_chunk(monkeypatch):
     assert np.array_equal(np.vstack(chunks), graph_fw(g, lengths))
 
 
+def test_level_search_builds_its_neighbour_tables_once_for_every_chunk(monkeypatch):
+    g = Graph(vertex_count=5, edges=[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    lengths = np.array([1.0, 2.0, 0.0, 1.0, 2.0])  # three length classes
+    tables = []
+    table = graphs._neighbour_table
+    monkeypatch.setattr(graphs, "_neighbour_table", lambda *args: tables.append(1) or table(*args))
+    search = graphs.shortest_path_search(g, lengths, targets=[4, 0])
+    chunks = [search([0, 1]), search([2]), search([3, 4])]
+    assert len(tables) == 3
+    assert np.array_equal(np.vstack(chunks), graph_fw(g, lengths)[:, [4, 0]])
+
+
 def test_parallel_edges_collapse_to_the_shortest():
     g = Graph(vertex_count=3, edges=[(0, 1), (0, 1), (1, 1), (1, 2)], multigraph=True)
     lengths = np.array([1.0, 1.0, 0.5, 1.5])
     assert np.array_equal(shortest_path_metric(g, lengths), graph_fw(g, lengths))
 
 
-# -- the level search reproduces Dijkstra's floats ------------------------------
+def test_search_rejects_sources_and_targets_outside_the_graph():
+    g = Graph(vertex_count=3, edges=[(0, 1), (1, 2)])
+    lengths = uniform_lengths(g, 1.0)
+    with pytest.raises(GraphError, match=r"source -1 outside \[0, 3\)"):
+        graphs.shortest_path_rows(g, lengths, [0, -1])
+    with pytest.raises(GraphError, match=r"target 3 outside \[0, 3\)"):
+        graphs.shortest_path_search(g, lengths, targets=[3])
+
+
+# -- the engine rule, and the level search reproduces Dijkstra's floats -------------
+
+
+def spy_on_engines(monkeypatch) -> list[str]:
+    """The engine each shortest-path search takes, in call order."""
+    calls = []
+    for name in ("_level_search", "_dijkstra_search"):
+        def spy(*args, _engine=getattr(graphs, name), _name=name):
+            calls.append(_name)
+            return _engine(*args)
+
+        monkeypatch.setattr(graphs, name, spy)
+    return calls
+
+
+def by_engine(engine: str, g, lengths, sources=None) -> np.ndarray:
+    """The search's distances with the rule forced to one engine."""
+    sources = np.arange(g.vertex_count) if sources is None else sources
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "LEVEL_SEARCH_LENGTHS", math.inf if engine == "level" else -1)
+        return graphs.shortest_path_search(g, lengths)(sources)
+
+
+def scipy_rows(g, lengths, sources, targets) -> np.ndarray:
+    """scipy's Dijkstra rows of the sources, read at the targets."""
+    from scipy.sparse.csgraph import dijkstra
+
+    return dijkstra(graphs._csr(g, lengths), directed=True, indices=sources)[:, targets]
+
+
+def test_engine_rule_counts_the_distinct_lengths_off_the_self_loops(monkeypatch):
+    calls = spy_on_engines(monkeypatch)
+    g = Graph(vertex_count=4, edges=[(0, 1), (1, 2), (2, 3), (3, 3), (0, 3)], multigraph=True)
+    shortest_path_metric(g, np.array([1.0, 2.0, 3.0, 9.0, 1.0]))  # three lengths and a loop
+    shortest_path_metric(g, np.array([1.0, 2.0, 3.0, 9.0, 4.0]))
+    assert calls == ["_level_search", "_dijkstra_search"]
+
+
+def test_loaded_instance_with_uneven_base_lengths_takes_dijkstra(tmp_path, monkeypatch):
+    # Four distinct lengths on the extension: D_X comes from Dijkstra, and
+    # the level search gives the same bytes.  Two lengths take the level search.
+    c3 = build_cayley([3], [(1,)])
+    x = sample_extension(c3, np.array([1.0, 2.0, 3.0]), c3, uniform_lengths(c3, 0.5), seed=4)
+    path = tmp_path / "uneven.json"
+    instance.save_instance(instance.build_gap_instance(x, big_l=1.5), path)
+    calls = spy_on_engines(monkeypatch)
+    back = instance.load_instance(path)
+    assert calls == ["_dijkstra_search"]
+    even = sample_extension(c3, uniform_lengths(c3, 2.0), c3, uniform_lengths(c3, 0.5), seed=4)
+    instance.build_gap_instance(even, 1.5)
+    assert calls == ["_dijkstra_search", "_level_search"]
+    flat = extension.flatten(back.origin.extension)
+    assert back.origin.dx.tobytes() == by_engine("level", flat.graph, flat.lengths).tobytes()
 
 
 def _assert_same_bytes(g, lengths):
-    want = shortest_path_metric(g, lengths)
-    got = level_search_metric(g, lengths)
+    want = by_engine("dijkstra", g, lengths)
+    got = by_engine("level", g, lengths)
     assert got.flags.c_contiguous
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -425,7 +498,18 @@ def test_level_search_matches_dijkstra_bytes_on_gap_extensions(n, d):
         x = instance.default_gap_instance(n, d, seed, girth_floor=3).extension
         flat = extension.flatten(x)
         _assert_same_bytes(flat.graph, flat.lengths)
-        assert extension.extension_metric(x).tobytes() == level_search_metric(flat.graph, flat.lengths).tobytes()
+        assert extension.extension_metric(x).tobytes() == by_engine("level", flat.graph, flat.lengths).tobytes()
+
+
+@pytest.mark.parametrize("n, d", [(4, 3), (8, 4), (16, 4)])
+def test_search_from_terminals_to_terminals_matches_dijkstra_bytes_on_gap_instances(n, d):
+    # The pendant edges add the third length L; this is is_feasible's search.
+    inst = instance.default_gap_instance(n, d, 0).instance
+    lengths = inst.origin.edge_lengths
+    terms = inst.terminals
+    got = graphs.shortest_path_search(inst.graph, lengths, targets=terms)(terms)
+    assert np.unique(lengths).size == 3
+    assert got.tobytes() == scipy_rows(inst.graph, lengths, terms, terms).tobytes()
 
 
 def test_level_search_matches_dijkstra_bytes_on_cayley_extensions():
@@ -440,10 +524,10 @@ def test_level_search_rows_are_rows_of_their_source_on_an_asymmetric_metric():
     # decoding the bits of source s into column s instead of row s fails here.
     x = instance.default_gap_instance(10, 3, 0, girth_floor=3).extension
     flat = extension.flatten(x)
-    dx = level_search_metric(flat.graph, flat.lengths)
+    dx = by_engine("level", flat.graph, flat.lengths)
     assert not np.array_equal(dx, dx.T)
     for s in range(0, x.vertex_count, 7):
-        row = graphs.shortest_path_rows(flat.graph, flat.lengths, [s])[0]
+        row = by_engine("dijkstra", flat.graph, flat.lengths, [s])[0]
         assert dx[s].tobytes() == row.tobytes(), s
 
 
@@ -480,6 +564,33 @@ def small_graphs_with_lengths(draw):
 @example((Graph(vertex_count=4, edges=[(0, 1), (1, 2), (2, 3)]), np.array([1.0, 1e-17, 1.0])))
 def test_level_search_matches_dijkstra_bytes_on_small_graphs(case):
     _assert_same_bytes(*case)
+
+
+@st.composite
+def searches_over_few_lengths(draw):
+    """A multigraph (loops, parallel edges, often disconnected) whose lengths
+    take one to three values, zero among the choices; sources unsorted and
+    repeated, sometimes more than one 256-source block; a target subset."""
+    n = draw(st.integers(1, 40))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    values = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.3, 2.25, 1e-17]), min_size=1, max_size=3))
+    lengths = draw(st.lists(st.sampled_from(values), min_size=len(edges), max_size=len(edges)))
+    sources = draw(st.lists(vertex, min_size=1, max_size=draw(st.sampled_from([8, 300]))))
+    targets = draw(st.lists(vertex, max_size=n))
+    return (Graph(vertex_count=n, edges=edges, multigraph=True), np.array(lengths, dtype=float),
+            np.array(sources, dtype=np.int64), np.array(targets, dtype=np.int64))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(searches_over_few_lengths())
+@example((Graph(vertex_count=2, edges=[(0, 1)]), np.array([1.0]), np.array([1, 1, 0]), np.array([1, 1])))
+def test_search_over_few_lengths_matches_scipy_dijkstra_bytes(case):
+    g, lengths, sources, targets = case
+    got = graphs.shortest_path_search(g, lengths, targets)(sources)
+    want = scipy_rows(g, lengths, sources, targets)
+    assert got.shape == want.shape == (sources.size, targets.size)
+    assert got.tobytes() == want.tobytes()
 
 
 # -- expansion estimate -----------------------------------------------------------

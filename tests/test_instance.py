@@ -254,37 +254,12 @@ def test_build_and_load_enforce_the_dense_ceiling(tmp_path, monkeypatch):
         raise AssertionError("computed D_X for an instance over the ceiling")
 
     monkeypatch.setattr(instance, "DENSE_METRIC_CAP", 8)  # k = 9
-    monkeypatch.setattr(extension, "shortest_path_metric", no_apsp)
-    monkeypatch.setattr(extension, "level_search_metric", no_apsp)
+    monkeypatch.setattr(graphs, "_level_search", no_apsp)
+    monkeypatch.setattr(graphs, "_dijkstra_search", no_apsp)
     with pytest.raises(InstanceError, match="k=9 points, above the dense metric ceiling k <= 8"):
         build_gap_instance(x, big_l=1.5)
     with pytest.raises(InstanceError, match="ceiling k <= 8"):
         load_instance(path)
-
-
-def test_loaded_instance_with_uneven_base_lengths_takes_dijkstra(tmp_path, monkeypatch):
-    # Three distinct lengths on the extension: D_X comes from Dijkstra, and
-    # the level search gives the same bytes.
-    x = sample_extension(c3(), np.array([1.0, 2.0, 3.0]), c3(), uniform_lengths(c3(), 0.5), seed=4)
-    path = tmp_path / "uneven.json"
-    save_instance(build_gap_instance(x, big_l=1.5), path)
-    calls = []
-
-    def spy(search):
-        def wrapped(*args):
-            calls.append(search.__name__)
-            return search(*args)
-
-        return wrapped
-
-    monkeypatch.setattr(extension, "shortest_path_metric", spy(graphs.shortest_path_metric))
-    monkeypatch.setattr(extension, "level_search_metric", spy(graphs.level_search_metric))
-    back = load_instance(path)
-    assert calls == ["shortest_path_metric"]
-    flat = flatten(back.origin.extension)
-    assert back.origin.dx.tobytes() == graphs.level_search_metric(flat.graph, flat.lengths).tobytes()
-    build_gap_instance(sample_extension(c3(), uniform_lengths(c3(), 2.0), c3(), uniform_lengths(c3(), 0.5), seed=4), 1.5)
-    assert calls == ["shortest_path_metric", "level_search_metric"]
 
 
 def test_girth_floor_failure_reports_best():
@@ -316,7 +291,8 @@ DROP = object()
 
 
 def load_edited(saved, where: tuple, value, kind="gap"):
-    """Load a copy of a saved file with doc[where] set to value (or dropped)."""
+    """Load a copy of a saved file with doc[where] set to value (or dropped,
+    or, for a function, to its value at the old one)."""
     texts, path = saved
     doc = json.loads(texts[kind])
     node = doc
@@ -324,6 +300,8 @@ def load_edited(saved, where: tuple, value, kind="gap"):
         node = node[key]
     if value is DROP:
         del node[where[-1]]
+    elif callable(value):
+        node[where[-1]] = value(node[where[-1]])
     else:
         node[where[-1]] = value
     path.write_text(json.dumps(doc))
@@ -382,6 +360,54 @@ def test_non_integer_ids_raise_instance_error_naming_file_and_key(saved, case):
     # A float, bool or string id is rejected, never truncated or cast.
     kind, where, value, key = NON_INTEGER_IDS[case]
     with pytest.raises(InstanceError, match=re.escape(f"{saved[1]}: bad or missing {key}: ") + ".* is not an integer"):
+        load_edited(saved, where, value, kind)
+
+
+def _one_as_true(ids: list) -> list:
+    """ids with their first 1 (at any depth) replaced by true, which equals 1 in Python."""
+    out = json.loads(json.dumps(ids))
+    for i, value in enumerate(out):
+        if isinstance(value, list):
+            if 1 in value:
+                value[value.index(1)] = True
+                return out
+        elif value == 1:
+            out[i] = True
+            return out
+    raise AssertionError("no id 1 to replace")
+
+
+def _floats(ids):
+    return [float(v) for v in ids] if isinstance(ids, list) else float(ids)
+
+
+# Values that equal the stored ones in Python (4.0 == 4, true == 1) or that
+# numpy or float() would cast; each names its key.
+UNTYPED_VALUES = {
+    "gap-float-graph-edge": ("gap", ("graph", "edges", 0), _floats, "'graph': .* is not an integer"),
+    "gap-bool-graph-edge": ("gap", ("graph", "edges"), _one_as_true, "'graph': True is not an integer"),
+    "gap-float-vertex-count": ("gap", ("graph", "vertex_count"), _floats, "'graph': 32.0 is not an integer"),
+    "gap-float-terminal": ("gap", ("terminals", 0), _floats, "'terminals': 16.0 is not an integer"),
+    "gap-bool-weight": ("gap", ("weights", 0), True, "'weights': True is not a number"),
+    "gap-string-multigraph": ("gap", ("origin", "base", "multigraph"), "false",
+                              "'origin.base': multigraph 'false' is not true or false"),
+    "gap-bool-matching": ("gap", ("origin", "matchings", 0), _one_as_true,
+                          r"'origin.matchings'\[0\] is not a permutation"),
+    "gap-float-seed": ("gap", ("origin", "seed"), _floats, "'origin.seed': .* is not an integer"),
+    "gap-bool-length": ("gap", ("origin", "fiber_lengths", 0), True, "'origin.fiber_lengths': True is not a number"),
+    "gap-string-L": ("gap", ("metric", "L"), str, "'metric.L': '.*' is not a number"),
+    "dense-string-multigraph": ("generic", ("graph", "multigraph"), "false",
+                                "'graph': multigraph 'false' is not true or false"),
+    "dense-bool-weight": ("generic", ("weights",), [1, True], "'weights': True is not a number"),
+    "dense-string-weight": ("generic", ("weights", 0), "1.0", "'weights': '1.0' is not a number"),
+    "dense-bool-distance": ("generic", ("metric", "matrix", 0), [0, True], "'metric.matrix': True is not a number"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNTYPED_VALUES))
+def test_untyped_values_raise_instance_error_naming_file_and_key(saved, case):
+    kind, where, value, message = UNTYPED_VALUES[case]
+    with pytest.raises(InstanceError, match=re.escape(f"{saved[1]}: ") + ".*" + message):
         load_edited(saved, where, value, kind)
 
 

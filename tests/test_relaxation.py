@@ -237,7 +237,7 @@ def test_feasibility_searches_one_adjacency_for_every_chunk(monkeypatch):
     builds = []
     make_search = relaxation.shortest_path_search
     monkeypatch.setattr(
-        relaxation, "shortest_path_search", lambda *args: builds.append(1) or make_search(*args)
+        relaxation, "shortest_path_search", lambda *args, **kw: builds.append(1) or make_search(*args, **kw)
     )
     assert [(v.vertices, v.magnitude) for v in is_feasible(lengths, inst)] == want
     assert len(builds) == 1

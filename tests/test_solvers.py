@@ -18,7 +18,7 @@ from conftest import (
 )
 from zeroext import relaxation, solvers
 from zeroext.graphs import Graph, shortest_path_metric
-from zeroext.instance import build_generic_instance, default_gap_instance
+from zeroext.instance import TerminalMetric, ZeroExtInstance, build_generic_instance, default_gap_instance
 from zeroext.relaxation import canonical_fractional
 from zeroext.solvers import (
     SolverError,
@@ -508,6 +508,20 @@ def test_local_search_equals_per_vertex_oracle_on_tiny_generic_instances(seed, r
     assert np.array_equal(local_search(inst, f0, rounds), reference_local_search(inst, f0, rounds))
 
 
+def exact_gains(inst, f) -> dict[int, tuple[float, float]]:
+    """Each non-terminal's gain and tolerance, priced over every terminal in
+    the floats local_search's docstring defines."""
+    fi = inst.term_index[f]
+    out = {}
+    for v in inst.nonterminals().tolist():
+        eids = [e for e, (a, b) in enumerate(inst.graph.edges) if v in (a, b) and a != b]
+        others = [b if a == v else a for a, b in (inst.graph.edges[e] for e in eids)]
+        cand = inst.weights[eids] @ inst.metric.rows(fi[others])
+        cur = float(cand[fi[v]])
+        out[v] = (cur - float(cand.min()), 1e-12 * max(1.0, abs(cur)))
+    return out
+
+
 def spy_on_pricing(monkeypatch, inst) -> list[np.ndarray]:
     """The neighbour label positions of every vertex local_search prices
     exactly: one inst.metric.rows call each."""
@@ -540,19 +554,67 @@ def test_local_search_screen_keeps_every_vertex_that_can_move(monkeypatch, start
         start = ckr_round(inst, canonical_fractional(inst)[0], 0)
     else:
         start = random_labeling(np.random.default_rng(4), inst)
-    fi = inst.term_index[start]
-    can_move = set()
-    for v in inst.nonterminals().tolist():
-        eids = [e for e, (a, b) in enumerate(inst.graph.edges) if v in (a, b) and a != b]
-        others = [b if a == v else a for a, b in (inst.graph.edges[e] for e in eids)]
-        cand = inst.weights[eids] @ inst.metric.rows(fi[others])
-        cur = float(cand[fi[v]])
-        if cur - float(cand.min()) > 1e-12 * max(1.0, cur):
-            can_move.add(v)
+    can_move = {v for v, (gain, tol) in exact_gains(inst, start).items() if gain > tol}
     calls = spy_on_pricing(monkeypatch, inst)
     local_search(inst, start, max_rounds=1)
     priced = {int(p[-1]) for p in calls}  # the last label is the pendant's, at position v
     assert can_move and can_move <= priced
+
+
+def clustered_labeling(rng, inst) -> np.ndarray:
+    """Every non-terminal to one of at most three terminals, so that many
+    vertices see one label on their extension edges."""
+    f = inst.terminals[inst.term_index].copy()  # terminals fixed to themselves
+    f[inst.term_index < 0] = rng.choice(rng.choice(inst.terminals, size=int(rng.integers(1, 4))),
+                                        size=int(np.count_nonzero(inst.term_index < 0)))
+    return f
+
+
+def test_label_screen_drops_only_vertices_that_cannot_gain():
+    rng = np.random.default_rng(44)
+    dropped = kept = 0
+    for seed in range(6):
+        inst = default_gap_instance(4, 3, seed).instance
+        lo, nbr, wt = solvers._incidence(inst)
+        vs = inst.nonterminals()
+        starts = [all_to_one(inst)] + [clustered_labeling(rng, inst) for _ in range(20)]
+        starts += [random_labeling(rng, inst) for _ in range(5)]
+        for f in starts:
+            drops = solvers._label_screen(inst, lo, nbr, wt, inst.term_index[f], vs)
+            gains = exact_gains(inst, f)
+            for v, drop in zip(vs.tolist(), drops.tolist()):
+                gain, tol = gains[v]
+                assert not drop or gain <= tol, (seed, v, gain)
+                dropped += drop
+                kept += not drop
+            if f is starts[0]:
+                assert drops.all()  # the all_to_one start
+    assert dropped > 500 and kept > 500
+
+
+@pytest.mark.parametrize("delta", [-1e-9, -(2.0**-52), 0.0, 2.0**-52, 1e-11, 1e-9])
+def test_label_screen_is_sound_at_near_ties_of_a_uniform_metric(delta):
+    # D = 0 + 1 off the diagonal (multiway cut) makes the bound s (W - M)
+    # tight: vertex 1, labeled 0 between terminals 0 (weight 1) and 2
+    # (weight 1 + delta), gains exactly max(delta, 0).
+    g = Graph(vertex_count=3, edges=[(0, 1), (1, 2)])
+    inst = ZeroExtInstance(graph=g, weights=[1.0, 1.0 + delta], terminals=[0, 2],
+                           metric=TerminalMetric(np.zeros((2, 2)), 1.0))
+    f = np.array([0, 0, 2])
+    lo, nbr, wt = solvers._incidence(inst)
+    (drop,) = solvers._label_screen(inst, lo, nbr, wt, inst.term_index[f], np.array([1]))
+    gain, tol = exact_gains(inst, f)[1]
+    assert not drop or gain <= tol
+    assert drop == (delta == -1e-9)
+    assert (gain > tol) == (delta > 2.0**-52)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_label_screen_drops_every_vertex_at_the_all_to_one_start(n):
+    inst = default_gap_instance(n, 4, 0).instance
+    lo, nbr, wt = solvers._incidence(inst)
+    fi = inst.term_index[all_to_one(inst)]
+    assert solvers._label_screen(inst, lo, nbr, wt, fi, inst.nonterminals()).all()
 
 
 def test_local_search_prices_only_the_moved_vertex_and_its_neighbours_again(monkeypatch):
