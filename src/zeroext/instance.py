@@ -116,6 +116,9 @@ def validate_semimetric(mat: np.ndarray, rtol: float = METRIC_RTOL) -> None:
     """Raise with the offending pair/triple if mat is not a semi-metric."""
     mat = np.asarray(mat, dtype=float)
     k = mat.shape[0]
+    if not np.isfinite(mat).all():
+        i, j = np.argwhere(~np.isfinite(mat))[0]
+        raise InstanceError(f"non-finite distance D({i},{j}) = {mat[i, j]}")
     if np.any(mat < 0):
         i, j = np.unravel_index(int(np.argmin(mat)), mat.shape)
         raise InstanceError(f"negative distance D({i},{j}) = {mat[i, j]}")
@@ -136,6 +139,13 @@ def validate_semimetric(mat: np.ndarray, rtol: float = METRIC_RTOL) -> None:
                 f"triangle inequality violated: D({i},{j}) > D({i},{w}) + D({w},{j}) "
                 f"by {slack[i, j]:.3e}"
             )
+
+
+def _require_finite(values: np.ndarray, what: str) -> None:
+    """Raise naming the first NaN or infinite entry of a per-edge array."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise InstanceError(f"non-finite {what} {values[bad[0]]} on edge {bad[0]}")
 
 
 # -- instances --------------------------------------------------------------
@@ -163,6 +173,7 @@ class ZeroExtInstance:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.shape != (self.graph.edge_count,):
             raise InstanceError("weight vector does not match the edge count")
+        _require_finite(self.weights, "weight")
         if np.any(self.weights < 0):
             raise InstanceError("negative edge weight")
         self.terminals = np.asarray(self.terminals, dtype=np.int64)
@@ -197,6 +208,8 @@ def build_gap_instance(x: ExtendedGraph, big_l: float) -> ZeroExtInstance:
     """Instance over a sampled extension: pendant terminals, D = D_X + 2L."""
     if not 0 < big_l < math.inf:
         raise InstanceError(f"L must be positive and finite, got {big_l}")
+    _require_finite(x.base_lengths, "base length")
+    _require_finite(x.fiber_lengths, "fiber length")
     if x.vertex_count > DENSE_METRIC_CAP:
         raise InstanceError(
             f"extension has k={x.vertex_count} points, above the dense metric "
@@ -246,13 +259,14 @@ def default_gap_instance(
     *,
     girth_floor: int | None = None,
     retry_cap: int = 2000,
-    expansion_iterations: int = 300,
 ) -> GapInstanceBuild:
     """Sample base and fiber graphs, extend, and build the gap instance.
 
     The base graph is resampled until its girth reaches girth_floor (default
-    ceil(log_{d-1} n), a Moore-style desk proxy); the attempt count, girth and
-    second-eigenvalue estimates land in the provenance record.
+    ceil(log_{d-1} n), a Moore-style desk proxy).  The provenance record holds
+    the attempt count, the girth and, as lambda2_base and lambda2_fiber, the
+    exact second-largest eigenvalue of A/d of each graph, computed from the
+    sampled graphs alone, so they draw nothing from the seed.
     """
     params = GapParams(n=n, d=d)
     floor = params.default_girth_floor() if girth_floor is None else int(girth_floor)
@@ -284,8 +298,6 @@ def default_gap_instance(
                 break
         else:
             raise InstanceError("no connected fiber graph found")
-    lam_g = expansion_estimate(base, expansion_iterations, _subseed(seed, 4))
-    lam_h = expansion_estimate(fiber, expansion_iterations, _subseed(seed, 5))
     x = sample_extension(
         base,
         uniform_lengths(base, params.ell_g),
@@ -304,9 +316,8 @@ def default_gap_instance(
         "girth": int(base_girth),
         "girth_floor": floor,
         "girth_attempts": attempts,
-        "lambda2_base": lam_g.value,
-        "lambda2_fiber": lam_h.value,
-        "expansion_iterations": expansion_iterations,
+        "lambda2_base": expansion_estimate(base),
+        "lambda2_fiber": expansion_estimate(fiber),
         "ell_g": params.ell_g,
         "ell_h": params.ell_h,
         "L": params.big_l,

@@ -216,6 +216,17 @@ def reference_random_regular(m: int, d: int, seed: int, tries: int = 3000):
     )
 
 
+def dense_second_eigenvalue(g: graphs.Graph) -> float:
+    """Second-largest eigenvalue of A/d by a symmetric eigensolver on the dense
+    adjacency matrix; a self-loop adds 2 to its diagonal entry."""
+    n = g.vertex_count
+    a = np.zeros((n, n))
+    us, vs = g.endpoints().T
+    np.add.at(a, (us, vs), 1.0)
+    np.add.at(a, (vs, us), 1.0)
+    return float(np.linalg.eigvalsh(a / g.degrees()[0])[-2])
+
+
 def reference_girth(g: graphs.Graph):
     """Shortest cycle by a full BFS from every vertex, never cut short."""
     counts: dict[tuple[int, int], int] = {}

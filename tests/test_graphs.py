@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     cayley_setup,
+    dense_second_eigenvalue,
     graph_fw,
     heap_dijkstra_tree,
     reference_girth,
@@ -598,26 +601,66 @@ def test_search_over_few_lengths_matches_scipy_dijkstra_bytes(case):
 
 def test_expansion_k4():
     g = random_regular(4, 3, seed=1)
-    est = expansion_estimate(g, iterations=2000, seed=0)
-    assert abs(est.value - (-1.0 / 3.0)) < 1e-6
-    assert abs(abs(est.value) - 1.0 / 3.0) < 1e-6
-    assert est.iterations == 2000
+    assert abs(expansion_estimate(g) - (-1.0 / 3.0)) < 1e-12
 
 
 def test_expansion_even_cycle():
     n = 8
     g = build_cayley([2 * n], [(1,)])
-    est = expansion_estimate(g, iterations=20000, seed=3)
-    assert abs(est.value - math.cos(math.pi / n)) < 1e-6
+    assert abs(expansion_estimate(g) - math.cos(math.pi / n)) < 1e-12
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_expansion_matches_dense_eigensolver(n, d):
+    for seed in (1, 2, 3):
+        g = random_regular(n, d, seed=seed)
+        assert abs(expansion_estimate(g) - dense_second_eigenvalue(g)) < 1e-12
+
+
+def test_expansion_of_a_multigraph_matches_dense_eigensolver():
+    # A loop at every vertex of an 8-cycle, and a matching that doubles four
+    # of its edges: 5-regular with loops and parallel pairs.
+    cycle = [(v, (v + 1) % 8) for v in range(8)]
+    edges = cycle + [(v, v) for v in range(8)] + [(v, v + 1) for v in range(0, 8, 2)]
+    g = Graph(vertex_count=8, edges=edges, multigraph=True)
+    assert set(g.degrees().tolist()) == {5}
+    assert abs(expansion_estimate(g) - dense_second_eigenvalue(g)) < 1e-12
+
+
+def test_expansion_of_a_single_edge_is_minus_one():
+    assert expansion_estimate(Graph(vertex_count=2, edges=[(0, 1)])) == -1.0
 
 
 def test_expansion_errors():
     disconnected = Graph(vertex_count=4, edges=[(0, 1), (2, 3)])
     with pytest.raises(GraphError, match="connected"):
-        expansion_estimate(disconnected, 10, 0)
+        expansion_estimate(disconnected)
     irregular = Graph(vertex_count=3, edges=[(0, 1), (1, 2)])
     with pytest.raises(GraphError, match="regular"):
-        expansion_estimate(irregular, 10, 0)
+        expansion_estimate(irregular)
+    with pytest.raises(GraphError, match="at least 2 vertices"):
+        expansion_estimate(Graph(vertex_count=1, edges=[(0, 0)], multigraph=True))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts threads in /proc/self/task")
+def test_expansion_starts_no_thread_in_a_forked_child():
+    # `gap` workers are forked; a BLAS helper thread started there competes
+    # with the other worker for the cores.
+    g = random_regular(64, 4, seed=0)
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # child: report the thread count, never return into pytest
+        try:
+            expansion_estimate(g)
+            os.write(write, str(len(os.listdir("/proc/self/task"))).encode())
+        finally:
+            os._exit(0)
+    os.close(write)
+    with os.fdopen(read) as fh:
+        threads = fh.read()
+    os.waitpid(pid, 0)
+    assert threads == "1"
 
 
 # -- serialization -----------------------------------------------------------------

@@ -2,14 +2,16 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graph_fw
+from conftest import dense_second_eigenvalue, graph_fw
 from zeroext import extension, graphs, instance
 from zeroext.extension import flatten, sample_extension
 from zeroext.graphs import Graph, build_cayley, uniform_lengths
@@ -119,6 +121,15 @@ def test_default_gap_instance_shape():
     assert inst.vertex_count == 128
     assert build.provenance["girth"] >= build.provenance["girth_floor"]
     assert inst.graph.edge_count == 8 * 16 + 16 * 8 + 64
+
+
+@pytest.mark.parametrize("n, seed", [(8, 0), (16, 1), (64, 0)])
+def test_default_gap_instance_records_exact_second_eigenvalues(n, seed):
+    build = default_gap_instance(n, 4, seed, girth_floor=3)
+    prov, x = build.provenance, build.extension
+    assert "expansion_iterations" not in prov
+    assert abs(prov["lambda2_base"] - dense_second_eigenvalue(x.base)) < 1e-12
+    assert abs(prov["lambda2_fiber"] - dense_second_eigenvalue(x.fiber)) < 1e-12
 
 
 def test_default_gap_instance_deterministic(tmp_path):
@@ -402,6 +413,29 @@ UNTYPED_VALUES = {
     "dense-string-weight": ("generic", ("weights", 0), "1.0", "'weights': '1.0' is not a number"),
     "dense-bool-distance": ("generic", ("metric", "matrix", 0), [0, True], "'metric.matrix': True is not a number"),
 }
+
+
+# JSON's NaN and Infinity, which Python's json module reads as floats.
+NON_FINITE_VALUES = {
+    "dense-weights": ("generic", ("weights",), [math.nan, math.inf], "non-finite weight nan on edge 0"),
+    "dense-infinite-weight": ("generic", ("weights", 1), math.inf, "non-finite weight inf on edge 1"),
+    "dense-nan-distance": ("generic", ("metric", "matrix"), [[0.0, math.nan], [math.nan, 0.0]],
+                           r"non-finite distance D\(0,1\) = nan"),
+    "dense-infinite-distance": ("generic", ("metric", "matrix"), [[0.0, math.inf], [math.inf, 0.0]],
+                                r"non-finite distance D\(0,1\) = inf"),
+    "gap-infinite-length": ("gap", ("origin", "fiber_lengths", 2), math.inf,
+                            "non-finite fiber length inf on edge 2"),
+    "gap-infinite-L": ("gap", ("metric", "L"), math.inf, "L must be positive and finite, got inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_VALUES))
+def test_non_finite_values_raise_instance_error_naming_file(saved, case):
+    kind, where, value, message = NON_FINITE_VALUES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any arithmetic warns
+        with pytest.raises(InstanceError, match=re.escape(f"{saved[1]}: ") + message):
+            load_edited(saved, where, value, kind)
 
 
 @pytest.mark.parametrize("case", sorted(UNTYPED_VALUES))

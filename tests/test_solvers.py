@@ -165,11 +165,8 @@ def test_ckr_zero_distance_always_assigned():
 def test_ckr_equidistant_splits_evenly():
     inst = star_instance()
     lengths = np.array([0.5, 0.5])
-    hits = 0
     n_trials = 10_000
-    for seed in range(n_trials):
-        f = ckr_round(inst, lengths, seed)
-        hits += f[1] == 0
+    hits = sum(f[1] == 0 for f in ckr_rounds(inst, lengths, range(n_trials)))
     assert abs(hits / n_trials - 0.5) < 0.05
 
 
