@@ -10,7 +10,8 @@ RNG scheme (record this in provenance): numpy PCG64 seeded with the pair
 drawn by an explicit Fisher-Yates whose swap indices come from one
 rng.integers call on that substream (the same values as one draw per step).
 Samples are therefore stable under changes of edge iteration order.  Tag:
-"pcg64-fisheryates-v1".
+"pcg64-fisheryates-v2" (v2: base and fiber graphs come from one pairing and
+double-edge switchings, see `graphs.random_regular`).
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .graphs import (
     validate_lengths,
 )
 
-RNG_SCHEME = "pcg64-fisheryates-v1"
+RNG_SCHEME = "pcg64-fisheryates-v2"
 
 
 class ExtensionError(ValueError):

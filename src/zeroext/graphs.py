@@ -190,54 +190,182 @@ def build_cayley(moduli, generators) -> Graph:
     return Graph(vertex_count=len(index), edges=list(edges))
 
 
-def random_regular(m: int, d: int, seed: int, *, tries: int = 3000) -> Graph:
-    """Simple d-regular graph on m vertices via the configuration model.
+class GirthFloorError(GraphError):
+    """No connected d-regular graph of the asked girth: the floor is above
+    the Moore bound, or the sampler ran out of pairings."""
 
-    Each attempt shuffles the m*d stubs with its own stream seeded by
-    (seed, attempt) and pairs consecutive positions.  A pairing is rejected at
-    its first loop or repeated pair and the next attempt starts; since attempts
-    share no stream, stopping early does not change the accepted graph.
-    Deterministic in (m, d, seed).  Raises when the rejection cap is exhausted.
+
+# Switch proposals per edge of a pairing before the sampler draws a fresh
+# pairing, and the pairings it draws before it gives up.  Only graphs at the
+# Moore bound restart often: over 200 seeds K4 and K5 drew at most 3
+# pairings, the Petersen graph at floor 5 at most 41 and K_{4,4} at floor 4
+# at most 128.
+SWITCH_BUDGET_PER_EDGE = 8
+PAIRING_CAP = 200
+
+
+@dataclass(frozen=True)
+class RegularSample:
+    """A sampled graph with its exact girth and the sampler's counters."""
+
+    graph: Graph
+    girth: int
+    pairings: int  # configuration-model pairings drawn: 1 unless one stalled
+    switches: int  # kept double-edge switches, over every pairing drawn
+
+
+def moore_bound(d: int, g: int) -> int:
+    """Fewest vertices of a d-regular graph (d >= 2) of girth at least g >= 3.
+
+    Within distance g // 2 - 1 of a vertex (g odd) or of an edge (g even)
+    such a graph is a tree, whose vertices are counted here.
+    """
+    tree = sum((d - 1) ** i for i in range(g // 2))
+    return 1 + d * tree if g % 2 else 2 * tree
+
+
+def random_regular(m: int, d: int, seed: int, *, girth_floor: int = 3) -> RegularSample:
+    """Connected simple d-regular graph on m vertices of girth at least
+    g = max(3, girth_floor), by one configuration-model pairing and
+    double-edge switchings (McKay-Wormald).
+
+    One stream seeded by `seed` pairs the m*d stubs by Fisher-Yates and
+    draws every switch.  While some edge lies on a cycle shorter than g (a
+    self-loop is a 1-cycle, a parallel pair a 2-cycle), a random such edge
+    {a, b} and a uniformly drawn edge {c, x}, in a random orientation, are
+    switched to {a, c}, {b, x}.  The switch is kept only if neither new edge
+    lies on a cycle shorter than g; it then creates no short cycle and
+    breaks those through {a, b}, so every kept switch lowers their number.
+    After SWITCH_BUDGET_PER_EDGE proposals per edge, or on a disconnected
+    result, the stream draws a fresh pairing; after PAIRING_CAP pairings
+    GirthFloorError reports the best girth reached.  The result is checked
+    by `girth`, its degrees and `is_connected`.
+
+    Deterministic in (m, d, seed, girth_floor).  The graphs are not exactly
+    uniform over the connected simple d-regular graphs of girth >= g: the
+    pairing is uniform, but a graph's weight also depends on how many short
+    cycles the pairings that lead to it had.  A floor above the Moore bound
+    raises GirthFloorError before any draw.
     """
     m, d = int(m), int(d)
     if (m * d) % 2 != 0:
         raise GraphError(f"m*d must be even, got m={m}, d={d}")
-    if d >= m:
-        raise GraphError(f"need d < m, got m={m}, d={d}")
-    stubs = np.repeat(np.arange(m), d).tolist()
-    for attempt in range(tries):
-        rng = np.random.default_rng((int(seed), attempt))
-        pairs = _simple_pairing(rng, stubs)
-        if pairs is not None:
-            return Graph(vertex_count=m, edges=sorted(pairs))
-    raise GraphError(
-        f"configuration model failed after {tries} tries for m={m}, d={d}; "
-        "try a larger m or smaller d"
+    if not 2 <= d < m:
+        raise GraphError(f"need 2 <= d < m, got m={m}, d={d}")
+    g = max(3, int(girth_floor))
+    check_girth_floor(m, d, g)
+    rng = np.random.default_rng(int(seed))
+    stubs = np.repeat(np.arange(m), d)
+    budget = SWITCH_BUDGET_PER_EDGE * (m * d // 2)
+    best, switches = 0, 0
+    for pairing in range(1, PAIRING_CAP + 1):
+        work = _Switching(m, stubs[_fisher_yates(rng, stubs.size)].reshape(-1, 2).tolist(), g)
+        done = work.switch_away(rng, budget)
+        switches += work.kept
+        graph = Graph(vertex_count=m, edges=sorted(map(sorted, work.ends)), multigraph=not done)
+        found = int(girth(graph))
+        if done and graph.is_connected():
+            if found < g or np.any(graph.degrees() != d):
+                raise GraphError(f"switching left a bad graph for m={m}, d={d}, girth floor {g}")
+            return RegularSample(graph, found, pairing, switches)
+        best = max(best, found)
+    raise GirthFloorError(
+        f"no connected {d}-regular graph on m={m} vertices with girth >= {g} after "
+        f"{PAIRING_CAP} pairings (best girth {best}); lower the girth floor or change the seed"
     )
 
 
-def _simple_pairing(rng: np.random.Generator, stubs: list[int]) -> set[tuple[int, int]] | None:
-    """Fisher-Yates shuffle of stubs paired as positions (2k, 2k+1).
+def check_girth_floor(m: int, d: int, g: int) -> None:
+    """Raise GirthFloorError if m vertices are below the Moore bound of a
+    d-regular graph of girth g."""
+    bound = moore_bound(d, g)
+    if m < bound:
+        raise GirthFloorError(
+            f"girth floor {g} is above the Moore bound for m={m}, d={d}: a {d}-regular "
+            f"graph of girth >= {g} has at least {bound} vertices"
+        )
 
-    Step i fixes position i, so pair k is final after step 2k (pair 0 after
-    step 1) and is checked right then.  Returns the pairs as (min, max)
-    tuples, or None at the first loop or repeated pair.
-    """
-    s = list(stubs)
-    n = len(s)
-    pairs: set[tuple[int, int]] = set()
-    for i, j in zip(range(n - 1, 0, -1), _fisher_yates_draws(rng, n)):
-        s[i], s[j] = s[j], s[i]
-        if i % 2 == 1 and i > 1:
-            continue
-        k = i - i % 2
-        u, v = s[k], s[k + 1]
-        if u > v:
-            u, v = v, u
-        if u == v or (u, v) in pairs:
-            return None
-        pairs.add((u, v))
-    return pairs
+
+class _Switching:
+    """A pairing under double-edge switches.  ends[e] holds edge e's ends in
+    the orientation a switch reads; adj[v] holds the ids of v's edges, a
+    self-loop's twice."""
+
+    def __init__(self, m: int, ends: list[list[int]], g: int):
+        self.ends = ends
+        self.adj: list[list[int]] = [[] for _ in range(m)]
+        for e, (u, v) in enumerate(ends):
+            self.adj[u].append(e)
+            self.adj[v].append(e)
+        self.depth = g - 2
+        self.kept = 0
+
+    def short(self, e: int) -> bool:
+        """Whether edge e lies on a cycle shorter than g: a path of at most
+        g - 2 other edges joins its ends."""
+        u, v = self.ends[e]
+        if u == v:
+            return True
+        ends, adj = self.ends, self.adj
+        seen = {u}
+        frontier = [u]
+        for _ in range(self.depth):
+            nxt = []
+            for x in frontier:
+                for f in adj[x]:
+                    if f != e:
+                        a, b = ends[f]
+                        y = b if a == x else a
+                        if y == v:
+                            return True
+                        if y not in seen:
+                            seen.add(y)
+                            nxt.append(y)
+            frontier = nxt
+        return False
+
+    def switch(self, e: int, f: int) -> None:
+        """{a, b}, {c, x} -> {a, c}, {b, x}; a second call undoes it."""
+        (a, b), (c, x) = self.ends[e], self.ends[f]
+        self.ends[e], self.ends[f] = [a, c], [b, x]
+        self.adj[b].remove(e)
+        self.adj[b].append(f)
+        self.adj[c].remove(f)
+        self.adj[c].append(e)
+
+    def try_switch(self, e: int, f: int, flip: int) -> bool:
+        """Switch e with f, f reversed if flip; keep it only if neither new
+        edge lies on a short cycle."""
+        if e == f:
+            return False
+        if flip:
+            self.ends[f].reverse()
+        self.switch(e, f)
+        if self.short(e) or self.short(f):
+            self.switch(e, f)
+            return False
+        self.kept += 1
+        return True
+
+    def switch_away(self, rng: np.random.Generator, budget: int) -> bool:
+        """Switch until no edge lies on a short cycle, within `budget`
+        proposals; whether that was reached."""
+        edges = len(self.ends)
+        bad = [e for e in range(edges) if self.short(e)]
+        proposals = 0
+        while bad:  # only edges on bad's list can lie on a short cycle
+            if proposals == budget:
+                return False
+            x, y = rng.random(2).tolist()
+            i, pick = int(x * len(bad)), int(y * 2 * edges)
+            e = bad[i]
+            if self.short(e):
+                proposals += 1
+                if not self.try_switch(e, pick >> 1, pick & 1):
+                    continue
+            bad[i] = bad[-1]
+            bad.pop()
+        return True
 
 
 def _fisher_yates_draws(rng: np.random.Generator, n: int) -> list[int]:
@@ -435,12 +563,13 @@ def _search_levels(n: int, steps, sources: np.ndarray) -> tuple[list[np.ndarray]
     """Bit-planes of each (vertex, source) pair's level, and the level values.
 
     Bit j of a bitset row stands for sources[j]; bits past the last source
-    are never reached and decode to nothing.  Every bitset has a zero row n,
-    which the neighbour tables' padding points at.
+    are never set.  Every bitset has a zero row n, which the neighbour
+    tables' padding points at.  The search stops once every pair is reached.
     """
     bit = np.arange(sources.size)
-    unreached = np.zeros((n + 1, -(-sources.size // 64)), dtype=_WORD)
-    unreached[:n] = ~np.zeros(unreached.shape[1], dtype=_WORD)
+    words = -(-sources.size // 64)
+    unreached = np.zeros((n + 1, words), dtype=_WORD)
+    unreached[:n] = np.packbits(np.arange(64 * words) < sources.size, bitorder="little").view(_WORD)
     start = np.zeros_like(unreached)
     np.bitwise_or.at(start, (sources, bit // 64), np.uint64(1) << (bit % 64).astype(_WORD))
     queue = {0.0: start}
@@ -457,6 +586,8 @@ def _search_levels(n: int, steps, sources: np.ndarray) -> tuple[list[np.ndarray]
         if not values or values[-1] != f:  # f comes back when fl(f + l) == f
             values.append(f)
         _add_level(planes, new, len(values) - 1)
+        if not unreached.any():
+            break
         for length, table in steps:
             reach = _spread(new, table)
             target = f + length

@@ -20,8 +20,8 @@ from . import __version__
 from .extension import RNG_SCHEME, ExtendedGraph, extension_metric, flatten, sample_extension
 from .graphs import (
     Graph,
+    check_girth_floor,
     expansion_estimate,
-    girth,
     random_regular,
     uniform_lengths,
     validate_lengths,
@@ -248,61 +248,33 @@ class GapInstanceBuild:
     provenance: dict
 
 
-def _subseed(seed: int, tag: int, attempt: int = 0) -> int:
-    return int(np.random.SeedSequence((int(seed), tag, attempt)).generate_state(1)[0])
+def _subseed(seed: int, tag: int) -> int:
+    return int(np.random.SeedSequence((int(seed), tag)).generate_state(1)[0])
 
 
-def default_gap_instance(
-    n: int,
-    d: int,
-    seed: int,
-    *,
-    girth_floor: int | None = None,
-    retry_cap: int = 2000,
-) -> GapInstanceBuild:
+def default_gap_instance(n: int, d: int, seed: int, *, girth_floor: int | None = None) -> GapInstanceBuild:
     """Sample base and fiber graphs, extend, and build the gap instance.
 
-    The base graph is resampled until its girth reaches girth_floor (default
-    ceil(log_{d-1} n), a Moore-style desk proxy).  The provenance record holds
-    the attempt count, the girth and, as lambda2_base and lambda2_fiber, the
-    exact second-largest eigenvalue of A/d of each graph, computed from the
-    sampled graphs alone, so they draw nothing from the seed.
+    The base graph is sampled with girth at least girth_floor (default
+    ceil(log_{d-1} n), a Moore-style desk proxy), the fiber with girth 3;
+    both are connected (see `random_regular`).  A floor above the Moore
+    bound raises GirthFloorError before any draw.  The provenance record
+    holds the base girth, the pairings drawn for the base as
+    girth_attempts, the kept switches of each graph and, as lambda2_base
+    and lambda2_fiber, the exact second-largest eigenvalue of A/d of each
+    graph, computed from the sampled graphs alone, so they draw nothing
+    from the seed.
     """
     params = GapParams(n=n, d=d)
     floor = params.default_girth_floor() if girth_floor is None else int(girth_floor)
-    base = None
-    base_girth = None
-    best_girth = -1
-    attempts = 0
-    for attempt in range(retry_cap):
-        attempts = attempt + 1
-        cand = random_regular(n, d, _subseed(seed, 1, attempt))
-        cand_girth = girth(cand)
-        if cand_girth > best_girth:
-            best_girth = cand_girth if cand_girth != math.inf else n + 1
-        if cand_girth >= floor and cand.is_connected():
-            base = cand
-            base_girth = cand_girth
-            break
-    if base is None:
-        raise InstanceError(
-            f"no connected d-regular graph with girth >= {floor} found in "
-            f"{retry_cap} attempts (best girth {best_girth}); lower girth_floor "
-            "or change the seed"
-        )
+    check_girth_floor(n, d, max(3, floor))
+    base = random_regular(n, d, _subseed(seed, 1), girth_floor=floor)
     fiber = random_regular(n, d, _subseed(seed, 2))
-    if not fiber.is_connected():
-        for attempt in range(1, retry_cap):
-            fiber = random_regular(n, d, _subseed(seed, 2, attempt))
-            if fiber.is_connected():
-                break
-        else:
-            raise InstanceError("no connected fiber graph found")
     x = sample_extension(
-        base,
-        uniform_lengths(base, params.ell_g),
-        fiber,
-        uniform_lengths(fiber, params.ell_h),
+        base.graph,
+        uniform_lengths(base.graph, params.ell_g),
+        fiber.graph,
+        uniform_lengths(fiber.graph, params.ell_h),
         _subseed(seed, 3),
     )
     inst = build_gap_instance(x, params.big_l)
@@ -313,11 +285,13 @@ def default_gap_instance(
         "n": int(n),
         "d": int(d),
         "seed": int(seed),
-        "girth": int(base_girth),
+        "girth": base.girth,
         "girth_floor": floor,
-        "girth_attempts": attempts,
-        "lambda2_base": expansion_estimate(base),
-        "lambda2_fiber": expansion_estimate(fiber),
+        "girth_attempts": base.pairings,
+        "base_switches": base.switches,
+        "fiber_switches": fiber.switches,
+        "lambda2_base": expansion_estimate(base.graph),
+        "lambda2_fiber": expansion_estimate(fiber.graph),
         "ell_g": params.ell_g,
         "ell_h": params.ell_h,
         "L": params.big_l,

@@ -135,10 +135,12 @@ def ckr_rounds(inst: ZeroExtInstance, lengths: np.ndarray, seeds) -> list[np.nda
     does.  The distances are read in blocks of at most CKR_SLAB_PAIRS
     entries and every block serves all draws (see `_first_hits`).  For a gap
     instance's canonical lengths, d(x, t_j) = D_X[x, j] + L is read from the
-    cached D_X in contiguous row blocks.  Other lengths search the graph
-    from the terminals, in chunks over one adjacency, twice: once for every
-    A_u and once for the hits, so at most 2k sources whatever the number of
-    draws (k when one chunk holds every terminal, searched once).
+    cached D_X in contiguous row blocks, and A_x = L exactly: D_X[x, x] = 0,
+    fl(0 + L) = L, and every other entry is at least L.  Other lengths
+    search the graph from the terminals, in chunks over one adjacency,
+    twice: once for every A_u and once for the hits, so at most 2k sources
+    whatever the number of draws (k when one chunk holds every terminal,
+    searched once).
     """
     lengths = check_lengths(lengths, inst)
     k = inst.k
@@ -163,10 +165,11 @@ def ckr_rounds(inst: ZeroExtInstance, lengths: np.ndarray, seeds) -> list[np.nda
         slab_buf = np.empty((min(rows, k), k))
         keep_buf = np.empty((min(rows, k), k), dtype=bool)
         cols = np.arange(k)
+        a = np.full(min(rows, k), big_l)
         for start in range(0, k, rows):
             stop = min(start + rows, k)
             slab = np.add(dx[start:stop], big_l, out=slab_buf[: stop - start])
-            _first_hits(slab, slab.min(axis=1), cols, rs, ranks, first[:, start:stop],
+            _first_hits(slab, a[: stop - start], cols, rs, ranks, first[:, start:stop],
                         keep=keep_buf[: stop - start])
     else:
         chunk = max(1, CKR_SLAB_PAIRS // max(1, inst.vertex_count))

@@ -196,26 +196,6 @@ def scalar_fisher_yates(rng: np.random.Generator, n: int) -> np.ndarray:
     return p
 
 
-def reference_random_regular(m: int, d: int, seed: int, tries: int = 3000):
-    """Configuration model that shuffles every stub before looking at a pair.
-
-    Returns (sorted edge list, attempts used); raises graphs.GraphError with
-    the library's message when no attempt in `tries` is simple.
-    """
-    stubs = np.repeat(np.arange(m), d)
-    for attempt in range(tries):
-        rng = np.random.default_rng((int(seed), attempt))
-        pairs = stubs[scalar_fisher_yates(rng, stubs.size)].reshape(-1, 2)
-        edges = sorted((min(a, b), max(a, b)) for a, b in pairs.tolist())
-        if any(a == b for a, b in edges) or len(set(edges)) < len(edges):
-            continue
-        return edges, attempt + 1
-    raise graphs.GraphError(
-        f"configuration model failed after {tries} tries for m={m}, d={d}; "
-        "try a larger m or smaller d"
-    )
-
-
 def dense_second_eigenvalue(g: graphs.Graph) -> float:
     """Second-largest eigenvalue of A/d by a symmetric eigensolver on the dense
     adjacency matrix; a self-loop adds 2 to its diagonal entry."""
@@ -493,8 +473,8 @@ def direct_route_setup(seed: int, n: int = 8, d: int = 3, fiber_n: int = 6):
     """Extension whose inter-cloud edges dwarf the fiber diameter, so shortest
     paths between same-fiber representatives cross exactly one matching edge
     and project onto single base edges."""
-    base = graphs.random_regular(n, d, seed=seed)
-    fiber = graphs.random_regular(fiber_n, 3, seed=seed + 1)
+    base = graphs.random_regular(n, d, seed=seed).graph
+    fiber = graphs.random_regular(fiber_n, 3, seed=seed + 1).graph
     x = extension.sample_extension(
         base,
         graphs.uniform_lengths(base, 100.0),

@@ -197,8 +197,8 @@ def test_criterion_06_transform_round_trip():
     collections = 0
     while collections < 100:
         seed = collections
-        base = random_regular(6, 3, seed=seed)
-        fiber = random_regular(6 if seed % 2 else 8, 3, seed=seed + 1)
+        base = random_regular(6, 3, seed=seed).graph
+        fiber = random_regular(6 if seed % 2 else 8, 3, seed=seed + 1).graph
         x = sample_extension(
             base, uniform_lengths(base, 2.0), fiber, uniform_lengths(fiber, 1.0), seed=seed
         )

@@ -76,8 +76,8 @@ def test_edge_counts():
 
 
 def test_degree_identity_over_samples():
-    base = graphs.random_regular(6, 3, seed=2)
-    fiber = graphs.random_regular(8, 3, seed=3)
+    base = graphs.random_regular(6, 3, seed=2).graph
+    fiber = graphs.random_regular(8, 3, seed=3).graph
     for seed in range(5):
         x = sample_extension(
             base, uniform_lengths(base, 1.0), fiber, uniform_lengths(fiber, 1.0), seed=seed

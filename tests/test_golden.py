@@ -19,11 +19,11 @@ import json
 from zeroext import cli
 
 GOLDEN = {
-    "gap": "588156e676f04fc0e9d677414e9269c49c5fa13d4fd36508ffad8dc36441e109",
-    "generate": "cd689af9f5697ad18551f214817514cc1ee54323dd7e7707d12df33a8cf216d2",
+    "gap": "cd5a9df6d7a37dc7636d6eb6aaa32908bef3ee5de0c9f02da337e9f777328340",
+    "generate": "81cbecae6de177cb661ebedfb123c966a2fadc8ad20deb100165fbbc4b4b3897",
     "cert": "28accde313b8115f73adf906bd997c39ffca8384a27633b3301cd8becde6982a",
-    "solve.labeling": "41c7b8be2e64702a44bce972d951272891c75c13c7434722bcab9f22b1e59aa9",
-    "solve.json": "5c8b32663a57287f0e5409d342b1ead1cb6db59562bb674527c1062bbf795009",
+    "solve.labeling": "b7dbf5039c3dbacb636c4f0088e57d4f98f8cfc40a93a1f5b8b6a9ca3542d07e",
+    "solve.json": "3664c333cd0ab6618791c4e6aa87e7093c210e4a601b8e9c6329ccc309769ef5",
     "frac": "1f914c323c80b5aecd1126ae15f0369387e831b85ef51bf06b3aa8db81158d18",
     "split": "13ec0f9938e0265dc021a6e4a8404d1d721e55e42568dc5b17149d6fbfadfbcb",
 }

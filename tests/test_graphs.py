@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from conftest import (
     heap_dijkstra_tree,
     reference_girth,
     reference_graph_edges,
-    reference_random_regular,
     scalar_fisher_yates,
 )
 from zeroext import extension, graphs, instance
@@ -105,12 +105,12 @@ def test_cayley_cycle_girth_property():
 
 
 def test_random_regular_k4():
-    g = random_regular(4, 3, seed=123)
+    g = random_regular(4, 3, seed=123).graph
     assert sorted(g.edges) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
 def test_random_regular_degree_histogram():
-    g = random_regular(10, 3, seed=7)
+    g = random_regular(10, 3, seed=7).graph
     assert np.all(g.degrees() == 3)
     assert g.edge_count == 15
 
@@ -123,8 +123,89 @@ def test_random_regular_odd_product_rejected():
 def test_random_regular_reproducible():
     a = random_regular(16, 4, seed=99)
     b = random_regular(16, 4, seed=99)
-    assert (a.vertex_count, a.edges) == (b.vertex_count, b.edges)
-    assert a.edges != random_regular(16, 4, seed=100).edges
+    assert a == b
+    assert a.graph.edges != random_regular(16, 4, seed=100).graph.edges
+
+
+@st.composite
+def feasible_floors(draw):
+    """(m, d, floor) with m at least twice the Moore bound of girth
+    max(3, floor), where such graphs are plentiful."""
+    d = draw(st.integers(2, 4))
+    floor = draw(st.integers(0, 5))
+    low = 2 * graphs.moore_bound(d, max(3, floor))
+    m = draw(st.integers(low, 48).filter(lambda m: m * d % 2 == 0))
+    return m, d, floor
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=feasible_floors(), seed=st.integers(0, 2**32))
+def test_random_regular_is_connected_simple_regular_above_the_floor(case, seed):
+    m, d, floor = case
+    sample = random_regular(m, d, seed, girth_floor=floor)
+    g = sample.graph
+    assert not g.multigraph and g.vertex_count == m  # Graph rejects loops and parallels
+    assert np.all(g.degrees() == d)
+    assert sample.girth == girth(g) == reference_girth(g) >= max(3, floor)
+    assert g.is_connected()
+    assert sample.pairings >= 1 and sample.switches >= 0
+    assert random_regular(m, d, seed, girth_floor=floor) == sample
+    others = [random_regular(m, d, seed + i, girth_floor=floor).graph.edges for i in (1, 2, 3)]
+    assert any(edges != g.edges for edges in others)
+
+
+@pytest.mark.parametrize("m,d,floor", [(4, 3, 3), (5, 4, 3), (10, 3, 5)])
+def test_tight_cases_sample_within_the_pairing_cap(m, d, floor):
+    # K4, K5 and the Petersen graph are the only graphs of their kind: the
+    # switchings stall on some pairings and restart from a fresh one.
+    assert graphs.moore_bound(d, floor) == m
+    pairings = []
+    for seed in range(30):
+        sample = random_regular(m, d, seed, girth_floor=floor)
+        assert sample.girth == floor and sample.graph.edge_count == m * d // 2
+        pairings.append(sample.pairings)
+    if floor == 5:
+        assert max(pairings) > 1  # the Petersen graph does need restarts
+
+
+@pytest.mark.parametrize("m", [96, 128])
+def test_girth_five_at_96_and_128_vertices_within_the_time_cap(m):
+    # Rejection found no girth-5 graph in 2,000 tries at m = 96.  These are
+    # graphs only: gap instances stop at n = 64 (DENSE_METRIC_CAP).
+    started = time.perf_counter()
+    for seed in range(3):
+        sample = random_regular(m, 4, seed, girth_floor=5)
+        assert sample.girth >= 5 and sample.graph.is_connected()
+    assert time.perf_counter() - started < 2.0
+
+
+def test_exhausted_pairing_cap_reports_the_best_girth(monkeypatch):
+    monkeypatch.setattr(graphs, "PAIRING_CAP", 2)
+    monkeypatch.setattr(graphs, "SWITCH_BUDGET_PER_EDGE", 0)
+    with pytest.raises(graphs.GirthFloorError, match=r"m=12 .* after 2 pairings \(best girth [123]\)"):
+        random_regular(12, 4, 0, girth_floor=4)
+
+
+@pytest.mark.parametrize("d,g,bound", [(2, 7, 7), (3, 4, 6), (3, 5, 10), (3, 6, 14), (4, 5, 17), (7, 5, 50)])
+def test_moore_bound(d, g, bound):
+    assert graphs.moore_bound(d, g) == bound
+
+
+def test_floor_above_the_moore_bound_fails_before_any_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a pairing for a floor above the Moore bound")
+
+    monkeypatch.setattr(graphs, "_fisher_yates", no_draw)
+    with pytest.raises(graphs.GirthFloorError, match="Moore bound .* at least 17 vertices"):
+        random_regular(16, 4, 0, girth_floor=5)
+    with pytest.raises(graphs.GirthFloorError, match="girth floor 30"):
+        random_regular(64, 4, 0, girth_floor=30)
+
+
+def test_random_regular_needs_a_connected_degree():
+    for m, d in ((4, 1), (5, 0), (4, 4)):
+        with pytest.raises(GraphError, match="need 2 <= d < m"):
+            random_regular(m, d, 0)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 64, 256])
@@ -138,42 +219,12 @@ def test_fisher_yates_matches_scalar_oracle(n):
         assert rng.bit_generator.state == ref.bit_generator.state, (n, seed)
 
 
-@pytest.mark.parametrize(
-    "m,d,seeds",
-    [
-        (2, 1, range(5)),
-        (5, 0, range(2)),
-        (4, 3, range(10)),
-        (10, 3, range(10)),
-        (16, 4, range(10)),
-        (32, 4, range(10)),
-        (12, 5, range(3)),
-    ],
-)
-def test_random_regular_matches_full_shuffle_oracle(m, d, seeds):
-    # The d=4 and d=5 seeds include runs of 50 to over 1000 rejected pairings.
-    for seed in seeds:
-        edges, _ = reference_random_regular(m, d, seed)
-        assert random_regular(m, d, seed).edges == edges, (m, d, seed)
-
-
-def test_random_regular_exhausted_tries_match_oracle():
-    edges, used = reference_random_regular(32, 4, 9)
-    assert used > 50
-    with pytest.raises(GraphError) as want:
-        reference_random_regular(32, 4, 9, tries=used - 1)
-    with pytest.raises(GraphError) as got:
-        random_regular(32, 4, 9, tries=used - 1)
-    assert str(got.value) == str(want.value)
-    assert random_regular(32, 4, 9, tries=used).edges == edges
-
-
 # -- girth ---------------------------------------------------------------------
 
 
 def test_girth_examples():
     assert girth(build_cayley([5], [(1,)])) == 5
-    assert girth(random_regular(4, 3, seed=1)) == 3  # K4
+    assert girth(random_regular(4, 3, seed=1).graph) == 3  # K4
     tree = Graph(vertex_count=5, edges=[(0, 1), (1, 2), (1, 3), (3, 4)])
     assert girth(tree) == math.inf
 
@@ -199,7 +250,7 @@ def test_girth_matches_full_bfs_on_random_graphs():
     # The BFS stops once no deeper cycle can beat the best; the result stays exact.
     for m, d in ((8, 3), (12, 3), (16, 4), (32, 4), (20, 5), (64, 3)):
         for seed in range(8):
-            g = random_regular(m, d, seed)
+            g = random_regular(m, d, seed).graph
             assert girth(g) == reference_girth(g), (m, d, seed)
     rng = np.random.default_rng(5)
     for _ in range(40):
@@ -600,7 +651,7 @@ def test_search_over_few_lengths_matches_scipy_dijkstra_bytes(case):
 
 
 def test_expansion_k4():
-    g = random_regular(4, 3, seed=1)
+    g = random_regular(4, 3, seed=1).graph
     assert abs(expansion_estimate(g) - (-1.0 / 3.0)) < 1e-12
 
 
@@ -614,7 +665,7 @@ def test_expansion_even_cycle():
 @pytest.mark.parametrize("n", [8, 16, 32, 64])
 def test_expansion_matches_dense_eigensolver(n, d):
     for seed in (1, 2, 3):
-        g = random_regular(n, d, seed=seed)
+        g = random_regular(n, d, seed=seed).graph
         assert abs(expansion_estimate(g) - dense_second_eigenvalue(g)) < 1e-12
 
 
@@ -647,7 +698,7 @@ def test_expansion_errors():
 def test_expansion_starts_no_thread_in_a_forked_child():
     # `gap` workers are forked; a BLAS helper thread started there competes
     # with the other worker for the cores.
-    g = random_regular(64, 4, seed=0)
+    g = random_regular(64, 4, seed=0).graph
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:  # child: report the thread count, never return into pytest

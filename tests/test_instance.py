@@ -273,9 +273,28 @@ def test_build_and_load_enforce_the_dense_ceiling(tmp_path, monkeypatch):
         load_instance(path)
 
 
-def test_girth_floor_failure_reports_best():
-    with pytest.raises(InstanceError, match="best girth"):
-        default_gap_instance(12, 4, 0, girth_floor=30, retry_cap=5)
+def test_default_gap_instance_checks_the_moore_bound_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled a graph for a floor above the Moore bound")
+
+    monkeypatch.setattr(instance, "random_regular", no_sampling)
+    with pytest.raises(graphs.GirthFloorError, match=r"girth floor 30 is above the Moore bound .* at least \d+ vertices"):
+        default_gap_instance(64, 4, 0, girth_floor=30)
+
+
+def test_girth_floor_failure_reports_best(monkeypatch):
+    monkeypatch.setattr(graphs, "PAIRING_CAP", 3)
+    monkeypatch.setattr(graphs, "SWITCH_BUDGET_PER_EDGE", 0)
+    with pytest.raises(graphs.GirthFloorError, match=r"after 3 pairings \(best girth \d\)"):
+        default_gap_instance(12, 4, 0, girth_floor=4)
+
+
+def test_default_gap_instance_records_its_sampling():
+    prov = default_gap_instance(32, 4, 0).provenance
+    assert prov["rng"] == "pcg64-fisheryates-v2"
+    assert prov["girth"] >= prov["girth_floor"] == 4
+    assert prov["girth_attempts"] >= 1
+    assert prov["base_switches"] >= 0 and prov["fiber_switches"] >= 0
 
 
 # -- instance files fail at the boundary --------------------------------------------

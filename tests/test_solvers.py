@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import numpy as np
@@ -16,9 +17,16 @@ from conftest import (
     reference_ckr_round,
     reference_local_search,
 )
-from zeroext import relaxation, solvers
-from zeroext.graphs import Graph, shortest_path_metric
-from zeroext.instance import TerminalMetric, ZeroExtInstance, build_generic_instance, default_gap_instance
+from zeroext import graphs, relaxation, solvers
+from zeroext.extension import sample_extension
+from zeroext.graphs import Graph, shortest_path_metric, uniform_lengths
+from zeroext.instance import (
+    TerminalMetric,
+    ZeroExtInstance,
+    build_gap_instance,
+    build_generic_instance,
+    default_gap_instance,
+)
 from zeroext.relaxation import canonical_fractional
 from zeroext.solvers import (
     SolverError,
@@ -222,6 +230,25 @@ def test_ckr_on_other_lengths_of_a_gap_instance_matches_reference(monkeypatch, s
     for _ in range(4):
         lengths = rng.integers(0, 4, size=inst.graph.edge_count).astype(float)
         _assert_ckr_matches_reference(inst, lengths, range(6))
+
+
+@pytest.mark.parametrize("slab", [solvers.CKR_SLAB_PAIRS, 100])
+def test_ckr_on_canonical_lengths_matches_the_search_path(monkeypatch, slab):
+    # On a gap instance's canonical lengths CKR reads D_X + L and takes
+    # A_x = L; with the origin dropped it searches the same lengths from the
+    # terminals.  Integer lengths make both distances exact, so every draw
+    # must give the same labeling.
+    monkeypatch.setattr(solvers, "CKR_SLAB_PAIRS", slab)
+    base = graphs.random_regular(8, 3, seed=4).graph
+    fiber = graphs.random_regular(6, 3, seed=5).graph
+    x = sample_extension(base, uniform_lengths(base, 2.0), fiber, uniform_lengths(fiber, 1.0), seed=6)
+    inst = build_gap_instance(x, 3.0)
+    searched = dataclasses.replace(inst, origin=None)
+    assert inst.is_gap and not searched.is_gap
+    lengths, _ = canonical_fractional(inst)
+    seeds = range(64)
+    for f, g in zip(ckr_rounds(inst, lengths, seeds), ckr_rounds(searched, lengths, seeds)):
+        assert np.array_equal(f, g)
 
 
 def test_ckr_bound_is_inclusive_and_exact():

@@ -52,7 +52,7 @@ def test_half_split_cloud_excluded():
 
 def test_threshold_boundary_inclusive():
     base = Graph(vertex_count=2, edges=[(0, 1)])
-    fiber = graphs.random_regular(10, 3, seed=0)
+    fiber = graphs.random_regular(10, 3, seed=0).graph
     x = sample_extension(base, np.array([1.0]), fiber, uniform_lengths(fiber, 1.0), seed=0)
     inst = instance.build_gap_instance(x, big_l=1.0)
     k = x.vertex_count
