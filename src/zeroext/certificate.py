@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from . import gf2
-from .extension import EdgeLabel, ExtendedGraph, edge_label, extension_metric, flatten, project
+from .extension import EdgeLabel, ExtendedGraph, edge_label, extension_rows, flatten, project
 from .graphs import Graph, single_source_shortest_paths
 from .split import SplitCandidate, verify_split
 
@@ -550,12 +550,15 @@ def shortest_rep_paths(x: ExtendedGraph, c: SplitCandidate) -> list[list[int]]:
     """One canonical shortest path per kept base edge, ascending edge id,
     directed from the representative of the smaller-cloud endpoint."""
     flat = flatten(x)
-    dx = extension_metric(x)
-    trees: dict[int, object] = {}
-    paths = []
+    ends = []
     for eid in sorted(c.edge_ids):
         g1, g2 = x.base.edges[eid]
-        r1, r2 = c.rep_map[g1], c.rep_map[g2]
+        ends.append((eid, c.rep_map[g1], c.rep_map[g2]))
+    unstored = [r1 for eid, r1, r2 in ends if c.path_assignment.get(eid) is None and r1 != r2]
+    rows = extension_rows(x, unstored)
+    trees: dict[int, object] = {}
+    paths = []
+    for eid, r1, r2 in ends:
         pre = c.path_assignment.get(eid)
         if pre is not None:
             if pre[0] != r1 or pre[-1] != r2:
@@ -565,10 +568,10 @@ def shortest_rep_paths(x: ExtendedGraph, c: SplitCandidate) -> list[list[int]]:
         if r1 == r2:
             paths.append([r1])
             continue
-        if not math.isfinite(dx[r1, r2]):
+        if not math.isfinite(rows[r1][r2]):
             raise CertificateError(f"representatives of edge {eid} are disconnected")
         if r1 not in trees:
-            trees[r1] = single_source_shortest_paths(flat.graph, flat.lengths, r1, dx[r1])
+            trees[r1] = single_source_shortest_paths(flat.graph, flat.lengths, r1, rows[r1])
         paths.append(trees[r1].path_vertices(r2))
     return paths
 

@@ -24,6 +24,7 @@ from .graphs import (
     Graph,
     _fisher_yates,
     shortest_path_metric,
+    shortest_path_rows,
     validate_lengths,
 )
 
@@ -163,9 +164,10 @@ def _flat(x: ExtendedGraph) -> FlatExtension:
 def extension_metric(x: ExtendedGraph) -> np.ndarray:
     """D_X: the dense all-pairs shortest-path metric of the flattened extension.
 
-    Computed once per extension and cached on it, read-only; every distance
-    and shortest-path tree over the extension is read from this one array.
-    The gap construction's two lengths take the level search (see
+    Computed once per extension, on first call, and cached on it, read-only;
+    this is the one builder of the k x k array, for the readers that need
+    every row.  Readers of a few rows take `extension_rows`.  The gap
+    construction's two lengths take the level search (see
     `graphs.LEVEL_SEARCH_LENGTHS`); a hand-edited file's other lengths may
     take Dijkstra, with the same floats.
     """
@@ -174,6 +176,19 @@ def extension_metric(x: ExtendedGraph) -> np.ndarray:
         x._metric = shortest_path_metric(flat.graph, flat.lengths)
         x._metric.setflags(write=False)
     return x._metric
+
+
+def extension_rows(x: ExtendedGraph, sources) -> dict[int, np.ndarray]:
+    """The D_X row of each distinct id in `sources`, as {source: row}, from
+    one search from those sources over the cached flattening; no k x k array
+    is built, and no search runs when `sources` is empty.  Each row equals
+    extension_metric(x)[source] byte for byte.  Rows are not cached; a caller
+    asks once for the rows it reads."""
+    distinct = sorted(set(sources))
+    if not distinct:
+        return {}
+    flat = _flat(x)
+    return dict(zip(distinct, shortest_path_rows(flat.graph, flat.lengths, distinct)))
 
 
 def edge_label(x: ExtendedGraph, flat_edge: int, tail: int) -> EdgeLabel:

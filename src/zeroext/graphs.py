@@ -104,25 +104,26 @@ class Graph:
 
     def connected_components(self) -> list[list[int]]:
         seen = [False] * self.vertex_count
-        comps = []
-        adj = self.adjacency()
-        for root in range(self.vertex_count):
-            if seen[root]:
-                continue
-            stack, comp = [root], []
-            seen[root] = True
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for w, _ in adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(sorted(comp))
-        return comps
+        return [sorted(self._reach(root, seen)) for root in range(self.vertex_count) if not seen[root]]
 
     def is_connected(self) -> bool:
-        return self.vertex_count == 0 or len(self.connected_components()) == 1
+        """One search from vertex 0 reaches every vertex."""
+        n = self.vertex_count
+        return n == 0 or len(self._reach(0, [False] * n)) == n
+
+    def _reach(self, root: int, seen: list[bool]) -> list[int]:
+        """The vertices reachable from root, which `seen` does not mark yet; marks them."""
+        stack, comp = [root], []
+        seen[root] = True
+        adj = self.adjacency()
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for w, _ in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        return comp
 
 
 def uniform_lengths(g: Graph, value: float) -> np.ndarray:

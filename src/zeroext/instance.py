@@ -4,15 +4,20 @@ small generic instances for oracle testing.
 A gap instance doubles the extension's vertex set: every point v gets a
 pendant terminal v_T attached by an edge of weight 1/L, every extension edge
 keeps weight 1/length, and the terminal metric is the extension's shortest
-path metric plus 2L off the diagonal.  D_X is held as one dense k x k
-matrix, so k is capped at DENSE_METRIC_CAP = 4096 (n <= 64) before any
-sampling or shortest-path work.  Natural logarithm throughout.
+path metric plus 2L off the diagonal.  D_X is a dense k x k matrix, built
+on first access to the terminal metric's `base` by `extension_metric`, so
+only a command that reads every row builds it (`gap`, `frac`, `solve`);
+`generate` reads none, and `split` and `cert` search just the
+representatives' rows (`extension.extension_rows`).  k is capped at
+DENSE_METRIC_CAP = 4096 (n <= 64) before any sampling or shortest-path
+work.  Natural logarithm throughout.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -81,12 +86,27 @@ class TerminalMetric:
     base[i, i] on the diagonal, indexed by terminal position.  A gap instance
     has base = D_X (zero diagonal) and shift = 2L; a generic instance has its
     validated matrix and shift = 0.  Fractional solutions are edge lengths
-    instead (see `relaxation`)."""
+    instead (see `relaxation`).
 
-    def __init__(self, base: np.ndarray, shift: float = 0.0):
-        self.base = np.asarray(base, dtype=float)
+    `base` is the size x size array, or a function that returns it, called
+    on the first access to `base` and then held: a gap instance passes
+    `extension_metric` of its extension with size k, so D_X is built only
+    when some method reads it.
+    """
+
+    def __init__(self, base, shift: float = 0.0, size: int | None = None):
+        if callable(base):
+            self._base, self._build, self.size = None, base, int(size)
+        else:
+            self._base, self._build = np.asarray(base, dtype=float), None
+            self.size = self._base.shape[0]
         self.shift = float(shift)
-        self.size = self.base.shape[0]
+
+    @property
+    def base(self) -> np.ndarray:
+        if self._base is None:
+            self._base = self._build()
+        return self._base
 
     def value(self, i, j):
         return float(self.base[i, j] + (self.shift if i != j else 0.0))
@@ -153,10 +173,19 @@ def _require_finite(values: np.ndarray, what: str) -> None:
 
 @dataclass
 class GapOrigin:
+    """What a gap instance was built from: the extension, L and the per-edge
+    lengths of the canonical solution.  D_X is cached on the extension when
+    a reader builds it, not here; `dx` reads that cache."""
+
     extension: ExtendedGraph
     big_l: float
     edge_lengths: np.ndarray  # per instance-graph edge: extension lengths then L
-    dx: np.ndarray            # extension_metric(extension), the cached k x k D_X
+
+    @property
+    def dx(self) -> np.ndarray | None:
+        """The cached k x k D_X once a reader has built it, else None: reading
+        it builds nothing.  `extension_metric(self.extension)` builds it."""
+        return self.extension._metric
 
 
 @dataclass
@@ -205,7 +234,8 @@ class ZeroExtInstance:
 
 
 def build_gap_instance(x: ExtendedGraph, big_l: float) -> ZeroExtInstance:
-    """Instance over a sampled extension: pendant terminals, D = D_X + 2L."""
+    """Instance over a sampled extension: pendant terminals, D = D_X + 2L.
+    D_X itself is not built here (see `TerminalMetric`)."""
     if not 0 < big_l < math.inf:
         raise InstanceError(f"L must be positive and finite, got {big_l}")
     _require_finite(x.base_lengths, "base length")
@@ -216,8 +246,11 @@ def build_gap_instance(x: ExtendedGraph, big_l: float) -> ZeroExtInstance:
             f"ceiling k <= {DENSE_METRIC_CAP}"
         )
     flat = flatten(x)
-    dx = extension_metric(x)
-    if not np.isfinite(dx[:1]).all():  # the extension is connected iff row 0 is finite
+    # Every cloud is a copy of the fiber and each base edge's perfect matching
+    # joins its two clouds, so a connected base and fiber give a connected
+    # extension; only otherwise is the flattened graph searched.
+    connected = (x.base.is_connected() and x.fiber.is_connected()) or flat.graph.is_connected()
+    if not connected:
         comps = flat.graph.connected_components()
         sizes = ", ".join(str(len(c)) for c in comps)
         raise InstanceError(
@@ -230,8 +263,8 @@ def build_gap_instance(x: ExtendedGraph, big_l: float) -> ZeroExtInstance:
     lengths = np.concatenate([flat.lengths, np.full(k, float(big_l))])
     lengths.setflags(write=False)  # handed out as the canonical fractional solution
     weights = 1.0 / lengths
-    metric = TerminalMetric(dx, 2.0 * big_l)
-    origin = GapOrigin(extension=x, big_l=float(big_l), edge_lengths=lengths, dx=dx)
+    metric = TerminalMetric(partial(extension_metric, x), 2.0 * big_l, size=k)
+    origin = GapOrigin(extension=x, big_l=float(big_l), edge_lengths=lengths)
     return ZeroExtInstance(
         graph=graph,
         weights=weights,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .extension import extension_metric
 from .graphs import Graph, _fisher_yates, shortest_path_rows, shortest_path_search
 from .instance import ZeroExtInstance
 from .relaxation import check_lengths, fractional_cost, induced_semimetric
@@ -160,7 +161,7 @@ def ckr_rounds(inst: ZeroExtInstance, lengths: np.ndarray, seeds) -> list[np.nda
     if inst.is_gap and np.array_equal(lengths, inst.origin.edge_lengths):
         # Non-terminals are the extension points 0..k-1 and terminal
         # position j is column j of D_X.
-        dx, big_l = inst.origin.dx, inst.origin.big_l
+        dx, big_l = extension_metric(inst.origin.extension), inst.origin.big_l
         rows = max(1, CKR_SLAB_PAIRS // k)
         slab_buf = np.empty((min(rows, k), k))
         keep_buf = np.empty((min(rows, k), k), dtype=bool)

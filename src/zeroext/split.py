@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf2
-from .extension import ExtendedGraph, extension_metric, flatten, project, project_path
+from .extension import ExtendedGraph, extension_rows, flatten, project, project_path
 from .graphs import Graph, single_source_shortest_paths
 from .instance import ZeroExtInstance
 from .solvers import validate_labeling
@@ -172,24 +172,26 @@ def build_split_candidate(
             kept_vertices.append(g)
     kept_set = set(kept_vertices)
 
-    dx = extension_metric(x)
+    pairs = [
+        (eid, reps[g1], reps[g2])
+        for eid, (g1, g2) in enumerate(x.base.edges)
+        if g1 in kept_set and g2 in kept_set
+    ]
+    rows = extension_rows(x, [r1 for _, r1, _ in pairs])
     flat = flatten(x)
     trees: dict[int, object] = {}
 
     def tree_for(source: int):
         if source not in trees:
             trees[source] = single_source_shortest_paths(
-                flat.graph, flat.lengths, source, dx[source]
+                flat.graph, flat.lengths, source, rows[source]
             )
         return trees[source]
 
     kept_edges = []
     paths: dict[int, list[int]] = {}
-    for eid, (g1, g2) in enumerate(x.base.edges):
-        if g1 not in kept_set or g2 not in kept_set:
-            continue
-        r1, r2 = reps[g1], reps[g2]
-        if float(dx[r1, r2]) < alpha:
+    for eid, r1, r2 in pairs:
+        if float(rows[r1][r2]) < alpha:
             kept_edges.append(eid)
             paths[eid] = [r1] if r1 == r2 else tree_for(r1).path_vertices(r2)
     return SplitCandidate(
@@ -276,11 +278,11 @@ def verify_split(c: SplitCandidate, x: ExtendedGraph) -> SplitReport:
         detail=f"kept {len(c.edge_ids)} of {n_edges} base edges, need >= {need:.6g}",
     )
 
-    dx = extension_metric(x)
+    ends = [(c.rep_map[g1], c.rep_map[g2]) for g1, g2 in (x.base.edges[eid] for eid in c.edge_ids)]
+    rows = extension_rows(x, [r1 for r1, _ in ends])
     distance_witnesses = []
-    for eid in c.edge_ids:
-        g1, g2 = x.base.edges[eid]
-        d = float(dx[c.rep_map[g1], c.rep_map[g2]])
+    for eid, (r1, r2) in zip(c.edge_ids, ends):
+        d = float(rows[r1][r2])
         if not d < c.alpha:
             distance_witnesses.append({"edge": eid, "distance": d})
     conditions["distance"] = ConditionVerdict(

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zeroext import cli
+from zeroext import cli, extension
 from zeroext.graphs import Graph
 from zeroext.instance import InstanceError, build_generic_instance, load_instance, save_instance
 
@@ -92,6 +92,36 @@ def test_frac_and_a_gap_row_import_no_scipy(tmp_path):
     lines = done.stdout.splitlines()
     assert "scipy after frac: False" in lines and "scipy after gap: False" in lines
     assert (tmp_path / "g" / "gap.csv").read_text().count("\n") == 3  # config, header, one row
+
+
+def test_generate_split_and_cert_build_no_dense_extension_metric(tmp_path, monkeypatch):
+    # n = 24 (k = 576): split and cert search only the representatives' rows,
+    # on the built instance and on the loaded file alike.
+    def refuse(*args):
+        raise AssertionError("built the dense D_X")
+
+    monkeypatch.setattr(extension, "shortest_path_metric", refuse)
+    kept = ["--epsilon", "0.1", "--alpha", "1e9", "--threshold", "0.9"]
+    assert cli.main(["generate", "--n", "24", "--seed", "0", "--out", str(tmp_path)]) == 0
+    for source in (["--n", "24", "--seed", "0"], ["--instance", str(tmp_path / "gap_n24_d4_s0.instance.json")]):
+        assert cli.main(["split", *source, *kept, "--out", str(tmp_path)]) == 0
+        assert cli.main(["cert", *source, *kept, "--force", "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "split.json").read_text())["candidate"]["edges"] > 0
+        assert json.loads((tmp_path / "certificate.json").read_text())["diagnostics"]["b1"] > 0
+
+
+def test_a_gap_row_builds_the_extension_metric_once(tmp_path, monkeypatch):
+    # Shared by the row sums of all_to_one, the CKR draws and local_search.
+    calls = []
+    real = extension.shortest_path_metric
+
+    def counted(g, lengths):
+        calls.append(g.vertex_count)
+        return real(g, lengths)
+
+    monkeypatch.setattr(extension, "shortest_path_metric", counted)
+    assert cli.main(["gap", "--n", "8", "--seeds", "0", "--jobs", "1", "--out", str(tmp_path)]) == 0
+    assert calls == [64]
 
 
 def test_a_row_that_raises_in_a_worker_exits_2_naming_the_error(monkeypatch, tmp_path, capsys):

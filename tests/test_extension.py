@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import reference_flatten
-from zeroext import extension, graphs
+from zeroext import extension, graphs, instance
 from zeroext.extension import (
     ExtensionError,
     edge_label,
@@ -177,6 +177,36 @@ def test_cached_extension_metric_is_read_only(base_lengths):
     assert extension.extension_metric(x) is dx
     with pytest.raises(ValueError, match="read-only"):
         dx[0, 1] = 0.0
+
+
+@st.composite
+def extensions_with_sources(draw):
+    """A gap extension on n in {4..16} clouds, with its two lengths (the level
+    search) or four distinct base lengths (Dijkstra), and sources unsorted
+    and repeated."""
+    n = draw(st.integers(4, 16))
+    seed = draw(st.integers(0, 99))
+    x = instance.default_gap_instance(n, 3 if n % 2 == 0 else 4, seed, girth_floor=3).extension
+    if draw(st.booleans()):
+        lengths = np.resize([1.0, 1.5, 2.0, 2.5], x.base.edge_count)
+        x = sample_extension(x.base, lengths, x.fiber, x.fiber_lengths, x.seed)
+    sources = draw(st.lists(st.integers(0, x.vertex_count - 1), max_size=40))
+    return x, sources
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(extensions_with_sources())
+def test_extension_rows_are_rows_of_the_extension_metric_byte_for_byte(case):
+    x, sources = case
+    before = extension.extension_rows(x, sources)
+    assert x._metric is None  # searched from the sources, with no k x k array
+    dx = extension.extension_metric(x)
+    after = extension.extension_rows(x, sources)
+    for rows in (before, after):
+        assert sorted(rows) == sorted(set(sources))
+        for s in sources:
+            assert rows[s].dtype == dx.dtype and rows[s].shape == (x.vertex_count,)
+            assert rows[s].tobytes() == dx[s].tobytes()
 
 
 def test_traverse_inter_errors():

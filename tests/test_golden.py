@@ -26,7 +26,16 @@ GOLDEN = {
     "solve.json": "3664c333cd0ab6618791c4e6aa87e7093c210e4a601b8e9c6329ccc309769ef5",
     "frac": "1f914c323c80b5aecd1126ae15f0369387e831b85ef51bf06b3aa8db81158d18",
     "split": "13ec0f9938e0265dc021a6e4a8404d1d721e55e42568dc5b17149d6fbfadfbcb",
+    "split.kept": "a6d6b998575aa1619f03965990825e4f76faf34236ad73e9fc40cfefe93a85ec",
+    "cert.kept": "94e0cbd2220e9441bd1e777c85abca81fb02e8cb7641ede7d4cedf1901a48fde",
+    "split.alpha": "b81a45730f5b6b9df4b8b878ce1b89e8be21b3bdfb4e32492c6b5512e3e2cd53",
 }
+
+# At n = 8, seed 0 the default flags keep no base edge, so `split` and `cert`
+# above check an empty candidate.  These flags keep all 16 base edges
+# (cert b1 = 9); with alpha = 2 instead of 1e9, 3 of the 16 stay.
+KEPT = ["--epsilon", "0.1", "--alpha", "1e9", "--threshold", "0.9"]
+FINITE_ALPHA = ["--epsilon", "0.1", "--alpha", "2", "--threshold", "0.9"]
 
 
 def assert_digest(name: str, data: bytes):
@@ -90,3 +99,29 @@ def test_split_and_cert_of_a_loaded_instance_match_the_built_one(tmp_path):
     assert cli.main(["cert", "--instance", path, "--force", "--out", str(out)]) == 0
     assert_json_digest("split", without_config(out / "split.json"))
     assert_json_digest("cert", without_config(out / "certificate.json"))
+
+
+def check_kept_edge_documents(source: list[str], out):
+    """Pin split and cert --force at KEPT and split at FINITE_ALPHA, on the
+    instance that `source` (build or --instance flags) names."""
+    assert cli.main(["split", *source, *KEPT, "--out", str(out / "kept")]) == 0
+    assert cli.main(["cert", *source, *KEPT, "--force", "--out", str(out / "kept")]) == 0
+    assert cli.main(["split", *source, *FINITE_ALPHA, "--out", str(out / "alpha")]) == 0
+    split = without_config(out / "kept" / "split.json")
+    cert = without_config(out / "kept" / "certificate.json")
+    alpha = without_config(out / "alpha" / "split.json")
+    assert split["is_split"] and split["candidate"]["edges"] == 16
+    assert cert["round_trip_exact"] and cert["diagnostics"]["b1"] == 9
+    assert not alpha["is_split"] and alpha["candidate"]["edges"] == 3
+    assert_json_digest("split.kept", split)
+    assert_json_digest("cert.kept", cert)
+    assert_json_digest("split.alpha", alpha)
+
+
+def test_split_and_cert_documents_with_kept_edges(tmp_path):
+    check_kept_edge_documents(["--n", "8", "--seed", "0"], tmp_path)
+
+
+def test_split_and_cert_with_kept_edges_of_a_loaded_instance_match_the_built_ones(tmp_path):
+    assert cli.main(["generate", "--n", "8", "--seed", "0", "--out", str(tmp_path)]) == 0
+    check_kept_edge_documents(["--instance", str(tmp_path / "gap_n8_d4_s0.instance.json")], tmp_path)

@@ -529,12 +529,13 @@ def test_loaded_instance_with_uneven_base_lengths_takes_dijkstra(tmp_path, monke
     instance.save_instance(instance.build_gap_instance(x, big_l=1.5), path)
     calls = spy_on_engines(monkeypatch)
     back = instance.load_instance(path)
+    dx = extension.extension_metric(back.origin.extension)
     assert calls == ["_dijkstra_search"]
     even = sample_extension(c3, uniform_lengths(c3, 2.0), c3, uniform_lengths(c3, 0.5), seed=4)
-    instance.build_gap_instance(even, 1.5)
+    extension.extension_metric(instance.build_gap_instance(even, 1.5).origin.extension)
     assert calls == ["_dijkstra_search", "_level_search"]
     flat = extension.flatten(back.origin.extension)
-    assert back.origin.dx.tobytes() == by_engine("level", flat.graph, flat.lengths).tobytes()
+    assert dx.tobytes() == by_engine("level", flat.graph, flat.lengths).tobytes()
 
 
 def _assert_same_bytes(g, lengths):
@@ -618,6 +619,14 @@ def small_graphs_with_lengths(draw):
 @example((Graph(vertex_count=4, edges=[(0, 1), (1, 2), (2, 3)]), np.array([1.0, 1e-17, 1.0])))
 def test_level_search_matches_dijkstra_bytes_on_small_graphs(case):
     _assert_same_bytes(*case)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(small_graphs_with_lengths())
+def test_is_connected_agrees_with_the_component_list(case):
+    g, _ = case
+    assert g.is_connected() == (len(g.connected_components()) == 1)
+    assert Graph(vertex_count=0, edges=[]).is_connected()
 
 
 @st.composite

@@ -77,7 +77,7 @@ def assert_metric_methods_return(metric, want):
 
 def test_gap_terminal_metric_is_dx_plus_2l_off_a_zero_diagonal(small_gap):
     inst = small_gap.instance
-    dx, big_l = inst.origin.dx, inst.origin.big_l
+    dx, big_l = extension.extension_metric(inst.origin.extension), inst.origin.big_l
     want = dx + 2.0 * big_l
     np.fill_diagonal(want, 0.0)
     assert inst.k == 64 and inst.metric.base is dx and inst.metric.shift == 2.0 * big_l
@@ -210,7 +210,30 @@ def test_connected_extension_is_built_without_a_component_search(monkeypatch):
     monkeypatch.setattr(Graph, "connected_components", spy)
     inst = build_gap_instance(x, big_l=1.5)
     assert calls == []
-    assert np.isfinite(inst.origin.dx).all()
+    assert np.isfinite(extension.extension_metric(inst.origin.extension)).all()
+
+
+def test_gap_origin_dx_is_none_until_the_terminal_metric_is_read():
+    x = sample_extension(c3(), uniform_lengths(c3(), 1.0), c3(), uniform_lengths(c3(), 1.0), seed=5)
+    inst = build_gap_instance(x, big_l=1.5)
+    assert inst.metric.size == inst.k == 9
+    assert inst.origin.dx is None
+    base = inst.metric.base
+    assert inst.origin.dx is base and extension.extension_metric(x) is base
+
+
+@pytest.mark.parametrize("seed, parts", [(1, None), (0, "2 components of sizes 3, 3")])
+def test_a_lift_with_an_edgeless_fiber_is_searched_whole(seed, parts):
+    # A 2-lift of the triangle: the fiber is disconnected, so the flattened
+    # graph is searched; it is a 6-cycle at seed 1 and two triangles at seed 0.
+    fiber = Graph(vertex_count=2, edges=[])
+    x = sample_extension(c3(), uniform_lengths(c3(), 1.0), fiber, np.zeros(0), seed=seed)
+    if parts is None:
+        inst = build_gap_instance(x, big_l=1.0)
+        assert inst.k == 6 and extension.extension_metric(x).max() == 3.0
+    else:
+        with pytest.raises(InstanceError, match=re.escape(f"disconnected ({parts}); ")):
+            build_gap_instance(x, big_l=1.0)
 
 
 def test_instance_json_round_trip(tmp_path):

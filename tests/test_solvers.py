@@ -18,7 +18,7 @@ from conftest import (
     reference_local_search,
 )
 from zeroext import graphs, relaxation, solvers
-from zeroext.extension import sample_extension
+from zeroext.extension import extension_metric, sample_extension
 from zeroext.graphs import Graph, shortest_path_metric, uniform_lengths
 from zeroext.instance import (
     TerminalMetric,
@@ -79,7 +79,7 @@ def test_nearest_terminal_cost_formula_on_gap(small_gap):
     # Identity assignment: pendants free, each extension edge (u,v) pays
     # (D_X(u,v) + 2L) / length(u,v).
     assert np.array_equal(f[: inst.k], inst.terminals)
-    dx = inst.origin.dx
+    dx = extension_metric(inst.origin.extension)
     lengths = inst.origin.edge_lengths
     want = 0.0
     for eid in range(inst.graph.edge_count - inst.k):
