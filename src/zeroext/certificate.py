@@ -571,7 +571,9 @@ def shortest_rep_paths(x: ExtendedGraph, c: SplitCandidate) -> list[list[int]]:
         if not math.isfinite(rows[r1][r2]):
             raise CertificateError(f"representatives of edge {eid} are disconnected")
         if r1 not in trees:
-            trees[r1] = single_source_shortest_paths(flat.graph, flat.lengths, r1, rows[r1])
+            trees[r1] = single_source_shortest_paths(
+                flat.graph, flat.lengths, r1, rows[r1], flat.length_list()
+            )
         paths.append(trees[r1].path_vertices(r2))
     return paths
 

@@ -12,6 +12,12 @@ rng.integers call on that substream (the same values as one draw per step).
 Samples are therefore stable under changes of edge iteration order.  Tag:
 "pcg64-fisheryates-v2" (v2: base and fiber graphs come from one pairing and
 double-edge switchings, see `graphs.random_regular`).
+
+D_X, the shortest-path metric of the flattened extension, is cached on the
+extension as level codes (`extension_metric`): per block of 256 rows an
+ascending table of the exact distances and one code per pair, one byte
+while a block has at most 256 distinct distances and two beyond.  No k x k
+float array is built; readers decode the rows they need.
 """
 from __future__ import annotations
 
@@ -22,8 +28,9 @@ import numpy as np
 
 from .graphs import (
     Graph,
+    LevelCodes,
     _fisher_yates,
-    shortest_path_metric,
+    shortest_path_codes,
     shortest_path_rows,
     validate_lengths,
 )
@@ -58,6 +65,14 @@ class FlatExtension:
     lengths: np.ndarray
     edge_kind: np.ndarray    # 0 = intra-cloud, 1 = inter-cloud, per flat edge
     edge_origin: np.ndarray  # fiber edge id (intra) or base edge id (inter)
+    _length_list: list[float] | None = field(default=None, repr=False, compare=False)
+
+    def length_list(self) -> list[float]:
+        """`lengths` as Python floats, built once: the list that every
+        shortest-path tree over this flattening shares."""
+        if self._length_list is None:
+            self._length_list = self.lengths.tolist()
+        return self._length_list
 
 
 @dataclass
@@ -69,7 +84,7 @@ class ExtendedGraph:
     matchings: list[np.ndarray]  # per base edge id; fiber perm, tail = smaller cloud
     seed: int
     _flat: FlatExtension | None = field(default=None, repr=False, compare=False)
-    _metric: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _metric: LevelCodes | None = field(default=None, repr=False, compare=False)
 
     @property
     def cloud_count(self) -> int:
@@ -161,29 +176,32 @@ def _flat(x: ExtendedGraph) -> FlatExtension:
     return flat
 
 
-def extension_metric(x: ExtendedGraph) -> np.ndarray:
-    """D_X: the dense all-pairs shortest-path metric of the flattened extension.
+def extension_metric(x: ExtendedGraph) -> LevelCodes:
+    """D_X: the all-pairs shortest-path metric of the flattened extension,
+    as level codes (`graphs.LevelCodes`): per block of 256 rows, an
+    ascending table of the exact distances and one code per pair, one byte
+    while a block has at most 256 distinct distances and two beyond.
 
     Computed once per extension, on first call, and cached on it, read-only;
-    this is the one builder of the k x k array, for the readers that need
-    every row.  Readers of a few rows take `extension_rows`.  The gap
-    construction's two lengths take the level search (see
+    this is the one builder of all k x k pairs, for the readers that need
+    every row, and it builds no k x k float array.  Readers of a few rows
+    take `extension_rows`.  The gap construction's two lengths take the
+    level search, whose level indices are the codes (see
     `graphs.LEVEL_SEARCH_LENGTHS`); a hand-edited file's other lengths may
-    take Dijkstra, with the same floats.
+    take Dijkstra, whose floats are coded per block, with the same values.
     """
     if x._metric is None:
         flat = _flat(x)
-        x._metric = shortest_path_metric(flat.graph, flat.lengths)
-        x._metric.setflags(write=False)
+        x._metric = shortest_path_codes(flat.graph, flat.lengths)
     return x._metric
 
 
 def extension_rows(x: ExtendedGraph, sources) -> dict[int, np.ndarray]:
     """The D_X row of each distinct id in `sources`, as {source: row}, from
-    one search from those sources over the cached flattening; no k x k array
-    is built, and no search runs when `sources` is empty.  Each row equals
-    extension_metric(x)[source] byte for byte.  Rows are not cached; a caller
-    asks once for the rows it reads."""
+    one search from those sources over the cached flattening; no k x k pairs
+    are searched, and no search runs when `sources` is empty.  Each row
+    equals extension_metric(x).rows([source])[0] byte for byte.  Rows are not
+    cached; a caller asks once for the rows it reads."""
     distinct = sorted(set(sources))
     if not distinct:
         return {}

@@ -446,6 +446,14 @@ def shortest_path_metric(g: Graph, lengths: np.ndarray) -> np.ndarray:
     return shortest_path_search(g, lengths)(np.arange(g.vertex_count))
 
 
+def shortest_path_codes(g: Graph, lengths: np.ndarray) -> LevelCodes:
+    """`shortest_path_metric(g, lengths)` held as level codes: the same
+    floats, one or two bytes per pair, with no (V, V) float matrix built."""
+    n = g.vertex_count
+    blocks, _ = _engines(g, lengths, None)
+    return LevelCodes.from_blocks((n, n), blocks(np.arange(n)))
+
+
 def shortest_path_rows(g: Graph, lengths: np.ndarray, sources) -> np.ndarray:
     """Exact distances from each of `sources` as a dense (len(sources), V)
     float matrix; disconnected pairs get math.inf.  Lengths may be zero.
@@ -466,6 +474,17 @@ def shortest_path_search(g: Graph, lengths: np.ndarray, targets=None):
     every call: the search for callers that take their sources in chunks.
     Sources may be unsorted and repeated.
     """
+    return _engines(g, lengths, targets)[1]
+
+
+def _engines(g: Graph, lengths: np.ndarray, targets):
+    """(blocks, search) over one engine, picked by LEVEL_SEARCH_LENGTHS.
+
+    `blocks(sources)` yields, per ROW_BLOCK sources in order, the (codes,
+    table) pair of `LevelCodes`; `search(sources)` returns the floats.  The
+    level search yields its own level indices and decodes them for
+    `search`; Dijkstra's float rows are coded by `_code_rows`.
+    """
     lengths = validate_lengths(g, lengths, allow_zero=True)
     n = g.vertex_count
     targets = None if targets is None else _vertex_ids(n, targets, "target")
@@ -474,10 +493,27 @@ def shortest_path_search(g: Graph, lengths: np.ndarray, targets=None):
     values, cls = np.unique(lengths[keep], return_inverse=True)
     if values.size <= LEVEL_SEARCH_LENGTHS:
         classes = [(float(value), ends[keep][cls == c]) for c, value in enumerate(values)]
-        engine = _level_search(n, classes, targets)
+        level_blocks = _level_search(n, classes, targets)
+        width = n if targets is None else targets.size
+
+        def floats(sources):
+            out = np.empty((sources.size, width))
+            for s0, (codes, table) in zip(range(0, sources.size, ROW_BLOCK), level_blocks(sources)):
+                np.take(table, codes, out=out[s0 : s0 + codes.shape[0]], mode="clip")
+            return out
+
+        coded = level_blocks
     else:
-        engine = _dijkstra_search(g, lengths, targets)
-    return lambda sources: engine(_vertex_ids(n, sources, "source"))
+        floats = _dijkstra_search(g, lengths, targets)
+
+        def coded(sources):
+            for s0 in range(0, sources.size, ROW_BLOCK):
+                yield _code_rows(floats(sources[s0 : s0 + ROW_BLOCK]))
+
+    def check(engine):
+        return lambda sources: engine(_vertex_ids(n, sources, "source"))
+
+    return check(coded), check(floats)
 
 
 def _vertex_ids(n: int, ids, role: str) -> np.ndarray:
@@ -530,6 +566,11 @@ _WORD = np.dtype("<u8")
 # Sources per search, in words of 64: a block's bitsets stay in cache, and
 # the memory held besides the result stays a few MiB.
 _BLOCK_WORDS = 4
+# Rows per block of `LevelCodes`: the level search's sources per search.
+ROW_BLOCK = 64 * _BLOCK_WORDS
+# Rows `LevelCodes.rowsums` decodes at a time; a divisor of ROW_BLOCK, so
+# each chunk reads one table.
+ROWSUM_ROWS = 64
 
 
 def _level_search(n: int, classes: list[tuple[float, np.ndarray]], targets):
@@ -542,22 +583,23 @@ def _level_search(n: int, classes: list[tuple[float, np.ndarray]], targets):
     together gives the same floats.  Each vertex holds a bitset over sources;
     the pairs first reached at value F spread, one length class at a time, to
     the neighbours, queued at fl(F + l).  A pair's value is stored as the index
-    of its level in bit-planes, whose target rows are decoded after the search
-    into rows of a C-ordered matrix.  Sources are searched in blocks of
-    64 * _BLOCK_WORDS.
+    of its level in bit-planes.  Returns `blocks(sources)`, which searches
+    ROW_BLOCK sources at a time and yields each block's (codes, levels): the
+    (sources, targets) level indices, decoded from the planes' target rows,
+    and the ascending level values.
     """
     steps = [(length, _neighbour_table(n, ends)) for length, ends in classes]
     rows = slice(0, n) if targets is None else targets
+    width = n if targets is None else targets.size
 
-    def search(sources: np.ndarray) -> np.ndarray:
-        out = np.empty((sources.size, n if targets is None else targets.size))
-        for s0 in range(0, sources.size, 64 * _BLOCK_WORDS):
-            block = sources[s0 : s0 + 64 * _BLOCK_WORDS]
+    def blocks(sources: np.ndarray):
+        for s0 in range(0, sources.size, ROW_BLOCK):
+            block = sources[s0 : s0 + ROW_BLOCK]
             planes, values = _search_levels(n, steps, block)
-            _decode_levels([plane[rows] for plane in planes], values, out[s0 : s0 + block.size])
-        return out
+            codes = _level_codes([plane[rows] for plane in planes], values.size, block.size, width)
+            yield codes, values
 
-    return search
+    return blocks
 
 
 def _search_levels(n: int, steps, sources: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -577,6 +619,7 @@ def _search_levels(n: int, steps, sources: np.ndarray) -> tuple[list[np.ndarray]
     heap = [0.0]
     values: list[float] = []
     planes: list[np.ndarray] = []
+    gathered = np.empty((n, words), dtype=_WORD)
     while heap:
         f = heapq.heappop(heap)
         new = queue.pop(f)
@@ -590,13 +633,12 @@ def _search_levels(n: int, steps, sources: np.ndarray) -> tuple[list[np.ndarray]
         if not unreached.any():
             break
         for length, table in steps:
-            reach = _spread(new, table)
             target = f + length
-            if target in queue:
-                queue[target] |= reach
-            else:
-                queue[target] = reach
+            queued = queue.get(target)
+            if queued is None:
+                queued = queue[target] = np.zeros_like(new)
                 heapq.heappush(heap, target)
+            _spread(new, table, queued, gathered)
     if unreached.any():
         values.append(math.inf)
         _add_level(planes, unreached, len(values) - 1)
@@ -604,27 +646,27 @@ def _search_levels(n: int, steps, sources: np.ndarray) -> tuple[list[np.ndarray]
 
 
 def _neighbour_table(n: int, ends: np.ndarray) -> np.ndarray:
-    """(n, max degree) neighbours of each vertex over the given edges, padded
-    with n."""
+    """(max degree, n) neighbours over the given edges: row c holds each
+    vertex's c-th neighbour, or n past its degree.  Each row is contiguous,
+    for `_spread`."""
     heads = np.concatenate((ends[:, 0], ends[:, 1]))
     tails = np.concatenate((ends[:, 1], ends[:, 0]))
     order = np.argsort(heads, kind="stable")
     heads, tails = heads[order], tails[order]
     degree = np.bincount(heads, minlength=n)
-    table = np.full((n, int(degree.max(initial=0))), n, dtype=np.int64)
+    table = np.full((int(degree.max(initial=0)), n), n, dtype=np.int64)
     slot = np.arange(heads.size) - np.repeat(np.cumsum(degree) - degree, degree)
-    table[heads, slot] = tails
+    table[slot, heads] = tails
     return table
 
 
-def _spread(bits: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Row v of the result ORs the rows of `bits` at v's neighbours in `table`."""
-    out = np.zeros_like(bits)
-    gathered = np.empty_like(bits[:-1])
-    for column in table.T:
-        np.take(bits, column, axis=0, out=gathered)
+def _spread(bits: np.ndarray, table: np.ndarray, out: np.ndarray, gathered: np.ndarray) -> None:
+    """OR into row v of `out` the rows of `bits` at v's neighbours in
+    `table`, through the (n, words) buffer `gathered`.  Every entry of the
+    table is a row of `bits`, so the gather skips its bounds check."""
+    for neighbours in table:
+        bits.take(neighbours, axis=0, out=gathered, mode="clip")
         out[:-1] |= gathered
-    return out
 
 
 def _add_level(planes: list[np.ndarray], bits: np.ndarray, level: int) -> None:
@@ -636,14 +678,110 @@ def _add_level(planes: list[np.ndarray], bits: np.ndarray, level: int) -> None:
             plane |= bits
 
 
-def _decode_levels(planes: list[np.ndarray], values: np.ndarray, out: np.ndarray) -> None:
-    """out[j, t] = values[level of bit j in row t of the planes]."""
-    sources, n = out.shape
-    index = np.zeros((n, sources), dtype=np.min_scalar_type(values.size - 1))
+def _level_codes(planes: list[np.ndarray], levels: int, sources: int, targets: int) -> np.ndarray:
+    """The (sources, targets) level index of bit j in row t of the planes,
+    as a transposed view, in the least unsigned type that names `levels`.
+
+    Each byte of a plane holds the bits of 8 sources; a 256-entry table
+    spreads it to 8 codes' lanes, shifted to the plane's bit and ORed in.
+    """
+    dtype = np.dtype(f"<u{np.min_scalar_type(levels - 1).itemsize}")
+    lanes = np.zeros((256, 8), dtype=dtype)  # lane i of row v: bit i of v
+    lanes[:] = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    lanes = lanes.view(_WORD)
+    width = 8 * -(-sources // 64)  # bytes per bitset row
+    words = np.zeros((targets, width, dtype.itemsize), dtype=_WORD)
+    spread = np.empty_like(words)
+    index = np.empty((targets, width), dtype=np.intp)
     for b, plane in enumerate(planes):
-        bits = np.unpackbits(plane.view(np.uint8), axis=1, bitorder="little")
-        index |= bits[:, :sources].astype(index.dtype) << b
-    np.take(values, index.T, out=out, mode="clip")
+        np.copyto(index, plane.view(np.uint8))
+        np.take(lanes << b, index, axis=0, out=spread, mode="clip")
+        words |= spread
+    return words.view(dtype).reshape(targets, 8 * width)[:, :sources].T
+
+
+def _code_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, table) of a float block: its distinct values ascending, and
+    each entry's index among them in the least unsigned type that names them."""
+    table, inverse = np.unique(rows, return_inverse=True)
+    return inverse.reshape(rows.shape).astype(np.min_scalar_type(max(table.size - 1, 0))), table
+
+
+class LevelCodes:
+    """A float matrix as one code per entry into a table per row block.
+
+    Rows come in blocks of ROW_BLOCK; block b holds an ascending table of
+    exact float values, and entry (i, j) is tables[i // ROW_BLOCK][codes[i, j]].
+    Codes are uint8 while no table has more than 256 values, else uint16
+    (uint32 past 65,536).  The methods decode the same floats the dense
+    matrix holds; `rowsums` equals its `sum(axis=1)` byte for byte.  Read-only.
+    """
+
+    def __init__(self, codes: np.ndarray, tables: list[np.ndarray]):
+        codes.setflags(write=False)
+        for table in tables:
+            table.setflags(write=False)
+        self.codes, self.tables = codes, tables
+        self.shape = codes.shape
+        # Every table end to end, and where each block's starts in it.
+        self._flat = np.concatenate(tables) if tables else np.zeros(0)
+        self._start = np.cumsum([0] + [table.size for table in tables[:-1]])
+
+    @classmethod
+    def from_blocks(cls, shape: tuple[int, int], blocks) -> LevelCodes:
+        """From the (codes, table) pairs of the row blocks, in order."""
+        codes = np.empty(shape, dtype=np.uint8)
+        tables = []
+        for s0, (block, table) in zip(range(0, shape[0], ROW_BLOCK), blocks):
+            if block.dtype.itemsize > codes.dtype.itemsize:
+                codes = codes.astype(block.dtype)
+            codes[s0 : s0 + block.shape[0]] = block
+            tables.append(table)
+        return cls(codes, tables)
+
+    @classmethod
+    def from_matrix(cls, mat: np.ndarray) -> LevelCodes:
+        """Code a dense float matrix, block by block; -0.0 reads as 0.0."""
+        mat = np.asarray(mat, dtype=float)
+        blocks = (_code_rows(mat[s0 : s0 + ROW_BLOCK] + 0.0) for s0 in range(0, mat.shape[0], ROW_BLOCK))
+        return cls.from_blocks(mat.shape, blocks)
+
+    @property
+    def nbytes(self) -> int:
+        return self.codes.nbytes + sum(table.nbytes for table in self.tables)
+
+    def value(self, i: int, j: int) -> np.float64:
+        return self.tables[i // ROW_BLOCK][self.codes[i, j]]
+
+    def pair_values(self, ii, jj) -> np.ndarray:
+        """Entries (ii, jj), elementwise over index arrays that broadcast."""
+        ii = np.asarray(ii)
+        return self._flat[self._start[ii // ROW_BLOCK] + self.codes[ii, jj]]
+
+    def rows(self, positions: np.ndarray) -> np.ndarray:
+        """The rows at `positions`, one per entry, as a (len, columns) array."""
+        positions = np.asarray(positions, dtype=np.int64).reshape(-1)
+        out = np.empty((positions.size, self.shape[1]))
+        blocks = positions // ROW_BLOCK
+        cuts = np.flatnonzero(np.diff(blocks, prepend=-1)).tolist() + [positions.size]
+        for start, stop in zip(cuts, cuts[1:]):  # runs of positions in one row block
+            table = self.tables[blocks[start]]
+            table.take(self.codes[positions[start:stop]], out=out[start:stop], mode="clip")
+        return out
+
+    def matrix(self) -> np.ndarray:
+        return self.rows(np.arange(self.shape[0]))
+
+    def rowsums(self) -> np.ndarray:
+        """Each row's sum, decoding ROWSUM_ROWS rows at a time into one buffer."""
+        out = np.empty(self.shape[0])
+        buf = np.empty((min(ROWSUM_ROWS, self.shape[0]), self.shape[1]))
+        for s0 in range(0, self.shape[0], ROWSUM_ROWS):
+            s1 = min(s0 + ROWSUM_ROWS, self.shape[0])
+            rows = buf[: s1 - s0]
+            self.tables[s0 // ROW_BLOCK].take(self.codes[s0:s1], out=rows, mode="clip")
+            rows.sum(axis=1, out=out[s0:s1])
+        return out
 
 
 @dataclass
@@ -654,22 +792,26 @@ class ShortestPathTree:
     predecessor with the smallest vertex id wins, then the smallest edge id;
     this makes path reconstruction deterministic.  A vertex's predecessor
     depends only on its own neighbours, so it is found when a path first
-    walks back through the vertex, and cached.
+    walks back through the vertex, and cached.  `length_list` holds the
+    lengths as Python floats, which hold the same values as the array and
+    read faster; trees over the same lengths may share one.
     """
 
     graph: Graph
     lengths: np.ndarray
     source: int
     dist: np.ndarray
+    length_list: list[float] | None = field(default=None, repr=False)
     _pred: dict[int, tuple[int, int]] = field(default_factory=dict, repr=False)
-    _floats: tuple[list, list] | None = field(default=None, repr=False)
+    _dist: list[float] | None = field(default=None, repr=False)
 
     def predecessor(self, v: int) -> tuple[int, int]:
         """The (vertex, edge id) through which the canonical path reaches v."""
         if v not in self._pred:
-            # Python floats hold the same values as the arrays and read faster.
-            self._floats = self._floats or (self.dist.tolist(), self.lengths.tolist())
-            dist, lengths = self._floats
+            if self._dist is None:
+                self._dist = self.dist.tolist()
+                self.length_list = self.length_list or self.lengths.tolist()
+            dist, lengths = self._dist, self.length_list
             tol = DIST_RTOL * max(1.0, abs(dist[v]))
             tight = [
                 (u, eid)
@@ -701,12 +843,14 @@ class ShortestPathTree:
 
 
 def single_source_shortest_paths(
-    g: Graph, lengths: np.ndarray, source: int, dist: np.ndarray
+    g: Graph, lengths: np.ndarray, source: int, dist: np.ndarray, length_list: list[float] | None = None
 ) -> ShortestPathTree:
     """Canonical shortest-path tree of `source`, read from its distance row.
 
     `dist` must be the exact row `source` of shortest_path_metric(g, lengths);
     predecessors are found only along the paths that are asked for.
+    `length_list`, if given, must be lengths.tolist(); trees built with the
+    same list share it instead of each converting the lengths.
     """
     lengths = validate_lengths(g, lengths)
     n = g.vertex_count
@@ -715,7 +859,7 @@ def single_source_shortest_paths(
         raise GraphError(f"distance row has shape {dist.shape}, expected ({n},)")
     if not (0 <= source < n and dist[source] == 0.0):
         raise GraphError(f"distance row is not the row of source {source}")
-    return ShortestPathTree(graph=g, lengths=lengths, source=source, dist=dist)
+    return ShortestPathTree(graph=g, lengths=lengths, source=source, dist=dist, length_list=length_list)
 
 
 # -- expansion diagnostic -------------------------------------------------

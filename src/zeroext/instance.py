@@ -4,13 +4,16 @@ small generic instances for oracle testing.
 A gap instance doubles the extension's vertex set: every point v gets a
 pendant terminal v_T attached by an edge of weight 1/L, every extension edge
 keeps weight 1/length, and the terminal metric is the extension's shortest
-path metric plus 2L off the diagonal.  D_X is a dense k x k matrix, built
-on first access to the terminal metric's `base` by `extension_metric`, so
-only a command that reads every row builds it (`gap`, `frac`, `solve`);
-`generate` reads none, and `split` and `cert` search just the
-representatives' rows (`extension.extension_rows`).  k is capped at
-DENSE_METRIC_CAP = 4096 (n <= 64) before any sampling or shortest-path
-work.  Natural logarithm throughout.
+path metric plus 2L off the diagonal.  D_X is held as level codes
+(`graphs.LevelCodes`): per block of 256 rows an ascending table of the
+exact distances, and one code per pair, one byte while a block has at most
+256 distinct distances and two beyond (16 MiB at n = 64, against 128 MiB
+of floats).  It is built on first access to the terminal metric's `base` by
+`extension_metric`, so only a command that reads every row builds it
+(`gap`, `frac`, `solve`); `generate` reads none, and `split` and `cert`
+search just the representatives' rows (`extension.extension_rows`).  k is
+capped at DENSE_METRIC_CAP = 4096 (n <= 64) before any sampling or
+shortest-path work.  Natural logarithm throughout.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ from . import __version__
 from .extension import RNG_SCHEME, ExtendedGraph, extension_metric, flatten, sample_extension
 from .graphs import (
     Graph,
+    LevelCodes,
     check_girth_floor,
     expansion_estimate,
     random_regular,
@@ -32,7 +36,7 @@ from .graphs import (
     validate_lengths,
 )
 
-DENSE_METRIC_CAP = 4096  # largest k of a gap instance: D_X is a dense k x k matrix
+DENSE_METRIC_CAP = 4096  # largest k of a gap instance: D_X holds all k x k pairs
 METRIC_RTOL = 1e-9
 
 
@@ -88,48 +92,51 @@ class TerminalMetric:
     validated matrix and shift = 0.  Fractional solutions are edge lengths
     instead (see `relaxation`).
 
-    `base` is the size x size array, or a function that returns it, called
-    on the first access to `base` and then held: a gap instance passes
-    `extension_metric` of its extension with size k, so D_X is built only
-    when some method reads it.
+    `base` is held as `graphs.LevelCodes`, which decode the same floats as
+    the dense matrix.  It is given as a size x size array, coded here, or
+    as a function that returns the codes, called on the first access to
+    `base` and then held: a gap instance passes `extension_metric` of its
+    extension with size k, so D_X is built only when some method reads it.
     """
 
     def __init__(self, base, shift: float = 0.0, size: int | None = None):
         if callable(base):
             self._base, self._build, self.size = None, base, int(size)
         else:
-            self._base, self._build = np.asarray(base, dtype=float), None
+            self._base, self._build = LevelCodes.from_matrix(base), None
             self.size = self._base.shape[0]
         self.shift = float(shift)
 
     @property
-    def base(self) -> np.ndarray:
+    def base(self) -> LevelCodes:
         if self._base is None:
             self._base = self._build()
         return self._base
 
     def value(self, i, j):
-        return float(self.base[i, j] + (self.shift if i != j else 0.0))
+        return float(self.base.value(i, j) + (self.shift if i != j else 0.0))
 
     def pair_values(self, ii, jj):
         """Distances D(ii, jj), elementwise over index arrays that broadcast
         like numpy operands."""
         ii = np.asarray(ii)
         jj = np.asarray(jj)
-        return self.base[ii, jj] + self.shift * (ii != jj)
+        return self.base.pair_values(ii, jj) + self.shift * (ii != jj)
 
     def rows(self, positions: np.ndarray) -> np.ndarray:
         """The rows at `positions`, one per entry, as a (len, size) array."""
-        rows = self.base[positions]
+        rows = self.base.rows(positions)
+        at = np.arange(positions.size), positions
+        diagonal = rows[at]
         rows += self.shift
-        rows[np.arange(positions.size), positions] = self.base[positions, positions]
+        rows[at] = diagonal
         return rows
 
     def matrix(self):
         return self.rows(np.arange(self.size))
 
     def rowsums(self):
-        return self.base.sum(axis=1) + self.shift * (self.size - 1)
+        return self.base.rowsums() + self.shift * (self.size - 1)
 
 
 def validate_semimetric(mat: np.ndarray, rtol: float = METRIC_RTOL) -> None:
@@ -182,9 +189,10 @@ class GapOrigin:
     edge_lengths: np.ndarray  # per instance-graph edge: extension lengths then L
 
     @property
-    def dx(self) -> np.ndarray | None:
-        """The cached k x k D_X once a reader has built it, else None: reading
-        it builds nothing.  `extension_metric(self.extension)` builds it."""
+    def dx(self) -> LevelCodes | None:
+        """The cached D_X codes once a reader has built them, else None:
+        reading it builds nothing.  `extension_metric(self.extension)` builds
+        them; their `nbytes` is what D_X holds."""
         return self.extension._metric
 
 

@@ -10,7 +10,14 @@ from __future__ import annotations
 import numpy as np
 
 from .extension import extension_metric
-from .graphs import Graph, _fisher_yates, shortest_path_rows, shortest_path_search
+from .graphs import (
+    ROW_BLOCK,
+    Graph,
+    LevelCodes,
+    _fisher_yates,
+    shortest_path_rows,
+    shortest_path_search,
+)
 from .instance import ZeroExtInstance
 from .relaxation import check_lengths, fractional_cost, induced_semimetric
 
@@ -135,10 +142,14 @@ def ckr_rounds(inst: ZeroExtInstance, lengths: np.ndarray, seeds) -> list[np.nda
     Each seed draws its r and then its permutation exactly as `ckr_round`
     does.  The distances are read in blocks of at most CKR_SLAB_PAIRS
     entries and every block serves all draws (see `_first_hits`).  For a gap
-    instance's canonical lengths, d(x, t_j) = D_X[x, j] + L is read from the
-    cached D_X in contiguous row blocks, and A_x = L exactly: D_X[x, x] = 0,
-    fl(0 + L) = L, and every other entry is at least L.  Other lengths
-    search the graph from the terminals, in chunks over one adjacency,
+    instance's canonical lengths, d(x, t_j) = fl(D_X[x, j] + L) and
+    A_x = L exactly: D_X[x, x] = 0, fl(0 + L) = L, and every other entry is
+    at least L.  So x hits t_j when fl(D_X[x, j] + L) <= fl(r L).  As
+    fl(v + L) rises with v, the values of a row block's D_X table (see
+    `graphs.LevelCodes`) that pass form a prefix, which holds the block's
+    0.0 at least; the hits are the codes below its length, compared in
+    contiguous row blocks with no float formed.  Other lengths search the
+    graph from the terminals, in chunks over one adjacency,
     twice: once for every A_u and once for the hits, so at most 2k sources
     whatever the number of draws (k when one chunk holds every terminal,
     searched once).
@@ -162,15 +173,15 @@ def ckr_rounds(inst: ZeroExtInstance, lengths: np.ndarray, seeds) -> list[np.nda
         # Non-terminals are the extension points 0..k-1 and terminal
         # position j is column j of D_X.
         dx, big_l = extension_metric(inst.origin.extension), inst.origin.big_l
+        passed = [[np.count_nonzero(table + big_l <= r * big_l) for table in dx.tables] for r in rs]
+        last = (np.array(passed) - 1).astype(dx.codes.dtype)  # per draw and row block
         rows = max(1, CKR_SLAB_PAIRS // k)
-        slab_buf = np.empty((min(rows, k), k))
         keep_buf = np.empty((min(rows, k), k), dtype=bool)
         cols = np.arange(k)
-        a = np.full(min(rows, k), big_l)
         for start in range(0, k, rows):
             stop = min(start + rows, k)
-            slab = np.add(dx[start:stop], big_l, out=slab_buf[: stop - start])
-            _first_hits(slab, a[: stop - start], cols, rs, ranks, first[:, start:stop],
+            limits = last[:, np.arange(start, stop) // ROW_BLOCK]
+            _first_hits(dx.codes[start:stop], limits, cols, ranks, first[:, start:stop],
                         keep=keep_buf[: stop - start])
     else:
         chunk = max(1, CKR_SLAB_PAIRS // max(1, inst.vertex_count))
@@ -184,8 +195,9 @@ def ckr_rounds(inst: ZeroExtInstance, lengths: np.ndarray, seeds) -> list[np.nda
         a = np.full(nonterms.size, np.inf)
         for _, dist in one_chunk or from_terminals():
             np.minimum(a, dist.min(axis=0), out=a)
+        limits = np.multiply.outer(rs, a)
         for start, dist in one_chunk or from_terminals():
-            _first_hits(dist.T, a, np.arange(start, start + dist.shape[0]), rs, ranks, first)
+            _first_hits(dist.T, limits, np.arange(start, start + dist.shape[0]), ranks, first)
 
     out = []
     for perm, hit in zip(perms, first):
@@ -196,22 +208,21 @@ def ckr_rounds(inst: ZeroExtInstance, lengths: np.ndarray, seeds) -> list[np.nda
     return out
 
 
-def _first_hits(block, a, cols, rs, ranks, first, keep=None) -> None:
+def _first_hits(block, limits, cols, ranks, first, keep=None) -> None:
     """Lower first[d, u] to the least ranks[d, cols[j]] over the entries
-    block[u, j] <= rs[d] * a[u]: each draw's first hit in its permutation
+    block[u, j] <= limits[d, u]: each draw's first hit in its permutation
     order, for every draw d from one comparison of the block.
 
-    That comparison, against max(rs) * a[u], keeps a superset of every
-    draw's hits: float multiplication rounds monotonically, so
-    fl(r * a) <= fl(max(rs) * a) whenever r <= max(rs).  Each draw then
-    applies its own comparison to the survivors only.  `keep`, if given, is
-    a boolean buffer shaped like the block.
+    That comparison, against the largest limit of each row, keeps a
+    superset of every draw's hits; each draw then applies its own
+    comparison to the survivors only.  `keep`, if given, is a boolean
+    buffer shaped like the block.
     """
-    keep = np.less_equal(block, max(rs) * a[:, None], out=keep)
-    u, j = np.nonzero(keep)
+    keep = np.less_equal(block, limits.max(axis=0)[:, None], out=keep)
+    u, j = np.divmod(np.flatnonzero(keep), block.shape[1])
     vals = block[u, j]
-    for d, r in enumerate(rs):
-        hit = vals <= r * a[u]
+    for d, limit in enumerate(limits):
+        hit = vals <= limit[u]
         np.minimum.at(first[d], u[hit], ranks[d, cols[j[hit]]])
 
 
@@ -311,7 +322,8 @@ def local_search(inst: ZeroExtInstance, f: np.ndarray, max_rounds: int = 100) ->
     Survivors meet a screen that prices vertices in blocks of at most
     CKR_SLAB_PAIRS (vertex, terminal) entries from A and W, without forming
     the k x k D = B + s off the diagonal (see `TerminalMetric`):
-    c~ = (A @ B + s W) - s A.  All terms are nonnegative, so every sum
+    c~ = (A @ B + s W) - s A, where A @ B reads only the rows of B at the
+    labels present in the block.  All terms are nonnegative, so every sum
     carries the usual gamma_m relative bound; only the last subtraction can
     cancel, and it is exact when the neighbours carry r_v = 1 label.  So
 
@@ -335,7 +347,7 @@ def local_search(inst: ZeroExtInstance, f: np.ndarray, max_rounds: int = 100) ->
     order = np.argsort(inst.terminals, kind="stable")
     in_id_order = bool(np.all(order == np.arange(k)))
     terminals_by_id = inst.terminals[order]
-    base, shift = inst.metric.base, inst.metric.shift
+    shift = inst.metric.shift
     fi = inst.term_index[f]
 
     def price(v: int) -> tuple[float, float, int]:
@@ -357,7 +369,7 @@ def local_search(inst: ZeroExtInstance, f: np.ndarray, max_rounds: int = 100) ->
         a.sum_duplicates()  # A: one entry per (vertex, label)
         labels = np.diff(a.indptr)
         w = np.add.reduceat(a.data, a.indptr[:-1])
-        approx = a @ base
+        approx = _times_label_rows(a, inst.metric.base)
         approx += (shift * w)[:, None]
         approx[np.repeat(np.arange(vs.size), labels), a.indices] -= shift * a.data
         cur = approx[np.arange(vs.size), fi[vs]]
@@ -394,6 +406,16 @@ def local_search(inst: ZeroExtInstance, f: np.ndarray, max_rounds: int = 100) ->
         touched = nbr[lo[v] : lo[v + 1]]
         stale = np.union1d(touched[inst.term_index[touched] < 0], [v])
     return f
+
+
+def _times_label_rows(a, base: LevelCodes) -> np.ndarray:
+    """The dense product a @ base of a CSR matrix and the decoded codes,
+    reading only the rows of base at the columns a uses.  Those columns are
+    renumbered in order, so each row adds the same terms in the same order."""
+    from scipy.sparse import csr_matrix
+
+    present, column = np.unique(a.indices, return_inverse=True)
+    return csr_matrix((a.data, column, a.indptr), shape=(a.shape[0], present.size)) @ base.rows(present)
 
 
 def _incidence(inst: ZeroExtInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -184,7 +184,7 @@ def build_split_candidate(
     def tree_for(source: int):
         if source not in trees:
             trees[source] = single_source_shortest_paths(
-                flat.graph, flat.lengths, source, rows[source]
+                flat.graph, flat.lengths, source, rows[source], flat.length_list()
             )
         return trees[source]
 

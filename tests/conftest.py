@@ -256,7 +256,7 @@ def reference_ckr_round(inst, lengths, seed: int) -> np.ndarray:
     n = inst.vertex_count
     if inst.is_gap and np.array_equal(lengths, inst.origin.edge_lengths):
         to_term = np.zeros((n, inst.k))
-        to_term[: inst.k] = extension.extension_metric(inst.origin.extension) + inst.origin.big_l
+        to_term[: inst.k] = extension.extension_metric(inst.origin.extension).matrix() + inst.origin.big_l
     else:
         to_term = graph_fw(inst.graph, lengths)[:, inst.terminals]
     bound = r * to_term.min(axis=1)

@@ -460,7 +460,7 @@ def test_self_loop_r_edge_round_trip():
     v3 = traverse_inter(x, lookup[(0, 2)], v2)
     assert v3 // x.fiber_size == 0 and v3 != v0
     flat = flatten(x)
-    tree = single_source_shortest_paths(flat.graph, flat.lengths, v3, extension_metric(x)[v3])
+    tree = single_source_shortest_paths(flat.graph, flat.lengths, v3, extension_metric(x).rows([v3])[0])
     intra_walk = tree.path_vertices(v0)
     assert all(u // x.fiber_size == 0 for u in intra_walk)
     walks = [intra_walk, [v0, v1, v2, v3]]

@@ -100,7 +100,7 @@ def test_generate_split_and_cert_build_no_dense_extension_metric(tmp_path, monke
     def refuse(*args):
         raise AssertionError("built the dense D_X")
 
-    monkeypatch.setattr(extension, "shortest_path_metric", refuse)
+    monkeypatch.setattr(extension, "shortest_path_codes", refuse)
     kept = ["--epsilon", "0.1", "--alpha", "1e9", "--threshold", "0.9"]
     assert cli.main(["generate", "--n", "24", "--seed", "0", "--out", str(tmp_path)]) == 0
     for source in (["--n", "24", "--seed", "0"], ["--instance", str(tmp_path / "gap_n24_d4_s0.instance.json")]):
@@ -113,15 +113,37 @@ def test_generate_split_and_cert_build_no_dense_extension_metric(tmp_path, monke
 def test_a_gap_row_builds_the_extension_metric_once(tmp_path, monkeypatch):
     # Shared by the row sums of all_to_one, the CKR draws and local_search.
     calls = []
-    real = extension.shortest_path_metric
+    real = extension.shortest_path_codes
 
     def counted(g, lengths):
         calls.append(g.vertex_count)
         return real(g, lengths)
 
-    monkeypatch.setattr(extension, "shortest_path_metric", counted)
+    monkeypatch.setattr(extension, "shortest_path_codes", counted)
     assert cli.main(["gap", "--n", "8", "--seeds", "0", "--jobs", "1", "--out", str(tmp_path)]) == 0
     assert calls == [64]
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_an_n64_gap_row_peaks_below_110_mib(tmp_path):
+    # D_X is held as one-byte level codes (16 MiB at k = 4096) and no reader
+    # forms the k x k float matrix, which alone would take 128 MiB.  The
+    # row's process reads its own peak as VmHWM: on Linux its ru_maxrss
+    # also carries the peak of the process that started it.
+    script = tmp_path / "peak.py"
+    script.write_text(textwrap.dedent(f"""\
+        import re
+        from zeroext import cli
+        assert cli.main(["gap", "--n", "64", "--seeds", "0", "--jobs", "1", "--out", {str(tmp_path)!r}]) == 0
+        with open("/proc/self/status") as fh:
+            print("peak_kib", re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1))
+    """))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=300, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    peak_kib = int(done.stdout.split("peak_kib")[-1])
+    assert peak_kib < 110 * 1024, peak_kib
 
 
 def test_a_row_that_raises_in_a_worker_exits_2_naming_the_error(monkeypatch, tmp_path, capsys):

@@ -176,7 +176,9 @@ def test_cached_extension_metric_is_read_only(base_lengths):
     dx = extension.extension_metric(x)
     assert extension.extension_metric(x) is dx
     with pytest.raises(ValueError, match="read-only"):
-        dx[0, 1] = 0.0
+        dx.codes[0, 1] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        dx.tables[0][0] = 1.0
 
 
 @st.composite
@@ -199,14 +201,15 @@ def extensions_with_sources(draw):
 def test_extension_rows_are_rows_of_the_extension_metric_byte_for_byte(case):
     x, sources = case
     before = extension.extension_rows(x, sources)
-    assert x._metric is None  # searched from the sources, with no k x k array
+    assert x._metric is None  # searched from the sources, with no k x k pairs
     dx = extension.extension_metric(x)
     after = extension.extension_rows(x, sources)
     for rows in (before, after):
         assert sorted(rows) == sorted(set(sources))
         for s in sources:
-            assert rows[s].dtype == dx.dtype and rows[s].shape == (x.vertex_count,)
-            assert rows[s].tobytes() == dx[s].tobytes()
+            want = dx.rows(np.array([s]))[0]
+            assert rows[s].dtype == want.dtype and rows[s].shape == (x.vertex_count,)
+            assert rows[s].tobytes() == want.tobytes()
 
 
 def test_traverse_inter_errors():

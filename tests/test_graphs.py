@@ -385,14 +385,27 @@ def test_trees_from_extension_metric_match_heap_oracle(n):
     for seed in range(3):
         x = instance.default_gap_instance(n, 4, seed).extension
         flat = extension.flatten(x)
-        _assert_trees_match_oracle(flat.graph, flat.lengths, extension.extension_metric(x))
+        _assert_trees_match_oracle(flat.graph, flat.lengths, extension.extension_metric(x).matrix())
 
 
 def test_trees_from_extension_metric_match_heap_oracle_cayley():
     for seed in range(3):
         x, _ = cayley_setup(seed)
         flat = extension.flatten(x)
-        _assert_trees_match_oracle(flat.graph, flat.lengths, extension.extension_metric(x))
+        _assert_trees_match_oracle(flat.graph, flat.lengths, extension.extension_metric(x).matrix())
+
+
+def test_trees_over_one_flattening_share_its_length_list():
+    x = instance.default_gap_instance(8, 4, 0).extension
+    flat = extension.flatten(x)
+    shared = flat.length_list()
+    assert flat.length_list() is shared and shared == flat.lengths.tolist()
+    dist = shortest_path_metric(flat.graph, flat.lengths)
+    for s in (0, 17, 63):
+        tree = single_source_shortest_paths(flat.graph, flat.lengths, s, dist[s], shared)
+        alone = single_source_shortest_paths(flat.graph, flat.lengths, s, dist[s])
+        assert [tree.path_edges(t) for t in range(64)] == [alone.path_edges(t) for t in range(64)]
+        assert tree.length_list is shared
 
 
 def test_tree_finds_predecessors_only_along_asked_paths():
@@ -529,7 +542,7 @@ def test_loaded_instance_with_uneven_base_lengths_takes_dijkstra(tmp_path, monke
     instance.save_instance(instance.build_gap_instance(x, big_l=1.5), path)
     calls = spy_on_engines(monkeypatch)
     back = instance.load_instance(path)
-    dx = extension.extension_metric(back.origin.extension)
+    dx = extension.extension_metric(back.origin.extension).matrix()
     assert calls == ["_dijkstra_search"]
     even = sample_extension(c3, uniform_lengths(c3, 2.0), c3, uniform_lengths(c3, 0.5), seed=4)
     extension.extension_metric(instance.build_gap_instance(even, 1.5).origin.extension)
@@ -553,7 +566,7 @@ def test_level_search_matches_dijkstra_bytes_on_gap_extensions(n, d):
         x = instance.default_gap_instance(n, d, seed, girth_floor=3).extension
         flat = extension.flatten(x)
         _assert_same_bytes(flat.graph, flat.lengths)
-        assert extension.extension_metric(x).tobytes() == by_engine("level", flat.graph, flat.lengths).tobytes()
+        assert extension.extension_metric(x).matrix().tobytes() == by_engine("level", flat.graph, flat.lengths).tobytes()
 
 
 @pytest.mark.parametrize("n, d", [(4, 3), (8, 4), (16, 4)])
@@ -593,6 +606,75 @@ def test_level_search_sizes_the_level_index_to_the_level_count():
     lengths = np.random.default_rng(2).random(g.edge_count) + 0.5
     assert np.unique(shortest_path_metric(g, lengths)).size > 256
     _assert_same_bytes(g, lengths)
+
+
+# -- level codes: D_X as one code per pair into a table per row block ---------------
+
+
+def codes_by_engine(engine: str, g, lengths) -> graphs.LevelCodes:
+    """The coded all-pairs distances with the rule forced to one engine."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "LEVEL_SEARCH_LENGTHS", math.inf if engine == "level" else -1)
+        return graphs.shortest_path_codes(g, lengths)
+
+
+def path_with_three_lengths(m: int, phase: int = 0):
+    """A path on m vertices whose lengths cycle through 1, sqrt(2) and pi: a
+    256-source block of it sees more than 256 distinct distances once m is
+    a few hundred."""
+    g = Graph(vertex_count=m, edges=[(v, v + 1) for v in range(m - 1)])
+    return g, np.roll(np.resize([1.0, math.sqrt(2.0), math.pi], m - 1), phase)
+
+
+def assert_codes_decode(codes: graphs.LevelCodes, want: np.ndarray) -> None:
+    """Every reader of the codes returns the dense matrix's floats, byte for
+    byte, and the codes are as narrow as the widest table allows."""
+    k = want.shape[0]
+    assert codes.shape == want.shape
+    assert codes.matrix().tobytes() == want.tobytes()
+    assert codes.rowsums().tobytes() == want.sum(axis=1).tobytes()
+    rng = np.random.default_rng(k)
+    rows = rng.integers(0, k, 2 * k)
+    assert codes.rows(rows).tobytes() == want[rows].tobytes()
+    ii, jj = rows[:, None], rng.permutation(k)[None, :]
+    assert codes.pair_values(ii, jj).tobytes() == want[ii, jj].tobytes()
+    assert all(codes.value(i, j) == want[i, j] for i, j in zip(rows.tolist(), rows[::-1].tolist()))
+    assert all(np.all(np.diff(table) > 0) for table in codes.tables)
+    widest = max(table.size for table in codes.tables)
+    assert codes.codes.dtype == np.min_scalar_type(widest - 1)
+    assert codes.nbytes == codes.codes.nbytes + sum(table.nbytes for table in codes.tables)
+
+
+@st.composite
+def graphs_for_codes(draw):
+    """The flattening of a gap extension on 4..24 clouds (k up to 576, three
+    row blocks), or a path with three lengths on up to 400 vertices."""
+    if draw(st.booleans()):
+        n = draw(st.integers(4, 24))
+        x = instance.default_gap_instance(n, 3 if n % 2 == 0 else 4, draw(st.integers(0, 9)), girth_floor=3).extension
+        flat = extension.flatten(x)
+        return flat.graph, flat.lengths
+    return path_with_three_lengths(draw(st.integers(2, 400)), draw(st.integers(0, 2)))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(graphs_for_codes())
+@example(path_with_three_lengths(400))
+def test_level_codes_decode_the_dense_metric_byte_for_byte_on_both_engines(case):
+    g, lengths = case
+    want = shortest_path_metric(g, lengths)
+    for engine in ("level", "dijkstra"):
+        assert_codes_decode(codes_by_engine(engine, g, lengths), want)
+    assert_codes_decode(graphs.LevelCodes.from_matrix(want), want)
+
+
+def test_a_row_block_of_more_than_256_levels_takes_two_byte_codes():
+    g, lengths = path_with_three_lengths(400)
+    want = shortest_path_metric(g, lengths)
+    for engine in ("level", "dijkstra"):
+        codes = codes_by_engine(engine, g, lengths)
+        assert codes.codes.dtype == np.uint16 and max(t.size for t in codes.tables) > 256
+        assert_codes_decode(codes, want)
 
 
 @st.composite

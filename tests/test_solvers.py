@@ -79,7 +79,7 @@ def test_nearest_terminal_cost_formula_on_gap(small_gap):
     # Identity assignment: pendants free, each extension edge (u,v) pays
     # (D_X(u,v) + 2L) / length(u,v).
     assert np.array_equal(f[: inst.k], inst.terminals)
-    dx = extension_metric(inst.origin.extension)
+    dx = extension_metric(inst.origin.extension).matrix()
     lengths = inst.origin.edge_lengths
     want = 0.0
     for eid in range(inst.graph.edge_count - inst.k):
@@ -279,6 +279,22 @@ def test_ckr_block_edges_match_reference(monkeypatch, slab):
     assert ckr_rounds(inst, lengths, []) == []
 
 
+@pytest.mark.parametrize("slab", [solvers.CKR_SLAB_PAIRS, 576 * 100])
+def test_ckr_code_thresholds_match_reference_across_row_blocks(monkeypatch, slab):
+    # k = 576: the D_X codes span three row blocks, each with its own table,
+    # and slab rows of 100 straddle their edges.  The same floats held in
+    # two-byte codes give the same draws.
+    monkeypatch.setattr(solvers, "CKR_SLAB_PAIRS", slab)
+    inst = default_gap_instance(24, 4, 0).instance
+    lengths, _ = canonical_fractional(inst)
+    x = inst.origin.extension
+    dx = extension_metric(x)
+    assert len(dx.tables) == 3 and dx.codes.dtype == np.uint8
+    _assert_ckr_matches_reference(inst, lengths, range(6))
+    x._metric = graphs.LevelCodes(dx.codes.astype(np.uint16), list(dx.tables))
+    _assert_ckr_matches_reference(inst, lengths, range(6))
+
+
 @pytest.mark.parametrize("slab", [solvers.CKR_SLAB_PAIRS, 100])
 @pytest.mark.parametrize("draws", [1, 3, 8])
 def test_ckr_rounds_search_from_the_terminals_only(monkeypatch, slab, draws):
@@ -318,7 +334,7 @@ def test_first_hits_bound_is_inclusive_per_draw():
     block = np.array([[at, np.nextafter(at, np.inf), np.nextafter(r2 * a, np.inf)]])
     ranks = np.array([[2, 1, 0], [2, 1, 0]])
     first = np.full((2, 1), 3)
-    solvers._first_hits(block, np.array([a]), np.arange(3), [r1, r2], ranks, first)
+    solvers._first_hits(block, np.multiply.outer([r1, r2], [a]), np.arange(3), ranks, first)
     assert first[:, 0].tolist() == [2, 1]  # r1 takes only column 0; r2 also column 1
 
 
@@ -334,7 +350,8 @@ def test_first_hits_max_r_filter_keeps_every_smaller_r_hit(a, r1, r2):
     lo, hi = sorted((r1, r2))
     block = np.array([[lo * a]])
     first = np.full((2, 1), 1)
-    solvers._first_hits(block, np.array([a]), np.arange(1), [hi, lo], np.zeros((2, 1), dtype=np.int64), first)
+    limits = np.multiply.outer([hi, lo], [a])
+    solvers._first_hits(block, limits, np.arange(1), np.zeros((2, 1), dtype=np.int64), first)
     assert first[:, 0].tolist() == [0, 0]
 
 
@@ -592,6 +609,23 @@ def clustered_labeling(rng, inst) -> np.ndarray:
     f[inst.term_index < 0] = rng.choice(rng.choice(inst.terminals, size=int(rng.integers(1, 4))),
                                         size=int(np.count_nonzero(inst.term_index < 0)))
     return f
+
+
+def test_screen_product_over_the_label_rows_equals_the_dense_product_byte_for_byte():
+    # The pricing screen's A @ B decodes only the rows of D_X at the labels
+    # present; renumbering A's columns in order keeps every sum's terms and
+    # their order, so the floats match the product with the dense D_X.
+    from scipy.sparse import csr_matrix
+
+    dx = extension_metric(default_gap_instance(24, 4, 0).extension)
+    dense = dx.matrix()
+    rng = np.random.default_rng(12)
+    for rows, spread in ((1, 576), (7, 40), (64, 576)):
+        entries = int(rng.integers(1, 6 * rows))
+        ij = (rng.integers(0, rows, entries), rng.integers(0, spread, entries) * (576 // spread))
+        a = csr_matrix((rng.random(entries) * 3.0, ij), shape=(rows, 576))
+        a.sum_duplicates()
+        assert solvers._times_label_rows(a, dx).tobytes() == (a @ dense).tobytes()
 
 
 def test_label_screen_drops_only_vertices_that_cannot_gain():
