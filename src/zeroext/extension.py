@@ -17,7 +17,9 @@ D_X, the shortest-path metric of the flattened extension, is cached on the
 extension as level codes (`extension_metric`): per block of 256 rows an
 ascending table of the exact distances and one code per pair, one byte
 while a block has at most 256 distinct distances and two beyond.  No k x k
-float array is built; readers decode the rows they need.
+float array is built; readers decode the rows they need.  A reader that
+takes every row once streams them instead (`extension_blocks`), and one
+that needs a few rows searches just those (`extension_rows`).
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from .graphs import (
     Graph,
     LevelCodes,
     _fisher_yates,
+    shortest_path_blocks,
     shortest_path_codes,
     shortest_path_rows,
     validate_lengths,
@@ -183,9 +186,10 @@ def extension_metric(x: ExtendedGraph) -> LevelCodes:
     while a block has at most 256 distinct distances and two beyond.
 
     Computed once per extension, on first call, and cached on it, read-only;
-    this is the one builder of all k x k pairs, for the readers that need
-    every row, and it builds no k x k float array.  Readers of a few rows
-    take `extension_rows`.  The gap construction's two lengths take the
+    this is the one builder of all k x k pairs, for the readers that return
+    to rows at random, and it builds no k x k float array.  A reader that
+    takes every row once takes `extension_blocks`, and readers of a few
+    rows take `extension_rows`.  The gap construction's two lengths take the
     level search, whose level indices are the codes (see
     `graphs.LEVEL_SEARCH_LENGTHS`); a hand-edited file's other lengths may
     take Dijkstra, whose floats are coded per block, with the same values.
@@ -194,6 +198,19 @@ def extension_metric(x: ExtendedGraph) -> LevelCodes:
         flat = _flat(x)
         x._metric = shortest_path_codes(flat.graph, flat.lengths)
     return x._metric
+
+
+def extension_blocks(x: ExtendedGraph):
+    """D_X in row blocks, for a reader that takes every row once: per block
+    of 256 rows, the (codes, table) pair of `LevelCodes`.  These are the
+    cached codes' blocks once `extension_metric` has built them; otherwise
+    the search over the cached flattening runs one block at a time as the
+    reader takes it, and nothing is cached (see `graphs.shortest_path_blocks`).
+    """
+    if x._metric is not None:
+        return x._metric.blocks()
+    flat = _flat(x)
+    return shortest_path_blocks(flat.graph, flat.lengths, np.arange(flat.graph.vertex_count))
 
 
 def extension_rows(x: ExtendedGraph, sources) -> dict[int, np.ndarray]:

@@ -450,8 +450,20 @@ def shortest_path_codes(g: Graph, lengths: np.ndarray) -> LevelCodes:
     """`shortest_path_metric(g, lengths)` held as level codes: the same
     floats, one or two bytes per pair, with no (V, V) float matrix built."""
     n = g.vertex_count
-    blocks, _ = _engines(g, lengths, None)
-    return LevelCodes.from_blocks((n, n), blocks(np.arange(n)))
+    return LevelCodes.from_blocks((n, n), shortest_path_blocks(g, lengths, np.arange(n)))
+
+
+def shortest_path_blocks(g: Graph, lengths: np.ndarray, sources, targets=None):
+    """The distances from `sources` to `targets` (all vertices when None) in
+    row blocks: per ROW_BLOCK sources in order, the (codes, table) pair of
+    one `LevelCodes` block, whose decoded rows are
+    `shortest_path_search(g, lengths, targets)` of those sources.
+
+    The engine and the ids are checked, and the engine built, on this call;
+    each block is searched when the reader takes it, so a reader that
+    reduces each block before taking the next holds one block at a time.
+    """
+    return _engines(g, lengths, targets)[0](sources)
 
 
 def shortest_path_rows(g: Graph, lengths: np.ndarray, sources) -> np.ndarray:
@@ -568,9 +580,10 @@ _WORD = np.dtype("<u8")
 _BLOCK_WORDS = 4
 # Rows per block of `LevelCodes`: the level search's sources per search.
 ROW_BLOCK = 64 * _BLOCK_WORDS
-# Rows `LevelCodes.rowsums` decodes at a time; a divisor of ROW_BLOCK, so
-# each chunk reads one table.
-ROWSUM_ROWS = 64
+# Rows that a reader of whole row blocks (`LevelCodes.rowsums`,
+# `relaxation.is_feasible`) decodes at a time into a reused buffer; a divisor
+# of ROW_BLOCK, so each chunk reads one table.
+DECODE_ROWS = 64
 
 
 def _level_search(n: int, classes: list[tuple[float, np.ndarray]], targets):
@@ -772,12 +785,18 @@ class LevelCodes:
     def matrix(self) -> np.ndarray:
         return self.rows(np.arange(self.shape[0]))
 
+    def blocks(self):
+        """The (codes, table) pair of each row block, in order: views of the
+        held codes, as `shortest_path_blocks` yields them."""
+        starts = range(0, self.shape[0], ROW_BLOCK)
+        return ((self.codes[s0 : s0 + ROW_BLOCK], table) for s0, table in zip(starts, self.tables))
+
     def rowsums(self) -> np.ndarray:
-        """Each row's sum, decoding ROWSUM_ROWS rows at a time into one buffer."""
+        """Each row's sum, decoding DECODE_ROWS rows at a time into one buffer."""
         out = np.empty(self.shape[0])
-        buf = np.empty((min(ROWSUM_ROWS, self.shape[0]), self.shape[1]))
-        for s0 in range(0, self.shape[0], ROWSUM_ROWS):
-            s1 = min(s0 + ROWSUM_ROWS, self.shape[0])
+        buf = np.empty((min(DECODE_ROWS, self.shape[0]), self.shape[1]))
+        for s0 in range(0, self.shape[0], DECODE_ROWS):
+            s1 = min(s0 + DECODE_ROWS, self.shape[0])
             rows = buf[: s1 - s0]
             self.tables[s0 // ROW_BLOCK].take(self.codes[s0:s1], out=rows, mode="clip")
             rows.sum(axis=1, out=out[s0:s1])

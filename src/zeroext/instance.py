@@ -9,23 +9,31 @@ path metric plus 2L off the diagonal.  D_X is held as level codes
 exact distances, and one code per pair, one byte while a block has at most
 256 distinct distances and two beyond (16 MiB at n = 64, against 128 MiB
 of floats).  It is built on first access to the terminal metric's `base` by
-`extension_metric`, so only a command that reads every row builds it
-(`gap`, `frac`, `solve`); `generate` reads none, and `split` and `cert`
-search just the representatives' rows (`extension.extension_rows`).  k is
-capped at DENSE_METRIC_CAP = 4096 (n <= 64) before any sampling or
-shortest-path work.  Natural logarithm throughout.
+`extension_metric`, so only a command whose readers return to rows at
+random builds it (`gap`, `solve`).  `frac`'s feasibility check reads every
+row once and streams them (`TerminalMetric.blocks`), `generate` reads
+none, and `split` and `cert` search just the representatives' rows
+(`extension.extension_rows`).  k is capped at DENSE_METRIC_CAP = 4096
+(n <= 64) before any sampling or shortest-path work.  Natural logarithm
+throughout.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .extension import RNG_SCHEME, ExtendedGraph, extension_metric, flatten, sample_extension
+from .extension import (
+    RNG_SCHEME,
+    ExtendedGraph,
+    extension_blocks,
+    extension_metric,
+    flatten,
+    sample_extension,
+)
 from .graphs import (
     Graph,
     LevelCodes,
@@ -93,25 +101,33 @@ class TerminalMetric:
     instead (see `relaxation`).
 
     `base` is held as `graphs.LevelCodes`, which decode the same floats as
-    the dense matrix.  It is given as a size x size array, coded here, or
-    as a function that returns the codes, called on the first access to
-    `base` and then held: a gap instance passes `extension_metric` of its
-    extension with size k, so D_X is built only when some method reads it.
+    the dense matrix.  It is given as a size x size array, coded here, or as
+    the extension whose D_X it is; then `base` is `extension_metric` of that
+    extension, built on first access and cached on the extension.  `blocks`
+    gives base in row blocks to a reader that takes every row once, and on
+    a gap instance whose D_X is not built it streams them without building
+    it (`extension.extension_blocks`).
     """
 
-    def __init__(self, base, shift: float = 0.0, size: int | None = None):
-        if callable(base):
-            self._base, self._build, self.size = None, base, int(size)
+    def __init__(self, base, shift: float = 0.0):
+        if isinstance(base, ExtendedGraph):
+            self._extension, self._base, self.size = base, None, base.vertex_count
         else:
-            self._base, self._build = LevelCodes.from_matrix(base), None
+            self._extension, self._base = None, LevelCodes.from_matrix(base)
             self.size = self._base.shape[0]
         self.shift = float(shift)
 
     @property
     def base(self) -> LevelCodes:
-        if self._base is None:
-            self._base = self._build()
-        return self._base
+        return self._base if self._extension is None else extension_metric(self._extension)
+
+    def blocks(self):
+        """base in row blocks of `graphs.ROW_BLOCK`: per block, in order, the
+        (codes, table) pair of `LevelCodes`.  D is base + shift off the
+        diagonal, which the reader adds."""
+        if self._extension is None:
+            return self._base.blocks()
+        return extension_blocks(self._extension)
 
     def value(self, i, j):
         return float(self.base.value(i, j) + (self.shift if i != j else 0.0))
@@ -218,12 +234,12 @@ class ZeroExtInstance:
             raise InstanceError("duplicate terminal")
         if self.metric.size != self.terminals.size:
             raise InstanceError("metric size does not match the terminal count")
-        idx = np.full(self.graph.vertex_count, -1, dtype=np.int64)
-        for pos, t in enumerate(self.terminals):
-            if not 0 <= t < self.graph.vertex_count:
-                raise InstanceError(f"terminal {t} out of range")
-            idx[t] = pos
-        self.term_index = idx
+        n = self.graph.vertex_count
+        outside = (self.terminals < 0) | (self.terminals >= n)
+        if outside.any():
+            raise InstanceError(f"terminal {self.terminals[outside][0]} out of range")
+        self.term_index = np.full(n, -1, dtype=np.int64)
+        self.term_index[self.terminals] = np.arange(self.terminals.size)
 
     @property
     def vertex_count(self) -> int:
@@ -271,7 +287,7 @@ def build_gap_instance(x: ExtendedGraph, big_l: float) -> ZeroExtInstance:
     lengths = np.concatenate([flat.lengths, np.full(k, float(big_l))])
     lengths.setflags(write=False)  # handed out as the canonical fractional solution
     weights = 1.0 / lengths
-    metric = TerminalMetric(partial(extension_metric, x), 2.0 * big_l, size=k)
+    metric = TerminalMetric(x, 2.0 * big_l)
     origin = GapOrigin(extension=x, big_l=float(big_l), edge_lengths=lengths)
     return ZeroExtInstance(
         graph=graph,
@@ -448,8 +464,9 @@ def save_instance(inst: ZeroExtInstance, path) -> None:
         }
     else:
         doc["metric"] = {"mode": "dense", "matrix": inst.metric.matrix().tolist()}
+    text = json.dumps(doc)  # json.dump would take the pure-Python encoder
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(text)
         fh.write("\n")
 
 

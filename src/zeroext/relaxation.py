@@ -9,10 +9,11 @@ lengths; a labeling's pull-back l_e = D(f(u), f(v)) costs exactly the
 labeling's integral cost.
 
 Feasibility is checked exactly by one shortest-path search from the
-terminals to the terminals (see `graphs.shortest_path_search`).  No LP
-solver is embedded.  The gap argument only ever needs one explicit
-feasible fractional solution (the shortest-path extension of the terminal
-metric); exact optima can be obtained externally from the exported LP file.
+terminals to the terminals, read in row blocks against D (see
+`graphs.shortest_path_blocks`).  No LP solver is embedded.  The gap
+argument only ever needs one explicit feasible fractional solution (the
+shortest-path extension of the terminal metric); exact optima can be
+obtained externally from the exported LP file.
 """
 from __future__ import annotations
 
@@ -20,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GraphError, shortest_path_search, validate_lengths
+from .graphs import DECODE_ROWS, ROW_BLOCK, GraphError, shortest_path_blocks, validate_lengths
 from .instance import ZeroExtInstance
 
 FEAS_RTOL = 1e-9
-FEASIBILITY_ROWS = 256  # terminal sources per search call in is_feasible
 LP_VERTEX_CAP = 200
 
 
@@ -83,27 +83,46 @@ def per_edge_contribution(lengths: np.ndarray, inst: ZeroExtInstance) -> np.ndar
 def is_feasible(
     lengths: np.ndarray, inst: ZeroExtInstance, *, rtol: float = FEAS_RTOL
 ) -> list[Violation]:
-    """Every terminal pair (i < j) with d_l(t_i, t_j) < D(i, j) * (1 - rtol);
-    an empty list means feasible.
+    """Every terminal pair (i < j) with d_l(t_i, t_j) < D(i, j) * (1 - rtol),
+    in order of i then j; an empty list means feasible.
 
     Exact: one shortest-path search from the terminals to the terminals,
-    built once and run FEASIBILITY_ROWS sources at a time, read against the
-    rows of D.  The canonical lengths take three values, so the search is the
-    level search (see `graphs.LEVEL_SEARCH_LENGTHS`).  A longer distance is
-    no violation, since the clique joined in keeps d(t_i, t_j) = D(i, j).
+    built once, taken in row blocks of `graphs.ROW_BLOCK` terminals together
+    with the same blocks of D (`TerminalMetric.blocks`).  Each pair of blocks
+    is decoded DECODE_ROWS rows at a time, from column i + 1 on, into reused
+    buffers and compared there, and a gap instance's D_X is streamed, not
+    built.  The canonical lengths take three values, so the search is the
+    level search (see `graphs.LEVEL_SEARCH_LENGTHS`), and no k x k array and
+    no (ROW_BLOCK, k) block of floats is held; Dijkstra, for more lengths,
+    codes its float rows one block at a time.  A longer distance is no
+    violation, since the clique joined in keeps d(t_i, t_j) = D(i, j).
     """
     terms = inst.terminals
-    search = shortest_path_search(inst.graph, check_lengths(lengths, inst), targets=terms)
     k = terms.size
+    searched = shortest_path_blocks(inst.graph, check_lengths(lengths, inst), terms, targets=terms)
+    bufs = np.empty((2, min(DECODE_ROWS, k) * k))
     out: list[Violation] = []
-    for start in range(0, k, FEASIBILITY_ROWS):
-        pos = np.arange(start, min(start + FEASIBILITY_ROWS, k))
-        got = search(terms[pos])
-        want = inst.metric.rows(pos)
-        short = want - got
-        bad = (short > rtol * want) & (pos[:, None] < np.arange(k)[None, :])
-        for a, j in np.argwhere(bad):
-            out.append(Violation((int(terms[pos[a]]), int(terms[j])), float(short[a, j])))
+    blocks = zip(range(0, k, ROW_BLOCK), searched, inst.metric.blocks())
+    for start, (codes, table), (d_codes, d_table) in blocks:
+        for r0 in range(0, codes.shape[0], DECODE_ROWS):
+            i0 = start + r0
+            part = np.s_[r0 : r0 + DECODE_ROWS, i0 + 1 :]  # pairs (i, j) with i >= i0 and j > i0
+            got = _decoded(table, codes[part], bufs[0])
+            want = _decoded(d_table, d_codes[part], bufs[1])
+            want += inst.metric.shift
+            short = np.subtract(want, got, out=got)  # D(i, j) - d_l(t_i, t_j)
+            want *= rtol
+            rows, cols = np.nonzero(short > want)
+            for a, c in zip(rows.tolist(), cols.tolist()):
+                if c >= a:  # j = i0 + 1 + c > i = i0 + a
+                    out.append(Violation((int(terms[i0 + a]), int(terms[i0 + 1 + c])), float(short[a, c])))
+    return out
+
+
+def _decoded(table: np.ndarray, codes: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """table[codes], written to the front of the flat buffer `buf`."""
+    out = buf[: codes.size].reshape(codes.shape)
+    table.take(codes, out=out, mode="clip")
     return out
 
 

@@ -464,9 +464,9 @@ def _label_screen(inst, lo, nbr, wt, fi, vs: np.ndarray) -> np.ndarray:
 
 
 def save_labeling(f: np.ndarray, path) -> None:
+    text = "".join(f"{v} {t}\n" for v, t in enumerate(np.asarray(f, dtype=np.int64).tolist()))
     with open(path, "w") as fh:
-        for v, t in enumerate(np.asarray(f, dtype=np.int64)):
-            fh.write(f"{v} {int(t)}\n")
+        fh.write(text)
 
 
 def load_labeling(path, inst: ZeroExtInstance) -> np.ndarray:

@@ -5,10 +5,11 @@ paths come from a plain Floyd-Warshall loop and single-source trees from a
 heap Dijkstra with its own (numpy) predecessor pass, optima from itertools
 enumeration, cycle verdicts from explicit simple-cycle enumeration,
 shuffles from one scalar draw per Fisher-Yates step, girth from a BFS that
-is never cut short, CKR labelings from one terminal column at a time, and
-local-search moves from a per-vertex loop that regathers every vertex's
-incident edges each round, graph validation from a per-edge loop over a seen
-set, and flattened extensions from one append per flat edge.
+is never cut short, CKR labelings from one terminal column at a time,
+feasibility from whole (256, k) float slabs, local-search moves from a
+per-vertex loop that regathers every vertex's incident edges each round,
+graph validation from a per-edge loop over a seen set, and flattened
+extensions from one append per flat edge.
 """
 from __future__ import annotations
 
@@ -270,6 +271,31 @@ def reference_ckr_round(inst, lengths, seed: int) -> np.ndarray:
         unassigned &= ~take
     assert not unassigned.any()
     return f
+
+
+# -- feasibility over whole row slabs -------------------------------------------
+
+
+def reference_is_feasible(lengths, inst, rtol: float = 1e-9) -> list:
+    """`relaxation.is_feasible` as a dense check: per 256 terminal positions,
+    the float rows of the search from those terminals to every terminal
+    against the float rows of D, with the pairs i < j masked in whole.
+    Reading D's rows builds a gap instance's D_X."""
+    from zeroext.relaxation import Violation
+
+    terms = inst.terminals
+    k = terms.size
+    search = graphs.shortest_path_search(inst.graph, np.asarray(lengths, dtype=float), targets=terms)
+    out = []
+    for start in range(0, k, 256):
+        pos = np.arange(start, min(start + 256, k))
+        got = search(terms[pos])
+        want = inst.metric.rows(pos)
+        short = want - got
+        bad = (short > rtol * want) & (pos[:, None] < np.arange(k)[None, :])
+        for a, j in np.argwhere(bad):
+            out.append(Violation((int(terms[pos[a]]), int(terms[j])), float(short[a, j])))
+    return out
 
 
 # -- per-vertex local search oracle ---------------------------------------------

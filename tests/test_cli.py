@@ -16,7 +16,14 @@ import pytest
 
 from zeroext import cli, extension
 from zeroext.graphs import Graph
-from zeroext.instance import InstanceError, build_generic_instance, load_instance, save_instance
+from zeroext.instance import (
+    InstanceError,
+    build_generic_instance,
+    default_gap_instance,
+    load_instance,
+    save_instance,
+)
+from zeroext.relaxation import canonical_fractional, is_feasible
 
 
 def run(argv):
@@ -124,17 +131,15 @@ def test_a_gap_row_builds_the_extension_metric_once(tmp_path, monkeypatch):
     assert calls == [64]
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
-def test_an_n64_gap_row_peaks_below_110_mib(tmp_path):
-    # D_X is held as one-byte level codes (16 MiB at k = 4096) and no reader
-    # forms the k x k float matrix, which alone would take 128 MiB.  The
-    # row's process reads its own peak as VmHWM: on Linux its ru_maxrss
-    # also carries the peak of the process that started it.
+def _own_peak_kib(tmp_path, argv) -> int:
+    """The peak resident set of a fresh process that runs `zeroext argv`,
+    read by the process itself as VmHWM: on Linux its ru_maxrss also
+    carries the peak of the process that started it."""
     script = tmp_path / "peak.py"
     script.write_text(textwrap.dedent(f"""\
         import re
         from zeroext import cli
-        assert cli.main(["gap", "--n", "64", "--seeds", "0", "--jobs", "1", "--out", {str(tmp_path)!r}]) == 0
+        assert cli.main({argv!r}) == 0
         with open("/proc/self/status") as fh:
             print("peak_kib", re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1))
     """))
@@ -142,8 +147,39 @@ def test_an_n64_gap_row_peaks_below_110_mib(tmp_path):
     done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, capture_output=True,
                           text=True, timeout=300, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
-    peak_kib = int(done.stdout.split("peak_kib")[-1])
+    return int(done.stdout.split("peak_kib")[-1])
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_an_n64_gap_row_peaks_below_110_mib(tmp_path):
+    # D_X is held as one-byte level codes (16 MiB at k = 4096) and no reader
+    # forms the k x k float matrix, which alone would take 128 MiB.
+    peak_kib = _own_peak_kib(tmp_path, ["gap", "--n", "64", "--seeds", "0", "--jobs", "1", "--out", str(tmp_path)])
     assert peak_kib < 110 * 1024, peak_kib
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_an_n64_frac_peaks_below_80_mib(tmp_path):
+    # The feasibility check streams D_X and the search in row blocks and
+    # decodes 64 rows at a time: it holds neither D_X's 16 MiB of codes nor
+    # a (256, k) float slab (8 MiB each at k = 4096), with which it peaked
+    # at 113 MiB.
+    peak_kib = _own_peak_kib(tmp_path, ["frac", "--n", "64", "--out", str(tmp_path)])
+    assert peak_kib < 80 * 1024, peak_kib
+
+
+def test_frac_and_the_feasibility_check_stream_an_unbuilt_extension_metric(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built the dense D_X")
+
+    monkeypatch.setattr(extension, "shortest_path_codes", refuse)
+    assert cli.main(["generate", "--n", "24", "--seed", "0", "--out", str(tmp_path)]) == 0
+    for source in (["--n", "24", "--seed", "0"], ["--instance", str(tmp_path / "gap_n24_d4_s0.instance.json")]):
+        assert cli.main(["frac", *source, "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "frac.json").read_text())["feasible"] is True
+    inst = default_gap_instance(24, 4, 0).instance
+    assert is_feasible(canonical_fractional(inst)[0], inst) == []
+    assert inst.origin.dx is None
 
 
 def test_a_row_that_raises_in_a_worker_exits_2_naming_the_error(monkeypatch, tmp_path, capsys):

@@ -348,8 +348,8 @@ def test_canonical_predecessor_tie_breaking():
     assert tree.path_edges(3) == [0, 2]
 
 
-def _assert_trees_match_oracle(g, lengths, dist):
-    for s in range(g.vertex_count):
+def _assert_trees_match_oracle(g, lengths, dist, sources=None):
+    for s in range(g.vertex_count) if sources is None else sources:
         tree = single_source_shortest_paths(g, lengths, s, dist[s])
         want = heap_dijkstra_tree(g, lengths, s)
         assert np.array_equal(tree.dist, want.dist), s
@@ -382,10 +382,22 @@ def test_single_source_matches_metric():
 
 @pytest.mark.parametrize("n", [8, 16, 24])
 def test_trees_from_extension_metric_match_heap_oracle(n):
+    # Per seed, every source of one full row block and a fixed sample of 8
+    # sources from each other block (k = 576 at n = 24: blocks 0 and 1 are
+    # full, block 2 holds 64 rows); at n <= 16 that is every source.
+    rng = np.random.default_rng(384)
     for seed in range(3):
         x = instance.default_gap_instance(n, 4, seed).extension
         flat = extension.flatten(x)
-        _assert_trees_match_oracle(flat.graph, flat.lengths, extension.extension_metric(x).matrix())
+        k = flat.graph.vertex_count
+        blocks = [np.arange(s0, min(s0 + graphs.ROW_BLOCK, k)) for s0 in range(0, k, graphs.ROW_BLOCK)]
+        full = seed % (k // graphs.ROW_BLOCK or 1)
+        sources = [
+            block if b == full else np.sort(rng.choice(block, size=8, replace=False))
+            for b, block in enumerate(blocks)
+        ]
+        dist = extension.extension_metric(x).matrix()
+        _assert_trees_match_oracle(flat.graph, flat.lengths, dist, np.concatenate(sources).tolist())
 
 
 def test_trees_from_extension_metric_match_heap_oracle_cayley():

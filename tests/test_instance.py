@@ -167,6 +167,18 @@ def test_generic_star_and_uniform_metric():
     assert inst2.k == 3
 
 
+def test_term_index_matches_a_loop_and_names_the_first_terminal_out_of_range():
+    inst = default_gap_instance(5, 4, 0).instance
+    want = np.full(inst.vertex_count, -1, dtype=np.int64)
+    for pos, t in enumerate(inst.terminals.tolist()):
+        want[t] = pos
+    assert inst.term_index.dtype == want.dtype and np.array_equal(inst.term_index, want)
+    g = Graph(vertex_count=4, edges=[(0, 1), (1, 2), (2, 3)])
+    for terminals, first in (([0, 5, -2, 9], 5), ([3, -2, 4], -2)):
+        with pytest.raises(InstanceError, match=rf"^terminal {first} out of range$"):
+            instance.ZeroExtInstance(g, np.ones(3), terminals, instance.TerminalMetric(np.zeros((len(terminals),) * 2)))
+
+
 def test_triangle_violation_rejected_with_triple():
     bad = np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 1.0], [9.0, 1.0, 0.0]])
     with pytest.raises(InstanceError, match=r"triangle.*D\(0,2\).*D\(0,1\).*D\(1,2\)"):

@@ -9,8 +9,14 @@ from scipy.optimize import linprog
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import floyd_warshall, heap_dijkstra_dist, random_generic_instance, random_labeling
-from zeroext import instance, relaxation, solvers
+from conftest import (
+    floyd_warshall,
+    heap_dijkstra_dist,
+    random_generic_instance,
+    random_labeling,
+    reference_is_feasible,
+)
+from zeroext import extension, graphs, instance, relaxation, solvers
 from zeroext.graphs import Graph, shortest_path_rows
 from zeroext.instance import build_generic_instance, default_gap_instance
 from zeroext.relaxation import (
@@ -202,10 +208,10 @@ def test_feasibility_is_exact_against_floyd_warshall(case):
     assert set(got) == want
 
 
-@pytest.mark.parametrize("rows", [relaxation.FEASIBILITY_ROWS, 7])
+@pytest.mark.parametrize("rows", [graphs.ROW_BLOCK, 7])
 def test_halved_extension_edge_is_caught_at_n16(monkeypatch, rows):
-    # k = 256 terminals: one search chunk, or 37 chunks with a short last one.
-    monkeypatch.setattr(relaxation, "FEASIBILITY_ROWS", rows)
+    # k = 256 terminals: one block decoded at once, or 37 chunks with a short last one.
+    monkeypatch.setattr(relaxation, "DECODE_ROWS", rows)
     inst = default_gap_instance(16, 4, 0).instance
     lengths = inst.origin.edge_lengths.copy()
     u, v = inst.graph.edges[0]
@@ -227,20 +233,62 @@ def test_halved_extension_edge_is_caught_at_n16(monkeypatch, rows):
 
 
 def test_feasibility_searches_one_adjacency_for_every_chunk(monkeypatch):
-    # k = 16 terminals in six chunks of at most 3 sources.
+    # k = 16 terminals in six chunks of at most 3 rows.
     inst = default_gap_instance(4, 3, 0).instance
     lengths = inst.origin.edge_lengths.copy()
     lengths[:4] /= 3
     want = [(v.vertices, v.magnitude) for v in is_feasible(lengths, inst)]
     assert want
-    monkeypatch.setattr(relaxation, "FEASIBILITY_ROWS", 3)
+    monkeypatch.setattr(relaxation, "DECODE_ROWS", 3)
     builds = []
-    make_search = relaxation.shortest_path_search
+    make_engines = graphs._engines
     monkeypatch.setattr(
-        relaxation, "shortest_path_search", lambda *args, **kw: builds.append(1) or make_search(*args, **kw)
+        graphs, "_engines", lambda g, *args: builds.append(g.vertex_count) or make_engines(g, *args)
     )
     assert [(v.vertices, v.magnitude) for v in is_feasible(lengths, inst)] == want
-    assert len(builds) == 1
+    assert builds.count(inst.vertex_count) == 1  # D_X's stream searches the 16-point flattening
+
+
+def _feasibility_lengths(inst, kind: str) -> np.ndarray:
+    """The canonical lengths; or a few extension edges shortened, to a
+    fourth length (the Dijkstra engine) or to the fiber length (three
+    lengths, the level search), which both leave violations."""
+    lengths = inst.origin.edge_lengths.copy()
+    fiber = lengths[0]  # the flattening lists the fiber edges first
+    if kind == "dijkstra":
+        lengths[:8] /= 3
+    elif kind == "level":
+        base = np.flatnonzero(lengths[: -inst.k] > fiber)
+        lengths[base[:: max(1, base.size // 8)]] = fiber
+    return lengths
+
+
+@pytest.mark.parametrize("built", [False, True], ids=["streamed", "cached"])
+@pytest.mark.parametrize("kind", ["canonical", "dijkstra", "level"])
+@pytest.mark.parametrize("n, d", [(4, 3), (8, 4), (16, 4), (24, 4)])
+def test_streamed_feasibility_equals_the_dense_check_bit_for_bit(n, d, kind, built):
+    # k = 576 at n = 24: three row blocks, the last one partial.
+    inst = default_gap_instance(n, d, 0).instance
+    lengths = _feasibility_lengths(inst, kind)
+    if built:
+        extension.extension_metric(inst.origin.extension)
+    got = is_feasible(lengths, inst)
+    assert (inst.origin.dx is None) is not built
+    want = reference_is_feasible(lengths, inst)
+    assert (kind == "canonical") is (want == [])
+    assert [(v.vertices, v.magnitude.hex()) for v in got] == [(v.vertices, v.magnitude.hex()) for v in want]
+
+
+def test_streamed_feasibility_equals_the_dense_check_on_a_generic_instance():
+    rng = np.random.default_rng(22)
+    violated = 0
+    for _ in range(20):
+        inst = random_generic_instance(rng)
+        lengths = rng.choice([0.0, 0.25, 0.5, 1.0, 2.0], size=inst.graph.edge_count)
+        got = [(v.vertices, v.magnitude.hex()) for v in is_feasible(lengths, inst)]
+        assert got == [(v.vertices, v.magnitude.hex()) for v in reference_is_feasible(lengths, inst)]
+        violated += bool(got)
+    assert 0 < violated < 20
 
 
 # -- costs ------------------------------------------------------------------------
