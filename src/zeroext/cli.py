@@ -12,12 +12,10 @@ import argparse
 import csv
 import json
 import math
-import multiprocessing
 import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
@@ -259,8 +257,8 @@ def _out_path(cfg: ExperimentConfig, name: str) -> str:
 
 def _write_json(cfg: ExperimentConfig, name: str, doc: dict) -> str:
     path = _out_path(cfg, name)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+    with open(path, "w") as fh:  # json.dump's text; writelines takes its chunks in C
+        fh.writelines(json.JSONEncoder(indent=2).iterencode(doc))
     return path
 
 
@@ -472,15 +470,20 @@ def _gap_rows(cfg: ExperimentConfig, tasks: list[tuple[int, int]]) -> list[dict]
     Workers are forked: `spawn` and `forkserver` re-import the caller's
     `__main__`, which breaks a script that calls `main` without an
     `if __name__ == "__main__"` guard.  Where fork is unavailable, rows run
-    in this process.
+    in this process.  Only the forking branch imports the pool, so no other
+    command, nor a one-worker `gap`, loads `multiprocessing`.
     """
     workers = min(cfg.jobs, len(tasks))
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return [_gap_row(cfg, n, seed) for n, seed in tasks]
-    ns, seeds = zip(*tasks)
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        return list(pool.map(_gap_row, [cfg] * len(tasks), ns, seeds))
+    if workers >= 2:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            ns, seeds = zip(*tasks)
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+                return list(pool.map(_gap_row, [cfg] * len(tasks), ns, seeds))
+    return [_gap_row(cfg, n, seed) for n, seed in tasks]
 
 
 def _read_lp_opt(path: str) -> dict[str, int | float]:

@@ -19,6 +19,7 @@ throughout.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -35,6 +36,7 @@ from .extension import (
     sample_extension,
 )
 from .graphs import (
+    ROW_BLOCK,
     Graph,
     LevelCodes,
     check_girth_floor,
@@ -397,19 +399,20 @@ def _graph_to_json(g: Graph) -> dict:
 
 def _integers(values: list) -> list:
     """values, if each is a JSON integer; a float, bool or string id raises
-    rather than being truncated or cast."""
-    for value in values:
-        if type(value) is not int:
-            raise ValueError(f"{value!r} is not an integer")
+    rather than being truncated or cast.  The types are tested at C speed;
+    only a failing list is walked, to name its first offending value."""
+    if not set(map(type, values)) <= {int}:
+        bad = next(value for value in values if type(value) is not int)
+        raise ValueError(f"{bad!r} is not an integer")
     return values
 
 
 def _numbers(values: list) -> list:
     """values, if each is a JSON number; a bool or string raises rather than
-    being cast to a float."""
-    for value in values:
-        if type(value) not in (int, float):
-            raise ValueError(f"{value!r} is not a number")
+    being cast to a float.  Tested as in `_integers`."""
+    if not set(map(type, values)) <= {int, float}:
+        bad = next(value for value in values if type(value) not in (int, float))
+        raise ValueError(f"{bad!r} is not a number")
     return values
 
 
@@ -420,7 +423,7 @@ def _graph_doc(doc: dict) -> dict:
     extra = sorted(key for key in doc if key not in _GRAPH_KEYS)
     if extra:
         raise ValueError(f"graph key {extra[0]!r} is not one of {_GRAPH_KEYS}")
-    _integers([doc["vertex_count"]] + [v for e in doc["edges"] for v in e])
+    _integers([doc["vertex_count"], *itertools.chain.from_iterable(doc["edges"])])
     if type(doc.get("multigraph", False)) is not bool:
         raise ValueError(f"multigraph {doc['multigraph']!r} is not true or false")
     return doc
@@ -464,10 +467,30 @@ def save_instance(inst: ZeroExtInstance, path) -> None:
         }
     else:
         doc["metric"] = {"mode": "dense", "matrix": inst.metric.matrix().tolist()}
-    text = json.dumps(doc)  # json.dump would take the pure-Python encoder
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.writelines(_json_pieces(doc))
         fh.write("\n")
+
+
+def _json_pieces(value):
+    """The text of `json.dumps(value)` in pieces, each from the one-shot C
+    encoder: a dict with string keys key by key, and a list longer than
+    ROW_BLOCK in slices of ROW_BLOCK items.  Encoding the whole document at
+    once would hold a string per number until the final join (json.dump
+    takes the pure-Python encoder instead)."""
+    if isinstance(value, dict) and all(type(key) is str for key in value):
+        yield "{"
+        for i, (key, item) in enumerate(value.items()):
+            yield (", " if i else "") + json.dumps(key) + ": "
+            yield from _json_pieces(item)
+        yield "}"
+    elif isinstance(value, list) and len(value) > ROW_BLOCK:
+        yield "["
+        for s0 in range(0, len(value), ROW_BLOCK):
+            yield (", " if s0 else "") + json.dumps(value[s0 : s0 + ROW_BLOCK])[1:-1]
+        yield "]"
+    else:
+        yield json.dumps(value)
 
 
 def _read(path, doc: dict, key: str, parse=lambda value: value):
@@ -492,8 +515,9 @@ def _read_gap_origin(path, doc: dict) -> tuple[ExtendedGraph, float]:
             f"{base.edge_count} base edges"
         )
     identity = list(range(fiber.vertex_count))
+    all_int = set(map(type, itertools.chain.from_iterable(matchings))) <= {int}
     for eid, m in enumerate(matchings):
-        if any(type(v) is not int for v in m) or sorted(m) != identity:
+        if not (all_int or set(map(type, m)) <= {int}) or sorted(m) != identity:
             raise InstanceError(
                 f"{path}: 'origin.matchings'[{eid}] is not a permutation of "
                 f"range({fiber.vertex_count})"

@@ -82,23 +82,47 @@ def test_gap_jobs_from_a_script_without_a_main_guard(tmp_path):
 def test_frac_and_a_gap_row_import_no_scipy(tmp_path):
     # The level search answers is_feasible and the label screen settles the
     # all_to_one start, so neither command, nor a forked gap worker, pays
-    # for the scipy import.
+    # for the scipy import.  Only a gap that forks loads the worker pool.
     script = tmp_path / "imports.py"
     script.write_text(textwrap.dedent(f"""\
         import sys
         from zeroext import cli
+        def loaded(after):
+            for name in ("scipy", "multiprocessing", "concurrent.futures"):
+                print(name, "after", after + ":", name in sys.modules)
         assert cli.main(["frac", "--n", "8", "--out", {str(tmp_path / "f")!r}]) == 0
-        print("scipy after frac:", "scipy" in sys.modules)
+        loaded("frac")
         assert cli.main(["gap", "--n", "8", "--seeds", "0", "--jobs", "1", "--out", {str(tmp_path / "g")!r}]) == 0
-        print("scipy after gap:", "scipy" in sys.modules)
+        loaded("gap")
+        assert cli.main(["gap", "--n", "8", "--seeds", "0,1", "--jobs", "2", "--out", {str(tmp_path / "j")!r}]) == 0
+        loaded("forked gap")
     """))
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, capture_output=True,
                           text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert "scipy after frac: False" in lines and "scipy after gap: False" in lines
+    for name in ("scipy", "multiprocessing", "concurrent.futures"):
+        assert f"{name} after frac: False" in lines and f"{name} after gap: False" in lines
+    assert "multiprocessing after forked gap: True" in lines
+    assert "concurrent.futures after forked gap: True" in lines
     assert (tmp_path / "g" / "gap.csv").read_text().count("\n") == 3  # config, header, one row
+    assert (tmp_path / "j" / "gap.csv").read_text().count("\n") == 4  # and two rows
+
+
+def test_written_json_files_are_json_dump_with_indent_2(tmp_path, monkeypatch):
+    written = {}
+    write_json = cli._write_json
+
+    def recorded(cfg, name, doc):
+        written[name] = doc
+        return write_json(cfg, name, doc)
+
+    monkeypatch.setattr(cli, "_write_json", recorded)
+    kept = ["--epsilon", "0.1", "--alpha", "1e9", "--threshold", "0.9"]
+    assert cli.main(["cert", "--n", "8", "--seed", "0", *kept, "--force", "--out", str(tmp_path)]) == 0
+    doc = written["certificate.json"]
+    assert doc["certificate"] and (tmp_path / "certificate.json").read_text() == json.dumps(doc, indent=2)
 
 
 def test_generate_split_and_cert_build_no_dense_extension_metric(tmp_path, monkeypatch):
@@ -156,6 +180,14 @@ def test_an_n64_gap_row_peaks_below_110_mib(tmp_path):
     # forms the k x k float matrix, which alone would take 128 MiB.
     peak_kib = _own_peak_kib(tmp_path, ["gap", "--n", "64", "--seeds", "0", "--jobs", "1", "--out", str(tmp_path)])
     assert peak_kib < 110 * 1024, peak_kib
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_an_n64_generate_peaks_below_51_mib(tmp_path):
+    # save_instance encodes the 746 KB file in slices; one json.dumps of the
+    # whole document held a string per number and peaked at 54 MiB.
+    peak_kib = _own_peak_kib(tmp_path, ["generate", "--n", "64", "--seed", "0", "--out", str(tmp_path)])
+    assert peak_kib < 51 * 1024, peak_kib
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")

@@ -272,6 +272,36 @@ def test_instance_json_round_trip(tmp_path):
     assert back2.metric.value(0, 1) == 3.0
 
 
+def _saved_and_encoded(inst, path, monkeypatch):
+    """The text save_instance writes for inst, and json.dumps of the
+    document it encodes."""
+    docs = []
+    pieces = instance._json_pieces  # called again for every section
+    monkeypatch.setattr(instance, "_json_pieces", lambda value: docs.append(value) or pieces(value))
+    save_instance(inst, path)
+    return path.read_text(), json.dumps(docs[0]) + "\n"
+
+
+@pytest.mark.parametrize("n, d", [(4, 3), (8, 4), (24, 4)])
+def test_saved_gap_instance_is_one_json_dumps_of_its_document(tmp_path, monkeypatch, n, d):
+    text, expected = _saved_and_encoded(default_gap_instance(n, d, 0).instance, tmp_path / "gap.json", monkeypatch)
+    assert text == expected
+
+
+def test_saved_generic_instance_with_long_lists_is_one_json_dumps_of_its_document(tmp_path, monkeypatch):
+    # Every list here but the provenance's short one is longer than a slice;
+    # a provenance key that is no string is converted as json.dumps does.
+    k = graphs.ROW_BLOCK + 5
+    line = Graph(vertex_count=k, edges=[(v, v + 1) for v in range(k - 1)])
+    lengths = np.random.default_rng(0).uniform(0.5, 2.0, k - 1)
+    at = np.concatenate([[0.0], np.cumsum(lengths)])
+    inst = build_generic_instance(line, 1.0 / lengths, np.arange(k), np.abs(at[:, None] - at[None, :]))
+    inst.provenance = {"tool": "test", 7: [0.5, None, True], "sizes": list(range(3 * graphs.ROW_BLOCK))}
+    text, expected = _saved_and_encoded(inst, tmp_path / "generic.json", monkeypatch)
+    assert text == expected
+    assert '"7": [0.5, null, true]' in text
+
+
 def test_gap_params_validation():
     with pytest.raises(InstanceError):
         GapParams(n=2, d=4)
@@ -464,6 +494,7 @@ UNTYPED_VALUES = {
     "dense-string-multigraph": ("generic", ("graph", "multigraph"), "false",
                                 "'graph': multigraph 'false' is not true or false"),
     "dense-bool-weight": ("generic", ("weights",), [1, True], "'weights': True is not a number"),
+    "dense-first-bad-weight": ("generic", ("weights",), [1, "2", True], "'weights': '2' is not a number"),
     "dense-string-weight": ("generic", ("weights", 0), "1.0", "'weights': '1.0' is not a number"),
     "dense-bool-distance": ("generic", ("metric", "matrix", 0), [0, True], "'metric.matrix': True is not a number"),
 }
