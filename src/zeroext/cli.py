@@ -170,7 +170,7 @@ OPTIONS = {
                       "comma list of heuristics to run"),
     "ckr_draws": Option("ckr_draws", int, "CKR roundings per instance"),
     "local_rounds": Option("local_rounds", int, "local search rounds"),
-    "jobs": Option("jobs", int, "worker processes for the rows (about 70 MiB each at n=64)"),
+    "jobs": Option("jobs", int, "worker processes for the rows (about 55 MiB each at n=64)"),
     "out": Option("out_dir", str, "output directory (config `out` > --out > ZEROEXT_OUT)"),
     "format": Option("format", str, "stdout rows: csv or json"),
     "lp_opt": Option("lp_opt", str, "JSON file of external LP optima"),

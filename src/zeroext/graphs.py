@@ -23,38 +23,39 @@ class GraphError(ValueError):
     pass
 
 
-@dataclass
 class Graph:
     """Undirected graph with dense edge ids 0..|E|-1.
 
     `edges` may be a list of (u, v) pairs or an (E, 2) integer array; it is
-    stored as a list in which edges[i] is the endpoint pair of edge i,
-    normalized u <= v.  Self-loops and parallel edges are rejected unless
-    multigraph=True.  The first offending edge is reported, an out-of-range
-    endpoint before a self-loop before a parallel pair.
+    held as the read-only (E, 2) int64 array `endpoints()`, row i the
+    endpoint pair of edge i normalized u <= v.  The `edges` list of (u, v)
+    tuples is built from it the first time it is read, so a graph that is
+    only searched through its array never makes one Python object per edge.
+    Self-loops and parallel edges are rejected unless multigraph=True.  The
+    first offending edge is reported, an out-of-range endpoint before a
+    self-loop before a parallel pair.  Two graphs are equal when their
+    vertex counts, edges and multigraph flags are.
     """
 
-    vertex_count: int
-    edges: list[tuple[int, int]]
-    multigraph: bool = False
-    _adj: list | None = field(default=None, repr=False, compare=False)
-    _lookup: dict | None = field(default=None, repr=False, compare=False)
-    _ends: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        ends = np.array(self.edges)
+    def __init__(self, vertex_count: int, edges, multigraph: bool = False):
+        self.vertex_count = vertex_count
+        self.multigraph = multigraph
+        self._edges: list[tuple[int, int]] | None = None
+        self._adj: list | None = None
+        self._lookup: dict | None = None
+        ends = np.array(edges)
         if ends.shape == (0,):
             ends = np.zeros((0, 2), dtype=np.int64)
         if ends.dtype.kind not in "iu" or ends.ndim != 2 or ends.shape[1] != 2:
             raise GraphError("edges must be (u, v) pairs of integer vertex ids")
         ends = np.sort(ends.astype(np.int64), axis=1)
         u, v = ends[:, 0], ends[:, 1]
-        out = (u < 0) | (v >= self.vertex_count)
-        loop = (u == v) & (not self.multigraph)
+        out = (u < 0) | (v >= vertex_count)
+        loop = (u == v) & (not multigraph)
         parallel = np.zeros_like(out)
-        if not self.multigraph:  # every repeat of a pair after its first
+        if not multigraph:  # every repeat of a pair after its first
             parallel[:] = True
-            parallel[np.unique(u * self.vertex_count + v, return_index=True)[1]] = False
+            parallel[np.unique(u * vertex_count + v, return_index=True)[1]] = False
         bad = out | loop | parallel
         if bad.any():
             eid = int(np.argmax(bad))
@@ -65,13 +66,32 @@ class Graph:
             raise GraphError(f"parallel edge ({u[eid]}, {v[eid]}) requires multigraph mode")
         ends.setflags(write=False)
         self._ends = ends
-        self.edges = list(zip(u.tolist(), v.tolist()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.vertex_count == other.vertex_count
+            and np.array_equal(self._ends, other._ends)
+            and self.multigraph == other.multigraph
+        )
+
+    def __repr__(self) -> str:
+        return f"Graph(vertex_count={self.vertex_count!r}, edges={self.edges!r}, multigraph={self.multigraph!r})"
 
     # -- basic accessors ------------------------------------------------
 
     @property
+    def edges(self) -> list[tuple[int, int]]:
+        """edges[i] is the (u, v) pair of edge i, u <= v, as Python ints;
+        built from `endpoints()` on first read and kept."""
+        if self._edges is None:
+            self._edges = list(zip(*self._ends.T.tolist()))
+        return self._edges
+
+    @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self._ends.shape[0]
 
     def adjacency(self) -> list[list[tuple[int, int]]]:
         """Per-vertex list of (neighbor, edge_id); self-loops appear twice."""
@@ -633,11 +653,13 @@ def _search_levels(n: int, steps, sources: np.ndarray) -> tuple[list[np.ndarray]
     values: list[float] = []
     planes: list[np.ndarray] = []
     gathered = np.empty((n, words), dtype=_WORD)
+    spent: list[np.ndarray] = []  # popped bitsets, reused as queue entries
     while heap:
         f = heapq.heappop(heap)
         new = queue.pop(f)
         np.bitwise_and(new, unreached, out=new)
         if not new.any():
+            spent.append(new)
             continue
         unreached ^= new
         if not values or values[-1] != f:  # f comes back when fl(f + l) == f
@@ -649,13 +671,23 @@ def _search_levels(n: int, steps, sources: np.ndarray) -> tuple[list[np.ndarray]
             target = f + length
             queued = queue.get(target)
             if queued is None:
-                queued = queue[target] = np.zeros_like(new)
+                queued = queue[target] = _empty_bitset(spent, new)
                 heapq.heappush(heap, target)
             _spread(new, table, queued, gathered)
+        spent.append(new)
     if unreached.any():
         values.append(math.inf)
         _add_level(planes, unreached, len(values) - 1)
     return planes, np.array(values)
+
+
+def _empty_bitset(spent: list[np.ndarray], like: np.ndarray) -> np.ndarray:
+    """An all-zero bitset shaped like `like`: a spent one cleared, else a new one."""
+    if not spent:
+        return np.zeros_like(like)
+    bits = spent.pop()
+    bits.fill(0)
+    return bits
 
 
 def _neighbour_table(n: int, ends: np.ndarray) -> np.ndarray:
@@ -693,24 +725,33 @@ def _add_level(planes: list[np.ndarray], bits: np.ndarray, level: int) -> None:
 
 def _level_codes(planes: list[np.ndarray], levels: int, sources: int, targets: int) -> np.ndarray:
     """The (sources, targets) level index of bit j in row t of the planes,
-    as a transposed view, in the least unsigned type that names `levels`.
+    C-contiguous, in the least unsigned type that names `levels`.
 
     Each byte of a plane holds the bits of 8 sources; a 256-entry table
     spreads it to 8 codes' lanes, shifted to the plane's bit and ORed in.
+    Targets are coded ROW_BLOCK at a time in one set of scratch arrays, and
+    each tile is transposed into its columns of the result.
     """
     dtype = np.dtype(f"<u{np.min_scalar_type(levels - 1).itemsize}")
     lanes = np.zeros((256, 8), dtype=dtype)  # lane i of row v: bit i of v
     lanes[:] = (np.arange(256)[:, None] >> np.arange(8)) & 1
-    lanes = lanes.view(_WORD)
+    shifted = [lanes.view(_WORD) << b for b in range(len(planes))]
     width = 8 * -(-sources // 64)  # bytes per bitset row
-    words = np.zeros((targets, width, dtype.itemsize), dtype=_WORD)
+    codes = np.empty((sources, targets), dtype=dtype)
+    tile = min(ROW_BLOCK, targets)
+    words = np.empty((tile, width, dtype.itemsize), dtype=_WORD)
     spread = np.empty_like(words)
-    index = np.empty((targets, width), dtype=np.intp)
-    for b, plane in enumerate(planes):
-        np.copyto(index, plane.view(np.uint8))
-        np.take(lanes << b, index, axis=0, out=spread, mode="clip")
-        words |= spread
-    return words.view(dtype).reshape(targets, 8 * width)[:, :sources].T
+    index = np.empty((tile, width), dtype=np.intp)
+    for t0 in range(0, targets, ROW_BLOCK):
+        t1 = min(t0 + ROW_BLOCK, targets)
+        words_t, spread_t, index_t = words[: t1 - t0], spread[: t1 - t0], index[: t1 - t0]
+        words_t.fill(0)
+        for plane, lane in zip(planes, shifted):
+            np.copyto(index_t, plane[t0:t1].view(np.uint8))
+            np.take(lane, index_t, axis=0, out=spread_t, mode="clip")
+            words_t |= spread_t
+        codes[:, t0:t1] = words_t.view(dtype).reshape(t1 - t0, 8 * width)[:, :sources].T
+    return codes
 
 
 def _code_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

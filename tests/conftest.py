@@ -8,8 +8,10 @@ shuffles from one scalar draw per Fisher-Yates step, girth from a BFS that
 is never cut short, CKR labelings from one terminal column at a time,
 feasibility from whole (256, k) float slabs, local-search moves from a
 per-vertex loop that regathers every vertex's incident edges each round,
-graph validation from a per-edge loop over a seen set, and flattened
-extensions from one append per flat edge.
+graph validation from a per-edge loop over a seen set and a dataclass
+that stores the edge list it is given, flattened extensions from one
+append per flat edge, and level codes from whole-plane lane tables read
+through a transposed view.
 """
 from __future__ import annotations
 
@@ -159,6 +161,26 @@ def reference_graph_edges(vertex_count: int, edges, multigraph: bool) -> list[tu
     return edges
 
 
+@dataclass
+class EagerGraph:
+    """A graph that stores its normalized edge list: the reference for
+    `graphs.Graph`'s equality and repr, and for its per-edge readers."""
+
+    vertex_count: int
+    edges: list[tuple[int, int]]
+    multigraph: bool = False
+
+    def adjacency(self) -> list[list[tuple[int, int]]]:
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
+        for eid, (u, v) in enumerate(self.edges):
+            adj[u].append((v, eid))
+            adj[v].append((u, eid))
+        return adj
+
+    def edge_lookup(self) -> dict[tuple[int, int], int]:
+        return {pair: eid for eid, pair in enumerate(self.edges)}
+
+
 def reference_flatten(x):
     """(edges, lengths, edge_kind, edge_origin) of the flattened extension,
     appended one flat edge at a time in the documented order."""
@@ -183,6 +205,26 @@ def reference_flatten(x):
         np.array(kinds, dtype=np.int8),
         np.array(origins, dtype=np.int64),
     )
+
+
+def reference_level_codes(planes, levels: int, sources: int, targets: int) -> np.ndarray:
+    """The (sources, targets) level index of bit j in row t of the planes, as
+    a transposed view of whole-plane lane tables in the least unsigned type
+    that names `levels`: every target at once, with no tiles."""
+    dtype = np.dtype(f"<u{np.min_scalar_type(levels - 1).itemsize}")
+    word = np.dtype("<u8")
+    lanes = np.zeros((256, 8), dtype=dtype)
+    lanes[:] = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    lanes = lanes.view(word)
+    width = 8 * -(-sources // 64)
+    words = np.zeros((targets, width, dtype.itemsize), dtype=word)
+    spread = np.empty_like(words)
+    index = np.empty((targets, width), dtype=np.intp)
+    for b, plane in enumerate(planes):
+        np.copyto(index, plane.view(np.uint8))
+        np.take(lanes << b, index, axis=0, out=spread, mode="clip")
+        words |= spread
+    return words.view(dtype).reshape(targets, 8 * width)[:, :sources].T
 
 
 # -- independent sampling oracles -----------------------------------------------

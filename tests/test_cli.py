@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zeroext import cli, extension
+from zeroext import cli, extension, graphs
 from zeroext.graphs import Graph
 from zeroext.instance import (
     InstanceError,
@@ -153,6 +153,28 @@ def test_a_gap_row_builds_the_extension_metric_once(tmp_path, monkeypatch):
     monkeypatch.setattr(extension, "shortest_path_codes", counted)
     assert cli.main(["gap", "--n", "8", "--seeds", "0", "--jobs", "1", "--out", str(tmp_path)]) == 0
     assert calls == [64]
+
+
+def test_an_n64_row_and_frac_build_no_edge_list_of_the_flat_or_instance_graph(tmp_path, monkeypatch):
+    # Both graphs are searched through their endpoint arrays; a (u, v) tuple
+    # per edge would be about 36 K objects at n = 64 (k = 4096).
+    read = []
+    real = graphs.Graph.edges
+
+    def spy(g):
+        read.append(g.vertex_count)
+        return real.fget(g)
+
+    monkeypatch.setattr(graphs.Graph, "edges", property(spy))
+    k = 64 * 64
+    cfg = cli._config_from_args(cli.build_parser().parse_args(["gap", "--n", "64", "--seeds", "0"]))
+    assert cli._gap_row(cfg, 64, 0)["n"] == 64
+    assert cli.main(["frac", "--n", "64", "--out", str(tmp_path)]) == 0
+    inst = default_gap_instance(64, 4, 1).instance
+    assert inst.vertex_count == 2 * k and is_feasible(canonical_fractional(inst)[0], inst) == []
+    assert read and k not in read and 2 * k not in read
+    extension.flatten(inst.origin.extension).graph.edges  # the spy sees a read
+    assert read[-1] == k
 
 
 def _own_peak_kib(tmp_path, argv) -> int:

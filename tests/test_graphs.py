@@ -12,12 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    EagerGraph,
     cayley_setup,
     dense_second_eigenvalue,
     graph_fw,
     heap_dijkstra_tree,
     reference_girth,
     reference_graph_edges,
+    reference_level_codes,
     scalar_fisher_yates,
 )
 from zeroext import extension, graphs, instance
@@ -689,6 +691,63 @@ def test_a_row_block_of_more_than_256_levels_takes_two_byte_codes():
         assert_codes_decode(codes, want)
 
 
+def planes_of(codes: np.ndarray, levels: int) -> list[np.ndarray]:
+    """The bit-planes of (sources, targets) codes below `levels` as the
+    level search holds them: per bit, a (targets, words) bitset over the
+    sources, bit j of a row for source j, zero past the last source."""
+    sources, targets = codes.shape
+    words = -(-sources // 64)
+    padded = np.zeros((targets, 64 * words), dtype=np.int64)
+    padded[:, :sources] = codes.T
+    return [
+        np.packbits((padded >> b) & 1, axis=1, bitorder="little").view("<u8").reshape(targets, words)
+        for b in range((levels - 1).bit_length())
+    ]
+
+
+# Two- and one-byte codes; source counts off a multiple of 8 and of 64, and
+# of 0; tiles of ROW_BLOCK targets, a partial last one, and none at all.
+@pytest.mark.parametrize("levels", [1, 5, 256, 257, 1000])
+@pytest.mark.parametrize("sources, targets", [
+    (1, 1), (13, 300), (64, 256), (100, 513), (256, 257), (7, 0), (0, 9), (0, 0),
+])
+def test_tiled_level_codes_match_the_whole_plane_oracle(levels, sources, targets):
+    rng = np.random.default_rng(levels * 1000 + sources + targets)
+    want = rng.integers(0, levels, (sources, targets))
+    planes = planes_of(want, levels)
+    got = graphs._level_codes(planes, levels, sources, targets)
+    oracle = reference_level_codes(planes, levels, sources, targets)
+    assert got.flags.c_contiguous and got.shape == (sources, targets)
+    assert got.dtype == oracle.dtype == np.min_scalar_type(max(levels - 1, 0))
+    assert got.tobytes() == np.ascontiguousarray(oracle).tobytes()
+    assert np.array_equal(got, want)
+
+
+def test_every_queue_bitset_starts_empty_though_spent_ones_are_reused(monkeypatch):
+    # A queue entry that was popped before holds the pairs settled at its
+    # level; the first spread into it after reuse must find it cleared.
+    real = graphs._spread
+    filled: set[int] = set()  # ids of entries spread into since they were made or reused
+    reused = []
+
+    def spread(bits, table, out, gathered):
+        popped = id(bits)
+        if popped in filled:
+            filled.remove(popped)
+            reused.append(popped)
+        if id(out) not in filled:
+            assert not out.any(), "a queue entry starts with stale bits"
+            filled.add(id(out))
+        real(bits, table, out, gathered)
+
+    monkeypatch.setattr(graphs, "_spread", spread)
+    g, lengths = path_with_three_lengths(300)
+    sources = np.arange(0, 300, 7)
+    got = graphs.shortest_path_search(g, lengths)(sources)
+    assert got.tobytes() == scipy_rows(g, lengths, sources, np.arange(300)).tobytes()
+    assert len(reused) > 100  # spent bitsets did come back as queue entries
+
+
 @st.composite
 def small_graphs_with_lengths(draw):
     """A small multigraph (loops, parallel edges, often disconnected) with
@@ -860,6 +919,44 @@ def test_graph_matches_per_edge_oracle(vertex_count, edges, multigraph, as_array
     assert g.endpoints().tobytes() == np.array(want, dtype=np.int64).reshape(-1, 2).tobytes()
     assert not g.endpoints().flags.writeable
     assert np.array(given_edges).tobytes() == before  # the caller's edges are left alone
+
+
+@pytest.mark.parametrize("multigraph, edges", [
+    (False, [(2, 1), (0, 1), (3, 2), (0, 3)]),
+    (False, np.array([[2, 1], [0, 1], [3, 2], [0, 3]], dtype=np.int32)),
+    (True, [(1, 2), (2, 1), (3, 3), (0, 1), (0, 1)]),
+    (False, []),
+])
+@pytest.mark.parametrize("first", ["edges", "adjacency", "repr"])
+def test_the_lazy_edge_list_reads_as_the_eager_graph(multigraph, edges, first):
+    """Whichever reader comes first, the per-edge readers, equality and
+    repr are those of a graph that stores its edge list."""
+    g = Graph(vertex_count=4, edges=edges, multigraph=multigraph)
+    eager = EagerGraph(4, reference_graph_edges(4, np.asarray(edges).reshape(-1, 2).tolist(), multigraph), multigraph)
+    assert g.edge_count == len(eager.edges)
+    if first == "adjacency":
+        assert g.adjacency() == eager.adjacency()
+    elif first == "repr":
+        assert repr(g) == repr(eager).replace("EagerGraph(", "Graph(", 1)
+    assert g.edges == eager.edges and g.edges is g.edges
+    assert all(type(u) is int and type(v) is int for u, v in g.edges)
+    assert g.adjacency() == eager.adjacency()
+    assert repr(g) == repr(eager).replace("EagerGraph(", "Graph(", 1)
+    if multigraph:
+        with pytest.raises(GraphError, match="ambiguous"):
+            g.edge_lookup()
+    else:
+        assert g.edge_lookup() == eager.edge_lookup()
+    twin = Graph(vertex_count=4, edges=eager.edges, multigraph=multigraph)
+    assert g == twin and not g != twin
+    assert g != Graph(vertex_count=5, edges=eager.edges, multigraph=multigraph)
+    if not multigraph:
+        assert g != Graph(vertex_count=4, edges=eager.edges, multigraph=True)
+    if eager.edges:
+        assert g != Graph(vertex_count=4, edges=eager.edges[::-1], multigraph=multigraph)
+    assert g != eager and g != eager.edges
+    with pytest.raises(TypeError):
+        hash(g)
 
 
 @pytest.mark.parametrize("edges", [[(0, 1.5)], [(0, 1, 2)], [(0,)], [[], []], np.zeros((2, 2), dtype=bool)])
