@@ -1,10 +1,9 @@
 """Command-line experiment harness.
 
-Subcommands: generate, frac, solve, split, cert, export-lp, gap.  Every output
-file embeds the resolved configuration and seeds needed to regenerate it
+Subcommands: generate, frac, solve, split, cert, gap.  Every output file
+embeds the resolved configuration and seeds needed to regenerate it
 bit-identically.  Reported integral values come from heuristics, so measured
-ratios UPPER-BOUND the true integrality gap; a verified gap requires an
-external LP optimum attached via --lp-opt.
+ratios UPPER-BOUND the true integrality gap.
 """
 from __future__ import annotations
 
@@ -13,7 +12,6 @@ import csv
 import json
 import math
 import os
-import re
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -37,7 +35,7 @@ from .instance import (
     load_instance,
     save_instance,
 )
-from .relaxation import canonical_fractional, export_lp, is_feasible
+from .relaxation import canonical_fractional, is_feasible
 from .solvers import (
     all_to_one,
     ckr_rounds,
@@ -51,8 +49,7 @@ from .split import build_split_candidate, per_cloud_labeling, verify_split
 
 GAP_CAVEAT = (
     "heuristic integral values upper-bound the optimum, so reported ratios "
-    "upper-bound the true integrality gap; attach an external LP optimum via "
-    "--lp-opt for a verified gap"
+    "upper-bound the true integrality gap"
 )
 
 CSV_COLUMNS = ["n", "k", "seed", "frac_cost", "best_integral", "ratio", "solver"]
@@ -76,7 +73,6 @@ class ExperimentConfig:
     jobs: int = 2
     out_dir: str = "."
     format: str = "csv"
-    lp_opt: str | None = None
     girth_floor: int | None = None
     labeling_fiber: int = 0
     force: bool = False
@@ -173,12 +169,10 @@ OPTIONS = {
     "jobs": Option("jobs", int, "worker processes for the rows (about 55 MiB each at n=64)"),
     "out": Option("out_dir", str, "output directory (config `out` > --out > ZEROEXT_OUT)"),
     "format": Option("format", str, "stdout rows: csv or json"),
-    "lp_opt": Option("lp_opt", str, "JSON file of external LP optima"),
     "labeling_fiber": Option("labeling_fiber", int, "fiber vertex of the per-cloud labeling"),
     "force": Option("force", None, "build diagnostics even if not a split"),
     "labeling": Option(None, str, "labeling file (default: per-cloud constant)"),
     "instance": Option(None, str, "load an instance JSON instead of generating"),
-    "lp_name": Option(None, str, "output file name"),
     "config": Option(None, str, "key = value file; values override flags"),
 }
 CONFIG_FILE_KEYS = {name for name, opt in OPTIONS.items() if opt.field and opt.parse}
@@ -448,14 +442,6 @@ def cmd_cert(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-def cmd_export_lp(cfg: ExperimentConfig, args) -> int:
-    inst, _ = _load_or_build(cfg, args)
-    path = _out_path(cfg, args.lp_name or "relaxation.lp")
-    export_lp(inst, path)
-    print(f"wrote {path}")
-    return 0
-
-
 def _gap_row(cfg: ExperimentConfig, n: int, seed: int) -> dict:
     build = _build(cfg, n, seed)
     row, _ = analyse(cfg, build.instance, seed)
@@ -486,38 +472,11 @@ def _gap_rows(cfg: ExperimentConfig, tasks: list[tuple[int, int]]) -> list[dict]
     return [_gap_row(cfg, n, seed) for n, seed in tasks]
 
 
-def _read_lp_opt(path: str) -> dict[str, int | float]:
-    """The `--lp-opt` file: a JSON object mapping "n,seed" keys to positive
-    finite LP optima.  Any other content raises ConfigError naming the file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except UnicodeDecodeError:
-        raise ConfigError(f"{path}: not UTF-8 text") from None
-    except ValueError as exc:
-        raise ConfigError(f"{path}: not a JSON document ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f'{path}: expected a JSON object keyed "n,seed", got {type(doc).__name__}')
-    for key, value in doc.items():
-        if not re.fullmatch(r"[0-9]+,[0-9]+", key):
-            raise ConfigError(f'{path}: key {key!r} is not "n,seed"')
-        if type(value) not in (int, float) or not 0 < value <= sys.float_info.max:
-            raise ConfigError(f"{path}: LP optimum {value!r} of {key!r} is not a positive finite number")
-    return doc
-
-
 def cmd_gap(cfg: ExperimentConfig, args) -> int:
     cfg.check_solvers_run()
-    lp_opts = _read_lp_opt(cfg.lp_opt) if cfg.lp_opt else {}
     started = time.perf_counter()
     rows = _gap_rows(cfg, [(n, seed) for n in cfg.n_values for seed in cfg.seeds])
     rows.sort(key=lambda r: (r["n"], r["seed"]))
-    for row in rows:
-        key = f"{row['n']},{row['seed']}"
-        if key in lp_opts:
-            row["lp_opt"] = lp_opts[key]
-            row["verified_ratio"] = row["best_integral"] / lp_opts[key]
-
     elapsed = time.perf_counter() - started
     print(f"# caveat: {GAP_CAVEAT}")
     for row in rows:
@@ -555,8 +514,7 @@ COMMANDS = {
     "solve": (cmd_solve, ONE_INSTANCE + SOLVE),
     "split": (cmd_split, SPLIT),
     "cert": (cmd_cert, SPLIT + ("force",)),
-    "export-lp": (cmd_export_lp, ONE_INSTANCE + ("lp_name",)),
-    "gap": (cmd_gap, BUILD + ("out", "config") + SOLVE + ("jobs", "format", "lp_opt")),
+    "gap": (cmd_gap, BUILD + ("out", "config") + SOLVE + ("jobs", "format")),
 }
 
 

@@ -1,4 +1,4 @@
-"""The metric relaxation: fractional solutions, exact feasibility, costs, LP export.
+"""The metric relaxation: fractional solutions, exact feasibility, costs.
 
 A fractional solution is a length vector l >= 0 over the instance edges.  It
 stands for the shortest-path metric d_l of the instance graph joined with the
@@ -12,8 +12,7 @@ Feasibility is checked exactly by one shortest-path search from the
 terminals to the terminals, read in row blocks against D (see
 `graphs.shortest_path_blocks`).  No LP solver is embedded.  The gap
 argument only ever needs one explicit feasible fractional solution (the
-shortest-path extension of the terminal metric); exact optima can be
-obtained externally from the exported LP file.
+shortest-path extension of the terminal metric).
 """
 from __future__ import annotations
 
@@ -25,7 +24,6 @@ from .graphs import DECODE_ROWS, ROW_BLOCK, GraphError, shortest_path_blocks, va
 from .instance import ZeroExtInstance
 
 FEAS_RTOL = 1e-9
-LP_VERTEX_CAP = 200
 
 
 class RelaxationError(ValueError):
@@ -64,8 +62,7 @@ def canonical_fractional(inst: ZeroExtInstance) -> tuple[np.ndarray, float]:
     """
     if not inst.is_gap:
         raise RelaxationError(
-            "canonical fractional solution needs a gap instance with length "
-            "origin; for generic instances export the LP and solve externally"
+            "canonical fractional solution needs a gap instance with length origin"
         )
     lengths = inst.origin.edge_lengths
     return lengths, fractional_cost(lengths, inst)
@@ -141,57 +138,3 @@ def induced_semimetric(f: np.ndarray, inst: ZeroExtInstance) -> np.ndarray:
     ends = inst.graph.endpoints()
     return inst.metric.pair_values(fi[ends[:, 0]], fi[ends[:, 1]])
 
-
-def export_lp(inst: ZeroExtInstance, sink, *, max_vertices: int = LP_VERTEX_CAP) -> None:
-    """Write the relaxation as an LP-format text file.
-
-    One variable d_u_v per unordered vertex pair (deterministic lex order),
-    triangle constraints in all three rotations per unordered triple, and
-    terminal pairs pinned to D.  Caller solves externally.
-    """
-    n = inst.vertex_count
-    if n > max_vertices:
-        est = n * (n - 1) * (n - 2) // 2
-        raise RelaxationError(
-            f"instance has {n} > {max_vertices} vertices "
-            f"(~{est} triangle constraints); raise max_vertices explicitly to force"
-        )
-    own = isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__")
-    fh = open(sink, "w") if own else sink
-
-    def var(u, v):
-        return f"d_{min(u, v)}_{max(u, v)}"
-
-    try:
-        fh.write("\\ zeroext metric relaxation export\n")
-        fh.write("Minimize\n obj:")
-        terms = []
-        for eid, (u, v) in enumerate(inst.graph.edges):
-            if u == v:
-                continue
-            terms.append(f" + {float(inst.weights[eid])!r} {var(u, v)}")
-        fh.write("".join(terms) if terms else " 0 d_0_1")
-        fh.write("\nSubject To\n")
-        cid = 0
-        for u in range(n):
-            for v in range(u + 1, n):
-                for w in range(v + 1, n):
-                    for (a, b), c in (((u, v), w), ((u, w), v), ((v, w), u)):
-                        fh.write(
-                            f" tri_{cid}: {var(a, b)} - {var(a, c)} - {var(c, b)} <= 0\n"
-                        )
-                        cid += 1
-        eqid = 0
-        for i in range(inst.k):
-            for j in range(i + 1, inst.k):
-                ti, tj = int(inst.terminals[i]), int(inst.terminals[j])
-                fh.write(f" term_{eqid}: {var(ti, tj)} = {inst.metric.value(i, j)!r}\n")
-                eqid += 1
-        fh.write("Bounds\n")
-        for u in range(n):
-            for v in range(u + 1, n):
-                fh.write(f" {var(u, v)} >= 0\n")
-        fh.write("End\n")
-    finally:
-        if own:
-            fh.close()

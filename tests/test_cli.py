@@ -343,15 +343,6 @@ def test_cert_round_trip_via_cli(tmp_path):
     assert doc["certificate"]["format"] == "zeroext-certificate"
 
 
-def test_export_lp(tmp_path):
-    out = tmp_path / "lp"
-    rc = run(["export-lp", "--n", "4", "--d", "3", "--seed", "0", "--out", str(out)])
-    assert rc == 0
-    text = (out / "relaxation.lp").read_text()
-    assert text.startswith("\\ zeroext")
-    assert "Minimize" in text and "Subject To" in text
-
-
 def test_config_file_overrides_flags(tmp_path, capsys):
     cfg = tmp_path / "conf.txt"
     cfg.write_text("seeds = 7\nn = 6\n")
@@ -371,8 +362,9 @@ def assert_flag_error(capsys, argv, pattern):
 
 def test_config_file_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "conf.txt"
-    cfg.write_text("frobnicate = 3\n")
-    assert_flag_error(capsys, ["gap", "--config", str(cfg)], "unknown config key")
+    for line, key in (("frobnicate = 3", "frobnicate"), ("lp_opt = f.json", "lp_opt")):
+        cfg.write_text(line + "\n")
+        assert_flag_error(capsys, ["gap", "--config", str(cfg)], f"unknown config key '{key}'")
 
 
 def test_invalid_parameters_rejected(capsys):
@@ -481,50 +473,6 @@ def test_gap_json_format_rows(tmp_path, capsys):
     assert row["n"] == 6 and row["seed"] == 0
 
 
-def test_gap_lp_opt_attaches_verified_ratio(tmp_path):
-    lp_file = tmp_path / "lp.json"
-    lp_file.write_text(json.dumps({"6,0": 100.0}))
-    out = tmp_path / "v"
-    rc = run(["gap", "--n", "6", "--seed", "0", "--jobs", "1",
-              "--lp-opt", str(lp_file), "--out", str(out)])
-    assert rc == 0
-    prov = json.loads((out / "gap.provenance.json").read_text())
-    row = prov["rows"][0]
-    assert row["lp_opt"] == 100.0
-    assert abs(row["verified_ratio"] - row["best_integral"] / 100.0) < 1e-12
-
-
-BAD_LP_OPT_FILES = {
-    "zero": (b'{"6,0": 0}', r"LP optimum 0 of '6,0' is not a positive finite number"),
-    "negative": (b'{"6,0": -3.5}', "LP optimum -3.5 of '6,0'"),
-    "string": (b'{"6,0": "100"}', "LP optimum '100' of '6,0'"),
-    "boolean": (b'{"6,0": true}', "LP optimum True of '6,0'"),
-    "nan": (b'{"6,0": NaN}', "LP optimum nan of '6,0'"),
-    "infinite": (b'{"6,0": 1e999}', "LP optimum inf of '6,0'"),
-    "huge-integer": (b'{"6,0": 1' + b"0" * 400 + b"}", "LP optimum 10* of '6,0'"),
-    "list": (b"[100.0]", 'expected a JSON object keyed "n,seed", got list'),
-    "bad-key": (b'{"6;0": 100.0}', "key '6;0' is not \"n,seed\""),
-    "not-json": (b'{"6,0": ', "not a JSON document"),
-    "not-utf8": (b'{"6,0": 1\xff}', "not UTF-8 text"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(BAD_LP_OPT_FILES))
-def test_a_bad_lp_opt_file_is_rejected_before_any_row_runs(case, tmp_path, monkeypatch, capsys):
-    text, message = BAD_LP_OPT_FILES[case]
-    lp_file = tmp_path / "lp.json"
-    lp_file.write_bytes(text)
-
-    def no_row(*args):
-        raise AssertionError("computed a gap row before reading --lp-opt")
-
-    monkeypatch.setattr(cli, "_gap_row", no_row)
-    out = tmp_path / "out"
-    argv = ["gap", "--n", "6", "--seed", "0", "--jobs", "1", "--lp-opt", str(lp_file), "--out", str(out)]
-    assert_flag_error(capsys, argv, re.escape(f"{lp_file}: ") + message)
-    assert not out.exists()
-
-
 # -- the option table ---------------------------------------------------------------
 
 GENERATE = {"--n", "--d", "--seeds", "--seed", "--girth-floor", "--out", "--config"}
@@ -534,11 +482,10 @@ SOLVERS = {"--solvers", "--ckr-draws", "--local-rounds"}
 COMMAND_FLAGS = {
     "generate": GENERATE,
     "frac": FRAC,
-    "export-lp": FRAC | {"--lp-name"},
     "solve": FRAC | SOLVERS,
     "split": SPLIT,
     "cert": SPLIT | {"--force"},
-    "gap": GENERATE | SOLVERS | {"--jobs", "--format", "--lp-opt"},
+    "gap": GENERATE | SOLVERS | {"--jobs", "--format"},
 }
 
 
@@ -553,13 +500,24 @@ def test_each_command_registers_exactly_the_options_it_reads():
         assert {s for a in actions for s in a.option_strings} == COMMAND_FLAGS[name], name
         seeds = next(a for a in actions if "--seeds" in a.option_strings)
         assert seeds.option_strings == ["--seeds", "--seed"]  # two spellings, one option
-    assert registrations == 68
+    assert registrations == 59
+
+
+def test_the_readme_options_table_names_every_command():
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| command ")) + 2  # past the rule
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append(line.split("|")[1].strip().strip("`"))
+    assert sorted(rows) == sorted(cli.COMMANDS)
 
 
 def test_config_file_keys_are_the_valued_config_options():
     assert cli.CONFIG_FILE_KEYS == {
         "n", "d", "seeds", "epsilon", "alpha", "threshold", "solvers", "ckr_draws",
-        "local_rounds", "jobs", "out", "format", "lp_opt", "girth_floor", "labeling_fiber",
+        "local_rounds", "jobs", "out", "format", "girth_floor", "labeling_fiber",
     }
 
 
@@ -582,31 +540,31 @@ def test_negative_provenance_field_of_a_loaded_file_rejected(saved_d3, tmp_path,
         )
 
 
-def assert_usage_error(capsys, argv, flag):
+def assert_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "unrecognized arguments" in err and flag in err, err
+    assert message in err, err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["gap", "--instance", "{file}"],
-        ["frac", "--jobs", "2"],
-        ["generate", "--epsilon", "0.1"],
-        ["split", "--solvers", "ckr"],
-        ["solve", "--force"],
-        ["export-lp", "--format", "json"],
-    ],
-    ids=lambda argv: argv[0] + argv[1],
-)
-def test_an_option_the_command_does_not_read_is_a_usage_error(argv, saved_d3, capsys):
-    assert_usage_error(capsys, [a.format(file=saved_d3) for a in argv], argv[1])
+USAGE_ERRORS = [
+    (["gap", "--instance", "{file}"], "unrecognized arguments: --instance"),
+    (["frac", "--jobs", "2"], "unrecognized arguments: --jobs"),
+    (["generate", "--epsilon", "0.1"], "unrecognized arguments: --epsilon"),
+    (["split", "--solvers", "ckr"], "unrecognized arguments: --solvers"),
+    (["solve", "--force"], "unrecognized arguments: --force"),
+    (["gap", "--lp-opt", "{file}"], "unrecognized arguments: --lp-opt"),
+    (["export-lp", "--n", "4"], "invalid choice: 'export-lp'"),
+]
 
 
-@pytest.mark.parametrize("command", ["frac", "export-lp", "solve", "split", "cert"])
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS, ids=[argv[0] + argv[1] for argv, _ in USAGE_ERRORS])
+def test_an_option_the_command_does_not_read_is_a_usage_error(argv, message, saved_d3, capsys):
+    assert_usage_error(capsys, [a.format(file=saved_d3) for a in argv], message)
+
+
+@pytest.mark.parametrize("command", ["frac", "solve", "split", "cert"])
 @pytest.mark.parametrize(
     "flags, pattern",
     [

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import io
-
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -22,7 +20,6 @@ from zeroext.instance import build_generic_instance, default_gap_instance
 from zeroext.relaxation import (
     RelaxationError,
     canonical_fractional,
-    export_lp,
     fractional_cost,
     induced_semimetric,
     is_feasible,
@@ -107,7 +104,7 @@ def test_canonical_terminal_equality(small_gap):
 
 
 def test_canonical_requires_gap_instance():
-    with pytest.raises(RelaxationError, match="export"):
+    with pytest.raises(RelaxationError, match="needs a gap instance with length origin"):
         canonical_fractional(star_instance())
 
 
@@ -335,32 +332,7 @@ def test_induced_equals_integral_random():
         assert is_feasible(ind, inst) == []
 
 
-# -- LP export ---------------------------------------------------------------------
-
-
-def test_export_lp_hand_counts():
-    inst = star_instance()
-    sink = io.StringIO()
-    export_lp(inst, sink)
-    text = sink.getvalue()
-    assert text.count("tri_") == 3  # three rotations of the single triple
-    assert text.count("term_") == 1
-    assert "d_0_1" in text and "d_0_2" in text and "d_1_2" in text
-    assert text.strip().endswith("End")
-
-
-def test_export_lp_deterministic(tmp_path):
-    inst = star_instance()
-    p1, p2 = tmp_path / "a.lp", tmp_path / "b.lp"
-    export_lp(inst, p1)
-    export_lp(inst, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_export_lp_cap():
-    build = default_gap_instance(8, 4, 0)
-    with pytest.raises(RelaxationError, match="triangle constraints"):
-        export_lp(build.instance, io.StringIO(), max_vertices=100)
+# -- the LP optimum --------------------------------------------------------------
 
 
 def test_star_lp_optimum_is_one():
