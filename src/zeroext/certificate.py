@@ -22,8 +22,9 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from . import gf2
-from .extension import EdgeLabel, ExtendedGraph, edge_label, extension_rows, flatten, project
-from .graphs import Graph, single_source_shortest_paths
+from .extension import EdgeLabel, ExtendedGraph, edge_label, flatten, project
+from .graphs import Graph
+from .graphs import single_source_shortest_paths  # noqa: F401  (bench/test_bench.py asserts this binding)
 from .split import SplitCandidate, verify_split
 
 Ind = tuple[int, int]  # (cloud, running index) as assigned by the transformation
@@ -215,7 +216,7 @@ class InnerComponent:
     comp_id: int
     cloud: int
     members: list[Ind]           # all indices when built; distinguished only after
-                                 # reconstruction (members_complete says which)
+                                 # reconstruction
     distinguished: list[Ind]
     degree: int
     has_representative: bool
@@ -240,7 +241,6 @@ class ICCGraph:
     transits: list[Transit]                 # parallel to r_graph.edges
     surprising: set[tuple[Ind, Ind]]        # undirected index pairs of inter edges
     s_tot: int
-    members_complete: bool
     non_inner: list[dict] = field(default_factory=list)  # diagnostics only
 
     def canonical_form(self) -> tuple:
@@ -418,7 +418,6 @@ def inner_components(ft: FormalTransformation) -> ICCGraph:
         transits=transits,
         surprising=surprising,
         s_tot=s_tot,
-        members_complete=True,
         non_inner=non_inner,
     )
 
@@ -547,34 +546,18 @@ class Certificate:
 
 
 def shortest_rep_paths(x: ExtendedGraph, c: SplitCandidate) -> list[list[int]]:
-    """One canonical shortest path per kept base edge, ascending edge id,
+    """The candidate's stored path per kept base edge, ascending edge id,
     directed from the representative of the smaller-cloud endpoint."""
-    flat = flatten(x)
-    ends = []
+    paths = []
     for eid in sorted(c.edge_ids):
         g1, g2 = x.base.edges[eid]
-        ends.append((eid, c.rep_map[g1], c.rep_map[g2]))
-    unstored = [r1 for eid, r1, r2 in ends if c.path_assignment.get(eid) is None and r1 != r2]
-    rows = extension_rows(x, unstored)
-    trees: dict[int, object] = {}
-    paths = []
-    for eid, r1, r2 in ends:
+        r1, r2 = c.rep_map[g1], c.rep_map[g2]
         pre = c.path_assignment.get(eid)
-        if pre is not None:
-            if pre[0] != r1 or pre[-1] != r2:
-                raise CertificateError(f"stored path for edge {eid} has wrong endpoints")
-            paths.append(list(pre))
-            continue
-        if r1 == r2:
-            paths.append([r1])
-            continue
-        if not math.isfinite(rows[r1][r2]):
-            raise CertificateError(f"representatives of edge {eid} are disconnected")
-        if r1 not in trees:
-            trees[r1] = single_source_shortest_paths(
-                flat.graph, flat.lengths, r1, rows[r1], flat.length_list()
-            )
-        paths.append(trees[r1].path_vertices(r2))
+        if pre is None:
+            raise CertificateError(f"candidate stores no path for edge {eid}")
+        if pre[0] != r1 or pre[-1] != r2:
+            raise CertificateError(f"stored path for edge {eid} has wrong endpoints")
+        paths.append(list(pre))
     return paths
 
 
@@ -867,7 +850,6 @@ def reconstruct_r(cert: Certificate) -> ICCGraph:
         transits=transits,
         surprising=set(),
         s_tot=2 * len(transits),
-        members_complete=False,
     )
 
 

@@ -168,7 +168,7 @@ OPTIONS = {
     "local_rounds": Option("local_rounds", int, "local search rounds"),
     "jobs": Option("jobs", int, "worker processes for the rows (about 55 MiB each at n=64)"),
     "out": Option("out_dir", str, "output directory (config `out` > --out > ZEROEXT_OUT)"),
-    "format": Option("format", str, "stdout rows: csv or json"),
+    "format": Option("format", str, "stdout rows: csv (summary lines; the CSV is gap.csv) or json"),
     "labeling_fiber": Option("labeling_fiber", int, "fiber vertex of the per-cloud labeling"),
     "force": Option("force", None, "build diagnostics even if not a split"),
     "labeling": Option(None, str, "labeling file (default: per-cloud constant)"),
@@ -396,7 +396,7 @@ def cmd_split(cfg: ExperimentConfig, args) -> int:
         raise ConfigError("split analysis needs a gap instance")
     cand = _candidate_for(cfg, args, inst, x)
     report = verify_split(cand, x)
-    payload = json.loads(report.to_json())
+    payload = report.as_dict()
     payload["config"] = _config_doc(cfg, args)
     payload["candidate"] = {
         "vertices": len(cand.vertices),

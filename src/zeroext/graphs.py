@@ -8,7 +8,6 @@ serialized.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -168,47 +167,6 @@ def validate_lengths(g: Graph, lengths: np.ndarray, *, allow_zero: bool = False)
 
 
 # -- generators ---------------------------------------------------------
-
-
-def build_cayley(moduli, generators) -> Graph:
-    """Cayley graph of the product of cyclic groups Z_m1 x ... x Z_mr over the
-    given generators (int tuples, reduced mod the moduli).
-
-    The generator set is symmetrized (inverses added).  Vertex ids number the
-    elements in lexicographic order.  Vertex x adds its edges to x + s in the
-    order of the inverse pairs {s, -s} by their lex-smaller member, s before
-    -s, skipping an edge already added.
-    """
-    moduli = tuple(int(m) for m in moduli)
-    if not moduli or any(m < 1 for m in moduli):
-        raise GraphError("group moduli must be positive integers")
-
-    def add(a, b) -> tuple[int, ...]:
-        return tuple((x + y) % m for x, y, m in zip(a, b, moduli))
-
-    def neg(a) -> tuple[int, ...]:
-        return tuple(-x % m for x, m in zip(a, moduli))
-
-    gens: list[tuple[int, ...]] = []
-    for raw in generators:
-        if len(raw) != len(moduli):
-            raise GraphError(f"element {raw!r} has wrong arity for moduli {moduli}")
-        el = tuple(int(a) % m for a, m in zip(raw, moduli))
-        if not any(el):
-            raise GraphError("generator equal to the identity is not allowed")
-        if el in gens:
-            raise GraphError(f"duplicate generator {raw!r} after reduction mod {moduli}")
-        gens.append(el)
-    symmetric = sorted(set(gens) | {neg(el) for el in gens})
-    steps = list(dict.fromkeys(s for el in symmetric for s in (el, neg(el))))
-
-    index = {el: i for i, el in enumerate(itertools.product(*(range(m) for m in moduli)))}
-    edges: dict[tuple[int, int], None] = {}
-    for el, x in index.items():
-        for s in steps:
-            y = index[add(el, s)]
-            edges.setdefault((min(x, y), max(x, y)))
-    return Graph(vertex_count=len(index), edges=list(edges))
 
 
 class GirthFloorError(GraphError):
@@ -803,9 +761,6 @@ class LevelCodes:
     @property
     def nbytes(self) -> int:
         return self.codes.nbytes + sum(table.nbytes for table in self.tables)
-
-    def value(self, i: int, j: int) -> np.float64:
-        return self.tables[i // ROW_BLOCK][self.codes[i, j]]
 
     def pair_values(self, ii, jj) -> np.ndarray:
         """Entries (ii, jj), elementwise over index arrays that broadcast."""

@@ -131,9 +131,6 @@ class TerminalMetric:
             return self._base.blocks()
         return extension_blocks(self._extension)
 
-    def value(self, i, j):
-        return float(self.base.value(i, j) + (self.shift if i != j else 0.0))
-
     def pair_values(self, ii, jj):
         """Distances D(ii, jj), elementwise over index arrays that broadcast
         like numpy operands."""

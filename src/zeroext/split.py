@@ -7,16 +7,14 @@ closeness) independently of how the candidate was built.
 """
 from __future__ import annotations
 
-import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import gf2
 from .extension import ExtendedGraph, extension_rows, flatten, project, project_path
-from .graphs import Graph, single_source_shortest_paths
+from .graphs import Graph, shortest_path_rows, single_source_shortest_paths, uniform_lengths
 from .instance import ZeroExtInstance
 from .solvers import validate_labeling
 
@@ -56,8 +54,8 @@ class SplitReport:
     def is_split(self) -> bool:
         return all(c.passed for c in self.conditions.values())
 
-    def to_json(self) -> str:
-        doc = {
+    def as_dict(self) -> dict:
+        return {
             "is_split": self.is_split,
             "conditions": {
                 name: {
@@ -69,7 +67,6 @@ class SplitReport:
                 for name, c in self.conditions.items()
             },
         }
-        return json.dumps(doc, indent=2)
 
 
 # -- representative extraction -------------------------------------------------
@@ -132,18 +129,11 @@ def per_cloud_labeling(inst: ZeroExtInstance, x: ExtendedGraph, targets) -> np.n
 # -- candidate construction ------------------------------------------------------
 
 
-def hop_distances(base: Graph, source: int) -> np.ndarray:
-    dist = np.full(base.vertex_count, -1, dtype=np.int64)
-    dist[source] = 0
-    q = deque([source])
-    adj = base.adjacency()
-    while q:
-        u = q.popleft()
-        for w, _ in adj[u]:
-            if dist[w] == -1:
-                dist[w] = dist[u] + 1
-                q.append(w)
-    return dist
+def hop_rows(base: Graph, sources) -> np.ndarray:
+    """Base hop counts from each of `sources`, one int row per source; -1
+    where a vertex is unreachable."""
+    rows = shortest_path_rows(base, uniform_lengths(base, 1.0), sources)
+    return np.where(np.isfinite(rows), rows, -1).astype(np.int64)
 
 
 def build_split_candidate(
@@ -164,12 +154,12 @@ def build_split_candidate(
     clouds, reps = extract_representatives(inst, x, f, threshold)
     n = x.cloud_count
     hop_bound = math.floor(epsilon * math.log(n))
-    kept_vertices = []
-    for g in sorted(clouds):
-        target = project(x, reps[g])
-        hops = int(hop_distances(x.base, g)[target])
-        if 0 <= hops <= hop_bound:
-            kept_vertices.append(g)
+    ordered = sorted(clouds)
+    kept_vertices = [
+        g
+        for g, row in zip(ordered, hop_rows(x.base, ordered))
+        if 0 <= row[project(x, reps[g])] <= hop_bound
+    ]
     kept_set = set(kept_vertices)
 
     pairs = [
@@ -294,9 +284,8 @@ def verify_split(c: SplitCandidate, x: ExtendedGraph) -> SplitReport:
 
     hop_bound = math.floor(c.epsilon * math.log(c.base_vertex_count))
     closeness_witnesses = []
-    for g in c.vertices:
-        target = project(x, c.rep_map[g])
-        hops = int(hop_distances(x.base, g)[target])
+    for g, row in zip(c.vertices, hop_rows(x.base, c.vertices)):
+        hops = int(row[project(x, c.rep_map[g])])
         if hops < 0 or hops > hop_bound:
             closeness_witnesses.append({"cloud": g, "hops": hops})
     conditions["closeness"] = ConditionVerdict(

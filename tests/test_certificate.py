@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    build_cayley,
     candidate_corpus,
     cayley_setup,
     direct_route_setup,
@@ -40,7 +41,7 @@ from zeroext.certificate import (
     transform_pipeline,
 )
 from zeroext.extension import flatten, sample_extension, vertex_id
-from zeroext.graphs import Graph, build_cayley, uniform_lengths
+from zeroext.graphs import Graph, uniform_lengths
 from zeroext.split import build_split_candidate, per_cloud_labeling
 
 
@@ -93,14 +94,25 @@ def test_rep_path_lengths_match_fw_oracle():
         )
         want = oracle[cand.rep_map[g1], cand.rep_map[g2]]
         assert abs(total - want) <= 1e-9 * max(1.0, want)
-    # Without stored paths the certificate builds its own trees from D_X rows:
-    # the same canonical paths as the heap-Dijkstra oracle.
-    rebuilt = shortest_rep_paths(x, dataclasses.replace(cand, path_assignment={}))
-    assert rebuilt == paths
-    for eid, path in zip(sorted(cand.edge_ids), rebuilt):
+    # The stored paths are the canonical ones: those of the heap-Dijkstra oracle.
+    for eid, path in zip(sorted(cand.edge_ids), paths):
         g1, g2 = x.base.edges[eid]
         r1, r2 = cand.rep_map[g1], cand.rep_map[g2]
+        assert path == cand.path_assignment[eid]
         assert path == heap_dijkstra_tree(flat.graph, flat.lengths, r1).path_vertices(r2)
+
+
+def test_rep_paths_need_a_stored_path_per_kept_edge():
+    x, inst = wandering_setup(5)
+    f = per_cloud_labeling(inst, x, 1)
+    cand = build_split_candidate(inst, x, f, alpha=1e9, epsilon=0.5, threshold=0.9)
+    eid = sorted(cand.edge_ids)[1]
+    stored = {e: p for e, p in cand.path_assignment.items() if e != eid}
+    with pytest.raises(CertificateError, match=rf"no path for edge {eid}$"):
+        shortest_rep_paths(x, dataclasses.replace(cand, path_assignment=stored))
+    stored[eid] = cand.path_assignment[eid][::-1]
+    with pytest.raises(CertificateError, match=rf"path for edge {eid} has wrong endpoints"):
+        shortest_rep_paths(x, dataclasses.replace(cand, path_assignment=stored))
 
 
 # -- formal transformation ----------------------------------------------------------
@@ -404,7 +416,6 @@ def test_diagnostics_tree_r():
         transits=_dummy_transits(edges),
         surprising=set(),
         s_tot=4,
-        members_complete=False,
     )
     diag = diagnostics(icc, Graph(vertex_count=50, edges=[]), epsilon=0.1, d=4)
     assert diag["b1"] == 0
@@ -421,7 +432,6 @@ def test_diagnostics_single_cycle_probability():
         transits=_dummy_transits(edges),
         surprising=set(),
         s_tot=6,
-        members_complete=False,
     )
     diag = diagnostics(icc, Graph(vertex_count=100, edges=[]), epsilon=0.1, d=4)
     assert diag["b1"] == 1

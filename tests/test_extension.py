@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import reference_flatten
+from conftest import build_cayley, reference_flatten
 from zeroext import extension, graphs, instance
 from zeroext.extension import (
     ExtensionError,
@@ -20,7 +20,7 @@ from zeroext.extension import (
     traverse_inter,
     vertex_id,
 )
-from zeroext.graphs import Graph, build_cayley, uniform_lengths
+from zeroext.graphs import Graph, uniform_lengths
 
 
 def edgeless(n):

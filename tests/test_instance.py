@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_second_eigenvalue, graph_fw
+from conftest import build_cayley, dense_second_eigenvalue, graph_fw
 from zeroext import extension, graphs, instance
 from zeroext.extension import flatten, sample_extension
-from zeroext.graphs import Graph, build_cayley, uniform_lengths
+from zeroext.graphs import Graph, uniform_lengths
 from zeroext.instance import (
     GapParams,
     InstanceError,
@@ -39,9 +39,9 @@ def single_inter_edge(length=5.0, seed=0):
 
 def test_gap_metric_single_edge():
     inst = build_gap_instance(single_inter_edge(5.0), big_l=7.0)
-    assert inst.metric.value(0, 1) == 5.0 + 14.0
-    assert inst.metric.value(1, 0) == 19.0
-    assert inst.metric.value(0, 0) == 0.0
+    assert inst.metric.pair_values(0, 1) == 5.0 + 14.0
+    assert inst.metric.pair_values(1, 0) == 19.0
+    assert inst.metric.pair_values(0, 0) == 0.0
     # weight 1/5 on the extension edge, 1/7 on both pendants
     assert inst.weights.tolist() == [1 / 5, 1 / 7, 1 / 7]
 
@@ -72,7 +72,6 @@ def assert_metric_methods_return(metric, want):
     assert_same_bits(metric.pair_values(ii, jj), want)
     assert_same_bits(metric.pair_values(ii[:, :1], np.arange(k)[None, :]), want)  # broadcast
     assert_same_bits(metric.rows(positions), want[positions])
-    assert_same_bits([[metric.value(i, j) for j in range(k)] for i in range(k)], want)
 
 
 def test_gap_terminal_metric_is_dx_plus_2l_off_a_zero_diagonal(small_gap):
@@ -99,7 +98,7 @@ def test_generic_terminal_metric_returns_its_matrix_with_negative_zeros_as_zeros
     assert inst.metric.shift == 0.0 and inst.metric.base is not mat
     assert_same_bits(inst.metric.base.matrix(), want)
     assert_metric_methods_return(inst.metric, want)
-    assert inst.metric.value(0, 0) == 1e-12
+    assert inst.metric.pair_values(0, 0) == 1e-12
     assert_same_bits(inst.metric.rowsums(), want.sum(axis=1))
 
 
@@ -153,7 +152,7 @@ def test_terminal_metric_is_shortest_path_metric_of_instance_graph():
         ti = int(inst.terminals[i])
         for j in range(inst.k):
             tj = int(inst.terminals[j])
-            want = inst.metric.value(i, j)
+            want = inst.metric.pair_values(i, j)
             assert abs(oracle[ti, tj] - want) <= 1e-9 * max(1.0, want)
 
 
@@ -269,7 +268,7 @@ def test_instance_json_round_trip(tmp_path):
     save_instance(generic, p2)
     back2 = load_instance(p2)
     assert not back2.is_gap
-    assert back2.metric.value(0, 1) == 3.0
+    assert back2.metric.pair_values(0, 1) == 3.0
 
 
 def _saved_and_encoded(inst, path, monkeypatch):

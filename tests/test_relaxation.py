@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    build_cayley,
     floyd_warshall,
     heap_dijkstra_dist,
     random_generic_instance,
@@ -62,7 +63,7 @@ def lp_optimum(inst) -> float:
             ti, tj = int(inst.terminals[i]), int(inst.terminals[j])
             row[idx[(min(ti, tj), max(ti, tj))]] = 1.0
             eq_rows.append(row)
-            eq_rhs.append(inst.metric.value(i, j))
+            eq_rhs.append(float(inst.metric.pair_values(i, j)))
     res = linprog(
         c,
         A_ub=np.array(rows),
@@ -111,7 +112,7 @@ def test_canonical_requires_gap_instance():
 def test_canonical_cost_small_example():
     # C3 extended by C3 with unit lengths: 18 extension edges + 9 pendants.
     from zeroext.extension import sample_extension
-    from zeroext.graphs import build_cayley, uniform_lengths
+    from zeroext.graphs import uniform_lengths
 
     c3 = build_cayley([3], [(1,)])
     x = sample_extension(c3, uniform_lengths(c3, 1.0), c3, uniform_lengths(c3, 1.0), seed=2)
@@ -198,7 +199,7 @@ def test_feasibility_is_exact_against_floyd_warshall(case):
     for i in range(inst.k):
         for j in range(i + 1, inst.k):
             ti, tj = int(inst.terminals[i]), int(inst.terminals[j])
-            if fw[ti, tj] < inst.metric.value(i, j) * (1 - rtol):
+            if fw[ti, tj] < inst.metric.pair_values(i, j) * (1 - rtol):
                 want.add((ti, tj))
     got = [v.vertices for v in is_feasible(lengths, inst)]
     assert len(got) == len(set(got))
@@ -222,8 +223,9 @@ def test_halved_extension_edge_is_caught_at_n16(monkeypatch, rows):
     want = set()
     for i, ti in enumerate(inst.terminals.tolist()):
         dist = heap_dijkstra_dist(inst.graph, lengths, ti)
+        d_row = inst.metric.pair_values(i, np.arange(inst.k))
         for j in range(i + 1, inst.k):
-            d_ij = inst.metric.value(i, j)
+            d_ij = d_row[j]
             if d_ij - dist[inst.terminals[j]] > relaxation.FEAS_RTOL * d_ij:
                 want.add((ti, int(inst.terminals[j])))
     assert pairs == want
@@ -354,7 +356,7 @@ def test_lp_sandwich_property():
 
 def test_lp_sandwich_on_gap_instance():
     from zeroext.extension import sample_extension
-    from zeroext.graphs import build_cayley, uniform_lengths
+    from zeroext.graphs import uniform_lengths
 
     c3 = build_cayley([3], [(1,)])
     x = sample_extension(c3, uniform_lengths(c3, 1.0), c3, uniform_lengths(c3, 1.0), seed=6)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    build_cayley,
     enumerate_optimum,
     graph_fw,
     random_connected_graph,
@@ -67,7 +68,7 @@ def test_all_to_one_cost_formula_on_gap(small_gap):
     pos = int(inst.term_index[t_star])
     big_l = inst.origin.big_l
     want = sum(
-        (1.0 / big_l) * inst.metric.value(pos, v) for v in range(inst.k)
+        (1.0 / big_l) * inst.metric.pair_values(pos, v) for v in range(inst.k)
     )
     got = integral_cost(f, inst)
     assert abs(got - want) <= 1e-9 * max(1.0, want)
@@ -412,7 +413,7 @@ def test_nearest_terminal_gap_is_identity(small_gap):
 def test_all_to_one_scans_exhaustively():
     # all_to_one must pick the global argmin over terminals.
     from zeroext.extension import sample_extension
-    from zeroext.graphs import build_cayley, uniform_lengths
+    from zeroext.graphs import uniform_lengths
     from zeroext.instance import build_gap_instance
 
     c3 = build_cayley([3], [(1,)])

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 from conftest import (
+    build_cayley,
     direct_route_setup,
     exhaustive_homeomorphism_verdict,
     graph_fw,
@@ -15,7 +18,7 @@ from conftest import (
 )
 from zeroext import extension, graphs, instance, split
 from zeroext.extension import flatten, sample_extension
-from zeroext.graphs import Graph, build_cayley, uniform_lengths
+from zeroext.graphs import Graph, uniform_lengths
 from zeroext.split import (
     SplitError,
     build_split_candidate,
@@ -86,7 +89,8 @@ def test_far_representative_cloud_excluded():
     x, inst = wandering_setup(4)
     n = x.cloud_count
     hop_bound = math.floor(0.2 * math.log(n))
-    hops = split.hop_distances(x.base, 0)
+    hops = split.hop_rows(x.base, [0])[0]
+    assert hops.tolist() == graph_fw(x.base, uniform_lengths(x.base, 1.0))[0].tolist()
     far = int(np.argmax(hops))
     assert hops[far] > hop_bound
     targets = {g: g * x.fiber_size for g in range(n)}
@@ -95,6 +99,33 @@ def test_far_representative_cloud_excluded():
     cand = build_split_candidate(inst, x, f, alpha=1e9, epsilon=0.2, threshold=0.9)
     assert 0 not in cand.vertices
     assert far in cand.vertices
+
+
+def test_unreachable_representative_cloud_excluded():
+    # A disconnected base gives no instance (its terminal metric would hold
+    # infinities), so the labeling is checked against the instance of a path
+    # base of the same size; only the analysed extension is disconnected.
+    fiber = build_cayley([3], [(1,)])
+    path = Graph(vertex_count=4, edges=[(0, 1), (1, 2), (2, 3)])
+    two = Graph(vertex_count=4, edges=[(0, 1), (2, 3)])
+    assert split.hop_rows(two, [0, 3]).tolist() == [[0, 1, -1, -1], [-1, -1, 1, 0]]
+
+    def extend(base):
+        unit = uniform_lengths(base, 1.0)
+        return sample_extension(base, unit, fiber, uniform_lengths(fiber, 1.0), seed=0)
+
+    inst, x = instance.build_gap_instance(extend(path), big_l=1.0), extend(two)
+    targets = {g: g * 3 for g in range(4)}
+    targets[0] = 2 * 3  # cloud 0's representative lies in the other component
+    targets[1] = 0  # cloud 1's lies one hop away
+    f = per_cloud_labeling(inst, x, targets)
+    cand = build_split_candidate(inst, x, f, alpha=1e9, epsilon=0.9, threshold=0.9)
+    assert math.floor(0.9 * math.log(4)) == 1
+    assert cand.vertices == [1, 2, 3]
+    assert cand.edge_ids == [1]
+    forced = dataclasses.replace(cand, vertices=[0, 1, 2, 3], rep_map={**cand.rep_map, 0: 6})
+    closeness = verify_split(forced, x).conditions["closeness"]
+    assert closeness.witnesses == [{"cloud": 0, "hops": -1}]
 
 
 def test_candidate_edges_match_hand_filter():
@@ -254,10 +285,8 @@ def test_verify_deterministic_and_serializable():
     x, inst = direct_route_setup(6)
     f = per_cloud_labeling(inst, x, 1)
     cand = build_split_candidate(inst, x, f, alpha=1e9, epsilon=0.3, threshold=0.9)
-    r1 = verify_split(cand, x).to_json()
-    r2 = verify_split(cand, x).to_json()
+    r1 = json.dumps(verify_split(cand, x).as_dict(), indent=2)
+    r2 = json.dumps(verify_split(cand, x).as_dict(), indent=2)
     assert r1 == r2
-    import json
-
     doc = json.loads(r1)
     assert set(doc["conditions"]) == {"size", "distance", "closeness", "cycle_homeomorphism"}
