@@ -37,8 +37,9 @@ class CertificateError(ValueError):
 # -- label helpers -------------------------------------------------------------
 
 
-# Version-1 documents carry this constant mode header, and serialize each
-# label as [kind, "edge", value, direction].
+CERTIFICATE_VERSION = 2
+# Every document carries this constant mode header, and serializes each label
+# as [kind, "edge", value, direction].
 MODE = {"base": "edge", "fiber": "edge"}
 
 
@@ -463,8 +464,8 @@ def skeleton(ft: FormalTransformation, icc: ICCGraph) -> list[SkeletonPath]:
 class ComponentRepresentation:
     cloud: int
     distinguished: list[Ind]
-    diffs: dict[tuple[Ind, Ind], tuple]   # ordered pair -> intra steps (edge, direction)
-    anchor_identity: int                  # fiber vertex of distinguished[0]
+    diffs: list[tuple]      # per distinguished[1:], the intra steps (edge, direction) from the anchor
+    anchor_identity: int    # fiber vertex of distinguished[0], the anchor
 
 
 def _intra_adjacency(ft: FormalTransformation) -> dict[Ind, dict[Ind, EdgeLabel]]:
@@ -480,29 +481,26 @@ def _intra_adjacency(ft: FormalTransformation) -> dict[Ind, dict[Ind, EdgeLabel]
 
 
 def representations(ft: FormalTransformation, icc: ICCGraph) -> list[ComponentRepresentation]:
-    """Distinguished vertices of every inner component, plus their pairwise
-    relative positions (all ordered pairs; redundant but faithful)."""
+    """Distinguished vertices of every inner component, the true fiber
+    identity of the first (the anchor), and the relative position of each
+    other one from the anchor; that is all `reconstruct_r` reads."""
     adj = _intra_adjacency(ft)
     inv = ft.ind_inverse()
     out = []
     for comp in icc.components:
-        diffs: dict[tuple[Ind, Ind], tuple] = {}
-        for a in comp.distinguished:
-            reached = _walk_diffs(a, adj)
-            for b in comp.distinguished:
-                if b == a:
-                    continue
-                if b not in reached:
-                    raise CertificateError(
-                        f"distinguished vertices {a} and {b} are not intra-connected"
-                    )
-                diffs[(a, b)] = reached[b]
+        anchor, *others = comp.distinguished
+        reached = _walk_diffs(anchor, adj)
+        for b in others:
+            if b not in reached:
+                raise CertificateError(
+                    f"distinguished vertices {anchor} and {b} are not intra-connected"
+                )
         out.append(
             ComponentRepresentation(
                 cloud=comp.cloud,
                 distinguished=list(comp.distinguished),
-                diffs=diffs,
-                anchor_identity=inv[comp.distinguished[0]] % ft.fiber_size,
+                diffs=[reached[b] for b in others],
+                anchor_identity=inv[anchor] % ft.fiber_size,
             )
         )
     return out
@@ -542,7 +540,6 @@ class Certificate:
     base: Graph
     fiber: Graph
     fiber_size: int
-    version: int = 1
 
 
 def shortest_rep_paths(x: ExtendedGraph, c: SplitCandidate) -> list[list[int]]:
@@ -653,10 +650,12 @@ def _check_certificate(cert: Certificate) -> None:
         anchor = rep.anchor_identity
         if not isinstance(anchor, int) or not 0 <= anchor < cert.fiber_size:
             raise CertificateError(f"component {cid}: anchor identity {anchor!r} is no fiber vertex")
-        for w in rep.distinguished[1:]:
-            if (rep.distinguished[0], w) not in rep.diffs:
-                raise CertificateError(f"component {cid}: no relative position of {w}")
-        for diff in rep.diffs.values():
+        if len(rep.diffs) != len(inds) - 1:
+            raise CertificateError(
+                f"component {cid}: {len(rep.diffs)} relative positions for "
+                f"{len(inds) - 1} distinguished vertices besides the anchor"
+            )
+        for diff in rep.diffs:
             for e, d in diff:
                 _check_label(EdgeLabel("intra", e, d), base, fiber, f"component {cid}")
     for pidx, sp in enumerate(cert.skeleton_paths):
@@ -691,11 +690,10 @@ def reconstruct_r(cert: Certificate) -> ICCGraph:
     # True fiber identities of the distinguished vertices, from each anchor.
     ids: list[dict[Ind, int]] = []
     for rep in comps:
-        anchor = rep.distinguished[0]
-        table = {anchor: int(rep.anchor_identity)}
-        for w in rep.distinguished[1:]:
+        table = {rep.distinguished[0]: int(rep.anchor_identity)}
+        for w, diff in zip(rep.distinguished[1:], rep.diffs):
             h = int(rep.anchor_identity)
-            for (e, d) in rep.diffs[(anchor, w)]:
+            for (e, d) in diff:
                 h = _follow(fiber, h, EdgeLabel("intra", e, d))
             table[w] = h
         ids.append(table)
@@ -930,7 +928,7 @@ def certificate_to_json(cert: Certificate) -> dict:
 
     return {
         "format": "zeroext-certificate",
-        "version": cert.version,
+        "version": CERTIFICATE_VERSION,
         "mode": dict(MODE),
         "fiber_size": cert.fiber_size,
         "subgraph": {
@@ -941,10 +939,7 @@ def certificate_to_json(cert: Certificate) -> dict:
             {
                 "cloud": rep.cloud,
                 "distinguished": [ser_ind(i) for i in rep.distinguished],
-                "diffs": [
-                    [ser_ind(a), ser_ind(b), [list(step) for step in diff]]
-                    for (a, b), diff in sorted(rep.diffs.items())
-                ],
+                "diffs": [[list(step) for step in diff] for diff in rep.diffs],
                 "anchor_identity": rep.anchor_identity,
             }
             for rep in cert.representations
@@ -966,7 +961,12 @@ def certificate_from_json(doc: dict, base: Graph, fiber: Graph) -> Certificate:
     CertificateError.  `reconstruct_r` checks the parts against the graphs."""
     if not isinstance(doc, dict) or doc.get("format") != "zeroext-certificate":
         raise CertificateError("not a certificate document")
-    if doc.get("version") != 1:
+    if doc.get("version") == 1:
+        raise CertificateError(
+            "certificate version 1 (positions of every distinguished pair) is no "
+            "longer read; `zeroext cert` rebuilds the certificate"
+        )
+    if doc.get("version") != CERTIFICATE_VERSION:
         raise CertificateError(f"unsupported certificate version {doc.get('version')!r}")
     try:
         return _certificate_from_doc(doc, base, fiber)
@@ -988,7 +988,7 @@ def _certificate_from_doc(doc: dict, base: Graph, fiber: Graph) -> Certificate:
         ComponentRepresentation(
             cloud=int(r["cloud"]),
             distinguished=[un_ind(i) for i in r["distinguished"]],
-            diffs={(un_ind(a), un_ind(b)): un_diff(diff) for a, b, diff in r["diffs"]},
+            diffs=[un_diff(diff) for diff in r["diffs"]],
             anchor_identity=None if r["anchor_identity"] is None else int(r["anchor_identity"]),
         )
         for r in doc["representations"]

@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .certificate import (
     assemble_certificate,
+    certificate_from_json,
     certificate_to_json,
     diagnostics,
     reconstruct_r,
@@ -421,9 +422,10 @@ def cmd_cert(cfg: ExperimentConfig, args) -> int:
     if not cfg.force:
         require_split(x, cand)
     _, ft, icc = transform_pipeline(x, cand)
-    cert = assemble_certificate(x, cand, ft, icc)
-    rebuilt = reconstruct_r(cert)
-    round_trip = rebuilt.canonical_form() == icc.canonical_form()
+    cert_doc = certificate_to_json(assemble_certificate(x, cand, ft, icc))
+    # R is rebuilt from the certificate's JSON text: what a reader of the file gets.
+    read_back = certificate_from_json(json.loads(json.dumps(cert_doc)), x.base, x.fiber)
+    round_trip = reconstruct_r(read_back).canonical_form() == icc.canonical_form()
     d = 2 * x.base.edge_count // x.base.vertex_count  # the base is d-regular
     diag = diagnostics(icc, x.base, cfg.epsilon, d)
     doc = {
@@ -431,7 +433,7 @@ def cmd_cert(cfg: ExperimentConfig, args) -> int:
         "round_trip_exact": bool(round_trip),
         "diagnostics": diag,
         "max_cloud_occupancy": ft.max_cloud_occupancy(),
-        "certificate": certificate_to_json(cert),
+        "certificate": cert_doc,
     }
     summary = {k: doc[k] for k in ("round_trip_exact", "diagnostics", "max_cloud_occupancy")}
     print(json.dumps(summary, indent=2))

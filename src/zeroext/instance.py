@@ -36,7 +36,6 @@ from .extension import (
     sample_extension,
 )
 from .graphs import (
-    ROW_BLOCK,
     Graph,
     LevelCodes,
     check_girth_floor,
@@ -384,7 +383,9 @@ def build_generic_instance(graph: Graph, weights, terminals, metric) -> ZeroExtI
 # -- serialization -----------------------------------------------------------
 
 
+INSTANCE_VERSION = 2
 _GRAPH_KEYS = ("vertex_count", "edges", "multigraph")
+_GAP_KEYS = ("format", "version", "provenance", "metric", "origin")
 
 
 def _graph_to_json(g: Graph) -> dict:
@@ -413,8 +414,8 @@ def _numbers(values: list) -> list:
     return values
 
 
-def _graph_doc(doc: dict) -> dict:
-    """doc, if it is a graph document: any key besides _GRAPH_KEYS (such as
+def _graph_from_json(doc: dict) -> Graph:
+    """The graph of a graph document: any key besides _GRAPH_KEYS (such as
     the generator labels of older files) is rejected, and so is any id that
     is not a JSON integer or a `multigraph` that is not a JSON boolean."""
     extra = sorted(key for key in doc if key not in _GRAPH_KEYS)
@@ -423,11 +424,6 @@ def _graph_doc(doc: dict) -> dict:
     _integers([doc["vertex_count"], *itertools.chain.from_iterable(doc["edges"])])
     if type(doc.get("multigraph", False)) is not bool:
         raise ValueError(f"multigraph {doc['multigraph']!r} is not true or false")
-    return doc
-
-
-def _graph_from_json(doc: dict) -> Graph:
-    doc = _graph_doc(doc)
     return Graph(
         vertex_count=doc["vertex_count"],
         edges=doc["edges"],
@@ -436,19 +432,15 @@ def _graph_from_json(doc: dict) -> Graph:
 
 
 def save_instance(inst: ZeroExtInstance, path) -> None:
-    """JSON document with graph / weights / terminals / metric sections.
+    """JSON document of the parts an instance is built from.
 
-    Gap instances embed their origin (base, fiber, matchings, L) and are
-    rebuilt through the same code path on load, so a load/save round trip is
-    bit-identical.  Dense generic metrics are stored inline.
+    A gap instance stores only its origin (base, fiber, their edge lengths,
+    the matchings and the seed) and `metric.L`; `load_instance` rebuilds the
+    graph, weights and terminals through the same code path, so a load/save
+    round trip is bit-identical.  A dense generic instance stores its graph,
+    weights, terminals and metric matrix inline.
     """
-    doc: dict = {
-        "format": "zeroext-instance",
-        "version": 1,
-        "graph": _graph_to_json(inst.graph),
-        "weights": inst.weights.tolist(),
-        "terminals": inst.terminals.tolist(),
-    }
+    doc: dict = {"format": "zeroext-instance", "version": INSTANCE_VERSION}
     if inst.provenance is not None:
         doc["provenance"] = inst.provenance
     if inst.is_gap:
@@ -463,31 +455,12 @@ def save_instance(inst: ZeroExtInstance, path) -> None:
             "seed": x.seed,
         }
     else:
+        doc["graph"] = _graph_to_json(inst.graph)
+        doc["weights"] = inst.weights.tolist()
+        doc["terminals"] = inst.terminals.tolist()
         doc["metric"] = {"mode": "dense", "matrix": inst.metric.matrix().tolist()}
     with open(path, "w") as fh:
-        fh.writelines(_json_pieces(doc))
-        fh.write("\n")
-
-
-def _json_pieces(value):
-    """The text of `json.dumps(value)` in pieces, each from the one-shot C
-    encoder: a dict with string keys key by key, and a list longer than
-    ROW_BLOCK in slices of ROW_BLOCK items.  Encoding the whole document at
-    once would hold a string per number until the final join (json.dump
-    takes the pure-Python encoder instead)."""
-    if isinstance(value, dict) and all(type(key) is str for key in value):
-        yield "{"
-        for i, (key, item) in enumerate(value.items()):
-            yield (", " if i else "") + json.dumps(key) + ": "
-            yield from _json_pieces(item)
-        yield "}"
-    elif isinstance(value, list) and len(value) > ROW_BLOCK:
-        yield "["
-        for s0 in range(0, len(value), ROW_BLOCK):
-            yield (", " if s0 else "") + json.dumps(value[s0 : s0 + ROW_BLOCK])[1:-1]
-        yield "]"
-    else:
-        yield json.dumps(value)
+        fh.write(json.dumps(doc) + "\n")
 
 
 def _read(path, doc: dict, key: str, parse=lambda value: value):
@@ -538,12 +511,24 @@ def _built(path, build, *parts) -> ZeroExtInstance:
         raise InstanceError(f"{path}: {exc}") from None
 
 
+def _version_1_error(path, doc: dict) -> InstanceError:
+    """The error for a version-1 file, with the command that rebuilds it."""
+    prov = doc.get("provenance")
+    flags = ""
+    if isinstance(prov, dict) and all(type(prov.get(key)) is int for key in ("n", "d", "seed")):
+        flags = f" --n {prov['n']} --d {prov['d']} --seed {prov['seed']}"
+    return InstanceError(
+        f"{path}: version 1 instance files are no longer read; "
+        f"`zeroext generate{flags}` rebuilds the file from its seed"
+    )
+
+
 def load_instance(path) -> ZeroExtInstance:
     """Read an instance file.  Every malformed part raises InstanceError naming
-    the file: a missing or ill-typed key (an id that is not a JSON integer, a
-    number that is a bool or a string), a matching that is not a permutation
-    of the fiber, or a gap instance whose stored graph, weights or terminals
-    differ from the ones rebuilt from its origin."""
+    the file: a version-1 file, a missing or ill-typed key (an id that is not
+    a JSON integer, a number that is a bool or a string), a gap file key
+    besides _GAP_KEYS, or a matching that is not a permutation of the fiber.
+    A gap instance is built from its origin alone."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -551,19 +536,16 @@ def load_instance(path) -> ZeroExtInstance:
         raise InstanceError(f"{path}: not a JSON document ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != "zeroext-instance":
         raise InstanceError(f"{path} is not an instance file")
-    if doc.get("version") != 1:
+    if doc.get("version") == 1:
+        raise _version_1_error(path, doc)
+    if doc.get("version") != INSTANCE_VERSION:
         raise InstanceError(f"{path}: unsupported 'version' {doc.get('version')!r}")
     mode = _read(path, doc, "metric.mode")
     if mode == "gap":
+        extra = sorted(key for key in doc if key not in _GAP_KEYS)
+        if extra:
+            raise InstanceError(f"{path}: gap instance key {extra[0]!r} is not one of {_GAP_KEYS}")
         inst = _built(path, build_gap_instance, *_read_gap_origin(path, doc))
-        for key, parse, rebuilt in (
-            ("graph", _graph_doc, _graph_to_json(inst.graph)),
-            ("weights", _numbers, inst.weights.tolist()),
-            ("terminals", _integers, inst.terminals.tolist()),
-        ):
-            _read(path, doc, key, parse)  # so that 4.0 or true cannot stand for 4
-            if doc[key] != rebuilt:
-                raise InstanceError(f"{path}: {key!r} differs from the instance rebuilt from 'origin'")
     elif mode == "dense":
         inst = _built(
             path,

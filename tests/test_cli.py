@@ -206,8 +206,8 @@ def test_an_n64_gap_row_peaks_below_110_mib(tmp_path):
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
 def test_an_n64_generate_peaks_below_51_mib(tmp_path):
-    # save_instance encodes the 746 KB file in slices; one json.dumps of the
-    # whole document held a string per number and peaked at 54 MiB.
+    # The file holds only the instance's origin (40 KB at n = 64), so
+    # encoding it costs little beside the build.
     peak_kib = _own_peak_kib(tmp_path, ["generate", "--n", "64", "--seed", "0", "--out", str(tmp_path)])
     assert peak_kib < 51 * 1024, peak_kib
 
@@ -341,6 +341,23 @@ def test_cert_round_trip_via_cli(tmp_path):
     assert doc["round_trip_exact"] is True
     assert doc["diagnostics"]["stot_upper_ok"] and doc["diagnostics"]["stot_lower_ok"]
     assert doc["certificate"]["format"] == "zeroext-certificate"
+
+
+def test_cert_round_trip_reads_the_certificate_json_text(tmp_path, monkeypatch, capsys):
+    # A relative position missing from the document fails the run by name,
+    # although the certificate in memory is whole.
+    to_json = cli.certificate_to_json
+
+    def drop_a_diff(cert):
+        doc = to_json(cert)
+        del next(r for r in doc["representations"] if r["diffs"])["diffs"][0]
+        return doc
+
+    monkeypatch.setattr(cli, "certificate_to_json", drop_a_diff)
+    argv = ["cert", "--n", "6", "--seed", "0", "--epsilon", "0.1", "--alpha", "1e9",
+            "--threshold", "0.9", "--force", "--out", str(tmp_path)]
+    assert run(argv) == 2
+    assert "relative positions for" in capsys.readouterr().err
 
 
 def test_config_file_overrides_flags(tmp_path, capsys):

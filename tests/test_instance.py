@@ -251,6 +251,7 @@ def test_instance_json_round_trip(tmp_path):
     build = default_gap_instance(4, 3, 5)
     path = tmp_path / "inst.json"
     save_instance(build.instance, path)
+    assert list(json.loads(path.read_text())) == ["format", "version", "provenance", "metric", "origin"]
     back = load_instance(path)
     assert back.graph.edges == build.instance.graph.edges
     assert np.array_equal(back.weights, build.instance.weights)
@@ -269,36 +270,6 @@ def test_instance_json_round_trip(tmp_path):
     back2 = load_instance(p2)
     assert not back2.is_gap
     assert back2.metric.pair_values(0, 1) == 3.0
-
-
-def _saved_and_encoded(inst, path, monkeypatch):
-    """The text save_instance writes for inst, and json.dumps of the
-    document it encodes."""
-    docs = []
-    pieces = instance._json_pieces  # called again for every section
-    monkeypatch.setattr(instance, "_json_pieces", lambda value: docs.append(value) or pieces(value))
-    save_instance(inst, path)
-    return path.read_text(), json.dumps(docs[0]) + "\n"
-
-
-@pytest.mark.parametrize("n, d", [(4, 3), (8, 4), (24, 4)])
-def test_saved_gap_instance_is_one_json_dumps_of_its_document(tmp_path, monkeypatch, n, d):
-    text, expected = _saved_and_encoded(default_gap_instance(n, d, 0).instance, tmp_path / "gap.json", monkeypatch)
-    assert text == expected
-
-
-def test_saved_generic_instance_with_long_lists_is_one_json_dumps_of_its_document(tmp_path, monkeypatch):
-    # Every list here but the provenance's short one is longer than a slice;
-    # a provenance key that is no string is converted as json.dumps does.
-    k = graphs.ROW_BLOCK + 5
-    line = Graph(vertex_count=k, edges=[(v, v + 1) for v in range(k - 1)])
-    lengths = np.random.default_rng(0).uniform(0.5, 2.0, k - 1)
-    at = np.concatenate([[0.0], np.cumsum(lengths)])
-    inst = build_generic_instance(line, 1.0 / lengths, np.arange(k), np.abs(at[:, None] - at[None, :]))
-    inst.provenance = {"tool": "test", 7: [0.5, None, True], "sizes": list(range(3 * graphs.ROW_BLOCK))}
-    text, expected = _saved_and_encoded(inst, tmp_path / "generic.json", monkeypatch)
-    assert text == expected
-    assert '"7": [0.5, null, true]' in text
 
 
 def test_gap_params_validation():
@@ -409,14 +380,18 @@ MALFORMED_GAP_FILES = {
     "matching-left-out": (("origin", "matchings", 5), DROP, "'origin.matchings' has 5 matchings for 6 base edges"),
     "repeated-vertex": (("origin", "matchings", 0), [0, 0, 0, 0], r"'origin.matchings'\[0\] is not a permutation"),
     "fractional-vertex": (("origin", "matchings", 0), [0, 1, 2, 3.5], r"'origin.matchings'\[0\] is not a permutation"),
-    "edited-graph": (("graph", "edges", 0), [0, 31], "'graph' differs from the instance rebuilt from 'origin'"),
-    "edited-weight": (("weights", 0), 2.0, "'weights' differs"),
-    "edited-terminals": (("terminals", 0), 17, "'terminals' differs"),
+    # A gap file holds no graph, weights or terminals: they are built from the origin.
+    "edited-graph": (("graph",), {"vertex_count": 32, "edges": [[0, 31]]}, "gap instance key 'graph' is not one of"),
+    "edited-weight": (("weights",), [2.0], "gap instance key 'weights' is not one of"),
+    "edited-terminals": (("terminals",), [17], "gap instance key 'terminals' is not one of"),
+    "unknown-key": (("notes",), "", "gap instance key 'notes' is not one of"),
     "short-lengths": (("origin", "base_lengths", 5), DROP, "bad or missing 'origin.base_lengths'"),
     "negative-length": (("origin", "fiber_lengths", 1), -1.0, "'origin.fiber_lengths': edge 1 has length -1.0"),
     "zero-L": (("metric", "L"), 0.0, "L must be positive and finite"),
     "unknown-mode": (("metric", "mode"), "lazy", "unknown 'metric.mode' 'lazy'"),
-    "version": (("version",), 2, "unsupported 'version' 2"),
+    "version": (("version",), 3, "unsupported 'version' 3"),
+    "version-1": (("version",), 1, re.escape("version 1 instance files are no longer read; "
+                                             "`zeroext generate --n 4 --d 3 --seed 0` rebuilds the file from its seed")),
     "base-labels": (("origin", "base", "labels"), [[0, 0, 1], [1, 0, -1]],
                     "bad or missing 'origin.base': graph key 'labels'"),
     "fiber-group": (("origin", "fiber", "group_moduli"), [4], "bad or missing 'origin.fiber': graph key 'group_moduli'"),
@@ -435,6 +410,8 @@ def test_malformed_generic_file_raises_instance_error(saved):
         load_edited(saved, ("metric", "matrix"), DROP, "generic")
     with pytest.raises(InstanceError, match=r"metric shape \(1, 2\) does not match 2 terminals"):
         load_edited(saved, ("metric", "matrix", 1), DROP, "generic")
+    with pytest.raises(InstanceError, match=re.escape("no longer read; `zeroext generate` rebuilds")):
+        load_edited(saved, ("version",), 1, "generic")
 
 
 NON_INTEGER_IDS = {
@@ -476,13 +453,17 @@ def _floats(ids):
 
 
 # Values that equal the stored ones in Python (4.0 == 4, true == 1) or that
-# numpy or float() would cast; each names its key.
+# numpy or float() would cast; each names its key.  A gap instance's graph,
+# terminals and weights are built from the origin's edges, vertex counts and
+# lengths, so the gap cases named after them damage those.
 UNTYPED_VALUES = {
-    "gap-float-graph-edge": ("gap", ("graph", "edges", 0), _floats, "'graph': .* is not an integer"),
-    "gap-bool-graph-edge": ("gap", ("graph", "edges"), _one_as_true, "'graph': True is not an integer"),
-    "gap-float-vertex-count": ("gap", ("graph", "vertex_count"), _floats, "'graph': 32.0 is not an integer"),
-    "gap-float-terminal": ("gap", ("terminals", 0), _floats, "'terminals': 16.0 is not an integer"),
-    "gap-bool-weight": ("gap", ("weights", 0), True, "'weights': True is not a number"),
+    "gap-float-graph-edge": ("gap", ("origin", "fiber", "edges", 0), _floats, "'origin.fiber': .* is not an integer"),
+    "gap-bool-graph-edge": ("gap", ("origin", "base", "edges"), _one_as_true, "'origin.base': True is not an integer"),
+    "gap-float-vertex-count": ("gap", ("origin", "base", "vertex_count"), _floats,
+                               "'origin.base': 4.0 is not an integer"),
+    "gap-float-terminal": ("gap", ("origin", "fiber", "vertex_count"), _floats,
+                           "'origin.fiber': 4.0 is not an integer"),
+    "gap-bool-weight": ("gap", ("origin", "base_lengths", 0), True, "'origin.base_lengths': True is not a number"),
     "gap-string-multigraph": ("gap", ("origin", "base", "multigraph"), "false",
                               "'origin.base': multigraph 'false' is not true or false"),
     "gap-bool-matching": ("gap", ("origin", "matchings", 0), _one_as_true,
