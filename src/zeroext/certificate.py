@@ -6,8 +6,8 @@ their per-cloud intra components of degree >= 3, or containing a path
 endpoint, become the vertices of the inner component graph R, whose edges are
 the transit subpaths between them.  A certificate packages the kept subgraph,
 per-component representations, the label skeleton of the transformed paths,
-and the representative identities; R is reconstructible from the certificate
-alone, without the sampled matchings.
+and the representative identities, each fact once; R is reconstructible from
+the certificate alone, without the sampled matchings.
 
 Step labels are edge ids with a direction (see `EdgeLabel`), so they name a
 step in any base and fiber graph.  A relative position inside a cloud is the
@@ -25,6 +25,7 @@ from . import gf2
 from .extension import EdgeLabel, ExtendedGraph, edge_label, flatten, project
 from .graphs import Graph
 from .graphs import single_source_shortest_paths  # noqa: F401  (bench/test_bench.py asserts this binding)
+from .instance import _integers
 from .split import SplitCandidate, verify_split
 
 Ind = tuple[int, int]  # (cloud, running index) as assigned by the transformation
@@ -37,24 +38,11 @@ class CertificateError(ValueError):
 # -- label helpers -------------------------------------------------------------
 
 
-CERTIFICATE_VERSION = 2
-# Every document carries this constant mode header, and serializes each label
-# as [kind, "edge", value, direction].
-MODE = {"base": "edge", "fiber": "edge"}
+CERTIFICATE_VERSION = 3
 
 
 def _invert_label(lab: EdgeLabel) -> EdgeLabel:
     return EdgeLabel(lab.kind, lab.value, -lab.direction)
-
-
-def _label_ser(lab: EdgeLabel) -> tuple:
-    return (lab.kind, "edge", int(lab.value), int(lab.direction))
-
-
-def _label_unser(t) -> EdgeLabel:
-    if t[1] != "edge":
-        raise ValueError(f"label scheme {t[1]!r} is not 'edge'")
-    return EdgeLabel(str(t[0]), int(t[2]), int(t[3]))
 
 
 def _follow(g: Graph, at: int, lab: EdgeLabel) -> int:
@@ -88,7 +76,6 @@ class FormalTransformation:
     ind: dict[int, Ind]          # extension vertex -> assigned index
     base: Graph
     fiber: Graph
-    fiber_size: int
 
     def ind_inverse(self) -> dict[Ind, int]:
         return {v: k for k, v in self.ind.items()}
@@ -138,9 +125,7 @@ def formal_transform(paths: list[list[int]], x: ExtendedGraph) -> FormalTransfor
             labels.append(edge_label(x, eid, a))
             verts.append(expose(b))
         qpaths.append(QPath(verts=verts, labels=labels))
-    return FormalTransformation(
-        paths=qpaths, ind=ind, base=x.base, fiber=x.fiber, fiber_size=x.fiber_size
-    )
+    return FormalTransformation(paths=qpaths, ind=ind, base=x.base, fiber=x.fiber)
 
 
 def reconstruct_paths(
@@ -232,7 +217,7 @@ class Transit:
     last_base_edge: int          # base edge of the final inter step, canonical direction
 
     def signature(self) -> tuple:
-        return (self.end_inds[0], tuple(_label_ser(l) for l in self.labels))
+        return (self.end_inds[0], tuple(self.labels))
 
 
 @dataclass
@@ -258,11 +243,9 @@ class ICCGraph:
 def _canonical_transit(
     first: Ind, last: Ind, labels: list[EdgeLabel]
 ) -> tuple[tuple[Ind, Ind], list[EdgeLabel]]:
-    """Direction-normalize a transit: keep the lex-smaller directed serialization."""
-    fwd = (first, tuple(_label_ser(l) for l in labels))
+    """Direction-normalize a transit: keep the lex-smaller directed form."""
     rev_labels = [_invert_label(l) for l in labels[::-1]]
-    bwd = (last, tuple(_label_ser(l) for l in rev_labels))
-    if fwd <= bwd:
+    if (first, labels) <= (last, rev_labels):
         return (first, last), list(labels)
     return (last, first), rev_labels
 
@@ -346,7 +329,7 @@ def inner_components(ft: FormalTransformation) -> ICCGraph:
             seg_verts = qpath.verts[a : b + 1]
             seg_labels = qpath.labels[a:b]
             ends, canon = _canonical_transit(seg_verts[0], seg_verts[-1], seg_labels)
-            key = (ends[0], tuple(_label_ser(l) for l in canon))
+            key = (ends[0], tuple(canon))
             first = (min(seg_verts[0], seg_verts[1]), max(seg_verts[0], seg_verts[1]))
             last = (min(seg_verts[-2], seg_verts[-1]), max(seg_verts[-2], seg_verts[-1]))
             surprising.add(first)
@@ -428,8 +411,7 @@ def inner_components(ft: FormalTransformation) -> ICCGraph:
 
 @dataclass
 class SkeletonPath:
-    length: int                  # vertex count
-    labels: list[EdgeLabel]
+    labels: list[EdgeLabel]      # one per step, so the path has len(labels) + 1 vertices
     kept: dict[int, Ind]         # position -> retained index
 
 
@@ -453,7 +435,7 @@ def skeleton(ft: FormalTransformation, icc: ICCGraph) -> list[SkeletonPath]:
             ):
                 kept[j + 1] = v
             seen_edges.add(key)
-        out.append(SkeletonPath(length=len(qpath.verts), labels=list(qpath.labels), kept=kept))
+        out.append(SkeletonPath(labels=list(qpath.labels), kept=kept))
     return out
 
 
@@ -462,8 +444,7 @@ def skeleton(ft: FormalTransformation, icc: ICCGraph) -> list[SkeletonPath]:
 
 @dataclass
 class ComponentRepresentation:
-    cloud: int
-    distinguished: list[Ind]
+    distinguished: list[Ind]     # all in one cloud
     diffs: list[tuple]      # per distinguished[1:], the intra steps (edge, direction) from the anchor
     anchor_identity: int    # fiber vertex of distinguished[0], the anchor
 
@@ -497,10 +478,9 @@ def representations(ft: FormalTransformation, icc: ICCGraph) -> list[ComponentRe
                 )
         out.append(
             ComponentRepresentation(
-                cloud=comp.cloud,
                 distinguished=list(comp.distinguished),
                 diffs=[reached[b] for b in others],
-                anchor_identity=inv[anchor] % ft.fiber_size,
+                anchor_identity=inv[anchor] % ft.fiber.vertex_count,
             )
         )
     return out
@@ -528,18 +508,20 @@ class Certificate:
     """Quadruplet sufficient to rebuild R: kept subgraph, component
     representations, label skeleton, representative identities.
 
-    base and fiber are the public input graphs; the sampled matchings are
-    deliberately absent and cannot be recovered from a certificate.
+    Each fact is stored once: the kept clouds are the keys of
+    `representatives`, a kept edge's endpoints are read from the base graph,
+    a component's cloud from its distinguished indices and a path's length
+    from its labels.  base and fiber are the public input graphs; the sampled
+    matchings are deliberately absent and cannot be recovered from a
+    certificate.
     """
 
-    subgraph_vertices: list[int]
-    subgraph_edges: list[tuple[int, int, int]]   # (base edge id, g1, g2), ascending
+    subgraph_edges: list[int]                    # kept base edge ids, ascending
     representations: list[ComponentRepresentation]
     skeleton_paths: list[SkeletonPath]
-    representatives: dict[int, int]              # cloud -> extension vertex
+    representatives: dict[int, int]              # kept cloud -> extension vertex
     base: Graph
     fiber: Graph
-    fiber_size: int
 
 
 def shortest_rep_paths(x: ExtendedGraph, c: SplitCandidate) -> list[list[int]]:
@@ -594,18 +576,13 @@ def assemble_certificate(
 ) -> Certificate:
     """The certificate of a candidate from its transformation and inner
     component graph, as `transform_pipeline` returns them; no verification."""
-    sub_edges = [
-        (eid, x.base.edges[eid][0], x.base.edges[eid][1]) for eid in sorted(c.edge_ids)
-    ]
     return Certificate(
-        subgraph_vertices=sorted(c.vertices),
-        subgraph_edges=sub_edges,
+        subgraph_edges=sorted(c.edge_ids),
         representations=representations(ft, icc),
         skeleton_paths=skeleton(ft, icc),
         representatives={g: int(c.rep_map[g]) for g in sorted(c.rep_map)},
         base=x.base,
         fiber=x.fiber,
-        fiber_size=x.fiber_size,
     )
 
 
@@ -613,9 +590,9 @@ def assemble_certificate(
 
 
 def _check_label(lab: EdgeLabel, base: Graph, fiber: Graph, where: str) -> None:
-    g = {"intra": fiber, "inter": base}.get(lab.kind)
-    if g is None:
+    if lab.kind not in ("intra", "inter"):
         raise CertificateError(f"{where}: unknown label kind {lab.kind!r}")
+    g = fiber if lab.kind == "intra" else base
     if not 0 <= lab.value < g.edge_count or lab.direction not in (1, -1):
         raise CertificateError(
             f"{where}: {lab.kind} label names edge {lab.value} (of {g.edge_count}) "
@@ -627,28 +604,23 @@ def _check_certificate(cert: Certificate) -> None:
     """Reject parts that do not fit the public graphs or each other, so the
     replay in `reconstruct_r` meets only well-formed input."""
     base, fiber = cert.base, cert.fiber
-    if cert.fiber_size != fiber.vertex_count:
-        raise CertificateError(f"fiber size {cert.fiber_size} != {fiber.vertex_count}")
-    kept = set(cert.subgraph_vertices)
-    outside = sorted(v for v in kept if not 0 <= v < base.vertex_count)
+    outside = sorted(g for g in cert.representatives if not 0 <= g < base.vertex_count)
     if outside:
-        raise CertificateError(f"kept vertices {outside} are outside the base graph")
-    eids = [eid for eid, _, _ in cert.subgraph_edges]
+        raise CertificateError(f"representative clouds {outside} are outside the base graph")
+    eids = cert.subgraph_edges
     if any(a >= b for a, b in zip(eids, eids[1:])):
         raise CertificateError("kept edge ids are not strictly ascending")
-    for eid, g1, g2 in cert.subgraph_edges:
-        if not 0 <= eid < base.edge_count or tuple(base.edges[eid]) != (g1, g2):
-            raise CertificateError(f"kept edge ({eid}, {g1}, {g2}) is no edge of the base graph")
-        if g1 not in kept or g2 not in kept:
-            raise CertificateError(f"kept edge {eid} has an endpoint outside the kept vertices")
-        if g1 not in cert.representatives or g2 not in cert.representatives:
+    for eid in eids:
+        if not 0 <= eid < base.edge_count:
+            raise CertificateError(f"kept edge {eid} is no edge of the base graph")
+        if any(g not in cert.representatives for g in base.edges[eid]):
             raise CertificateError(f"kept edge {eid} joins a cloud without a representative")
     for cid, rep in enumerate(cert.representations):
         inds = rep.distinguished
-        if not inds or not 0 <= rep.cloud < base.vertex_count or any(i[0] != rep.cloud for i in inds):
+        if not inds or not 0 <= inds[0][0] < base.vertex_count or any(i[0] != inds[0][0] for i in inds):
             raise CertificateError(f"component {cid}: no distinguished index, or one outside its cloud")
         anchor = rep.anchor_identity
-        if not isinstance(anchor, int) or not 0 <= anchor < cert.fiber_size:
+        if type(anchor) is not int or not 0 <= anchor < fiber.vertex_count:
             raise CertificateError(f"component {cid}: anchor identity {anchor!r} is no fiber vertex")
         if len(rep.diffs) != len(inds) - 1:
             raise CertificateError(
@@ -659,11 +631,11 @@ def _check_certificate(cert: Certificate) -> None:
             for e, d in diff:
                 _check_label(EdgeLabel("intra", e, d), base, fiber, f"component {cid}")
     for pidx, sp in enumerate(cert.skeleton_paths):
-        if sp.length < 1 or len(sp.labels) != sp.length - 1:
-            raise CertificateError(f"path {pidx}: {len(sp.labels)} labels for {sp.length} vertices")
         for pos in sp.kept:
-            if not 0 <= pos < sp.length:
-                raise CertificateError(f"path {pidx}: kept position {pos} outside [0, {sp.length})")
+            if not 0 <= pos <= len(sp.labels):
+                raise CertificateError(
+                    f"path {pidx}: kept position {pos} outside [0, {len(sp.labels) + 1})"
+                )
         for j, lab in enumerate(sp.labels):
             _check_label(lab, base, fiber, f"path {pidx} step {j}")
 
@@ -679,6 +651,7 @@ def reconstruct_r(cert: Certificate) -> ICCGraph:
     """
     _check_certificate(cert)
     base, fiber = cert.base, cert.fiber
+    fiber_size = fiber.vertex_count
     comps = cert.representations
     comp_of_ind: dict[Ind, int] = {}
     for cid, rep in enumerate(comps):
@@ -690,9 +663,9 @@ def reconstruct_r(cert: Certificate) -> ICCGraph:
     # True fiber identities of the distinguished vertices, from each anchor.
     ids: list[dict[Ind, int]] = []
     for rep in comps:
-        table = {rep.distinguished[0]: int(rep.anchor_identity)}
+        table = {rep.distinguished[0]: rep.anchor_identity}
         for w, diff in zip(rep.distinguished[1:], rep.diffs):
-            h = int(rep.anchor_identity)
+            h = rep.anchor_identity
             for (e, d) in diff:
                 h = _follow(fiber, h, EdgeLabel("intra", e, d))
             table[w] = h
@@ -711,31 +684,32 @@ def reconstruct_r(cert: Certificate) -> ICCGraph:
     if len(cert.skeleton_paths) != len(cert.subgraph_edges):
         raise CertificateError("skeleton path count does not match the kept subgraph")
 
-    transit_seen: dict[tuple, dict] = {}
+    # (first index, first label) -> (labels, far component, far index) of
+    # every transit seen so far, in both directions.
+    transit_seen: dict[tuple[Ind, EdgeLabel], tuple[list[EdgeLabel], int, Ind]] = {}
     transits: list[Transit] = []
     rep_comps: set[int] = set()
 
-    for pidx, (skelpath, (eid, g1, g2)) in enumerate(
-        zip(cert.skeleton_paths, cert.subgraph_edges)
-    ):
+    for pidx, (skelpath, eid) in enumerate(zip(cert.skeleton_paths, cert.subgraph_edges)):
+        g1, g2 = base.edges[eid]
         labels = skelpath.labels
         kept = skelpath.kept
         start_ind = kept.get(0)
-        end_ind = kept.get(skelpath.length - 1)
+        end_ind = kept.get(len(labels))
         if start_ind is None or end_ind is None:
             raise CertificateError(f"path {pidx}: endpoints missing from skeleton")
         if start_ind not in comp_of_ind or end_ind not in comp_of_ind:
             raise CertificateError(f"path {pidx}: endpoint index not in any component")
         r_start = cert.representatives[g1]
         r_end = cert.representatives[g2]
-        if start_ind[0] != r_start // cert.fiber_size:
+        if start_ind[0] != r_start // fiber_size:
             raise CertificateError(f"path {pidx}: start cloud disagrees with representative")
-        if end_ind[0] != r_end // cert.fiber_size:
+        if end_ind[0] != r_end // fiber_size:
             raise CertificateError(f"path {pidx}: end cloud disagrees with representative")
         cid = comp_of_ind[start_ind]
         rep_comps.add(cid)
         rep_comps.add(comp_of_ind[end_ind])
-        if ids[cid][start_ind] != r_start % cert.fiber_size:
+        if ids[cid][start_ind] != r_start % fiber_size:
             raise CertificateError(f"path {pidx}: start identity disagrees with representative")
 
         h = ids[cid][start_ind]  # fiber vertex of the walk inside component cid
@@ -750,18 +724,16 @@ def reconstruct_r(cert: Certificate) -> ICCGraph:
                 pos += 1
                 continue
             exit_ind = resolve(cid, h, f"path {pidx} step {pos}")
-            key = (exit_ind, _label_ser(lab))
-            rec = transit_seen.get(key)
-            if rec is not None:
-                seg = [_label_ser(l) for l in labels[pos : pos + rec["length"]]]
-                if seg != rec["labels_ser"]:
+            seen = transit_seen.get((exit_ind, lab))
+            if seen is not None:
+                seg, cid, far_ind = seen
+                if labels[pos : pos + len(seg)] != seg:
                     raise CertificateError(
                         f"path {pidx} step {pos}: transit replay diverges from "
                         "its first traversal"
                     )
-                pos += rec["length"]
-                cid = rec["far_comp"]
-                h = ids[cid][rec["far_ind"]]
+                pos += len(seg)
+                h = ids[cid][far_ind]
                 continue
             # New transit: walk until a kept index lands in a component.
             seg_labels: list[EdgeLabel] = []
@@ -790,18 +762,8 @@ def reconstruct_r(cert: Certificate) -> ICCGraph:
                 )
             c2 = comp_of_ind[entry_ind]
             rev = [_invert_label(l) for l in seg_labels[::-1]]
-            transit_seen[(exit_ind, _label_ser(seg_labels[0]))] = {
-                "length": len(seg_labels),
-                "labels_ser": [_label_ser(l) for l in seg_labels],
-                "far_comp": c2,
-                "far_ind": entry_ind,
-            }
-            transit_seen[(entry_ind, _label_ser(rev[0]))] = {
-                "length": len(rev),
-                "labels_ser": [_label_ser(l) for l in rev],
-                "far_comp": cid,
-                "far_ind": exit_ind,
-            }
+            transit_seen[(exit_ind, seg_labels[0])] = (seg_labels, c2, entry_ind)
+            transit_seen[(entry_ind, rev[0])] = (rev, cid, exit_ind)
             ends, canon = _canonical_transit(exit_ind, entry_ind, seg_labels)
             transits.append(
                 Transit(
@@ -830,7 +792,7 @@ def reconstruct_r(cert: Certificate) -> ICCGraph:
         components.append(
             InnerComponent(
                 comp_id=cid,
-                cloud=rep.cloud,
+                cloud=rep.distinguished[0][0],
                 members=list(rep.distinguished),
                 distinguished=list(rep.distinguished),
                 degree=degree[cid],
@@ -912,8 +874,8 @@ def diagnostics(icc: ICCGraph, base: Graph, epsilon: float, d: int, *, slack_con
         "beta_by_base_edge": {int(k): int(v) for k, v in sorted(beta.items())},
         "beta_total": int(beta_total),
         "beta_matches_b1": bool(beta_total == b1),
-        "certificate_probability_log10": log10_prob,
-        "certificate_probability": 10.0**log10_prob if log10_prob > -300 else 0.0,
+        "per_certificate_probability_log10": log10_prob,
+        "per_certificate_probability": 10.0**log10_prob if log10_prob > -300 else 0.0,
     }
 
 
@@ -921,7 +883,9 @@ def diagnostics(icc: ICCGraph, base: Graph, epsilon: float, d: int, *, slack_con
 
 
 def certificate_to_json(cert: Certificate) -> dict:
-    """Four top-level sections mirroring the quadruplet, plus the mode header."""
+    """Four sections mirroring the quadruplet: the kept base edge ids, the
+    component representations, the label skeleton (each label
+    [kind, edge id, direction]) and the representatives as [cloud, vertex]."""
 
     def ser_ind(ind: Ind):
         return [int(ind[0]), int(ind[1])]
@@ -929,15 +893,9 @@ def certificate_to_json(cert: Certificate) -> dict:
     return {
         "format": "zeroext-certificate",
         "version": CERTIFICATE_VERSION,
-        "mode": dict(MODE),
-        "fiber_size": cert.fiber_size,
-        "subgraph": {
-            "vertices": [int(v) for v in cert.subgraph_vertices],
-            "edges": [[int(e), int(a), int(b)] for e, a, b in cert.subgraph_edges],
-        },
+        "subgraph": [int(e) for e in cert.subgraph_edges],
         "representations": [
             {
-                "cloud": rep.cloud,
                 "distinguished": [ser_ind(i) for i in rep.distinguished],
                 "diffs": [[list(step) for step in diff] for diff in rep.diffs],
                 "anchor_identity": rep.anchor_identity,
@@ -946,8 +904,7 @@ def certificate_to_json(cert: Certificate) -> dict:
         ],
         "skeleton": [
             {
-                "length": sp.length,
-                "labels": [list(_label_ser(l)) for l in sp.labels],
+                "labels": [[l.kind, int(l.value), int(l.direction)] for l in sp.labels],
                 "kept": [[int(pos), ser_ind(ind)] for pos, ind in sorted(sp.kept.items())],
             }
             for sp in cert.skeleton_paths
@@ -957,17 +914,19 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(doc: dict, base: Graph, fiber: Graph) -> Certificate:
-    """Parse a certificate document; a missing or ill-typed part raises
-    CertificateError.  `reconstruct_r` checks the parts against the graphs."""
+    """Parse a certificate document; a missing part, or an id, position or
+    direction that is not a JSON integer, raises CertificateError.
+    `reconstruct_r` checks the parts against the graphs."""
     if not isinstance(doc, dict) or doc.get("format") != "zeroext-certificate":
         raise CertificateError("not a certificate document")
-    if doc.get("version") == 1:
+    version = doc.get("version")
+    if version in (1, 2):
         raise CertificateError(
-            "certificate version 1 (positions of every distinguished pair) is no "
-            "longer read; `zeroext cert` rebuilds the certificate"
+            f"certificate version {version} is no longer read; `zeroext cert` "
+            "rebuilds the certificate"
         )
-    if doc.get("version") != CERTIFICATE_VERSION:
-        raise CertificateError(f"unsupported certificate version {doc.get('version')!r}")
+    if version != CERTIFICATE_VERSION:
+        raise CertificateError(f"unsupported certificate version {version!r}")
     try:
         return _certificate_from_doc(doc, base, fiber)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
@@ -975,39 +934,36 @@ def certificate_from_json(doc: dict, base: Graph, fiber: Graph) -> Certificate:
 
 
 def _certificate_from_doc(doc: dict, base: Graph, fiber: Graph) -> Certificate:
-    if doc["mode"] != MODE:
-        raise ValueError(f"label mode {doc['mode']!r} is not {MODE!r}")
+    # The anchor identity is type-checked with the rest of a representation
+    # in `_check_certificate`; every other number goes through `_integers`.
+    def pair(t) -> tuple[int, int]:
+        a, b = _integers(t)
+        return (a, b)
 
-    def un_ind(t) -> Ind:
-        return (int(t[0]), int(t[1]))
-
-    def un_diff(raw) -> tuple:
-        return tuple((int(e), int(d)) for e, d in raw)
+    def un_label(t) -> EdgeLabel:
+        kind, *step = t
+        return EdgeLabel(kind, *pair(step))
 
     reps = [
         ComponentRepresentation(
-            cloud=int(r["cloud"]),
-            distinguished=[un_ind(i) for i in r["distinguished"]],
-            diffs=[un_diff(diff) for diff in r["diffs"]],
-            anchor_identity=None if r["anchor_identity"] is None else int(r["anchor_identity"]),
+            distinguished=[pair(i) for i in r["distinguished"]],
+            diffs=[tuple(map(pair, diff)) for diff in r["diffs"]],
+            anchor_identity=r["anchor_identity"],
         )
         for r in doc["representations"]
     ]
     skel = [
         SkeletonPath(
-            length=int(s["length"]),
-            labels=[_label_unser(l) for l in s["labels"]],
-            kept={int(pos): un_ind(ind) for pos, ind in s["kept"]},
+            labels=[un_label(l) for l in s["labels"]],
+            kept={_integers([pos])[0]: pair(ind) for pos, ind in s["kept"]},
         )
         for s in doc["skeleton"]
     ]
     return Certificate(
-        subgraph_vertices=[int(v) for v in doc["subgraph"]["vertices"]],
-        subgraph_edges=[(int(e), int(a), int(b)) for e, a, b in doc["subgraph"]["edges"]],
+        subgraph_edges=list(_integers(doc["subgraph"])),
         representations=reps,
         skeleton_paths=skel,
-        representatives={int(g): int(v) for g, v in doc["representatives"]},
+        representatives=dict(map(pair, doc["representatives"])),
         base=base,
         fiber=fiber,
-        fiber_size=int(doc["fiber_size"]),
     )

@@ -194,9 +194,7 @@ def test_missing_endpoint_identity_raises():
 
 
 def _synthetic_ft(base: Graph, fiber: Graph, paths: list[QPath], ind: dict) -> FormalTransformation:
-    return FormalTransformation(
-        paths=paths, ind=ind, base=base, fiber=fiber, fiber_size=fiber.vertex_count
-    )
+    return FormalTransformation(paths=paths, ind=ind, base=base, fiber=fiber)
 
 
 def test_straight_through_cloud_contributes_no_r_vertex():
@@ -423,7 +421,7 @@ def test_diagnostics_tree_r():
     diag = diagnostics(icc, Graph(vertex_count=50, edges=[]), epsilon=0.1, d=4)
     assert diag["b1"] == 0
     assert diag["constraint_edge_count"] == 0
-    assert diag["certificate_probability"] == 1.0
+    assert diag["per_certificate_probability"] == 1.0
     assert diag["beta_matches_b1"]
 
 
@@ -438,7 +436,7 @@ def test_diagnostics_single_cycle_probability():
     )
     diag = diagnostics(icc, Graph(vertex_count=100, edges=[]), epsilon=0.1, d=4)
     assert diag["b1"] == 1
-    assert abs(diag["certificate_probability"] - 0.02) < 1e-15
+    assert abs(diag["per_certificate_probability"] - 0.02) < 1e-15
     assert diag["constraint_edge_count"] == 1
 
 
@@ -485,14 +483,12 @@ def test_self_loop_r_edge_round_trip():
     assert icc.s_tot == 2
 
     cert = Certificate(
-        subgraph_vertices=[0, 1, 2],
-        subgraph_edges=[(lookup[(0, 1)], 0, 1), (lookup[(1, 2)], 1, 2)],
+        subgraph_edges=[lookup[(0, 1)], lookup[(1, 2)]],
         representations=make_reps(ft, icc),
         skeleton_paths=skeleton(ft, icc),
         representatives={0: v3, 1: v0, 2: v3},
         base=c3,
         fiber=fiber,
-        fiber_size=x.fiber_size,
     )
     rebuilt = reconstruct_r(cert)
     assert rebuilt.canonical_form() == icc.canonical_form()
@@ -502,7 +498,7 @@ def test_self_loop_r_edge_round_trip():
 def test_reverse_transit_replay_in_reconstruction():
     # A transit traversed forward by one path and backward by another must be
     # recognized as the same R edge during reconstruction.  Each path runs
-    # from the smaller cloud of its kept base edge: (0, 0, 2) and (1, 2, 3).
+    # from the smaller cloud of its kept base edge: 0 = (0, 2) and 1 = (2, 3).
     from zeroext.certificate import Certificate, representations as make_reps
 
     base = Graph(vertex_count=4, edges=[(0, 2), (2, 3), (0, 1), (1, 2), (0, 3)])
@@ -523,14 +519,12 @@ def test_reverse_transit_replay_in_reconstruction():
     icc = inner_components(ft)
     assert icc.r_graph.edge_count == 2
     cert = Certificate(
-        subgraph_vertices=[0, 2, 3],
-        subgraph_edges=[(0, 0, 2), (1, 2, 3)],
+        subgraph_edges=[0, 1],
         representations=make_reps(ft, icc),
         skeleton_paths=skeleton(ft, icc),
         representatives={0: 0, 2: 4, 3: 6},
         base=base,
         fiber=fiber,
-        fiber_size=2,
     )
     rebuilt = reconstruct_r(cert)
     assert rebuilt.canonical_form() == icc.canonical_form()
@@ -548,9 +542,33 @@ def cert_docs():
     docs = {}
     for family, (x, _, cand) in (("regular", corpus[0]), ("cayley", corpus[2])):
         doc = certificate_to_json(build_certificate(x, cand, force=True))
-        assert doc["mode"] == {"base": "edge", "fiber": "edge"}
         docs[family] = (json.dumps(doc), x.base, x.fiber)
     return docs
+
+
+def test_certificate_document_stores_each_fact_once(cert_docs):
+    """The document holds no field its reader only re-derives or cross-checks:
+    no kept vertices, endpoints, path lengths, component clouds or label
+    mode."""
+    for text, _, _ in cert_docs.values():
+        doc = json.loads(text)
+        assert set(doc) == {
+            "format", "version", "subgraph", "representations", "representatives", "skeleton"
+        }
+        assert all(type(eid) is int for eid in doc["subgraph"])
+        for rep in doc["representations"]:
+            assert set(rep) == {"distinguished", "diffs", "anchor_identity"}
+        assert doc["skeleton"]
+        for sp in doc["skeleton"]:
+            assert set(sp) == {"labels", "kept"}
+            assert all(len(label) == 3 for label in sp["labels"])
+
+
+def test_candidate_vertices_are_the_representative_clouds():
+    # The certificate stores the kept clouds only as the keys of its
+    # representatives; that is faithful because they are the same set.
+    for _, _, cand in candidate_corpus(9, seed0=0):
+        assert cand.vertices == sorted(cand.rep_map)
 
 
 def rebuild_from(docs, family, tamper):
@@ -561,7 +579,9 @@ def rebuild_from(docs, family, tamper):
 
 
 def drop_representative(doc):
-    g1 = doc["subgraph"]["edges"][0][1]
+    # Path 0 starts at the representative of an endpoint of kept edge 0; in
+    # this corpus every representative lies in its own cloud.
+    g1 = doc["skeleton"][0]["kept"][0][1][0]
     doc["representatives"] = [pair for pair in doc["representatives"] if pair[0] != g1]
 
 
@@ -572,14 +592,7 @@ def drop_diff(doc):
 
 def far_label(doc):
     sp = next(sp for sp in doc["skeleton"] if sp["labels"])
-    sp["labels"][0][2] = 10**6
-
-
-def label_scheme(scheme):
-    def tamper(doc):
-        sp = next(sp for sp in doc["skeleton"] if sp["labels"])
-        sp["labels"][0][1] = scheme
-    return tamper
+    sp["labels"][0][1] = 10**6
 
 
 def null_anchor(doc):
@@ -591,44 +604,24 @@ def kept_beyond_path(doc):
     sp["kept"].append([999, sp["kept"][-1][1]])
 
 
-def last_kept_edge(change):
-    def tamper(doc):
-        doc["subgraph"]["edges"][-1] = change(doc["subgraph"]["edges"][-1])
-    return tamper
-
-
-def drop_kept_vertex(doc):
-    g1 = doc["subgraph"]["edges"][0][1]
-    doc["subgraph"]["vertices"].remove(g1)
-
-
 TAMPERED = {
     "dropped-representative": ("regular", drop_representative, "joins a cloud without a representative"),
-    "no-mode": ("regular", lambda doc: doc.pop("mode"), "malformed certificate document: KeyError"),
-    "mode-gen": ("cayley", lambda doc: doc.__setitem__("mode", {"base": "gen", "fiber": "gen"}),
-                 "label mode {'base': 'gen', 'fiber': 'gen'} is not"),
-    "fiber-mode-gen": ("regular", lambda doc: doc["mode"].__setitem__("fiber", "gen"),
-                       "label mode {'base': 'edge', 'fiber': 'gen'} is not"),
-    "label-scheme-gen": ("cayley", label_scheme("gen"), "label scheme 'gen' is not 'edge'"),
-    "label-scheme-null": ("regular", label_scheme(None), "label scheme None is not 'edge'"),
     "dropped-diff": ("regular", drop_diff, r"component \d+: \d+ relative positions for \d+ distinguished vertices besides"),
     "label-edge-1e6": ("regular", far_label, "label names edge 1000000"),
     "label-edge-1e6-cayley": ("cayley", far_label, "label names edge 1000000"),
     "null-anchor": ("regular", null_anchor, "anchor identity None is no fiber vertex"),
     "kept-position-999": ("regular", kept_beyond_path, r"kept position 999 outside \[0, \d+\)"),
-    "version": ("cayley", lambda doc: doc.__setitem__("version", 3), "unsupported certificate version 3"),
-    "version-1": ("regular", lambda doc: doc.__setitem__("version", 1), "certificate version 1 .* is no longer read"),
-    "kept-edge-reversed": ("regular", last_kept_edge(lambda e: [e[0], e[2], e[1]]),
-                           r"kept edge \(\d+, \d+, \d+\) is no edge of the base graph"),
-    "kept-edge-id-1e6": ("regular", last_kept_edge(lambda e: [10**6, e[1], e[2]]),
-                         r"kept edge \(1000000, \d+, \d+\) is no edge"),
-    "kept-edges-descending": ("regular", lambda doc: doc["subgraph"]["edges"].reverse(),
+    "version": ("cayley", lambda doc: doc.__setitem__("version", 4), "unsupported certificate version 4"),
+    "version-1": ("regular", lambda doc: doc.__setitem__("version", 1), "certificate version 1 is no longer read"),
+    "version-2": ("cayley", lambda doc: doc.__setitem__("version", 2), "certificate version 2 is no longer read"),
+    "kept-edge-id-1e6": ("regular", lambda doc: doc["subgraph"].__setitem__(-1, 10**6),
+                         "kept edge 1000000 is no edge of the base graph"),
+    "kept-edges-descending": ("regular", lambda doc: doc["subgraph"].reverse(),
                               "kept edge ids are not strictly ascending"),
-    "kept-edge-twice": ("cayley", lambda doc: doc["subgraph"]["edges"].insert(0, doc["subgraph"]["edges"][0]),
+    "kept-edge-twice": ("cayley", lambda doc: doc["subgraph"].insert(0, doc["subgraph"][0]),
                         "kept edge ids are not strictly ascending"),
-    "kept-vertex-dropped": ("regular", drop_kept_vertex, "has an endpoint outside the kept vertices"),
-    "kept-vertex-1e6": ("cayley", lambda doc: doc["subgraph"]["vertices"].append(10**6),
-                        r"kept vertices \[1000000\] are outside the base graph"),
+    "kept-vertex-1e6": ("cayley", lambda doc: doc["representatives"].append([10**6, 0]),
+                        r"representative clouds \[1000000\] are outside the base graph"),
 }
 
 
@@ -637,6 +630,46 @@ def test_tampered_certificate_raises_certificate_error(cert_docs, case):
     family, tamper, message = TAMPERED[case]
     with pytest.raises(CertificateError, match=message):
         rebuild_from(cert_docs, family, tamper)
+
+
+def test_certificate_numbers_must_be_json_integers(cert_docs):
+    """A float, bool or string where an id, position or direction belongs is
+    rejected, not truncated or cast."""
+    def first_label(doc, direction):
+        return next(
+            lab for sp in doc["skeleton"] for lab in sp["labels"] if lab[2] == direction
+        )
+
+    def set_anchor(value):
+        def tamper(doc):
+            rep = doc["representations"][0]
+            rep["anchor_identity"] = value(rep["anchor_identity"])
+        return tamper
+
+    cases = {
+        "representative vertex": (
+            lambda doc: doc["representatives"][0].__setitem__(1, doc["representatives"][0][1] + 0.5),
+            r"malformed certificate document: ValueError\('\d+\.5 is not an integer'\)",
+        ),
+        "fractional anchor": (set_anchor(lambda h: h + 0.9), r"anchor identity \d+\.9 is no fiber vertex"),
+        "string anchor": (set_anchor(str), r"anchor identity '\d+' is no fiber vertex"),
+        "boolean direction": (
+            lambda doc: first_label(doc, 1).__setitem__(2, True),
+            r"ValueError\('True is not an integer'\)",
+        ),
+        "float kept position": (
+            lambda doc: doc["skeleton"][0]["kept"][0].__setitem__(0, 0.0),
+            r"ValueError\('0\.0 is not an integer'\)",
+        ),
+        "string kept edge id": (
+            lambda doc: doc["subgraph"].__setitem__(0, str(doc["subgraph"][0])),
+            r"ValueError\(\"'\d+' is not an integer\"\)",
+        ),
+    }
+    assert rebuild_from(cert_docs, "regular", lambda doc: None).r_graph.edge_count > 0
+    for tamper, message in cases.values():
+        with pytest.raises(CertificateError, match=message):
+            rebuild_from(cert_docs, "regular", tamper)
 
 
 def _parts(node):

@@ -21,13 +21,13 @@ from zeroext import cli
 GOLDEN = {
     "gap": "cd5a9df6d7a37dc7636d6eb6aaa32908bef3ee5de0c9f02da337e9f777328340",
     "generate": "bf2947bb11c9ca6d6cb8d38d561cf2bd169b98bf62b3bcdbb7a64694e133cff4",
-    "cert": "fd4b742968b0cc7f55baf241f9f732a8384c8255795ed2dfa1b2bd6febd2d298",
+    "cert": "b135ef067b6c4a99e25783cf3744596bf613d689cfb26b66f7e40083fd9a5903",
     "solve.labeling": "b7dbf5039c3dbacb636c4f0088e57d4f98f8cfc40a93a1f5b8b6a9ca3542d07e",
     "solve.json": "3664c333cd0ab6618791c4e6aa87e7093c210e4a601b8e9c6329ccc309769ef5",
     "frac": "1f914c323c80b5aecd1126ae15f0369387e831b85ef51bf06b3aa8db81158d18",
     "split": "13ec0f9938e0265dc021a6e4a8404d1d721e55e42568dc5b17149d6fbfadfbcb",
     "split.kept": "a6d6b998575aa1619f03965990825e4f76faf34236ad73e9fc40cfefe93a85ec",
-    "cert.kept": "12a8940982e7bfd40b3db6f70c392d3d72233c93a32174a602abcb6c46b08d21",
+    "cert.kept": "9b0a7a9cb957c9fe2ffa6935a159a8fedc713e10a56dcc7f7dece1b1828e578f",
     "split.alpha": "b81a45730f5b6b9df4b8b878ce1b89e8be21b3bdfb4e32492c6b5512e3e2cd53",
 }
 
