@@ -700,17 +700,14 @@ def reconstruct_r(cert: Certificate) -> ICCGraph:
             raise CertificateError(f"path {pidx}: endpoints missing from skeleton")
         if start_ind not in comp_of_ind or end_ind not in comp_of_ind:
             raise CertificateError(f"path {pidx}: endpoint index not in any component")
-        r_start = cert.representatives[g1]
-        r_end = cert.representatives[g2]
-        if start_ind[0] != r_start // fiber_size:
-            raise CertificateError(f"path {pidx}: start cloud disagrees with representative")
-        if end_ind[0] != r_end // fiber_size:
-            raise CertificateError(f"path {pidx}: end cloud disagrees with representative")
+        for end, ind, g in (("start", start_ind, g1), ("end", end_ind, g2)):
+            r = cert.representatives[g]
+            if ind[0] != r // fiber_size:
+                raise CertificateError(f"path {pidx}: {end} cloud disagrees with representative")
+            if ids[comp_of_ind[ind]][ind] != r % fiber_size:
+                raise CertificateError(f"path {pidx}: {end} identity disagrees with representative")
+            rep_comps.add(comp_of_ind[ind])
         cid = comp_of_ind[start_ind]
-        rep_comps.add(cid)
-        rep_comps.add(comp_of_ind[end_ind])
-        if ids[cid][start_ind] != r_start % fiber_size:
-            raise CertificateError(f"path {pidx}: start identity disagrees with representative")
 
         h = ids[cid][start_ind]  # fiber vertex of the walk inside component cid
         pos = 0

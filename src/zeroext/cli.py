@@ -29,8 +29,9 @@ from .certificate import (
     require_split,
     transform_pipeline,
 )
+from .extension import check_dense_ceiling
 from .instance import (
-    GapParams,
+    GapSpec,
     ZeroExtInstance,
     default_gap_instance,
     load_instance,
@@ -98,7 +99,7 @@ class ExperimentConfig:
         if self.alpha is not None and not self.alpha > 0:
             raise ConfigError("alpha must be > 0")
         for n in self.n_values:
-            GapParams(n=n, d=self.d)  # raises InstanceError on a bad n or d
+            GapSpec(n, self.d, self.girth_floor)  # raises on a bad n, d or girth floor
         if not 0 < self.epsilon < 0.125:
             raise ConfigError("epsilon must lie in (0, 0.125)")
         if not 0.5 < self.threshold_value() <= 1.0:
@@ -116,7 +117,10 @@ class ExperimentConfig:
             raise ConfigError("local_rounds must be >= 0")
 
     def check_solvers_run(self):
-        """For the commands that run solvers: reject a list that runs none."""
+        """For the commands that run solvers, which build D_X: reject an n over
+        its ceiling, before any sampling, and a list that runs none."""
+        for n in self.n_values:
+            check_dense_ceiling(n * n, f"n={n} gives k=n^2={n * n} terminals")
         idle = {"ckr": self.ckr_draws == 0, "local_search": self.local_rounds == 0}
         if all(idle.get(s, False) for s in self.solvers):
             raise ConfigError(

@@ -39,6 +39,7 @@ from .graphs import (
 )
 
 RNG_SCHEME = "pcg64-fisheryates-v2"
+DENSE_METRIC_CAP = 4096  # largest k whose D_X is built: all k x k pairs (n <= 64)
 
 
 class ExtensionError(ValueError):
@@ -193,11 +194,20 @@ def extension_metric(x: ExtendedGraph) -> LevelCodes:
     level search, whose level indices are the codes (see
     `graphs.LEVEL_SEARCH_LENGTHS`); a hand-edited file's other lengths may
     take Dijkstra, whose floats are coded per block, with the same values.
+    Over `DENSE_METRIC_CAP` points it refuses before any search.
     """
     if x._metric is None:
+        check_dense_ceiling(x.vertex_count, f"extension has k={x.vertex_count} points")
         flat = _flat(x)
         x._metric = shortest_path_codes(flat.graph, flat.lengths)
     return x._metric
+
+
+def check_dense_ceiling(k: int, what: str) -> None:
+    """Raise ExtensionError, opening with `what`, if a D_X over k points would
+    pass DENSE_METRIC_CAP; `gap` and `solve` also check each n before sampling."""
+    if k > DENSE_METRIC_CAP:
+        raise ExtensionError(f"{what}, above the dense metric ceiling k <= {DENSE_METRIC_CAP}")
 
 
 def extension_blocks(x: ExtendedGraph):

@@ -10,12 +10,11 @@ exact distances, and one code per pair, one byte while a block has at most
 256 distinct distances and two beyond (16 MiB at n = 64, against 128 MiB
 of floats).  It is built on first access to the terminal metric's `base` by
 `extension_metric`, so only a command whose readers return to rows at
-random builds it (`gap`, `solve`).  `frac`'s feasibility check reads every
-row once and streams them (`TerminalMetric.blocks`), `generate` reads
-none, and `split` and `cert` search just the representatives' rows
-(`extension.extension_rows`).  k is capped at DENSE_METRIC_CAP = 4096
-(n <= 64) before any sampling or shortest-path work.  Natural logarithm
-throughout.
+random builds it (`gap`, `solve`; they stop at n = 64 before sampling, see
+`extension.check_dense_ceiling`).  `frac`'s feasibility check streams every
+row once (`TerminalMetric.blocks`), `generate` reads none, and `split` and
+`cert` search the representatives' rows (`extension.extension_rows`), so
+they run to n = STREAMED_N_CAP = 128.  Natural logarithm throughout.
 """
 from __future__ import annotations
 
@@ -38,6 +37,7 @@ from .extension import (
 from .graphs import (
     Graph,
     LevelCodes,
+    RegularSample,
     check_girth_floor,
     expansion_estimate,
     random_regular,
@@ -45,7 +45,7 @@ from .graphs import (
     validate_lengths,
 )
 
-DENSE_METRIC_CAP = 4096  # largest k of a gap instance: D_X holds all k x k pairs
+STREAMED_N_CAP = 128  # largest n of a gap instance (k <= 16384): D_X is streamed
 METRIC_RTOL = 1e-9
 
 
@@ -54,22 +54,27 @@ class InstanceError(ValueError):
 
 
 @dataclass(frozen=True)
-class GapParams:
-    """Derived construction parameters for per-factor size n and degree d."""
+class GapSpec:
+    """One gap construction: per-factor size n, degree d and base girth floor
+    (default ceil(log_{d-1} n), a Moore-style desk proxy), checked against
+    STREAMED_N_CAP and the Moore bound; they fix the lengths ell_g, ell_h, L."""
 
     n: int
     d: int
+    girth_floor: int | None = None
 
     def __post_init__(self):
-        if self.n < 3:
-            raise InstanceError(f"need n >= 3, got {self.n}")
-        if self.d < 3:
-            raise InstanceError(f"need degree d >= 3, got {self.d}")
-        if self.terminal_count > DENSE_METRIC_CAP:
+        if self.n < 3 or self.d < 3:
+            raise InstanceError(f"need n >= 3 and degree d >= 3, got n={self.n}, d={self.d}")
+        if self.n > STREAMED_N_CAP:
             raise InstanceError(
-                f"n={self.n} gives k=n^2={self.terminal_count} terminals, above the "
-                f"dense metric ceiling k <= {DENSE_METRIC_CAP}"
+                f"n={self.n} gives k=n^2={self.n * self.n} terminals, above the "
+                f"streamed ceiling n <= {STREAMED_N_CAP}"
             )
+        floor = self.girth_floor
+        floor = math.ceil(math.log(self.n) / math.log(self.d - 1)) if floor is None else int(floor)
+        object.__setattr__(self, "girth_floor", floor)
+        check_girth_floor(self.n, self.d, max(3, self.girth_floor))
 
     @property
     def ell_g(self) -> float:
@@ -83,12 +88,30 @@ class GapParams:
     def big_l(self) -> float:
         return math.log(self.n)
 
-    @property
-    def terminal_count(self) -> int:
-        return self.n * self.n
-
-    def default_girth_floor(self) -> int:
-        return math.ceil(math.log(self.n) / math.log(self.d - 1))
+    def provenance(self, seed: int, base: RegularSample, fiber: RegularSample) -> dict:
+        """The provenance of the instance sampled at `seed`: the spec, the base
+        girth, the base's pairings as girth_attempts, each graph's kept switches
+        and, as lambda2_base and lambda2_fiber, each sampled graph's exact
+        second-largest eigenvalue of A/d, which draws nothing from the seed."""
+        return {
+            "tool": "zeroext",
+            "version": __version__,
+            "rng": RNG_SCHEME,
+            "n": int(self.n),
+            "d": int(self.d),
+            "seed": int(seed),
+            "girth": base.girth,
+            "girth_floor": self.girth_floor,
+            "girth_attempts": base.pairings,
+            "base_switches": base.switches,
+            "fiber_switches": fiber.switches,
+            "lambda2_base": expansion_estimate(base.graph),
+            "lambda2_fiber": expansion_estimate(fiber.graph),
+            "ell_g": self.ell_g,
+            "ell_h": self.ell_h,
+            "L": self.big_l,
+            "k": self.n * self.n,
+        }
 
 
 # -- metrics ----------------------------------------------------------------
@@ -262,11 +285,6 @@ def build_gap_instance(x: ExtendedGraph, big_l: float) -> ZeroExtInstance:
         raise InstanceError(f"L must be positive and finite, got {big_l}")
     _require_finite(x.base_lengths, "base length")
     _require_finite(x.fiber_lengths, "fiber length")
-    if x.vertex_count > DENSE_METRIC_CAP:
-        raise InstanceError(
-            f"extension has k={x.vertex_count} points, above the dense metric "
-            f"ceiling k <= {DENSE_METRIC_CAP}"
-        )
     flat = flatten(x)
     # Every cloud is a copy of the fiber and each base edge's perfect matching
     # joins its two clouds, so a connected base and fiber give a connected
@@ -308,51 +326,22 @@ def _subseed(seed: int, tag: int) -> int:
 
 
 def default_gap_instance(n: int, d: int, seed: int, *, girth_floor: int | None = None) -> GapInstanceBuild:
-    """Sample base and fiber graphs, extend, and build the gap instance.
-
-    The base graph is sampled with girth at least girth_floor (default
-    ceil(log_{d-1} n), a Moore-style desk proxy), the fiber with girth 3;
-    both are connected (see `random_regular`).  A floor above the Moore
-    bound raises GirthFloorError before any draw.  The provenance record
-    holds the base girth, the pairings drawn for the base as
-    girth_attempts, the kept switches of each graph and, as lambda2_base
-    and lambda2_fiber, the exact second-largest eigenvalue of A/d of each
-    graph, computed from the sampled graphs alone, so they draw nothing
-    from the seed.
-    """
-    params = GapParams(n=n, d=d)
-    floor = params.default_girth_floor() if girth_floor is None else int(girth_floor)
-    check_girth_floor(n, d, max(3, floor))
-    base = random_regular(n, d, _subseed(seed, 1), girth_floor=floor)
+    """Sample base and fiber graphs, extend, and build the gap instance of
+    `GapSpec(n, d, girth_floor)`, which is checked before any draw.  The base
+    graph has girth at least the spec's floor, the fiber girth 3; both are
+    connected (see `random_regular`).  Provenance: `GapSpec.provenance`."""
+    spec = GapSpec(n, d, girth_floor)
+    base = random_regular(n, d, _subseed(seed, 1), girth_floor=spec.girth_floor)
     fiber = random_regular(n, d, _subseed(seed, 2))
     x = sample_extension(
         base.graph,
-        uniform_lengths(base.graph, params.ell_g),
+        uniform_lengths(base.graph, spec.ell_g),
         fiber.graph,
-        uniform_lengths(fiber.graph, params.ell_h),
+        uniform_lengths(fiber.graph, spec.ell_h),
         _subseed(seed, 3),
     )
-    inst = build_gap_instance(x, params.big_l)
-    provenance = {
-        "tool": "zeroext",
-        "version": __version__,
-        "rng": RNG_SCHEME,
-        "n": int(n),
-        "d": int(d),
-        "seed": int(seed),
-        "girth": base.girth,
-        "girth_floor": floor,
-        "girth_attempts": base.pairings,
-        "base_switches": base.switches,
-        "fiber_switches": fiber.switches,
-        "lambda2_base": expansion_estimate(base.graph),
-        "lambda2_fiber": expansion_estimate(fiber.graph),
-        "ell_g": params.ell_g,
-        "ell_h": params.ell_h,
-        "L": params.big_l,
-        "k": params.terminal_count,
-    }
-    inst.provenance = provenance
+    inst = build_gap_instance(x, spec.big_l)
+    inst.provenance = provenance = spec.provenance(seed, base, fiber)
     return GapInstanceBuild(extension=x, instance=inst, provenance=provenance)
 
 

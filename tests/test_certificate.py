@@ -599,6 +599,12 @@ def null_anchor(doc):
     doc["representations"][0]["anchor_identity"] = None
 
 
+def move_end_representative(doc):
+    # Cloud 6 only ends kept paths (base edges (1, 6), (2, 6) and (3, 6));
+    # its representative moves from vertex 40 to 41 of the same cloud.
+    doc["representatives"][6] = [6, 41]
+
+
 def kept_beyond_path(doc):
     sp = doc["skeleton"][0]
     sp["kept"].append([999, sp["kept"][-1][1]])
@@ -610,6 +616,8 @@ TAMPERED = {
     "label-edge-1e6": ("regular", far_label, "label names edge 1000000"),
     "label-edge-1e6-cayley": ("cayley", far_label, "label names edge 1000000"),
     "null-anchor": ("regular", null_anchor, "anchor identity None is no fiber vertex"),
+    "end-representative-moved": ("regular", move_end_representative,
+                                 "end identity disagrees with representative"),
     "kept-position-999": ("regular", kept_beyond_path, r"kept position 999 outside \[0, \d+\)"),
     "version": ("cayley", lambda doc: doc.__setitem__("version", 4), "unsupported certificate version 4"),
     "version-1": ("regular", lambda doc: doc.__setitem__("version", 1), "certificate version 1 is no longer read"),

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zeroext import cli, extension, graphs
+from zeroext import cli, extension, graphs, instance
 from zeroext.graphs import Graph
 from zeroext.instance import (
     InstanceError,
@@ -318,16 +318,47 @@ def test_split_rejects_labeling_fiber_outside_fiber(fiber, capsys):
     assert err.startswith("error:") and f"fiber vertex {fiber} outside [0, 8)" in err
 
 
-@pytest.mark.parametrize("argv", [["frac", "--n", "65"], ["gap", "--n", "8,65", "--jobs", "1"]])
-def test_n_over_dense_ceiling_rejected_before_sampling(argv, tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ["solve", "--n", "65"], ["gap", "--n", "8,65", "--jobs", "1"], ["gap", "--n", "96"], ["solve", "--n", "96"],
+])
+def test_n_over_dense_ceiling_rejected_before_sampling(argv, tmp_path, capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled a graph")
+
+    monkeypatch.setattr(instance, "random_regular", no_sampling)
     started = time.perf_counter()
     rc = run(argv + ["--out", str(tmp_path)])
     elapsed = time.perf_counter() - started
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "k=n^2=4225" in err and "ceiling k <= 4096" in err
-    assert elapsed < 1.0, f"rejecting n=65 took {elapsed:.2f}s"
+    k = int(argv[2].split(",")[-1]) ** 2
+    assert err.startswith("error:") and f"k=n^2={k}" in err and "ceiling k <= 4096" in err
+    assert elapsed < 1.0, f"rejecting k={k} took {elapsed:.2f}s"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_n96_generate_and_split_stream_d_x(tmp_path, capsys):
+    assert run(["generate", "--n", "96", "--out", str(tmp_path)]) == 0
+    kept = ["--epsilon", "0.1", "--alpha", "1e9", "--threshold", "0.9"]
+    assert run(["split", "--n", "96", *kept, "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "split.json").read_text())["candidate"]["edges"] == 192
+
+
+@pytest.mark.parametrize("command", ["generate", "frac", "solve", "split", "cert", "gap"])
+def test_n_over_streamed_ceiling_rejected_by_every_build_command(command, tmp_path, capsys):
+    assert run([command, "--n", "129", "--out", str(tmp_path)]) == 2
+    assert "streamed ceiling n <= 128" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_girth_floor_over_the_moore_bound_rejected_before_any_row(tmp_path, capsys, monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("entered the rows")
+
+    monkeypatch.setattr(cli, "_gap_rows", no_rows)
+    argv = ["gap", "--n", "8", "--girth-floor", "30", "--jobs", "2", "--out", str(tmp_path)]
+    assert run(argv) == 2
+    assert "girth floor 30 is above the Moore bound" in capsys.readouterr().err
 
 
 def test_cert_round_trip_via_cli(tmp_path):

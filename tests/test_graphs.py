@@ -173,7 +173,7 @@ def test_tight_cases_sample_within_the_pairing_cap(m, d, floor):
 @pytest.mark.parametrize("m", [96, 128])
 def test_girth_five_at_96_and_128_vertices_within_the_time_cap(m):
     # Rejection found no girth-5 graph in 2,000 tries at m = 96.  These are
-    # graphs only: gap instances stop at n = 64 (DENSE_METRIC_CAP).
+    # graphs only: `gap` and `solve` stop at n = 64 (DENSE_METRIC_CAP).
     started = time.perf_counter()
     for seed in range(3):
         sample = random_regular(m, 4, seed, girth_floor=5)

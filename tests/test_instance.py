@@ -16,7 +16,7 @@ from zeroext import extension, graphs, instance
 from zeroext.extension import flatten, sample_extension
 from zeroext.graphs import Graph, uniform_lengths
 from zeroext.instance import (
-    GapParams,
+    GapSpec,
     InstanceError,
     build_gap_instance,
     build_generic_instance,
@@ -25,6 +25,7 @@ from zeroext.instance import (
     save_instance,
     validate_semimetric,
 )
+from zeroext.relaxation import is_feasible
 
 
 def c3():
@@ -103,7 +104,7 @@ def test_generic_terminal_metric_returns_its_matrix_with_negative_zeros_as_zeros
 
 
 def test_default_params_derived_quantities():
-    p = GapParams(n=16, d=4)
+    p = GapSpec(16, 4)
     # Frozen from a 50-digit decimal oracle (Newton cube root of ln 16).
     assert abs(p.big_l - 2.7725887222397812) < 1e-12
     assert abs(p.ell_h - 1.4048452394288693) < 1e-12
@@ -272,40 +273,47 @@ def test_instance_json_round_trip(tmp_path):
     assert back2.metric.pair_values(0, 1) == 3.0
 
 
-def test_gap_params_validation():
+def test_gap_spec_validation():
     with pytest.raises(InstanceError):
-        GapParams(n=2, d=4)
+        GapSpec(2, 4)
     with pytest.raises(InstanceError):
-        GapParams(n=8, d=2)
-    assert GapParams(n=64, d=4).terminal_count == instance.DENSE_METRIC_CAP
-    with pytest.raises(InstanceError, match=r"k=n\^2=4225 .*ceiling k <= 4096"):
-        GapParams(n=65, d=4)
+        GapSpec(8, 2)
+    assert GapSpec(64, 4).girth_floor == 4 and GapSpec(64, 4, 6).girth_floor == 6
+    assert GapSpec(128, 4).big_l == math.log(128)  # n = 128 is buildable
+    with pytest.raises(InstanceError, match=r"n=129 gives k=n\^2=16641 .*streamed ceiling n <= 128"):
+        GapSpec(129, 4)
+    with pytest.raises(graphs.GirthFloorError, match="girth floor 30 is above the Moore bound"):
+        GapSpec(8, 4, 30)
 
 
 def test_default_gap_instance_checks_ceiling_before_sampling(monkeypatch):
     def no_sampling(*args, **kwargs):
-        raise AssertionError("sampled a graph for an instance over the ceiling")
+        raise AssertionError("sampled a graph")
 
     monkeypatch.setattr(instance, "random_regular", no_sampling)
-    with pytest.raises(InstanceError, match="ceiling"):
+    with pytest.raises(InstanceError, match="streamed ceiling"):
+        default_gap_instance(129, 4, 0)
+    # Over the dense ceiling, sampling goes ahead: only D_X is refused.
+    with pytest.raises(AssertionError, match="sampled a graph"):
         default_gap_instance(65, 4, 0)
 
 
-def test_build_and_load_enforce_the_dense_ceiling(tmp_path, monkeypatch):
+def test_extension_metric_enforces_the_dense_ceiling(tmp_path, monkeypatch):
     x = sample_extension(c3(), uniform_lengths(c3(), 1.0), c3(), uniform_lengths(c3(), 1.0), seed=8)
     path = tmp_path / "inst.json"
     save_instance(build_gap_instance(x, big_l=1.5), path)
+    monkeypatch.setattr(extension, "DENSE_METRIC_CAP", 8)  # k = 9
+    loaded = load_instance(path)  # building and loading read no D_X
+    assert is_feasible(loaded.origin.edge_lengths, loaded) == []  # streamed
 
     def no_apsp(*args, **kwargs):
         raise AssertionError("computed D_X for an instance over the ceiling")
 
-    monkeypatch.setattr(instance, "DENSE_METRIC_CAP", 8)  # k = 9
     monkeypatch.setattr(graphs, "_level_search", no_apsp)
     monkeypatch.setattr(graphs, "_dijkstra_search", no_apsp)
-    with pytest.raises(InstanceError, match="k=9 points, above the dense metric ceiling k <= 8"):
-        build_gap_instance(x, big_l=1.5)
-    with pytest.raises(InstanceError, match="ceiling k <= 8"):
-        load_instance(path)
+    with pytest.raises(extension.ExtensionError, match="k=9 points, above the dense metric ceiling k <= 8"):
+        loaded.metric.base
+    assert loaded.origin.dx is None
 
 
 def test_default_gap_instance_checks_the_moore_bound_before_sampling(monkeypatch):
