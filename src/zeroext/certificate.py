@@ -4,10 +4,13 @@ Pipeline: the canonical shortest paths between representatives of adjacent
 kept clouds are anonymized into index/label form (formal transformation);
 their per-cloud intra components of degree >= 3, or containing a path
 endpoint, become the vertices of the inner component graph R, whose edges are
-the transit subpaths between them.  A certificate packages the kept subgraph,
-per-component representations, the label skeleton of the transformed paths,
-and the representative identities, each fact once; R is reconstructible from
-the certificate alone, without the sampled matchings.
+the transit subpaths between them.  R is held as each vertex's distinguished
+indices (path endpoints and ends of transits) plus the transits, in the same
+form whether built from the paths or rebuilt from a certificate.  A
+certificate packages the kept subgraph, per-component representations, the
+label skeleton of the transformed paths, and the representative identities,
+each fact once; R is reconstructible from the certificate alone, without the
+sampled matchings.
 
 Step labels are edge ids with a direction (see `EdgeLabel`), so they name a
 step in any base and fiber graph.  A relative position inside a cloud is the
@@ -18,8 +21,9 @@ identity of every other distinguished vertex.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import gf2
 from .extension import EdgeLabel, ExtendedGraph, edge_label, flatten, project
@@ -77,18 +81,8 @@ class FormalTransformation:
     base: Graph
     fiber: Graph
 
-    def ind_inverse(self) -> dict[Ind, int]:
-        return {v: k for k, v in self.ind.items()}
-
-    def cloud_occupancy(self) -> dict[int, int]:
-        occ: dict[int, int] = {}
-        for g, _ in self.ind.values():
-            occ[g] = occ.get(g, 0) + 1
-        return occ
-
     def max_cloud_occupancy(self) -> int:
-        occ = self.cloud_occupancy()
-        return max(occ.values()) if occ else 0
+        return max(Counter(g for g, _ in self.ind.values()).values(), default=0)
 
 
 def formal_transform(paths: list[list[int]], x: ExtendedGraph) -> FormalTransformation:
@@ -198,17 +192,6 @@ def reconstruct_paths(
 
 
 @dataclass
-class InnerComponent:
-    comp_id: int
-    cloud: int
-    members: list[Ind]           # all indices when built; distinguished only after
-                                 # reconstruction
-    distinguished: list[Ind]
-    degree: int
-    has_representative: bool
-
-
-@dataclass
 class Transit:
     comp_a: int
     comp_b: int
@@ -216,50 +199,53 @@ class Transit:
     labels: list[EdgeLabel]      # canonical (lex-min) direction
     last_base_edge: int          # base edge of the final inter step, canonical direction
 
-    def signature(self) -> tuple:
-        return (self.end_inds[0], tuple(self.labels))
-
 
 @dataclass
 class ICCGraph:
-    components: list[InnerComponent]        # R vertices, in component-id order
-    r_graph: Graph                          # multigraph over component positions
-    transits: list[Transit]                 # parallel to r_graph.edges
-    surprising: set[tuple[Ind, Ind]]        # undirected index pairs of inter edges
-    s_tot: int
-    non_inner: list[dict] = field(default_factory=list)  # diagnostics only
+    components: list[list[Ind]]             # per R vertex, its sorted distinguished indices
+    transits: list[Transit]                 # the R edges
+    # Undirected index pairs of each transit's first and last step; only
+    # `skeleton` reads them, so `reconstruct_r` leaves them empty.
+    surprising: set[tuple[Ind, Ind]] = field(default_factory=set)
+
+    @cached_property
+    def r_graph(self) -> Graph:
+        """R as a multigraph over component positions, parallel to `transits`."""
+        return Graph(
+            vertex_count=len(self.components),
+            edges=[(t.comp_a, t.comp_b) for t in self.transits],
+            multigraph=True,
+        )
+
+    @property
+    def s_tot(self) -> int:
+        return 2 * len(self.transits)
 
     def canonical_form(self) -> tuple:
-        keys = {c.comp_id: tuple(sorted(c.distinguished)) for c in self.components}
-        verts = tuple(sorted(keys.values()))
+        keys = [tuple(c) for c in self.components]
         edges = []
         for t in self.transits:
             a, b = keys[t.comp_a], keys[t.comp_b]
-            lo, hi = min(a, b), max(a, b)
-            edges.append((lo, hi, t.signature(), t.last_base_edge))
-        return (verts, tuple(sorted(edges)))
+            edges.append((min(a, b), max(a, b), t.end_inds[0], tuple(t.labels), t.last_base_edge))
+        return (tuple(sorted(keys)), tuple(sorted(edges)))
 
 
-def _canonical_transit(
-    first: Ind, last: Ind, labels: list[EdgeLabel]
-) -> tuple[tuple[Ind, Ind], list[EdgeLabel]]:
-    """Direction-normalize a transit: keep the lex-smaller directed form."""
-    rev_labels = [_invert_label(l) for l in labels[::-1]]
-    if (first, labels) <= (last, rev_labels):
-        return (first, last), list(labels)
-    return (last, first), rev_labels
-
-
-def _transit_last_base_edge(start_cloud: int, labels: list[EdgeLabel], base: Graph) -> int:
-    g = start_cloud
-    last = -1
+def _transit(
+    comp: dict[Ind, int], first: Ind, last: Ind, labels: list[EdgeLabel], base: Graph
+) -> Transit:
+    """The R edge of a transit from `first` to `last`, in its lex-smaller
+    direction; `comp` maps an index to its R vertex."""
+    rev = [_invert_label(l) for l in labels[::-1]]
+    if (last, rev) < (first, labels):
+        first, last, labels = last, first, rev
+    g, last_edge = first[0], -1
     for lab in labels:
         if lab.kind == "inter":
             g = _follow(base, g, lab)
-            last = lab.value
-    if last < 0:
+            last_edge = lab.value
+    if last_edge < 0:
         raise CertificateError("transit contains no inter-cloud step")
-    return int(last)
+    return Transit(comp[first], comp[last], (first, last), list(labels), int(last_edge))
 
 
 def inner_components(ft: FormalTransformation) -> ICCGraph:
@@ -300,52 +286,35 @@ def inner_components(ft: FormalTransformation) -> ICCGraph:
                 if w not in comp_of:
                     comp_of[w] = cid
                     q.append(w)
-        comp_members.append(sorted(members))
+        comp_members.append(members)
 
     degree = [0] * len(comp_members)
     for (u, v) in inter_edges:
         degree[comp_of[u]] += 1
         degree[comp_of[v]] += 1
-    has_rep = [False] * len(comp_members)
-    for e in endpoints:
-        has_rep[comp_of[e]] = True
-    inner_flag = [degree[c] >= 3 or has_rep[c] for c in range(len(comp_members))]
+    has_rep = {comp_of[e] for e in endpoints}
+    inner_ids = [c for c in range(len(comp_members)) if degree[c] >= 3 or c in has_rep]
+    r_vertex = {ind: pos for pos, c in enumerate(inner_ids) for ind in comp_members[c]}
 
     # Transit scan: segments of each path between consecutive inner positions.
-    inner_ids = [c for c in range(len(comp_members)) if inner_flag[c]]
-    inner_pos_of = {c: i for i, c in enumerate(inner_ids)}
     transits: list[Transit] = []
-    seen: dict[tuple, int] = {}
+    seen: set[tuple] = set()
     surprising: set[tuple[Ind, Ind]] = set()
     for qpath in ft.paths:
-        inner_positions = [
-            p for p, v in enumerate(qpath.verts) if inner_flag[comp_of[v]]
-        ]
-        if not inner_positions or inner_positions[0] != 0 or inner_positions[-1] != len(qpath.verts) - 1:
+        verts = qpath.verts
+        inner_positions = [p for p, v in enumerate(verts) if v in r_vertex]
+        if not inner_positions or inner_positions[0] != 0 or inner_positions[-1] != len(verts) - 1:
             raise CertificateError("path endpoints must lie in inner components")
         for a, b in zip(inner_positions, inner_positions[1:]):
-            if b == a + 1 and comp_of[qpath.verts[a]] == comp_of[qpath.verts[b]]:
+            if b == a + 1 and r_vertex[verts[a]] == r_vertex[verts[b]]:
                 continue  # intra step inside one inner component
-            seg_verts = qpath.verts[a : b + 1]
-            seg_labels = qpath.labels[a:b]
-            ends, canon = _canonical_transit(seg_verts[0], seg_verts[-1], seg_labels)
-            key = (ends[0], tuple(canon))
-            first = (min(seg_verts[0], seg_verts[1]), max(seg_verts[0], seg_verts[1]))
-            last = (min(seg_verts[-2], seg_verts[-1]), max(seg_verts[-2], seg_verts[-1]))
-            surprising.add(first)
-            surprising.add(last)
-            if key in seen:
-                continue
-            seen[key] = len(transits)
-            transits.append(
-                Transit(
-                    comp_a=inner_pos_of[comp_of[ends[0]]],
-                    comp_b=inner_pos_of[comp_of[ends[1]]],
-                    end_inds=ends,
-                    labels=canon,
-                    last_base_edge=_transit_last_base_edge(ends[0][0], canon, ft.base),
-                )
-            )
+            surprising.add((min(verts[a], verts[a + 1]), max(verts[a], verts[a + 1])))
+            surprising.add((min(verts[b - 1], verts[b]), max(verts[b - 1], verts[b])))
+            t = _transit(r_vertex, verts[a], verts[b], qpath.labels[a:b], ft.base)
+            key = (t.end_inds[0], tuple(t.labels))
+            if key not in seen:
+                seen.add(key)
+                transits.append(t)
 
     s_tot = sum(degree[c] for c in inner_ids)
     if s_tot != 2 * len(transits):
@@ -353,57 +322,13 @@ def inner_components(ft: FormalTransformation) -> ICCGraph:
             f"internal inconsistency: s_tot={s_tot} but R has {len(transits)} edges"
         )
 
-    touched: dict[int, set[Ind]] = {c: set() for c in inner_ids}
-    for (u, v) in surprising:
-        for w in (u, v):
-            c = comp_of[w]
-            if inner_flag[c]:
-                touched[c].add(w)
-    components = []
-    for pos, c in enumerate(inner_ids):
-        distinguished = sorted(
-            set(e for e in comp_members[c] if e in endpoints) | touched[c]
-        )
-        if not distinguished:
-            raise CertificateError("inner component with no distinguished vertex")
-        components.append(
-            InnerComponent(
-                comp_id=pos,
-                cloud=comp_members[c][0][0],
-                members=list(comp_members[c]),
-                distinguished=distinguished,
-                degree=degree[c],
-                has_representative=has_rep[c],
-            )
-        )
-    non_inner = [
-        {
-            "cloud": comp_members[c][0][0],
-            "size": len(comp_members[c]),
-            "degree": degree[c],
-            "intra_edges": sum(
-                1
-                for u in comp_members[c]
-                for w in intra_adj.get(u, {})
-                if u < w
-            ),
-        }
-        for c in range(len(comp_members))
-        if not inner_flag[c]
-    ]
-    r_graph = Graph(
-        vertex_count=len(inner_ids),
-        edges=[(t.comp_a, t.comp_b) for t in transits],
-        multigraph=True,
-    )
-    return ICCGraph(
-        components=components,
-        r_graph=r_graph,
-        transits=transits,
-        surprising=surprising,
-        s_tot=s_tot,
-        non_inner=non_inner,
-    )
+    distinguished: list[set[Ind]] = [set() for _ in inner_ids]
+    for w in endpoints.union(*surprising):  # path ends and transit ends
+        if w in r_vertex:
+            distinguished[r_vertex[w]].add(w)
+    if not all(distinguished):
+        raise CertificateError("inner component with no distinguished vertex")
+    return ICCGraph([sorted(d) for d in distinguished], transits, surprising)
 
 
 # -- skeleton ------------------------------------------------------------------
@@ -418,9 +343,8 @@ class SkeletonPath:
 def skeleton(ft: FormalTransformation, icc: ICCGraph) -> list[SkeletonPath]:
     """Strip indices except path endpoints and first-occurrence entries into
     inner components (targets of surprising edges)."""
-    inner_inds: set[Ind] = set()
-    for comp in icc.components:
-        inner_inds.update(comp.members)
+    # A surprising edge's end in an inner component is distinguished there.
+    inner_inds = {ind for comp in icc.components for ind in comp}
     seen_edges: set[tuple[Ind, Ind]] = set()
     out = []
     for qpath in ft.paths:
@@ -466,10 +390,10 @@ def representations(ft: FormalTransformation, icc: ICCGraph) -> list[ComponentRe
     identity of the first (the anchor), and the relative position of each
     other one from the anchor; that is all `reconstruct_r` reads."""
     adj = _intra_adjacency(ft)
-    inv = ft.ind_inverse()
+    inv = {i: v for v, i in ft.ind.items()}
     out = []
     for comp in icc.components:
-        anchor, *others = comp.distinguished
+        anchor, *others = comp
         reached = _walk_diffs(anchor, adj)
         for b in others:
             if b not in reached:
@@ -478,7 +402,7 @@ def representations(ft: FormalTransformation, icc: ICCGraph) -> list[ComponentRe
                 )
         out.append(
             ComponentRepresentation(
-                distinguished=list(comp.distinguished),
+                distinguished=list(comp),
                 diffs=[reached[b] for b in others],
                 anchor_identity=inv[anchor] % ft.fiber.vertex_count,
             )
@@ -688,7 +612,6 @@ def reconstruct_r(cert: Certificate) -> ICCGraph:
     # every transit seen so far, in both directions.
     transit_seen: dict[tuple[Ind, EdgeLabel], tuple[list[EdgeLabel], int, Ind]] = {}
     transits: list[Transit] = []
-    rep_comps: set[int] = set()
 
     for pidx, (skelpath, eid) in enumerate(zip(cert.skeleton_paths, cert.subgraph_edges)):
         g1, g2 = base.edges[eid]
@@ -706,7 +629,6 @@ def reconstruct_r(cert: Certificate) -> ICCGraph:
                 raise CertificateError(f"path {pidx}: {end} cloud disagrees with representative")
             if ids[comp_of_ind[ind]][ind] != r % fiber_size:
                 raise CertificateError(f"path {pidx}: {end} identity disagrees with representative")
-            rep_comps.add(comp_of_ind[ind])
         cid = comp_of_ind[start_ind]
 
         h = ids[cid][start_ind]  # fiber vertex of the walk inside component cid
@@ -761,16 +683,7 @@ def reconstruct_r(cert: Certificate) -> ICCGraph:
             rev = [_invert_label(l) for l in seg_labels[::-1]]
             transit_seen[(exit_ind, seg_labels[0])] = (seg_labels, c2, entry_ind)
             transit_seen[(entry_ind, rev[0])] = (rev, cid, exit_ind)
-            ends, canon = _canonical_transit(exit_ind, entry_ind, seg_labels)
-            transits.append(
-                Transit(
-                    comp_a=comp_of_ind[ends[0]],
-                    comp_b=comp_of_ind[ends[1]],
-                    end_inds=ends,
-                    labels=canon,
-                    last_base_edge=_transit_last_base_edge(ends[0][0], canon, base),
-                )
-            )
+            transits.append(_transit(comp_of_ind, exit_ind, entry_ind, seg_labels, base))
             pos = j
             cid = c2
             h = ids[cid][entry_ind]
@@ -780,34 +693,7 @@ def reconstruct_r(cert: Certificate) -> ICCGraph:
                 f"path {pidx}: walk ends at {final}, skeleton claims {end_ind}"
             )
 
-    components = []
-    degree = [0] * len(comps)
-    for t in transits:
-        degree[t.comp_a] += 1
-        degree[t.comp_b] += 1
-    for cid, rep in enumerate(comps):
-        components.append(
-            InnerComponent(
-                comp_id=cid,
-                cloud=rep.distinguished[0][0],
-                members=list(rep.distinguished),
-                distinguished=list(rep.distinguished),
-                degree=degree[cid],
-                has_representative=cid in rep_comps,
-            )
-        )
-    r_graph = Graph(
-        vertex_count=len(comps),
-        edges=[(t.comp_a, t.comp_b) for t in transits],
-        multigraph=True,
-    )
-    return ICCGraph(
-        components=components,
-        r_graph=r_graph,
-        transits=transits,
-        surprising=set(),
-        s_tot=2 * len(transits),
-    )
+    return ICCGraph([sorted(rep.distinguished) for rep in comps], transits)
 
 
 # -- diagnostics ---------------------------------------------------------------------
@@ -911,8 +797,9 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(doc: dict, base: Graph, fiber: Graph) -> Certificate:
-    """Parse a certificate document; a missing part, or an id, position or
-    direction that is not a JSON integer, raises CertificateError.
+    """Parse a certificate document; a missing part, an id, position or
+    direction that is not a JSON integer, or a representative cloud or a
+    path's kept position listed twice raises CertificateError.
     `reconstruct_r` checks the parts against the graphs."""
     if not isinstance(doc, dict) or doc.get("format") != "zeroext-certificate":
         raise CertificateError("not a certificate document")
@@ -926,6 +813,8 @@ def certificate_from_json(doc: dict, base: Graph, fiber: Graph) -> Certificate:
         raise CertificateError(f"unsupported certificate version {version!r}")
     try:
         return _certificate_from_doc(doc, base, fiber)
+    except CertificateError:
+        raise
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise CertificateError(f"malformed certificate document: {exc!r}") from None
 
@@ -941,6 +830,14 @@ def _certificate_from_doc(doc: dict, base: Graph, fiber: Graph) -> Certificate:
         kind, *step = t
         return EdgeLabel(kind, *pair(step))
 
+    def once(pairs, what: str) -> dict:
+        out = {}
+        for key, value in pairs:
+            if key in out:
+                raise CertificateError(f"{what} {key} is listed twice")
+            out[key] = value
+        return out
+
     reps = [
         ComponentRepresentation(
             distinguished=[pair(i) for i in r["distinguished"]],
@@ -952,15 +849,16 @@ def _certificate_from_doc(doc: dict, base: Graph, fiber: Graph) -> Certificate:
     skel = [
         SkeletonPath(
             labels=[un_label(l) for l in s["labels"]],
-            kept={_integers([pos])[0]: pair(ind) for pos, ind in s["kept"]},
+            kept=once(((_integers([pos])[0], pair(ind)) for pos, ind in s["kept"]),
+                      f"path {pidx}: kept position"),
         )
-        for s in doc["skeleton"]
+        for pidx, s in enumerate(doc["skeleton"])
     ]
     return Certificate(
         subgraph_edges=list(_integers(doc["subgraph"])),
         representations=reps,
         skeleton_paths=skel,
-        representatives=dict(map(pair, doc["representatives"])),
+        representatives=once(map(pair, doc["representatives"]), "representative cloud"),
         base=base,
         fiber=fiber,
     )

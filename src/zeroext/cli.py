@@ -116,10 +116,11 @@ class ExperimentConfig:
         if self.local_rounds < 0:
             raise ConfigError("local_rounds must be >= 0")
 
-    def check_solvers_run(self):
-        """For the commands that run solvers, which build D_X: reject an n over
-        its ceiling, before any sampling, and a list that runs none."""
-        for n in self.n_values:
+    def check_solvers_run(self, *, sampled: bool = True):
+        """For the commands that run solvers, which build D_X: reject a list
+        that runs none and, when the instances are sampled, an n over its
+        ceiling before any sampling."""
+        for n in self.n_values if sampled else ():
             check_dense_ceiling(n * n, f"n={n} gives k=n^2={n * n} terminals")
         idle = {"ckr": self.ckr_draws == 0, "local_search": self.local_rounds == 0}
         if all(idle.get(s, False) for s in self.solvers):
@@ -367,8 +368,10 @@ def analyse(cfg: ExperimentConfig, inst: ZeroExtInstance, seed: int) -> tuple[di
 
 
 def cmd_solve(cfg: ExperimentConfig, args) -> int:
-    cfg.check_solvers_run()
+    cfg.check_solvers_run(sampled=not args.instance)
     inst, _ = _load_or_build(cfg, args)
+    if args.instance:
+        check_dense_ceiling(inst.k, f"{args.instance}: k={inst.k} terminals")
     seed = cfg.seeds[0] if cfg.seeds else 0  # a loaded file may record no seed
     row, best_f = analyse(cfg, inst, seed)
     for name, cost in sorted(row["all_costs"].items()):
@@ -427,7 +430,8 @@ def cmd_cert(cfg: ExperimentConfig, args) -> int:
         require_split(x, cand)
     _, ft, icc = transform_pipeline(x, cand)
     cert_doc = certificate_to_json(assemble_certificate(x, cand, ft, icc))
-    # R is rebuilt from the certificate's JSON text: what a reader of the file gets.
+    # R is rebuilt from a json.dumps/json.loads copy of the certificate section,
+    # the same values `_write_json` encodes into the file.
     read_back = certificate_from_json(json.loads(json.dumps(cert_doc)), x.base, x.fiber)
     round_trip = reconstruct_r(read_back).canonical_form() == icc.canonical_form()
     d = 2 * x.base.edge_count // x.base.vertex_count  # the base is d-regular

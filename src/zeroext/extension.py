@@ -205,7 +205,8 @@ def extension_metric(x: ExtendedGraph) -> LevelCodes:
 
 def check_dense_ceiling(k: int, what: str) -> None:
     """Raise ExtensionError, opening with `what`, if a D_X over k points would
-    pass DENSE_METRIC_CAP; `gap` and `solve` also check each n before sampling."""
+    pass DENSE_METRIC_CAP; `gap` and `solve` also check each n before sampling,
+    and `solve --instance` the file's k once it is loaded."""
     if k > DENSE_METRIC_CAP:
         raise ExtensionError(f"{what}, above the dense metric ceiling k <= {DENSE_METRIC_CAP}")
 

@@ -209,34 +209,70 @@ def test_straight_through_cloud_contributes_no_r_vertex():
     )
     ft = _synthetic_ft(base, fiber, [q], {0: (0, 1), 2: (1, 1), 4: (2, 1)})
     icc = inner_components(ft)
-    assert len(icc.components) == 2  # the endpoints only
-    assert sorted(c.cloud for c in icc.components) == [0, 2]
+    assert icc.components == [[(0, 1)], [(2, 1)]]  # the endpoints only
     assert icc.r_graph.edge_count == 1
     assert len(icc.transits[0].labels) == 2
     assert icc.s_tot == 2
     # Endpoint components are R vertices even at degree 1.
-    assert all(c.degree == 1 and c.has_representative for c in icc.components)
+    assert icc.r_graph.degrees().tolist() == [1, 1]
+    assert [comp[0] for comp in icc.components] == [q.verts[0], q.verts[-1]]
+
+
+def _steps(ft: FormalTransformation, kind: str) -> set[frozenset]:
+    """The distinct undirected steps of one kind in the transformed paths."""
+    return {
+        frozenset(q.verts[j : j + 2])
+        for q in ft.paths
+        for j, lab in enumerate(q.labels)
+        if lab.kind == kind
+    }
+
+
+def _path_ends(ft: FormalTransformation) -> set:
+    return {v for q in ft.paths for v in (q.verts[0], q.verts[-1])}
 
 
 def test_s_tot_is_twice_edge_count_on_corpus():
+    # Every inter step at an inner component ends at one of its distinguished
+    # indices, and is the end of exactly one transit.
     for x, inst, cand in candidate_corpus(8, seed0=3):
-        _, _, icc = transform_pipeline(x, cand)
+        _, ft, icc = transform_pipeline(x, cand)
         assert icc.s_tot == 2 * icc.r_graph.edge_count
-        for comp in icc.components:
-            assert comp.degree >= 3 or comp.has_representative
+        inter, ends = _steps(ft, "inter"), _path_ends(ft)
+        for comp, degree in zip(icc.components, icc.r_graph.degrees()):
+            assert degree == sum(len(step & set(comp)) for step in inter)
+            assert degree >= 3 or ends & set(comp)
 
 
 def test_non_inner_components_are_paths_on_split_inputs():
-    # Degree-2 components without representatives must look like paths:
-    # intra edge count = size - 1.
+    # The intra components with no distinguished index have degree at most
+    # 2, no path endpoint, and look like paths: intra edge count = size - 1.
     for seed in range(3):
         x, inst = direct_route_setup(20 + seed)
         f = per_cloud_labeling(inst, x, 0)
         cand = build_split_candidate(inst, x, f, alpha=1e9, epsilon=0.3, threshold=0.9)
-        _, _, icc = transform_pipeline(x, cand)
-        for rec in icc.non_inner:
-            assert rec["degree"] <= 2
-            assert rec["intra_edges"] == rec["size"] - 1
+        _, ft, icc = transform_pipeline(x, cand)
+        intra, inter, ends = _steps(ft, "intra"), _steps(ft, "inter"), _path_ends(ft)
+        parent = {}
+
+        def find(u):
+            while parent.setdefault(u, u) != u:
+                u = parent[u]
+            return u
+
+        for step in intra:
+            a, b = step
+            parent[find(a)] = find(b)
+        members = {}
+        for v in {v for q in ft.paths for v in q.verts}:
+            members.setdefault(find(v), set()).add(v)
+        distinguished = {ind for comp in icc.components for ind in comp}
+        non_inner = [m for m in members.values() if not m & distinguished]
+        assert len(non_inner) == len(members) - len(icc.components)
+        for m in non_inner:
+            assert sum(len(step & m) for step in inter) <= 2
+            assert not m & ends
+            assert sum(1 for step in intra if step <= m) == len(m) - 1
 
 
 # -- skeleton ---------------------------------------------------------------------------
@@ -277,9 +313,8 @@ def test_surprising_edge_kept_once_across_traversals():
 
 
 def _independent_kept_count(ft: FormalTransformation, icc: ICCGraph) -> int:
-    inner = set()
-    for comp in icc.components:
-        inner.update(comp.members)
+    # The end of a surprising edge in an inner component is distinguished there.
+    inner = {ind for comp in icc.components for ind in comp}
     seen = set()
     total = 0
     for q in ft.paths:
@@ -314,6 +349,7 @@ def test_certificate_round_trip_corpus():
         _, ft, icc = transform_pipeline(x, cand)
         rebuilt = reconstruct_r(cert)
         assert rebuilt.canonical_form() == icc.canonical_form()
+        assert rebuilt.components == icc.components
         assert rebuilt.s_tot == icc.s_tot
 
 
@@ -411,13 +447,8 @@ def _dummy_transits(edges):
 
 def test_diagnostics_tree_r():
     edges = [(0, 1), (1, 2)]
-    icc = ICCGraph(
-        components=[],
-        r_graph=Graph(vertex_count=3, edges=edges, multigraph=True),
-        transits=_dummy_transits(edges),
-        surprising=set(),
-        s_tot=4,
-    )
+    icc = ICCGraph(components=[[(v, 1)] for v in range(3)], transits=_dummy_transits(edges))
+    assert icc.s_tot == 4
     diag = diagnostics(icc, Graph(vertex_count=50, edges=[]), epsilon=0.1, d=4)
     assert diag["b1"] == 0
     assert diag["constraint_edge_count"] == 0
@@ -427,13 +458,8 @@ def test_diagnostics_tree_r():
 
 def test_diagnostics_single_cycle_probability():
     edges = [(0, 1), (1, 2), (0, 2)]
-    icc = ICCGraph(
-        components=[],
-        r_graph=Graph(vertex_count=3, edges=edges, multigraph=True),
-        transits=_dummy_transits(edges),
-        surprising=set(),
-        s_tot=6,
-    )
+    icc = ICCGraph(components=[[(v, 1)] for v in range(3)], transits=_dummy_transits(edges))
+    assert icc.s_tot == 6
     diag = diagnostics(icc, Graph(vertex_count=100, edges=[]), epsilon=0.1, d=4)
     assert diag["b1"] == 1
     assert abs(diag["per_certificate_probability"] - 0.02) < 1e-15
@@ -610,6 +636,17 @@ def kept_beyond_path(doc):
     sp["kept"].append([999, sp["kept"][-1][1]])
 
 
+def representative_twice(doc):
+    # A second pair for the first cloud, ahead of its own: [0, 5] before [0, 4].
+    g, v = doc["representatives"][0]
+    doc["representatives"].insert(0, [g, v + 1])
+
+
+def kept_position_twice(doc):
+    sp = doc["skeleton"][0]
+    sp["kept"].append(list(sp["kept"][0]))
+
+
 TAMPERED = {
     "dropped-representative": ("regular", drop_representative, "joins a cloud without a representative"),
     "dropped-diff": ("regular", drop_diff, r"component \d+: \d+ relative positions for \d+ distinguished vertices besides"),
@@ -619,6 +656,8 @@ TAMPERED = {
     "end-representative-moved": ("regular", move_end_representative,
                                  "end identity disagrees with representative"),
     "kept-position-999": ("regular", kept_beyond_path, r"kept position 999 outside \[0, \d+\)"),
+    "representative-cloud-twice": ("regular", representative_twice, "representative cloud 0 is listed twice"),
+    "kept-position-twice": ("regular", kept_position_twice, "path 0: kept position 0 is listed twice"),
     "version": ("cayley", lambda doc: doc.__setitem__("version", 4), "unsupported certificate version 4"),
     "version-1": ("regular", lambda doc: doc.__setitem__("version", 1), "certificate version 1 is no longer read"),
     "version-2": ("cayley", lambda doc: doc.__setitem__("version", 2), "certificate version 2 is no longer read"),

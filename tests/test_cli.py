@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zeroext import cli, extension, graphs, instance
+from zeroext import cli, extension, graphs, instance, relaxation
 from zeroext.graphs import Graph
 from zeroext.instance import (
     InstanceError,
@@ -335,6 +335,23 @@ def test_n_over_dense_ceiling_rejected_before_sampling(argv, tmp_path, capsys, m
     assert err.startswith("error:") and f"k=n^2={k}" in err and "ceiling k <= 4096" in err
     assert elapsed < 1.0, f"rejecting k={k} took {elapsed:.2f}s"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_solve_of_a_file_over_dense_ceiling_rejected_before_any_solution(tmp_path, capsys, monkeypatch):
+    # The file's k is checked, not the --n default, and the message names the file.
+    assert run(["generate", "--n", "8", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "gap_n8_d4_s0.instance.json"
+    capsys.readouterr()
+
+    def no_solution(*args, **kwargs):
+        raise AssertionError("computed the canonical fractional solution")
+
+    monkeypatch.setattr(extension, "DENSE_METRIC_CAP", 63)
+    for module in (relaxation, cli):
+        monkeypatch.setattr(module, "canonical_fractional", no_solution)
+    assert run(["solve", "--instance", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: k=64 terminals") and "ceiling k <= 63" in err
 
 
 def test_n96_generate_and_split_stream_d_x(tmp_path, capsys):
