@@ -33,7 +33,6 @@ from .graphs import (
     LevelCodes,
     _fisher_yates,
     shortest_path_blocks,
-    shortest_path_codes,
     shortest_path_rows,
     validate_lengths,
 )
@@ -186,20 +185,21 @@ def extension_metric(x: ExtendedGraph) -> LevelCodes:
     ascending table of the exact distances and one code per pair, one byte
     while a block has at most 256 distinct distances and two beyond.
 
-    Computed once per extension, on first call, and cached on it, read-only;
-    this is the one builder of all k x k pairs, for the readers that return
-    to rows at random, and it builds no k x k float array.  A reader that
-    takes every row once takes `extension_blocks`, and readers of a few
-    rows take `extension_rows`.  The gap construction's two lengths take the
-    level search, whose level indices are the codes (see
+    Computed once per extension, on first call, from the row blocks of
+    `extension_blocks`, and cached on it, read-only; this is the one builder
+    of all k x k pairs, for the readers that return to rows at random, and
+    it builds no k x k float array.  A reader that takes every row once
+    takes `extension_blocks`, and readers of a few rows take
+    `extension_rows`.  The gap construction's two lengths take the level
+    search, whose level indices are the codes (see
     `graphs.LEVEL_SEARCH_LENGTHS`); a hand-edited file's other lengths may
     take Dijkstra, whose floats are coded per block, with the same values.
     Over `DENSE_METRIC_CAP` points it refuses before any search.
     """
     if x._metric is None:
-        check_dense_ceiling(x.vertex_count, f"extension has k={x.vertex_count} points")
-        flat = _flat(x)
-        x._metric = shortest_path_codes(flat.graph, flat.lengths)
+        k = x.vertex_count
+        check_dense_ceiling(k, f"extension has k={k} points")
+        x._metric = LevelCodes.from_blocks((k, k), extension_blocks(x))
     return x._metric
 
 

@@ -413,97 +413,58 @@ def girth(g: Graph):
 
 # The one engine rule: a search takes the level search when the edge lengths,
 # self-loops excluded, take at most this many distinct values, and scipy's
-# Dijkstra otherwise.  Both give the same floats; the level search's cost grows
-# with the number of distinct distances, so it is the faster one over a few
-# lengths, such as the gap construction's three (l_G, l_H and L).
+# Dijkstra otherwise.  Both yield the same coded row blocks, which decode to
+# the same floats; the level search's cost grows with the number of distinct
+# distances, so it is the faster one over a few lengths, such as the gap
+# construction's three (l_G, l_H and L).
 LEVEL_SEARCH_LENGTHS = 3
 
 
 def shortest_path_metric(g: Graph, lengths: np.ndarray) -> np.ndarray:
-    """Exact all-pairs shortest-path distances as a dense (V, V) float matrix."""
-    return shortest_path_search(g, lengths)(np.arange(g.vertex_count))
+    """Exact all-pairs shortest-path distances as a dense (V, V) float matrix.
 
-
-def shortest_path_codes(g: Graph, lengths: np.ndarray) -> LevelCodes:
-    """`shortest_path_metric(g, lengths)` held as level codes: the same
-    floats, one or two bytes per pair, with no (V, V) float matrix built."""
-    n = g.vertex_count
-    return LevelCodes.from_blocks((n, n), shortest_path_blocks(g, lengths, np.arange(n)))
+    The all-vertices case of `shortest_path_rows`, kept under its own name
+    because the bench traces it.
+    """
+    return shortest_path_rows(g, lengths, np.arange(g.vertex_count))
 
 
 def shortest_path_blocks(g: Graph, lengths: np.ndarray, sources, targets=None):
     """The distances from `sources` to `targets` (all vertices when None) in
     row blocks: per ROW_BLOCK sources in order, the (codes, table) pair of
-    one `LevelCodes` block, whose decoded rows are
-    `shortest_path_search(g, lengths, targets)` of those sources.
+    one `LevelCodes` block.  Disconnected pairs get math.inf; lengths may be
+    zero; sources may be unsorted and repeated.
 
-    The engine and the ids are checked, and the engine built, on this call;
-    each block is searched when the reader takes it, so a reader that
-    reduces each block before taking the next holds one block at a time.
-    """
-    return _engines(g, lengths, targets)[0](sources)
-
-
-def shortest_path_rows(g: Graph, lengths: np.ndarray, sources) -> np.ndarray:
-    """Exact distances from each of `sources` as a dense (len(sources), V)
-    float matrix; disconnected pairs get math.inf.  Lengths may be zero.
-
-    Searched by the engine that LEVEL_SEARCH_LENGTHS picks; agreement of both
-    engines with a Floyd-Warshall oracle, and with each other byte for byte,
-    is pinned in the test suite.
-    """
-    return shortest_path_search(g, lengths)(sources)
-
-
-def shortest_path_search(g: Graph, lengths: np.ndarray, targets=None):
-    """`search(sources)`: the (len(sources), len(targets)) distances from each
-    source to each target (all vertices when targets is None), as
-    `shortest_path_rows(g, lengths, sources)[:, targets]`.
-
-    The engine and its neighbour tables or adjacency are built once, for
-    every call: the search for callers that take their sources in chunks.
-    Sources may be unsorted and repeated.
-    """
-    return _engines(g, lengths, targets)[1]
-
-
-def _engines(g: Graph, lengths: np.ndarray, targets):
-    """(blocks, search) over one engine, picked by LEVEL_SEARCH_LENGTHS.
-
-    `blocks(sources)` yields, per ROW_BLOCK sources in order, the (codes,
-    table) pair of `LevelCodes`; `search(sources)` returns the floats.  The
-    level search yields its own level indices and decodes them for
-    `search`; Dijkstra's float rows are coded by `_code_rows`.
+    The lengths and ids are checked, and the engine picked by
+    LEVEL_SEARCH_LENGTHS, on this call; the engine is built once, when the
+    first block is taken, and each block is searched when the reader takes
+    it, so a reader that reduces each block before taking the next holds one
+    block at a time.  The level search's codes are its level indices;
+    Dijkstra's float rows are coded by `_code_rows`.  Agreement of both
+    engines with a Floyd-Warshall oracle, and with each other byte for
+    byte, is pinned in the test suite.
     """
     lengths = validate_lengths(g, lengths, allow_zero=True)
     n = g.vertex_count
+    sources = _vertex_ids(n, sources, "source")
     targets = None if targets is None else _vertex_ids(n, targets, "target")
     ends = g.endpoints()
     keep = ends[:, 0] != ends[:, 1]  # self-loops never shorten a path
     values, cls = np.unique(lengths[keep], return_inverse=True)
     if values.size <= LEVEL_SEARCH_LENGTHS:
         classes = [(float(value), ends[keep][cls == c]) for c, value in enumerate(values)]
-        level_blocks = _level_search(n, classes, targets)
-        width = n if targets is None else targets.size
+        return _level_search(n, classes, sources, targets)
+    return _dijkstra_search(g, lengths, sources, targets)
 
-        def floats(sources):
-            out = np.empty((sources.size, width))
-            for s0, (codes, table) in zip(range(0, sources.size, ROW_BLOCK), level_blocks(sources)):
-                np.take(table, codes, out=out[s0 : s0 + codes.shape[0]], mode="clip")
-            return out
 
-        coded = level_blocks
-    else:
-        floats = _dijkstra_search(g, lengths, targets)
-
-        def coded(sources):
-            for s0 in range(0, sources.size, ROW_BLOCK):
-                yield _code_rows(floats(sources[s0 : s0 + ROW_BLOCK]))
-
-    def check(engine):
-        return lambda sources: engine(_vertex_ids(n, sources, "source"))
-
-    return check(coded), check(floats)
+def shortest_path_rows(g: Graph, lengths: np.ndarray, sources, targets=None) -> np.ndarray:
+    """`shortest_path_blocks` decoded: the (len(sources), len(targets))
+    float distances (all V columns when targets is None)."""
+    blocks = shortest_path_blocks(g, lengths, sources, targets)
+    out = np.empty((np.size(sources), g.vertex_count if targets is None else np.size(targets)))
+    for s0, (codes, table) in zip(range(0, out.shape[0], ROW_BLOCK), blocks):
+        np.take(table, codes, out=out[s0 : s0 + codes.shape[0]], mode="clip")
+    return out
 
 
 def _vertex_ids(n: int, ids, role: str) -> np.ndarray:
@@ -514,15 +475,15 @@ def _vertex_ids(n: int, ids, role: str) -> np.ndarray:
     return ids
 
 
-def _dijkstra_search(g: Graph, lengths: np.ndarray, targets):
-    """scipy's Dijkstra over the CSR adjacency, read at the targets."""
+def _dijkstra_search(g: Graph, lengths: np.ndarray, sources: np.ndarray, targets):
+    """scipy's Dijkstra over the CSR adjacency, read at the targets and
+    coded per ROW_BLOCK sources."""
     from scipy.sparse.csgraph import dijkstra
 
-    if g.vertex_count == 0:
-        return lambda sources: np.zeros((sources.size, 0))
     csr = _csr(g, lengths)
     cols = slice(None) if targets is None else targets
-    return lambda sources: dijkstra(csr, directed=True, indices=sources)[:, cols]
+    for s0 in range(0, sources.size, ROW_BLOCK):
+        yield _code_rows(dijkstra(csr, directed=True, indices=sources[s0 : s0 + ROW_BLOCK])[:, cols])
 
 
 def _csr(g: Graph, lengths: np.ndarray):
@@ -564,7 +525,7 @@ ROW_BLOCK = 64 * _BLOCK_WORDS
 DECODE_ROWS = 64
 
 
-def _level_search(n: int, classes: list[tuple[float, np.ndarray]], targets):
+def _level_search(n: int, classes: list[tuple[float, np.ndarray]], sources: np.ndarray, targets):
     """Dijkstra's distances, byte for byte, from a search over many sources
     at once; `classes` holds each distinct length with its edges' endpoints.
 
@@ -574,23 +535,18 @@ def _level_search(n: int, classes: list[tuple[float, np.ndarray]], targets):
     together gives the same floats.  Each vertex holds a bitset over sources;
     the pairs first reached at value F spread, one length class at a time, to
     the neighbours, queued at fl(F + l).  A pair's value is stored as the index
-    of its level in bit-planes.  Returns `blocks(sources)`, which searches
-    ROW_BLOCK sources at a time and yields each block's (codes, levels): the
-    (sources, targets) level indices, decoded from the planes' target rows,
-    and the ascending level values.
+    of its level in bit-planes.  Searches ROW_BLOCK sources at a time and
+    yields each block's (codes, levels): the (sources, targets) level
+    indices, decoded from the planes' target rows, and the ascending level
+    values.
     """
     steps = [(length, _neighbour_table(n, ends)) for length, ends in classes]
     rows = slice(0, n) if targets is None else targets
     width = n if targets is None else targets.size
-
-    def blocks(sources: np.ndarray):
-        for s0 in range(0, sources.size, ROW_BLOCK):
-            block = sources[s0 : s0 + ROW_BLOCK]
-            planes, values = _search_levels(n, steps, block)
-            codes = _level_codes([plane[rows] for plane in planes], values.size, block.size, width)
-            yield codes, values
-
-    return blocks
+    for s0 in range(0, sources.size, ROW_BLOCK):
+        block = sources[s0 : s0 + ROW_BLOCK]
+        planes, values = _search_levels(n, steps, block)
+        yield _level_codes([plane[rows] for plane in planes], values.size, block.size, width), values
 
 
 def _search_levels(n: int, steps, sources: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:

@@ -16,12 +16,12 @@ from .graphs import (
     LevelCodes,
     _fisher_yates,
     shortest_path_rows,
-    shortest_path_search,
 )
 from .instance import ZeroExtInstance
 from .relaxation import check_lengths, fractional_cost, induced_semimetric
 
-# Largest block of distances ckr_rounds holds at once: 2 MiB of floats.
+# Entries per slab that ckr_rounds compares at once (2 MiB of floats, or
+# 256 KiB of one-byte D_X codes) and per local_search screen block.
 CKR_SLAB_PAIRS = 1 << 18
 
 
@@ -140,19 +140,19 @@ def ckr_rounds(inst: ZeroExtInstance, lengths: np.ndarray, seeds) -> list[np.nda
     """`ckr_round` for each seed, from one pass over the distances.
 
     Each seed draws its r and then its permutation exactly as `ckr_round`
-    does.  The distances are read in blocks of at most CKR_SLAB_PAIRS
-    entries and every block serves all draws (see `_first_hits`).  For a gap
+    does.  The distances are compared in slabs of at most CKR_SLAB_PAIRS
+    entries and every slab serves all draws (see `_first_hits`).  For a gap
     instance's canonical lengths, d(x, t_j) = fl(D_X[x, j] + L) and
     A_x = L exactly: D_X[x, x] = 0, fl(0 + L) = L, and every other entry is
     at least L.  So x hits t_j when fl(D_X[x, j] + L) <= fl(r L).  As
     fl(v + L) rises with v, the values of a row block's D_X table (see
     `graphs.LevelCodes`) that pass form a prefix, which holds the block's
     0.0 at least; the hits are the codes below its length, compared in
-    contiguous row blocks with no float formed.  Other lengths search the
-    graph from the terminals, in chunks over one adjacency,
-    twice: once for every A_u and once for the hits, so at most 2k sources
-    whatever the number of draws (k when one chunk holds every terminal,
-    searched once).
+    contiguous row blocks with no float formed.  Other lengths take one
+    search from the k terminals to the V - k non-terminals, whatever the
+    number of draws, and hold its k x (V - k) floats: A is their column
+    minimum.  No command takes that branch at scale: `gap` and `solve` pass
+    a gap instance's canonical lengths, and run no CKR on generic instances.
     """
     lengths = check_lengths(lengths, inst)
     k = inst.k
@@ -184,20 +184,12 @@ def ckr_rounds(inst: ZeroExtInstance, lengths: np.ndarray, seeds) -> list[np.nda
             _first_hits(dx.codes[start:stop], limits, cols, ranks, first[:, start:stop],
                         keep=keep_buf[: stop - start])
     else:
-        chunk = max(1, CKR_SLAB_PAIRS // max(1, inst.vertex_count))
-        search = shortest_path_search(inst.graph, lengths)
-
-        def from_terminals():  # (first terminal position, distances to the non-terminals)
-            for start in range(0, k, chunk):
-                yield start, search(inst.terminals[start : start + chunk])[:, nonterms]
-
-        one_chunk = list(from_terminals()) if k <= chunk else None  # searched once, read twice
-        a = np.full(nonterms.size, np.inf)
-        for _, dist in one_chunk or from_terminals():
-            np.minimum(a, dist.min(axis=0), out=a)
-        limits = np.multiply.outer(rs, a)
-        for start, dist in one_chunk or from_terminals():
-            _first_hits(dist.T, limits, np.arange(start, start + dist.shape[0]), ranks, first)
+        dist = shortest_path_rows(inst.graph, lengths, inst.terminals, targets=nonterms)
+        limits = np.multiply.outer(rs, dist.min(axis=0, initial=np.inf))
+        rows = max(1, CKR_SLAB_PAIRS // max(1, nonterms.size))
+        for start in range(0, k, rows):
+            stop = min(start + rows, k)
+            _first_hits(dist[start:stop].T, limits, np.arange(start, stop), ranks, first)
 
     out = []
     for perm, hit in zip(perms, first):
@@ -266,8 +258,7 @@ def nearest_terminal(inst: ZeroExtInstance) -> np.ndarray:
         f[: inst.k] = inst.terminals
         return f
     keep = inst.weights > 0
-    edges = [e for e, kept in zip(inst.graph.edges, keep) if kept]
-    g = Graph(vertex_count=inst.vertex_count, edges=edges, multigraph=True)
+    g = Graph(vertex_count=inst.vertex_count, edges=inst.graph.endpoints()[keep], multigraph=True)
     order = np.argsort(inst.terminals, kind="stable")
     dist = shortest_path_rows(g, 1.0 / inst.weights[keep], inst.terminals[order])
     if np.any(np.isinf(dist.min(axis=0))):

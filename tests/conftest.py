@@ -327,11 +327,10 @@ def reference_is_feasible(lengths, inst, rtol: float = 1e-9) -> list:
 
     terms = inst.terminals
     k = terms.size
-    search = graphs.shortest_path_search(inst.graph, np.asarray(lengths, dtype=float), targets=terms)
     out = []
     for start in range(0, k, 256):
         pos = np.arange(start, min(start + 256, k))
-        got = search(terms[pos])
+        got = graphs.shortest_path_rows(inst.graph, np.asarray(lengths, dtype=float), terms[pos], targets=terms)
         want = inst.metric.rows(pos)
         short = want - got
         bad = (short > rtol * want) & (pos[:, None] < np.arange(k)[None, :])

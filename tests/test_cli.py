@@ -125,13 +125,27 @@ def test_written_json_files_are_json_dump_with_indent_2(tmp_path, monkeypatch):
     assert doc["certificate"] and (tmp_path / "certificate.json").read_text() == json.dumps(doc, indent=2)
 
 
+def hook_dx_build(monkeypatch, hook) -> None:
+    """Call hook(k) on each D_X build: the one `LevelCodes.from_blocks`
+    call, in `extension.extension_metric`."""
+
+    class Hooked(graphs.LevelCodes):
+        @classmethod
+        def from_blocks(cls, shape, blocks):
+            hook(shape[0])
+            return graphs.LevelCodes.from_blocks(shape, blocks)
+
+    monkeypatch.setattr(extension, "LevelCodes", Hooked)
+
+
+def refuse_dx(k):
+    raise AssertionError("built the dense D_X")
+
+
 def test_generate_split_and_cert_build_no_dense_extension_metric(tmp_path, monkeypatch):
     # n = 24 (k = 576): split and cert search only the representatives' rows,
     # on the built instance and on the loaded file alike.
-    def refuse(*args):
-        raise AssertionError("built the dense D_X")
-
-    monkeypatch.setattr(extension, "shortest_path_codes", refuse)
+    hook_dx_build(monkeypatch, refuse_dx)
     kept = ["--epsilon", "0.1", "--alpha", "1e9", "--threshold", "0.9"]
     assert cli.main(["generate", "--n", "24", "--seed", "0", "--out", str(tmp_path)]) == 0
     for source in (["--n", "24", "--seed", "0"], ["--instance", str(tmp_path / "gap_n24_d4_s0.instance.json")]):
@@ -144,13 +158,7 @@ def test_generate_split_and_cert_build_no_dense_extension_metric(tmp_path, monke
 def test_a_gap_row_builds_the_extension_metric_once(tmp_path, monkeypatch):
     # Shared by the row sums of all_to_one, the CKR draws and local_search.
     calls = []
-    real = extension.shortest_path_codes
-
-    def counted(g, lengths):
-        calls.append(g.vertex_count)
-        return real(g, lengths)
-
-    monkeypatch.setattr(extension, "shortest_path_codes", counted)
+    hook_dx_build(monkeypatch, calls.append)
     assert cli.main(["gap", "--n", "8", "--seeds", "0", "--jobs", "1", "--out", str(tmp_path)]) == 0
     assert calls == [64]
 
@@ -223,10 +231,7 @@ def test_an_n64_frac_peaks_below_80_mib(tmp_path):
 
 
 def test_frac_and_the_feasibility_check_stream_an_unbuilt_extension_metric(tmp_path, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("built the dense D_X")
-
-    monkeypatch.setattr(extension, "shortest_path_codes", refuse)
+    hook_dx_build(monkeypatch, refuse_dx)
     assert cli.main(["generate", "--n", "24", "--seed", "0", "--out", str(tmp_path)]) == 0
     for source in (["--n", "24", "--seed", "0"], ["--instance", str(tmp_path / "gap_n24_d4_s0.instance.json")]):
         assert cli.main(["frac", *source, "--out", str(tmp_path)]) == 0

@@ -471,27 +471,29 @@ def test_endpoints_are_one_read_only_array_of_the_edges():
 
 
 def test_search_builds_its_adjacency_once_for_every_chunk(monkeypatch):
+    # Five sources in row blocks of 2, 2 and 1.
     g = Graph(vertex_count=5, edges=[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     lengths = np.array([1.0, 2.0, 0.0, 1.5, 4.0])
     builds = []
     csr = graphs._csr
     monkeypatch.setattr(graphs, "_csr", lambda *args: builds.append(1) or csr(*args))
-    search = graphs.shortest_path_search(g, lengths)
-    chunks = [search([0, 1]), search([2]), search([3, 4])]
+    monkeypatch.setattr(graphs, "ROW_BLOCK", 2)
+    rows = graphs.shortest_path_rows(g, lengths, [0, 1, 2, 3, 4])
     assert len(builds) == 1
-    assert np.array_equal(np.vstack(chunks), graph_fw(g, lengths))
+    assert np.array_equal(rows, graph_fw(g, lengths))
 
 
 def test_level_search_builds_its_neighbour_tables_once_for_every_chunk(monkeypatch):
+    # Five sources in row blocks of 2, 2 and 1.
     g = Graph(vertex_count=5, edges=[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     lengths = np.array([1.0, 2.0, 0.0, 1.0, 2.0])  # three length classes
     tables = []
     table = graphs._neighbour_table
     monkeypatch.setattr(graphs, "_neighbour_table", lambda *args: tables.append(1) or table(*args))
-    search = graphs.shortest_path_search(g, lengths, targets=[4, 0])
-    chunks = [search([0, 1]), search([2]), search([3, 4])]
+    monkeypatch.setattr(graphs, "ROW_BLOCK", 2)
+    rows = graphs.shortest_path_rows(g, lengths, [0, 1, 2, 3, 4], targets=[4, 0])
     assert len(tables) == 3
-    assert np.array_equal(np.vstack(chunks), graph_fw(g, lengths)[:, [4, 0]])
+    assert np.array_equal(rows, graph_fw(g, lengths)[:, [4, 0]])
 
 
 def test_parallel_edges_collapse_to_the_shortest():
@@ -506,13 +508,29 @@ def test_search_rejects_sources_and_targets_outside_the_graph():
     with pytest.raises(GraphError, match=r"source -1 outside \[0, 3\)"):
         graphs.shortest_path_rows(g, lengths, [0, -1])
     with pytest.raises(GraphError, match=r"target 3 outside \[0, 3\)"):
-        graphs.shortest_path_search(g, lengths, targets=[3])
+        graphs.shortest_path_rows(g, lengths, [0], targets=[3])
+
+
+@pytest.mark.parametrize("engine", ["level", "dijkstra"])
+def test_empty_searches_keep_their_shape_and_bad_ids_fail_before_any_block(monkeypatch, engine):
+    monkeypatch.setattr(graphs, "LEVEL_SEARCH_LENGTHS", math.inf if engine == "level" else -1)
+    g = Graph(vertex_count=3, edges=[(0, 1), (1, 2)])
+    lengths = np.array([1.0, 2.0])
+    assert list(graphs.shortest_path_blocks(g, lengths, [])) == []
+    assert graphs.shortest_path_rows(g, lengths, []).shape == (0, 3)
+    assert graphs.shortest_path_rows(g, lengths, [2, 0, 2], targets=[]).shape == (3, 0)
+    assert shortest_path_metric(Graph(vertex_count=0, edges=[]), np.zeros(0)).shape == (0, 0)
+    # The call raises; no block is taken from it.
+    with pytest.raises(GraphError, match=r"source 3 outside \[0, 3\)"):
+        graphs.shortest_path_blocks(g, lengths, [0, 3])
+    with pytest.raises(GraphError, match=r"target -1 outside \[0, 3\)"):
+        graphs.shortest_path_blocks(g, lengths, [0], targets=[-1])
 
 
 # -- the engine rule, and the level search reproduces Dijkstra's floats -------------
 
 
-def spy_on_engines(monkeypatch) -> list[str]:
+def spy_on_engine_calls(monkeypatch) -> list[str]:
     """The engine each shortest-path search takes, in call order."""
     calls = []
     for name in ("_level_search", "_dijkstra_search"):
@@ -529,7 +547,7 @@ def by_engine(engine: str, g, lengths, sources=None) -> np.ndarray:
     sources = np.arange(g.vertex_count) if sources is None else sources
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graphs, "LEVEL_SEARCH_LENGTHS", math.inf if engine == "level" else -1)
-        return graphs.shortest_path_search(g, lengths)(sources)
+        return graphs.shortest_path_rows(g, lengths, sources)
 
 
 def scipy_rows(g, lengths, sources, targets) -> np.ndarray:
@@ -540,7 +558,7 @@ def scipy_rows(g, lengths, sources, targets) -> np.ndarray:
 
 
 def test_engine_rule_counts_the_distinct_lengths_off_the_self_loops(monkeypatch):
-    calls = spy_on_engines(monkeypatch)
+    calls = spy_on_engine_calls(monkeypatch)
     g = Graph(vertex_count=4, edges=[(0, 1), (1, 2), (2, 3), (3, 3), (0, 3)], multigraph=True)
     shortest_path_metric(g, np.array([1.0, 2.0, 3.0, 9.0, 1.0]))  # three lengths and a loop
     shortest_path_metric(g, np.array([1.0, 2.0, 3.0, 9.0, 4.0]))
@@ -554,7 +572,7 @@ def test_loaded_instance_with_uneven_base_lengths_takes_dijkstra(tmp_path, monke
     x = sample_extension(c3, np.array([1.0, 2.0, 3.0]), c3, uniform_lengths(c3, 0.5), seed=4)
     path = tmp_path / "uneven.json"
     instance.save_instance(instance.build_gap_instance(x, big_l=1.5), path)
-    calls = spy_on_engines(monkeypatch)
+    calls = spy_on_engine_calls(monkeypatch)
     back = instance.load_instance(path)
     dx = extension.extension_metric(back.origin.extension).matrix()
     assert calls == ["_dijkstra_search"]
@@ -589,7 +607,7 @@ def test_search_from_terminals_to_terminals_matches_dijkstra_bytes_on_gap_instan
     inst = instance.default_gap_instance(n, d, 0).instance
     lengths = inst.origin.edge_lengths
     terms = inst.terminals
-    got = graphs.shortest_path_search(inst.graph, lengths, targets=terms)(terms)
+    got = graphs.shortest_path_rows(inst.graph, lengths, terms, targets=terms)
     assert np.unique(lengths).size == 3
     assert got.tobytes() == scipy_rows(inst.graph, lengths, terms, terms).tobytes()
 
@@ -629,7 +647,8 @@ def codes_by_engine(engine: str, g, lengths) -> graphs.LevelCodes:
     """The coded all-pairs distances with the rule forced to one engine."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graphs, "LEVEL_SEARCH_LENGTHS", math.inf if engine == "level" else -1)
-        return graphs.shortest_path_codes(g, lengths)
+        n = g.vertex_count
+        return graphs.LevelCodes.from_blocks((n, n), graphs.shortest_path_blocks(g, lengths, np.arange(n)))
 
 
 def path_with_three_lengths(m: int, phase: int = 0):
@@ -673,7 +692,7 @@ def graphs_for_codes(draw):
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(graphs_for_codes())
 @example(path_with_three_lengths(400))
-def test_level_codes_decode_the_dense_metric_byte_for_byte_on_both_engines(case):
+def test_level_codes_decode_the_dense_metric_byte_for_byte_on_each_engine(case):
     g, lengths = case
     want = shortest_path_metric(g, lengths)
     for engine in ("level", "dijkstra"):
@@ -742,7 +761,7 @@ def test_every_queue_bitset_starts_empty_though_spent_ones_are_reused(monkeypatc
     monkeypatch.setattr(graphs, "_spread", spread)
     g, lengths = path_with_three_lengths(300)
     sources = np.arange(0, 300, 7)
-    got = graphs.shortest_path_search(g, lengths)(sources)
+    got = graphs.shortest_path_rows(g, lengths, sources)
     assert got.tobytes() == scipy_rows(g, lengths, sources, np.arange(300)).tobytes()
     assert len(reused) > 100  # spent bitsets did come back as queue entries
 
@@ -802,7 +821,7 @@ def searches_over_few_lengths(draw):
 @example((Graph(vertex_count=2, edges=[(0, 1)]), np.array([1.0]), np.array([1, 1, 0]), np.array([1, 1])))
 def test_search_over_few_lengths_matches_scipy_dijkstra_bytes(case):
     g, lengths, sources, targets = case
-    got = graphs.shortest_path_search(g, lengths, targets)(sources)
+    got = graphs.shortest_path_rows(g, lengths, sources, targets)
     want = scipy_rows(g, lengths, sources, targets)
     assert got.shape == want.shape == (sources.size, targets.size)
     assert got.tobytes() == want.tobytes()

@@ -232,20 +232,20 @@ def test_halved_extension_edge_is_caught_at_n16(monkeypatch, rows):
 
 
 def test_feasibility_searches_one_adjacency_for_every_chunk(monkeypatch):
-    # k = 16 terminals in six chunks of at most 3 rows.
+    # k = 16 terminals in six chunks of at most 3 rows.  Four lengths take
+    # Dijkstra, whose adjacency is the one built per search.
     inst = default_gap_instance(4, 3, 0).instance
     lengths = inst.origin.edge_lengths.copy()
     lengths[:4] /= 3
+    assert np.unique(lengths).size > graphs.LEVEL_SEARCH_LENGTHS
     want = [(v.vertices, v.magnitude) for v in is_feasible(lengths, inst)]
     assert want
     monkeypatch.setattr(relaxation, "DECODE_ROWS", 3)
     builds = []
-    make_engines = graphs._engines
-    monkeypatch.setattr(
-        graphs, "_engines", lambda g, *args: builds.append(g.vertex_count) or make_engines(g, *args)
-    )
+    make_csr = graphs._csr
+    monkeypatch.setattr(graphs, "_csr", lambda g, *args: builds.append(g.vertex_count) or make_csr(g, *args))
     assert [(v.vertices, v.magnitude) for v in is_feasible(lengths, inst)] == want
-    assert builds.count(inst.vertex_count) == 1  # D_X's stream searches the 16-point flattening
+    assert builds.count(inst.vertex_count) == 1  # D_X's stream takes the level search, with no CSR
 
 
 def _feasibility_lengths(inst, kind: str) -> np.ndarray:

@@ -223,8 +223,8 @@ def test_ckr_matches_one_terminal_at_a_time_on_generic():
 def test_ckr_on_other_lengths_of_a_gap_instance_matches_reference(monkeypatch, slab):
     # Integer lengths, zeros included, keep Dijkstra and Floyd-Warshall exact;
     # they differ from the canonical lengths, so CKR searches the graph from
-    # its 16 terminals, in one chunk or (slab 100 over 32 vertices) in
-    # chunks of 3 sources.
+    # its 16 terminals, and compares the distances in one slab or (slab 100
+    # over 16 non-terminals) in slabs of 6 terminals.
     monkeypatch.setattr(solvers, "CKR_SLAB_PAIRS", slab)
     inst = default_gap_instance(4, 3, 0).instance
     rng = np.random.default_rng(8)
@@ -299,25 +299,20 @@ def test_ckr_code_thresholds_match_reference_across_row_blocks(monkeypatch, slab
 @pytest.mark.parametrize("slab", [solvers.CKR_SLAB_PAIRS, 100])
 @pytest.mark.parametrize("draws", [1, 3, 8])
 def test_ckr_rounds_search_from_the_terminals_only(monkeypatch, slab, draws):
-    # Other lengths search from at most 2k sources (A_u, then the hits),
-    # however many draws share the call, never from the V - k non-terminals,
-    # and build the adjacency they search once per call.
+    # Other lengths search from at most 2k sources, however many draws
+    # share the call, never from the V - k non-terminals, and build the
+    # engine they search once per call.
     monkeypatch.setattr(solvers, "CKR_SLAB_PAIRS", slab)
     sources = []
     builds = []
-    make_search = solvers.shortest_path_search
+    search = solvers.shortest_path_rows
 
-    def counting(g, lengths):
+    def counting(g, lengths, srcs, **kwargs):
         builds.append(1)
-        search = make_search(g, lengths)
+        sources.extend(np.atleast_1d(srcs).tolist())
+        return search(g, lengths, srcs, **kwargs)
 
-        def counted(srcs):
-            sources.extend(np.atleast_1d(srcs).tolist())
-            return search(srcs)
-
-        return counted
-
-    monkeypatch.setattr(solvers, "shortest_path_search", counting)
+    monkeypatch.setattr(solvers, "shortest_path_rows", counting)
     inst = default_gap_instance(4, 3, 0).instance
     lengths = np.random.default_rng(2).integers(1, 4, size=inst.graph.edge_count).astype(float)
     ckr_rounds(inst, lengths, range(draws))
