@@ -122,72 +122,6 @@ def formal_transform(paths: list[list[int]], x: ExtendedGraph) -> FormalTransfor
     return FormalTransformation(paths=qpaths, ind=ind, base=x.base, fiber=x.fiber)
 
 
-def reconstruct_paths(
-    ft: FormalTransformation,
-    x: ExtendedGraph,
-    endpoint_identities: dict[int, tuple[str, int]],
-) -> list[list[int]]:
-    """Invert the transformation given one true endpoint identity per path.
-
-    endpoint_identities maps path position -> ("start" | "end", extension
-    vertex).  Walk labels plus the sampled matchings determine every
-    successive identity; the first step whose claimed index contradicts an
-    already-resolved identity raises, naming the path and step.
-    """
-    from .extension import traverse_inter, vertex_id
-
-    resolved: dict[Ind, int] = {}
-    out: list[list[int]] = [None] * len(ft.paths)
-
-    def bind(pidx: int, step: int, index: Ind, vertex: int):
-        prev = resolved.get(index)
-        if prev is not None and prev != vertex:
-            raise CertificateError(
-                f"path {pidx} step {step}: index {index} already resolved to "
-                f"vertex {prev}, walk now demands {vertex}"
-            )
-        if index[0] != project(x, vertex):
-            raise CertificateError(
-                f"path {pidx} step {step}: index {index} names cloud {index[0]} "
-                f"but the walk sits in cloud {project(x, vertex)}"
-            )
-        resolved[index] = vertex
-
-    for pidx, qpath in enumerate(ft.paths):
-        if pidx not in endpoint_identities:
-            raise CertificateError(f"no endpoint identity given for path {pidx}")
-        which, vertex = endpoint_identities[pidx]
-        if which == "start":
-            order = range(len(qpath.labels))
-            verts = qpath.verts
-            labels = qpath.labels
-        elif which == "end":
-            verts = qpath.verts[::-1]
-            labels = [_invert_label(l) for l in qpath.labels[::-1]]
-            order = range(len(labels))
-        else:
-            raise CertificateError(f"endpoint position must be start or end, got {which}")
-        cur = int(vertex)
-        walk = [cur]
-        bind(pidx, 0, verts[0], cur)
-        for j in order:
-            lab = labels[j]
-            try:
-                if lab.kind == "intra":
-                    g = project(x, cur)
-                    h = _follow(x.fiber, cur % x.fiber_size, lab)
-                    cur = vertex_id(x, g, h)
-                else:
-                    _follow(x.base, project(x, cur), lab)  # checks the direction
-                    cur = traverse_inter(x, lab.value, cur)
-            except CertificateError as exc:
-                raise CertificateError(f"path {pidx} step {j}: {exc}") from None
-            walk.append(cur)
-            bind(pidx, j + 1, verts[j + 1], cur)
-        out[pidx] = walk if which == "start" else walk[::-1]
-    return out
-
-
 # -- inner connected components ----------------------------------------------------
 
 
@@ -452,15 +386,12 @@ def shortest_rep_paths(x: ExtendedGraph, c: SplitCandidate) -> list[list[int]]:
     """The candidate's stored path per kept base edge, ascending edge id,
     directed from the representative of the smaller-cloud endpoint."""
     paths = []
-    for eid in sorted(c.edge_ids):
+    for eid in c.edge_ids:
         g1, g2 = x.base.edges[eid]
-        r1, r2 = c.rep_map[g1], c.rep_map[g2]
-        pre = c.path_assignment.get(eid)
-        if pre is None:
-            raise CertificateError(f"candidate stores no path for edge {eid}")
-        if pre[0] != r1 or pre[-1] != r2:
+        path = c.path_assignment[eid]
+        if path[0] != c.rep_map[g1] or path[-1] != c.rep_map[g2]:
             raise CertificateError(f"stored path for edge {eid} has wrong endpoints")
-        paths.append(list(pre))
+        paths.append(list(path))
     return paths
 
 
@@ -501,10 +432,10 @@ def assemble_certificate(
     """The certificate of a candidate from its transformation and inner
     component graph, as `transform_pipeline` returns them; no verification."""
     return Certificate(
-        subgraph_edges=sorted(c.edge_ids),
+        subgraph_edges=c.edge_ids,
         representations=representations(ft, icc),
         skeleton_paths=skeleton(ft, icc),
-        representatives={g: int(c.rep_map[g]) for g in sorted(c.rep_map)},
+        representatives={g: int(c.rep_map[g]) for g in c.vertices},
         base=x.base,
         fiber=x.fiber,
     )

@@ -125,21 +125,11 @@ def sample_extension(base: Graph, base_lengths, fiber: Graph, fiber_lengths, see
     )
 
 
-def vertex_id(x: ExtendedGraph, cloud: int, fiber_vertex: int) -> int:
-    return cloud * x.fiber_size + fiber_vertex
-
-
 def project(x: ExtendedGraph, vertex: int) -> int:
     """Cloud id of a flattened vertex."""
     if not 0 <= vertex < x.vertex_count:
         raise ExtensionError(f"vertex {vertex} out of range")
     return vertex // x.fiber_size
-
-
-def fiber_of(x: ExtendedGraph, vertex: int) -> int:
-    if not 0 <= vertex < x.vertex_count:
-        raise ExtensionError(f"vertex {vertex} out of range")
-    return vertex % x.fiber_size
 
 
 def flatten(x: ExtendedGraph) -> FlatExtension:
@@ -246,22 +236,6 @@ def edge_label(x: ExtendedGraph, flat_edge: int, tail: int) -> EdgeLabel:
         raise ExtensionError(f"vertex {tail} is not an endpoint of flat edge {flat_edge}")
     kind = "intra" if flat.edge_kind[flat_edge] == 0 else "inter"
     return EdgeLabel(kind, int(flat.edge_origin[flat_edge]), 1 if tail == u else -1)
-
-
-def traverse_inter(x: ExtendedGraph, base_edge: int, from_vertex: int) -> int:
-    """Follow the matching of a base edge from one cloud-side vertex."""
-    g1, g2 = x.base.edges[base_edge]
-    g = project(x, from_vertex)
-    h = fiber_of(x, from_vertex)
-    perm = x.matchings[base_edge]
-    if g == g1:
-        return vertex_id(x, g2, int(perm[h]))
-    if g == g2:
-        mate = int(np.argwhere(perm == h)[0, 0])
-        return vertex_id(x, g1, mate)
-    raise ExtensionError(
-        f"vertex {from_vertex} lies in cloud {g}, not on base edge {base_edge}={x.base.edges[base_edge]}"
-    )
 
 
 def project_path(x: ExtendedGraph, path: Sequence[int]) -> tuple[list[int], list[int]]:

@@ -1,13 +1,11 @@
-"""Linear algebra over GF(2): incidence maps, kernel dimensions, cycle bases.
+"""The GF(2) cycle space of a graph: first Betti number and cycle bases.
 
-Matrices are dense 0/1 uint8 arrays with XOR row elimination; edge sets are
-uint8 parity vectors indexed by a host graph's edge ids.  Everything here is a
-pure function of immutable inputs.
+Edge sets are uint8 parity vectors indexed by a host graph's edge ids.
+Everything here is a pure function of immutable inputs.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,65 +13,6 @@ from .graphs import Graph
 
 # An EdgeSet is a uint8 vector of length |E| with entries in {0, 1}.
 EdgeSet = np.ndarray
-
-
-@dataclass
-class Gf2Matrix:
-    rows: int
-    cols: int
-    bits: np.ndarray  # shape (rows, cols), dtype uint8, values in {0, 1}
-
-    def __post_init__(self):
-        self.bits = (np.asarray(self.bits, dtype=np.uint8) % 2).reshape(self.rows, self.cols)
-
-    @classmethod
-    def from_dense(cls, arr) -> "Gf2Matrix":
-        arr = np.asarray(arr, dtype=np.uint8) % 2
-        if arr.ndim != 2:
-            raise ValueError("expected a 2-d array")
-        return cls(rows=arr.shape[0], cols=arr.shape[1], bits=arr)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Matrix-vector product over GF(2)."""
-        x = np.asarray(x, dtype=np.uint8) % 2
-        return (self.bits @ x.astype(np.int64)) % 2
-
-
-def rank(m: Gf2Matrix) -> int:
-    """GF(2) rank by Gaussian elimination with XOR row operations."""
-    work = m.bits.copy()
-    nrows, ncols = work.shape
-    r = 0
-    for col in range(ncols):
-        pivot = -1
-        for row in range(r, nrows):
-            if work[row, col]:
-                pivot = row
-                break
-        if pivot == -1:
-            continue
-        if pivot != r:
-            work[[r, pivot]] = work[[pivot, r]]
-        mask = work[r + 1 :, col].astype(bool)
-        work[r + 1 :][mask] ^= work[r]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def kernel_dim(m: Gf2Matrix) -> int:
-    return m.cols - rank(m)
-
-
-def incidence_matrix(g: Graph) -> Gf2Matrix:
-    """|V| x |E| vertex-edge incidence over GF(2); a self-loop column is zero."""
-    bits = np.zeros((g.vertex_count, g.edge_count), dtype=np.uint8)
-    for eid, (u, v) in enumerate(g.edges):
-        if u != v:
-            bits[u, eid] = 1
-            bits[v, eid] = 1
-    return Gf2Matrix(rows=g.vertex_count, cols=g.edge_count, bits=bits)
 
 
 def betti1(g: Graph) -> int:

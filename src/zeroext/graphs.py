@@ -794,23 +794,16 @@ class ShortestPathTree:
             self._pred[v] = min(tight)
         return self._pred[v]
 
-    def _walk(self, target: int) -> tuple[list[int], list[int]]:
-        """Vertices and edge ids of the canonical path from the source to target."""
+    def path_vertices(self, target: int) -> list[int]:
+        """Vertices of the canonical path from the source to target."""
         if not math.isfinite(self.dist[target]):
             raise GraphError(f"vertex {target} unreachable from {self.source}")
-        verts, eids = [target], []
+        verts = [target]
         v = target
         while v != self.source:
-            v, eid = self._pred[v] if v in self._pred else self.predecessor(v)
+            v = (self._pred[v] if v in self._pred else self.predecessor(v))[0]
             verts.append(v)
-            eids.append(eid)
-        return verts[::-1], eids[::-1]
-
-    def path_vertices(self, target: int) -> list[int]:
-        return self._walk(target)[0]
-
-    def path_edges(self, target: int) -> list[int]:
-        return self._walk(target)[1]
+        return verts[::-1]
 
 
 def single_source_shortest_paths(

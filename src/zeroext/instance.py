@@ -251,6 +251,8 @@ class ZeroExtInstance:
         if np.any(self.weights < 0):
             raise InstanceError("negative edge weight")
         self.terminals = np.asarray(self.terminals, dtype=np.int64)
+        if self.terminals.size == 0:
+            raise InstanceError("an instance needs at least one terminal")
         if len(set(self.terminals.tolist())) != self.terminals.size:
             raise InstanceError("duplicate terminal")
         if self.metric.size != self.terminals.size:
@@ -346,7 +348,8 @@ def default_gap_instance(n: int, d: int, seed: int, *, girth_floor: int | None =
 
 
 def build_generic_instance(graph: Graph, weights, terminals, metric) -> ZeroExtInstance:
-    """Validated instance from arbitrary parts; terminals need not be pendant.
+    """Validated instance from arbitrary parts; terminals need not be pendant,
+    but there must be at least one.
 
     `metric` is a dense k x k semi-metric over the terminal list order; a
     triangle violation is rejected with the offending triple named.  The
@@ -356,6 +359,8 @@ def build_generic_instance(graph: Graph, weights, terminals, metric) -> ZeroExtI
     weights = np.asarray(weights, dtype=float)
     mat = np.asarray(metric, dtype=float) + 0.0
     terminals = np.asarray(terminals, dtype=np.int64)
+    if terminals.size == 0:  # before the shape check: JSON reads a 0 x 0 matrix as shape (0,)
+        raise InstanceError("an instance needs at least one terminal")
     if mat.shape != (terminals.size, terminals.size):
         raise InstanceError(
             f"metric shape {mat.shape} does not match {terminals.size} terminals"

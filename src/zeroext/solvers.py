@@ -1,4 +1,4 @@
-"""Integral solutions: exact brute force, randomized rounding, baselines, local search.
+"""Integral solutions: randomized rounding, baselines, local search.
 
 A labeling is an int64 vector over all instance vertices whose entries are
 terminal vertex ids, with every terminal fixed to itself.  All solvers are
@@ -29,10 +29,6 @@ class SolverError(ValueError):
     pass
 
 
-class TooLargeError(SolverError):
-    pass
-
-
 def validate_labeling(f: np.ndarray, inst: ZeroExtInstance) -> np.ndarray:
     f = np.asarray(f, dtype=np.int64)
     if f.shape != (inst.vertex_count,):
@@ -57,64 +53,6 @@ def integral_cost(f: np.ndarray, inst: ZeroExtInstance) -> float:
     """Sum over edges of weight times terminal distance between the labels:
     the fractional cost of the labeling's pull-back."""
     return fractional_cost(induced_semimetric(validate_labeling(f, inst), inst), inst)
-
-
-# -- exact oracle -------------------------------------------------------------
-
-
-def brute_force(inst: ZeroExtInstance, cap: int = 10_000_000) -> tuple[np.ndarray, float]:
-    """Global optimum by exhaustive enumeration of k^m labelings.
-
-    Ties break to the lexicographically smallest labeling (in terminal-index
-    digits over non-terminals in vertex order).  Refuses above `cap`.
-    """
-    nonterms = inst.nonterminals()
-    m = nonterms.size
-    k = inst.k
-    total = k**m
-    if total > cap:
-        raise TooLargeError(f"{k}^{m} = {total} labelings exceed cap {cap}")
-    D = inst.metric.matrix()
-    pos_of = {int(v): i for i, v in enumerate(nonterms)}
-
-    # Split edges by how many endpoints are free.
-    const_cost = 0.0
-    one_free: list[tuple[int, int, float]] = []   # (free position, terminal pos, w)
-    two_free: list[tuple[int, int, float]] = []   # (free position u, free position v, w)
-    for eid, (u, v) in enumerate(inst.graph.edges):
-        w = float(inst.weights[eid])
-        iu, iv = int(inst.term_index[u]), int(inst.term_index[v])
-        if iu >= 0 and iv >= 0:
-            const_cost += w * D[iu, iv]
-        elif iu >= 0:
-            one_free.append((pos_of[v], iu, w))
-        elif iv >= 0:
-            one_free.append((pos_of[u], iv, w))
-        else:
-            two_free.append((pos_of[u], pos_of[v], w))
-
-    best_cost = np.inf
-    best_digits = None
-    chunk = 1 << 14
-    powers = k ** np.arange(m - 1, -1, -1, dtype=np.int64) if m else np.zeros(0, dtype=np.int64)
-    for start in range(0, max(total, 1), chunk):
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        digits = (idx[:, None] // powers[None, :]) % k if m else np.zeros((idx.size, 0), dtype=np.int64)
-        costs = np.full(idx.size, const_cost)
-        for pos, tpos, w in one_free:
-            costs += w * D[digits[:, pos], tpos]
-        for pu, pv, w in two_free:
-            costs += w * D[digits[:, pu], digits[:, pv]]
-        j = int(np.argmin(costs))
-        if costs[j] < best_cost:  # strict: keeps the first (lex-least) optimum
-            best_cost = float(costs[j])
-            best_digits = digits[j].copy()
-    f = np.zeros(inst.vertex_count, dtype=np.int64)
-    f[inst.terminals] = inst.terminals
-    if m:
-        f[nonterms] = inst.terminals[best_digits]
-    return f, best_cost
 
 
 # -- randomized rounding -------------------------------------------------------

@@ -1,9 +1,11 @@
 """Representative extraction and verification of the split conditions.
 
-A split candidate packages a base subgraph, a representative map from clouds
-into the extension, and one canonical shortest path per kept base edge.  The
-verifier re-checks the four conditions (size, cycle-homeomorphism, distance,
-closeness) independently of how the candidate was built.
+A split candidate is two maps plus three parameters: the representative of
+each kept cloud, one canonical shortest path per kept base edge, and the
+alpha, epsilon and threshold it was built with.  The kept subgraph is the
+maps' keys.  The verifier re-checks the four conditions (size,
+cycle-homeomorphism, distance, closeness) independently of how the candidate
+was built.
 """
 from __future__ import annotations
 
@@ -25,22 +27,34 @@ class SplitError(ValueError):
 
 @dataclass
 class SplitCandidate:
-    base_vertex_count: int
-    vertices: list[int]              # clouds kept in the subgraph
-    edge_ids: list[int]              # base edge ids kept in the subgraph
-    rep_map: dict[int, int]          # cloud -> representative (extension vertex)
+    """A kept base subgraph as two maps, plus the parameters it was built with.
+
+    rep_map sends each kept cloud to its representative, an extension vertex.
+    path_assignment sends each kept base edge to the canonical shortest path
+    between its endpoints' representatives, directed from the smaller cloud's;
+    a single vertex when the representatives coincide.  The kept clouds and
+    edges are the maps' keys, and n is the extension's cloud count.
+    """
+
+    rep_map: dict[int, int]
+    path_assignment: dict[int, list[int]]
     alpha: float
     epsilon: float
     threshold: float
-    path_assignment: dict[int, list[int]] = field(default_factory=dict)
-    # per kept base edge: canonical shortest path between representatives,
-    # directed from the smaller-cloud endpoint; a single-vertex path when the
-    # representatives coincide.
+
+    @property
+    def vertices(self) -> list[int]:
+        """The kept clouds, ascending."""
+        return sorted(self.rep_map)
+
+    @property
+    def edge_ids(self) -> list[int]:
+        """The kept base edge ids, ascending."""
+        return sorted(self.path_assignment)
 
 
 @dataclass
 class ConditionVerdict:
-    name: str
     passed: bool
     detail: str = ""
     witnesses: list = field(default_factory=list)
@@ -74,8 +88,9 @@ class SplitReport:
 
 def extract_representatives(
     inst: ZeroExtInstance, x: ExtendedGraph, f: np.ndarray, threshold: float
-) -> tuple[set[int], dict[int, int]]:
-    """Clouds where one terminal receives at least threshold * |V_H| vertices.
+) -> dict[int, int]:
+    """Cloud -> representative, over the clouds where one terminal receives
+    at least threshold * |V_H| vertices.
 
     The representative of such a cloud is the non-terminal twin of the winning
     terminal.  threshold must exceed 1/2 so the winner is unique.
@@ -87,7 +102,6 @@ def extract_representatives(
     k = x.vertex_count
     nH = x.fiber_size
     reps: dict[int, int] = {}
-    clouds: set[int] = set()
     for g in range(x.cloud_count):
         block = f[g * nH : (g + 1) * nH]
         votes: dict[int, int] = {}
@@ -95,9 +109,8 @@ def extract_representatives(
             votes[int(t)] = votes.get(int(t), 0) + 1
         winner, count = max(votes.items(), key=lambda kv: (kv[1], -kv[0]))
         if count / nH >= threshold:
-            clouds.add(g)
             reps[g] = winner - k  # terminal twin back in the extension
-    return clouds, reps
+    return reps
 
 
 def _check_pair(inst: ZeroExtInstance, x: ExtendedGraph):
@@ -151,21 +164,19 @@ def build_split_candidate(
     alpha in the extension metric.
     """
     _check_pair(inst, x)
-    clouds, reps = extract_representatives(inst, x, f, threshold)
-    n = x.cloud_count
-    hop_bound = math.floor(epsilon * math.log(n))
-    ordered = sorted(clouds)
-    kept_vertices = [
-        g
+    reps = extract_representatives(inst, x, f, threshold)
+    hop_bound = math.floor(epsilon * math.log(x.cloud_count))
+    ordered = sorted(reps)
+    kept = {
+        g: reps[g]
         for g, row in zip(ordered, hop_rows(x.base, ordered))
         if 0 <= row[project(x, reps[g])] <= hop_bound
-    ]
-    kept_set = set(kept_vertices)
+    }
 
     pairs = [
-        (eid, reps[g1], reps[g2])
+        (eid, kept[g1], kept[g2])
         for eid, (g1, g2) in enumerate(x.base.edges)
-        if g1 in kept_set and g2 in kept_set
+        if g1 in kept and g2 in kept
     ]
     rows = extension_rows(x, [r1 for _, r1, _ in pairs])
     flat = flatten(x)
@@ -178,21 +189,16 @@ def build_split_candidate(
             )
         return trees[source]
 
-    kept_edges = []
     paths: dict[int, list[int]] = {}
     for eid, r1, r2 in pairs:
         if float(rows[r1][r2]) < alpha:
-            kept_edges.append(eid)
             paths[eid] = [r1] if r1 == r2 else tree_for(r1).path_vertices(r2)
     return SplitCandidate(
-        base_vertex_count=n,
-        vertices=kept_vertices,
-        edge_ids=kept_edges,
-        rep_map={g: reps[g] for g in kept_vertices},
+        rep_map=kept,
+        path_assignment=paths,
         alpha=float(alpha),
         epsilon=float(epsilon),
         threshold=float(threshold),
-        path_assignment=paths,
     )
 
 
@@ -200,16 +206,13 @@ def build_split_candidate(
 
 
 def check_cycle_homeomorphism(
-    f_tilde: dict[int, int],
-    paths: dict[int, list[int]],
-    base: Graph,
-    sub_vertices,
-    sub_edge_ids,
+    f_tilde: dict[int, int], paths: dict[int, list[int]], base: Graph
 ) -> tuple[bool, np.ndarray | None]:
     """Does the per-edge path assignment reproduce every simple cycle?
 
-    paths[eid] is a base-vertex walk between f_tilde of the edge's endpoints
-    (smaller endpoint first).  The verdict is computed on a fundamental cycle
+    The subgraph has the keys of f_tilde as its vertices and the keys of
+    paths as its base edge ids.  paths[eid] is a base-vertex walk between
+    f_tilde of the edge's endpoints (smaller endpoint first).  The verdict is computed on a fundamental cycle
     basis of the subgraph only; by GF(2) linearity of the odd-occurrence map
     this is equivalent to checking every simple cycle.  Returns the verdict
     and, on failure, one offending basis cycle as a base-edge parity vector.
@@ -217,13 +220,12 @@ def check_cycle_homeomorphism(
     Walks may revisit edges; parity is counted per occurrence.  An endpoint
     mismatch between a walk and f_tilde is a structural error, not a verdict.
     """
-    sub_vertices = set(int(v) for v in sub_vertices)
-    sub_edge_ids = [int(e) for e in sub_edge_ids]
+    sub_edge_ids = sorted(paths)
     lookup = base.edge_lookup()
     parity: dict[int, np.ndarray] = {}
     for eid in sub_edge_ids:
         u, v = base.edges[eid]
-        if u not in sub_vertices or v not in sub_vertices:
+        if u not in f_tilde or v not in f_tilde:
             raise SplitError(f"subgraph edge {eid} leaves the subgraph vertex set")
         walk = paths[eid]
         if walk[0] != f_tilde[u] or walk[-1] != f_tilde[v]:
@@ -259,37 +261,36 @@ def verify_split(c: SplitCandidate, x: ExtendedGraph) -> SplitReport:
     """Evaluate all four split conditions, with witnesses for each failure."""
     conditions: dict[str, ConditionVerdict] = {}
     n_edges = x.base.edge_count
+    edge_ids = c.edge_ids
 
     need = (1.0 - c.epsilon) * n_edges
-    size_ok = len(c.edge_ids) + 1e-12 >= need
+    size_ok = len(edge_ids) + 1e-12 >= need
     conditions["size"] = ConditionVerdict(
-        name="size",
         passed=bool(size_ok),
-        detail=f"kept {len(c.edge_ids)} of {n_edges} base edges, need >= {need:.6g}",
+        detail=f"kept {len(edge_ids)} of {n_edges} base edges, need >= {need:.6g}",
     )
 
-    ends = [(c.rep_map[g1], c.rep_map[g2]) for g1, g2 in (x.base.edges[eid] for eid in c.edge_ids)]
+    ends = [(c.rep_map[g1], c.rep_map[g2]) for g1, g2 in (x.base.edges[eid] for eid in edge_ids)]
     rows = extension_rows(x, [r1 for r1, _ in ends])
     distance_witnesses = []
-    for eid, (r1, r2) in zip(c.edge_ids, ends):
+    for eid, (r1, r2) in zip(edge_ids, ends):
         d = float(rows[r1][r2])
         if not d < c.alpha:
             distance_witnesses.append({"edge": eid, "distance": d})
     conditions["distance"] = ConditionVerdict(
-        name="distance",
         passed=not distance_witnesses,
         detail=f"bound alpha = {c.alpha}",
         witnesses=distance_witnesses,
     )
 
-    hop_bound = math.floor(c.epsilon * math.log(c.base_vertex_count))
+    hop_bound = math.floor(c.epsilon * math.log(x.cloud_count))
     closeness_witnesses = []
-    for g, row in zip(c.vertices, hop_rows(x.base, c.vertices)):
+    vertices = c.vertices
+    for g, row in zip(vertices, hop_rows(x.base, vertices)):
         hops = int(row[project(x, c.rep_map[g])])
         if hops < 0 or hops > hop_bound:
             closeness_witnesses.append({"cloud": g, "hops": hops})
     conditions["closeness"] = ConditionVerdict(
-        name="closeness",
         passed=not closeness_witnesses,
         detail=f"hop bound = {hop_bound}",
         witnesses=closeness_witnesses,
@@ -297,13 +298,10 @@ def verify_split(c: SplitCandidate, x: ExtendedGraph) -> SplitReport:
 
     f_tilde = {g: project(x, r) for g, r in c.rep_map.items()}
     projected = {
-        eid: project_path(x, c.path_assignment[eid])[0] for eid in c.edge_ids
+        eid: project_path(x, c.path_assignment[eid])[0] for eid in edge_ids
     }
-    ok, witness = check_cycle_homeomorphism(
-        f_tilde, projected, x.base, c.vertices, c.edge_ids
-    )
+    ok, witness = check_cycle_homeomorphism(f_tilde, projected, x.base)
     conditions["cycle_homeomorphism"] = ConditionVerdict(
-        name="cycle_homeomorphism",
         passed=bool(ok),
         detail="checked on a fundamental cycle basis of the subgraph",
         witnesses=[] if witness is None else [np.flatnonzero(witness).tolist()],

@@ -22,12 +22,12 @@ from conftest import (
     random_generic_instance,
     random_labeling,
 )
+from oracles import brute_force, incidence_matrix, kernel_dim, reconstruct_paths
 from zeroext import cli, gf2
 from zeroext.certificate import (
     build_certificate,
     diagnostics,
     formal_transform,
-    reconstruct_paths,
     reconstruct_r,
     transform_pipeline,
 )
@@ -37,7 +37,6 @@ from zeroext.instance import default_gap_instance
 from zeroext.relaxation import canonical_fractional, induced_semimetric, is_feasible, fractional_cost
 from zeroext.solvers import (
     all_to_one,
-    brute_force,
     ckr_round,
     integral_cost,
     local_search,
@@ -86,7 +85,7 @@ def test_criterion_02_euler_vs_kernel():
                 continue
             edges.append((min(u, v), max(u, v)))
         g = Graph(vertex_count=n, edges=edges, multigraph=multi)
-        assert gf2.betti1(g) == gf2.kernel_dim(gf2.incidence_matrix(g))
+        assert gf2.betti1(g) == kernel_dim(incidence_matrix(g))
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"criterion 2 took {elapsed:.1f}s, cap is 10s"
     _report(2, "Euler formula vs GF(2) kernel", started)
@@ -252,9 +251,7 @@ def test_criterion_08_homeomorphism_basis_soundness():
             return path[::-1]
 
         paths = {eid: bfs_path(f_tilde[u], f_tilde[v]) for eid, (u, v) in enumerate(g.edges)}
-        ok_basis, _ = check_cycle_homeomorphism(
-            f_tilde, paths, g, range(n), range(g.edge_count)
-        )
+        ok_basis, _ = check_cycle_homeomorphism(f_tilde, paths, g)
         ok_full = exhaustive_homeomorphism_verdict(
             f_tilde, paths, g, range(g.edge_count)
         )

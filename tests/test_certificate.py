@@ -18,6 +18,7 @@ from conftest import (
     heap_dijkstra_tree,
     wandering_setup,
 )
+from oracles import reconstruct_paths, traverse_inter, vertex_id
 from zeroext import certificate as cert_mod
 from zeroext import split
 from zeroext.certificate import (
@@ -33,14 +34,13 @@ from zeroext.certificate import (
     diagnostics,
     formal_transform,
     inner_components,
-    reconstruct_paths,
     reconstruct_r,
     representations,
     shortest_rep_paths,
     skeleton,
     transform_pipeline,
 )
-from zeroext.extension import flatten, sample_extension, vertex_id
+from zeroext.extension import flatten, sample_extension
 from zeroext.graphs import Graph, uniform_lengths
 from zeroext.split import build_split_candidate, per_cloud_labeling
 
@@ -102,14 +102,12 @@ def test_rep_path_lengths_match_fw_oracle():
         assert path == heap_dijkstra_tree(flat.graph, flat.lengths, r1).path_vertices(r2)
 
 
-def test_rep_paths_need_a_stored_path_per_kept_edge():
+def test_rep_paths_need_their_representatives_as_ends():
     x, inst = wandering_setup(5)
     f = per_cloud_labeling(inst, x, 1)
     cand = build_split_candidate(inst, x, f, alpha=1e9, epsilon=0.5, threshold=0.9)
     eid = sorted(cand.edge_ids)[1]
-    stored = {e: p for e, p in cand.path_assignment.items() if e != eid}
-    with pytest.raises(CertificateError, match=rf"no path for edge {eid}$"):
-        shortest_rep_paths(x, dataclasses.replace(cand, path_assignment=stored))
+    stored = dict(cand.path_assignment)
     stored[eid] = cand.path_assignment[eid][::-1]
     with pytest.raises(CertificateError, match=rf"path for edge {eid} has wrong endpoints"):
         shortest_rep_paths(x, dataclasses.replace(cand, path_assignment=stored))
@@ -486,7 +484,6 @@ def test_self_loop_r_edge_round_trip():
     fiber = build_cayley([5], [(1,), (2,)])
     x = sample_extension(c3, uniform_lengths(c3, 1.0), fiber, uniform_lengths(fiber, 1.0), seed=4)
     from zeroext.certificate import Certificate, representations as make_reps
-    from zeroext.extension import traverse_inter
     from zeroext.extension import extension_metric
     from zeroext.graphs import single_source_shortest_paths
 

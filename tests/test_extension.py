@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import build_cayley, reference_flatten
+from oracles import traverse_inter, vertex_id
 from zeroext import extension, graphs, instance
 from zeroext.extension import (
     ExtensionError,
@@ -17,8 +18,6 @@ from zeroext.extension import (
     project,
     project_path,
     sample_extension,
-    traverse_inter,
-    vertex_id,
 )
 from zeroext.graphs import Graph, uniform_lengths
 

@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from oracles import Gf2Matrix, incidence_matrix, kernel_dim, rank
 from zeroext import gf2
-from zeroext.gf2 import Gf2Matrix, betti1, cycle_basis, incidence_matrix, kernel_dim, rank
+from zeroext.gf2 import betti1, cycle_basis
 from zeroext.graphs import Graph
 
 

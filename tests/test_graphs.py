@@ -23,6 +23,7 @@ from conftest import (
     reference_level_codes,
     scalar_fisher_yates,
 )
+from oracles import path_edges
 from zeroext import extension, graphs, instance
 from zeroext.extension import sample_extension
 from zeroext.graphs import (
@@ -347,7 +348,7 @@ def test_canonical_predecessor_tie_breaking():
     lengths = uniform_lengths(g, 1.0)
     tree = single_source_shortest_paths(g, lengths, 0, shortest_path_metric(g, lengths)[0])
     assert tree.path_vertices(3) == [0, 1, 3]
-    assert tree.path_edges(3) == [0, 2]
+    assert path_edges(tree, 3) == [0, 2]
 
 
 def _assert_trees_match_oracle(g, lengths, dist, sources=None):
@@ -357,7 +358,7 @@ def _assert_trees_match_oracle(g, lengths, dist, sources=None):
         assert np.array_equal(tree.dist, want.dist), s
         for t, (verts, eids) in want.all_paths().items():
             assert tree.path_vertices(t) == verts, (s, t)
-            assert tree.path_edges(t) == eids, (s, t)
+            assert path_edges(tree, t) == eids, (s, t)
 
 
 def test_single_source_matches_metric():
@@ -377,8 +378,8 @@ def test_single_source_matches_metric():
         for t in range(g.vertex_count):
             if math.isfinite(dist[s, t]):
                 path = tree.path_vertices(t)
-                assert len(tree.path_edges(t)) == len(path) - 1
-                total = sum(lengths[e] for e in tree.path_edges(t))
+                assert len(path_edges(tree, t)) == len(path) - 1
+                total = sum(lengths[e] for e in path_edges(tree, t))
                 assert abs(total - dist[s, t]) <= 1e-9 * max(1, dist[s, t])
 
 
@@ -418,7 +419,7 @@ def test_trees_over_one_flattening_share_its_length_list():
     for s in (0, 17, 63):
         tree = single_source_shortest_paths(flat.graph, flat.lengths, s, dist[s], shared)
         alone = single_source_shortest_paths(flat.graph, flat.lengths, s, dist[s])
-        assert [tree.path_edges(t) for t in range(64)] == [alone.path_edges(t) for t in range(64)]
+        assert [path_edges(tree, t) for t in range(64)] == [path_edges(alone, t) for t in range(64)]
         assert tree.length_list is shared
 
 
@@ -429,9 +430,9 @@ def test_tree_finds_predecessors_only_along_asked_paths():
     tree = single_source_shortest_paths(g, lengths, 0, shortest_path_metric(g, lengths)[0])
     assert tree.path_vertices(3) == [0, 1, 2, 3]
     assert sorted(tree._pred) == [1, 2, 3]
-    assert tree.path_edges(5) == [0, 1, 2, 3, 4]
+    assert path_edges(tree, 5) == [0, 1, 2, 3, 4]
     assert sorted(tree._pred) == [1, 2, 3, 4, 5]
-    assert tree.path_vertices(0) == [0] and tree.path_edges(0) == []
+    assert tree.path_vertices(0) == [0] and path_edges(tree, 0) == []
 
 
 def test_single_source_rejects_a_row_of_another_source():

@@ -179,6 +179,29 @@ def test_term_index_matches_a_loop_and_names_the_first_terminal_out_of_range():
             instance.ZeroExtInstance(g, np.ones(3), terminals, instance.TerminalMetric(np.zeros((len(terminals),) * 2)))
 
 
+def test_zero_terminals_are_refused_when_built_and_when_loaded(tmp_path):
+    g = Graph(vertex_count=3, edges=[(0, 1), (1, 2)])
+    with pytest.raises(InstanceError, match="^an instance needs at least one terminal$"):
+        build_generic_instance(g, np.ones(2), np.zeros(0, dtype=np.int64), np.zeros((0, 0)))
+    # A gap instance over an empty base, as a hand-edited file's origin gives.
+    empty = sample_extension(Graph(vertex_count=0, edges=[]), np.zeros(0), c3(), uniform_lengths(c3(), 1.0), seed=0)
+    with pytest.raises(InstanceError, match="^an instance needs at least one terminal$"):
+        build_gap_instance(empty, big_l=1.0)
+    # The dense file such an instance would save as: its empty matrix reads
+    # back with shape (0,), but the missing terminal is the error reported.
+    path = tmp_path / "no-terminals.json"
+    path.write_text(json.dumps({
+        "format": "zeroext-instance",
+        "version": instance.INSTANCE_VERSION,
+        "graph": {"vertex_count": 3, "edges": [[0, 1], [1, 2]]},
+        "weights": [1.0, 1.0],
+        "terminals": [],
+        "metric": {"mode": "dense", "matrix": []},
+    }))
+    with pytest.raises(InstanceError, match=f"^{re.escape(str(path))}: an instance needs at least one terminal$"):
+        load_instance(path)
+
+
 def test_triangle_violation_rejected_with_triple():
     bad = np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 1.0], [9.0, 1.0, 0.0]])
     with pytest.raises(InstanceError, match=r"triangle.*D\(0,2\).*D\(0,1\).*D\(1,2\)"):

@@ -18,6 +18,7 @@ from conftest import (
     reference_ckr_round,
     reference_local_search,
 )
+from oracles import TooLargeError, brute_force
 from zeroext import graphs, relaxation, solvers
 from zeroext.extension import extension_metric, sample_extension
 from zeroext.graphs import Graph, shortest_path_metric, uniform_lengths
@@ -31,9 +32,7 @@ from zeroext.instance import (
 from zeroext.relaxation import canonical_fractional
 from zeroext.solvers import (
     SolverError,
-    TooLargeError,
     all_to_one,
-    brute_force,
     ckr_round,
     ckr_rounds,
     integral_cost,

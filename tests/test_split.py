@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     build_cayley,
+    candidate_corpus,
     direct_route_setup,
     exhaustive_homeomorphism_verdict,
     graph_fw,
@@ -20,6 +21,7 @@ from zeroext import extension, graphs, instance, split
 from zeroext.extension import flatten, sample_extension
 from zeroext.graphs import Graph, uniform_lengths
 from zeroext.split import (
+    SplitCandidate,
     SplitError,
     build_split_candidate,
     check_cycle_homeomorphism,
@@ -35,9 +37,9 @@ from zeroext.split import (
 def test_whole_cloud_labeling_gives_total_map():
     x, inst = wandering_setup(0)
     f = per_cloud_labeling(inst, x, 0)
-    clouds, reps = extract_representatives(inst, x, f, threshold=0.9)
-    assert clouds == set(range(x.cloud_count))
-    for g in clouds:
+    reps = extract_representatives(inst, x, f, threshold=0.9)
+    assert sorted(reps) == list(range(x.cloud_count))
+    for g in reps:
         assert reps[g] == g * x.fiber_size
 
 
@@ -48,9 +50,9 @@ def test_half_split_cloud_excluded():
     k = x.vertex_count
     f[:half] = k + 1  # half of cloud 0 to one terminal,
     f[half : x.fiber_size] = k + 2  # half to another
-    clouds, _ = extract_representatives(inst, x, f, threshold=0.9)
-    assert 0 not in clouds
-    assert set(range(1, x.cloud_count)) <= clouds
+    reps = extract_representatives(inst, x, f, threshold=0.9)
+    assert 0 not in reps
+    assert set(range(1, x.cloud_count)) <= set(reps)
 
 
 def test_threshold_boundary_inclusive():
@@ -61,8 +63,7 @@ def test_threshold_boundary_inclusive():
     k = x.vertex_count
     f = per_cloud_labeling(inst, x, 0)
     f[9] = k + 9  # 9 of 10 vertices still vote for fiber vertex 0
-    clouds, reps = extract_representatives(inst, x, f, threshold=0.9)
-    assert 0 in clouds
+    reps = extract_representatives(inst, x, f, threshold=0.9)
     assert reps[0] == 0
 
 
@@ -123,7 +124,8 @@ def test_unreachable_representative_cloud_excluded():
     assert math.floor(0.9 * math.log(4)) == 1
     assert cand.vertices == [1, 2, 3]
     assert cand.edge_ids == [1]
-    forced = dataclasses.replace(cand, vertices=[0, 1, 2, 3], rep_map={**cand.rep_map, 0: 6})
+    forced = dataclasses.replace(cand, rep_map={**cand.rep_map, 0: 6})
+    assert forced.vertices == [0, 1, 2, 3]
     closeness = verify_split(forced, x).conditions["closeness"]
     assert closeness.witnesses == [{"cloud": 0, "hops": -1}]
 
@@ -167,7 +169,7 @@ def test_identity_with_single_edge_paths_is_homeomorphism():
     g = square()
     f_tilde = {v: v for v in range(4)}
     paths = {eid: [u, v] for eid, (u, v) in enumerate(g.edges)}
-    ok, witness = check_cycle_homeomorphism(f_tilde, paths, g, range(4), range(4))
+    ok, witness = check_cycle_homeomorphism(f_tilde, paths, g)
     assert ok and witness is None
 
 
@@ -176,7 +178,7 @@ def test_complementary_path_breaks_parity():
     f_tilde = {v: v for v in range(4)}
     paths = {eid: [u, v] for eid, (u, v) in enumerate(g.edges)}
     paths[0] = [0, 3, 2, 1]  # replace edge (0,1) by the long way round
-    ok, witness = check_cycle_homeomorphism(f_tilde, paths, g, range(4), range(4))
+    ok, witness = check_cycle_homeomorphism(f_tilde, paths, g)
     assert not ok
     assert witness is not None and witness.sum() == 4  # the 4-cycle witnesses
 
@@ -185,11 +187,19 @@ def test_constant_map_with_empty_paths_fails_on_cycles():
     g = square()
     f_tilde = {v: 0 for v in range(4)}
     paths = {eid: [0] for eid in range(4)}
-    ok, _ = check_cycle_homeomorphism(f_tilde, paths, g, range(4), range(4))
+    ok, _ = check_cycle_homeomorphism(f_tilde, paths, g)
     assert not ok
     # ... but passes vacuously when the subgraph is a forest.
-    ok2, _ = check_cycle_homeomorphism(f_tilde, {0: [0], 1: [0]}, g, range(4), [0, 1])
+    ok2, _ = check_cycle_homeomorphism(f_tilde, {0: [0], 1: [0]}, g)
     assert ok2
+
+
+def test_path_of_an_edge_leaving_the_mapped_vertices_is_structural_error():
+    g = square()
+    f_tilde = {0: 0, 1: 1, 2: 2}
+    paths = {0: [0, 1], 2: [1, 2], 3: [2, 3]}  # edge 3 = (2, 3), and 3 is unmapped
+    with pytest.raises(SplitError, match="edge 3 leaves the subgraph vertex set"):
+        check_cycle_homeomorphism(f_tilde, paths, g)
 
 
 def test_endpoint_mismatch_is_structural_error():
@@ -198,7 +208,7 @@ def test_endpoint_mismatch_is_structural_error():
     paths = {eid: [u, v] for eid, (u, v) in enumerate(g.edges)}
     paths[2] = [2, 1]  # wrong direction for edge (1,2)
     with pytest.raises(SplitError, match="expected"):
-        check_cycle_homeomorphism(f_tilde, paths, g, range(4), range(4))
+        check_cycle_homeomorphism(f_tilde, paths, g)
 
 
 def test_basis_check_equals_exhaustive_on_small_corpus():
@@ -214,9 +224,7 @@ def test_basis_check_equals_exhaustive_on_small_corpus():
         fw_paths = _bfs_paths(g)
         for eid, (u, v) in enumerate(g.edges):
             paths[eid] = fw_paths[(f_tilde[u], f_tilde[v])]
-        ok_basis, _ = check_cycle_homeomorphism(
-            f_tilde, paths, g, range(n), range(g.edge_count)
-        )
+        ok_basis, _ = check_cycle_homeomorphism(f_tilde, paths, g)
         ok_full = exhaustive_homeomorphism_verdict(f_tilde, paths, g, range(g.edge_count))
         assert ok_basis == ok_full
         agree += 1
@@ -275,10 +283,28 @@ def test_epsilon_zero_fails_size_for_proper_subgraph():
     x, inst = direct_route_setup(5)
     f = per_cloud_labeling(inst, x, 0)
     cand = build_split_candidate(inst, x, f, alpha=1e9, epsilon=0.3, threshold=0.9)
-    cand.edge_ids = cand.edge_ids[:-1]
     cand.epsilon = 0.0
+    assert verify_split(cand, x).conditions["size"].passed
+    del cand.path_assignment[cand.edge_ids[-1]]
     report = verify_split(cand, x)
     assert not report.conditions["size"].passed
+    assert report.conditions["size"].detail.startswith(f"kept {x.base.edge_count - 1} of")
+
+
+def test_candidate_rebuilt_from_its_two_maps_verifies_identically():
+    # The maps are rebuilt with their keys in descending order: the kept
+    # clouds and edges are read as sorted views, so key order cannot matter.
+    for x, inst, cand in candidate_corpus(6, seed0=3):
+        rebuilt = SplitCandidate(
+            rep_map={g: cand.rep_map[g] for g in reversed(cand.vertices)},
+            path_assignment={e: list(cand.path_assignment[e]) for e in reversed(cand.edge_ids)},
+            alpha=cand.alpha,
+            epsilon=cand.epsilon,
+            threshold=cand.threshold,
+        )
+        assert (rebuilt.vertices, rebuilt.edge_ids) == (cand.vertices, cand.edge_ids)
+        want = json.dumps(verify_split(cand, x).as_dict(), indent=2)
+        assert json.dumps(verify_split(rebuilt, x).as_dict(), indent=2) == want
 
 
 def test_verify_deterministic_and_serializable():
